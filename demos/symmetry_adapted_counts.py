@@ -20,7 +20,7 @@ print("separable:", threefold.separable)
 
 # The representations intertwine the rigidity operator: the residual of the
 # symmetry equation is zero to round-off.
-residual = cf.verify_symmetry_equation(kagome, threefold, "full")
+residual = cf.verify_symmetry_equation(kagome, threefold, cf.matrix_space("full", 2))
 print(f"symmetry equation residual: {residual:.2e}")
 
 counts = cf.symmetry_counts(kagome, threefold)

@@ -38,10 +38,12 @@ from .frameworks import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    Factorization,
     SubspaceBasis,
     cokernel_basis,
     column_space_basis,
     complement_within,
+    factorize,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -49,6 +51,7 @@ from .linalg import (
 from .rigidity import (
     AffineRigidityCheck,
     CountReport,
+    DependentBasisError,
     MATRIX_SPACE_NAMES,
     MatrixSpace,
     RigidityMatrices,
@@ -80,7 +83,6 @@ from .symmetry import (
     edge_permutation_order,
     fixed_space,
     flexibility_predictor,
-    is_separable,
     representation_matrices,
     resolve_symmetry,
     symmetry_counts,
@@ -89,4 +91,28 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BUILTIN_NAMES", "builtin_framework",
+    "AnalysisReport", "FrameworkParseError", "analyze_framework", "emit_report",
+    "framework_from_dict", "framework_to_dict", "load_framework", "parse_framework",
+    "save_framework", "serialize_framework",
+    "AffineVelocity", "CrystalFramework", "EdgeGeometry", "Fragment",
+    "InvalidFrameworkError", "MotifEdge", "MotifVertex", "PeriodLattice", "PlacedEdge",
+    "PlacedPoint", "edge_geometry", "fragment", "point_of", "supercell",
+    "validate_framework",
+    "DEFAULT_TOL", "Factorization", "SubspaceBasis", "cokernel_basis",
+    "column_space_basis", "complement_within", "factorize", "kernel_basis",
+    "numeric_rank", "subspace_intersection",
+    "AffineRigidityCheck", "CountReport", "DependentBasisError", "MATRIX_SPACE_NAMES",
+    "MatrixSpace", "RigidityMatrices", "analyze_counts", "build_matrices",
+    "edge_deviation", "flex_space", "flex_velocities", "is_affinely_rigid",
+    "matrix_space", "mechanism_space", "restricted_operator",
+    "right_multiplication_operator", "rigid_motion_space", "stress_space",
+    "velocity_from_affine_coordinates", "velocity_from_mode_coordinates",
+    "render_svg",
+    "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
+    "SymmetryRepresentation", "character_row", "commutant_basis", "edge_orbit_count",
+    "edge_permutation_order", "fixed_space", "flexibility_predictor",
+    "representation_matrices", "resolve_symmetry", "symmetry_counts",
+    "verify_symmetry_equation",
+]

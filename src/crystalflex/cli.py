@@ -8,7 +8,9 @@ decisions rather than bad input).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 
 from .catalog import BUILTIN_NAMES, builtin_framework
 from .fileio import (
@@ -21,7 +23,7 @@ from .fileio import (
     serialize_framework,
 )
 from .frameworks import InvalidFrameworkError, supercell
-from .rigidity import MATRIX_SPACE_NAMES
+from .rigidity import MATRIX_SPACE_NAMES, DependentBasisError
 from .svg import render_svg
 from .symmetry import SymmetryError
 
@@ -95,6 +97,8 @@ def _load_input(args):
     if args.tol is not None:
         if args.tol <= 0:
             raise CliError("--tol must be positive")
+        if not math.isfinite(args.tol):
+            raise CliError("--tol must be finite")
         fw = fw.with_tolerance(args.tol)
     return fw, name
 
@@ -141,7 +145,14 @@ def _parse_cells(text, dimension):
     return ranges
 
 
-def _emit_and_check(report, as_json):
+def _report(fw, as_json, **options):
+    """Analyze, write the report and check that every counting identity closes."""
+    try:
+        report = analyze_framework(fw, **options)
+    except DependentBasisError as exc:
+        # Every space built during the analysis has an orthonormal basis, so
+        # only a tolerance that hides unit singular values can make it fail.
+        raise CliError(f"tolerance {fw.tolerance:g} is too large: {exc}")
     sys.stdout.write(emit_report(report, "json" if as_json else "text"))
     if report.max_identity_residual != 0:
         sys.stderr.write("error: counting identity failed to close "
@@ -153,8 +164,7 @@ def _emit_and_check(report, as_json):
 def _cmd_analyze(args) -> int:
     fw, name = _load_input(args)
     modes, spaces = _resolve_modes(args, fw)
-    report = analyze_framework(fw, modes=modes, name=name, spaces=spaces)
-    return _emit_and_check(report, args.json)
+    return _report(fw, args.json, modes=modes, name=name, spaces=spaces)
 
 
 def _cmd_symmetry(args) -> int:
@@ -164,13 +174,11 @@ def _cmd_symmetry(args) -> int:
         if not matching:
             declared = ", ".join(g.name for g in fw.symmetries) or "none"
             raise CliError(f"no declared symmetry named {args.element!r} (declared: {declared})")
-        from dataclasses import replace
         fw = replace(fw, symmetries=matching)
     if not fw.symmetries:
         sys.stdout.write(f"framework {name}: no declared symmetries\n")
         return 0
-    report = analyze_framework(fw, modes=(), name=name, characters=args.characters)
-    return _emit_and_check(report, args.json)
+    return _report(fw, args.json, modes=(), name=name, characters=args.characters)
 
 
 def _cmd_supercell(args) -> int:

@@ -30,24 +30,23 @@ the offending field path or element name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .frameworks import (
     CrystalFramework,
+    InvalidFrameworkError,
     MotifEdge,
     MotifVertex,
     PeriodLattice,
-    validate_framework,
 )
 from .rigidity import (
     MatrixSpace,
     analyze_counts,
-    flex_space,
     matrix_space,
-    stress_space,
     velocity_from_mode_coordinates,
 )
 from .symmetry import (
@@ -88,6 +87,8 @@ def _number_list(value, length, path):
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             _fail(f"{path}[{i}]", "expected a number")
+        if not abs(x) <= sys.float_info.max:     # NaN, infinities, ints too big for a float
+            _fail(f"{path}[{i}]", "expected a finite number")
         out.append(float(x))
     return out
 
@@ -128,6 +129,8 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
     tolerance = doc.get("tolerance", 1e-9)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
         _fail("tolerance", "expected a positive number")
+    if not abs(tolerance) <= sys.float_info.max:
+        _fail("tolerance", "expected a finite number")
 
     raw_vertices = _require(doc, "vertices", "", list)
     vertices, ids = [], {}
@@ -156,10 +159,11 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
             ends.append((ids[vid], tuple(_int_list(cell, dimension, f"{path}.{side}.cell"))))
         edges.append(MotifEdge(ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
 
-    fw = CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=float(tolerance))
-    violations = validate_framework(fw)
-    if violations:
-        raise FrameworkParseError("framework validation failed: " + "; ".join(violations))
+    try:
+        fw = CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=float(tolerance))
+    except InvalidFrameworkError as exc:
+        raise FrameworkParseError(
+            "framework validation failed: " + "; ".join(exc.violations)) from exc
 
     elements = []
     for i, entry in enumerate(doc.get("symmetries", [])):
@@ -174,7 +178,6 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
             raise FrameworkParseError(f"{path}: {exc}") from exc
 
     if elements:
-        from dataclasses import replace
         fw = replace(fw, symmetries=tuple(elements))
     return fw
 
@@ -302,9 +305,8 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
         counts = analyze_counts(fw, space)
-        flexes = flex_space(fw, space)
-        stresses = stress_space(fw, space)
-        decoded = [velocity_from_mode_coordinates(fw, space, col) for col in flexes.basis.T]
+        decoded = [velocity_from_mode_coordinates(fw, space, col)
+                   for col in counts.flex_basis.basis.T]
         mode_entries.append({
             "mode": label,
             "space": space.name,
@@ -323,7 +325,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
                 }
                 for v in decoded
             ],
-            "stresses_basis": [_display_vector(col) for col in stresses.basis.T],
+            "stresses_basis": [_display_vector(col) for col in counts.stress_basis.basis.T],
         })
 
     symmetry_entries = []
@@ -341,7 +343,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
             "s": counts.stresses,
             "identity_residual": counts.identity_residual,
             "predicts_mechanism": counts.flexible_predicted,
-            "equation_residual": _display(verify_symmetry_equation(fw, g, "full")),
+            "equation_residual": _display(verify_symmetry_equation(fw, g)),
         }
         if characters:
             row = character_row(fw, g, commutant_basis(g.linear, fw.tolerance))

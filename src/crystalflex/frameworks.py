@@ -20,7 +20,7 @@ from .linalg import DEFAULT_TOL
 
 
 class InvalidFrameworkError(ValueError):
-    """Raised when an operation requires a framework that fails validation."""
+    """Raised when a CrystalFramework would fail validation."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -149,7 +149,11 @@ class AffineVelocity:
 
 @dataclass(frozen=True)
 class CrystalFramework:
-    """Finite motif + period lattice describing an infinite periodic framework."""
+    """Finite motif + period lattice describing an infinite periodic framework.
+
+    Construction validates the framework (see ``validate_framework``) and
+    raises InvalidFrameworkError on any violation, so every instance is valid.
+    """
 
     lattice: PeriodLattice
     vertices: tuple
@@ -161,8 +165,11 @@ class CrystalFramework:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
+        violations = validate_framework(self)
+        if violations:
+            raise InvalidFrameworkError(violations)
 
     @property
     def dimension(self) -> int:
@@ -194,8 +201,9 @@ class CrystalFramework:
 def validate_framework(fw: CrystalFramework) -> list:
     """Check all structural invariants; returns a list of violation strings.
 
-    An empty list means the framework is valid.  Violations are data, not
-    exceptions: callers that require validity raise InvalidFrameworkError.
+    An empty list means the framework is valid.  CrystalFramework calls this
+    on construction and raises InvalidFrameworkError when the list is not
+    empty.
     """
     report = []
     d = fw.dimension
@@ -244,12 +252,6 @@ def validate_framework(fw: CrystalFramework) -> list:
     return report
 
 
-def require_valid(fw: CrystalFramework) -> None:
-    violations = validate_framework(fw)
-    if violations:
-        raise InvalidFrameworkError(violations)
-
-
 def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:
     """Position of the copy of a motif vertex in the given cell."""
     if not (0 <= vertex < fw.vertex_count):
@@ -283,7 +285,6 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
         raise ValueError(f"need {fw.dimension} multiplicities, got {n.shape[0]}")
     if np.any(n < 1):
         raise ValueError("supercell multiplicities must be positive")
-    require_valid(fw)
 
     lattice = PeriodLattice(fw.lattice.matrix * n[np.newaxis, :])
     residues = list(itertools.product(*(range(k) for k in n)))
@@ -309,9 +310,7 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
             edges.append(MotifEdge(index[(e.from_vertex, fr_res)], fr_cell,
                                    index[(e.to_vertex, to_res)], to_cell))
 
-    out = CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=fw.tolerance)
-    require_valid(out)
-    return out
+    return CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=fw.tolerance)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ value sigma counts as nonzero when
 
     sigma > tol * max(1, sigma_max) * max(n_rows, n_cols).
 
-Kernels and cokernels come from the SVD, so the returned bases are
+Kernels and cokernels come from one full SVD (``factorize`` returns the
+rank, kernel and cokernel of a matrix together), so the returned bases are
 orthonormal.  Subspace intersections stack the orthogonal-complement
 projectors of the operands and take a kernel, which keeps the tolerance
 policy in one place.
@@ -14,6 +15,7 @@ policy in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,30 +104,43 @@ def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > _effective_tol(s, m.shape, tol)))
 
 
-def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the (numerical) null space of ``mat``."""
+def _span(columns: np.ndarray, tol: float) -> SubspaceBasis:
+    return SubspaceBasis(columns.shape[0], _canonical_signs(columns), tol)
+
+
+def _full_svd(mat, tol: float):
+    """Rank and the full U and V^T of ``mat`` (identities when it is empty)."""
     m = _as_matrix(mat)
     rows, cols = m.shape
-    if cols == 0:
-        return SubspaceBasis(0, np.zeros((0, 0)), tol)
-    if rows == 0:
-        return SubspaceBasis(cols, np.eye(cols), tol)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > _effective_tol(s, m.shape, tol)))
-    return SubspaceBasis(cols, _canonical_signs(vt[rank:, :].T), tol)
+    if rows == 0 or cols == 0:
+        return 0, np.eye(rows), np.eye(cols)
+    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    return int(np.sum(s > _effective_tol(s, m.shape, tol))), u, vt
+
+
+class Factorization(NamedTuple):
+    """Rank, kernel and cokernel of one matrix, read off a single SVD."""
+
+    rank: int
+    kernel: SubspaceBasis
+    cokernel: SubspaceBasis
+
+
+def factorize(mat, tol: float = DEFAULT_TOL) -> Factorization:
+    rank, u, vt = _full_svd(mat, tol)
+    return Factorization(rank, _span(vt[rank:, :].T, tol), _span(u[:, rank:], tol))
+
+
+def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
+    """Orthonormal basis of the (numerical) null space of ``mat``."""
+    rank, _, vt = _full_svd(mat, tol)
+    return _span(vt[rank:, :].T, tol)
 
 
 def cokernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the left null space (row-dependency space)."""
-    m = _as_matrix(mat)
-    rows, cols = m.shape
-    if rows == 0:
-        return SubspaceBasis(0, np.zeros((0, 0)), tol)
-    if cols == 0:
-        return SubspaceBasis(rows, np.eye(rows), tol)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > _effective_tol(s, m.shape, tol)))
-    return SubspaceBasis(rows, _canonical_signs(u[:, rank:]), tol)
+    rank, u, _ = _full_svd(mat, tol)
+    return _span(u[:, rank:], tol)
 
 
 def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -136,7 +151,7 @@ def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
         return SubspaceBasis(rows, np.zeros((rows, 0)), tol)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     rank = int(np.sum(s > _effective_tol(s, m.shape, tol)))
-    return SubspaceBasis(rows, _canonical_signs(u[:, :rank]), tol)
+    return _span(u[:, :rank], tol)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

@@ -19,22 +19,18 @@ Sign conventions: the velocity of the copy of vertex ``v`` in cell k is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frameworks import (
-    AffineVelocity,
-    CrystalFramework,
-    edge_geometry,
-    require_valid,
-)
+from .frameworks import AffineVelocity, CrystalFramework, edge_geometry
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     cokernel_basis,
     column_space_basis,
     complement_within,
+    factorize,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -56,6 +52,10 @@ def right_multiplication_operator(mat) -> np.ndarray:
     """Matrix of A -> A @ mat on column-stacked coordinates."""
     m = np.asarray(mat, dtype=float)
     return np.kron(m.T, np.eye(m.shape[0]))
+
+
+class DependentBasisError(ValueError):
+    """A MatrixSpace basis is linearly dependent at the space's tolerance."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class MatrixSpace:
             mats.append(m)
         object.__setattr__(self, "basis", tuple(mats))
         if mats and numeric_rank(self.stacked, self.tol) != len(mats):
-            raise ValueError("matrix space basis is linearly dependent")
+            raise DependentBasisError("matrix space basis is linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -167,8 +167,7 @@ class RigidityMatrices:
 
 
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
-    """Assemble the rigidity blocks of a validated framework."""
-    require_valid(fw)
+    """Assemble the rigidity blocks of a framework."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
     vertex_block = np.zeros((m, d * n))
     affine_block = np.zeros((m, d * d))
@@ -225,7 +224,6 @@ def _rigid_generators(fw: CrystalFramework, space: MatrixSpace):
 
 def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
     """Admissible rigid-motion flexes in (u, vec(A Z)) coordinates."""
-    require_valid(fw)
     d, n = fw.dimension, fw.vertex_count
     z = fw.lattice.matrix
     cols = [np.concatenate([u, vec(a @ z)]) for u, a in _rigid_generators(fw, space)]
@@ -261,7 +259,9 @@ class CountReport:
     """Mechanism/stress/rigid-motion dimensions and the counting identity.
 
     identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f)
-    and must be zero for consistent rank decisions.
+    and must be zero for consistent rank decisions.  flex_basis and
+    stress_basis are the kernel and cokernel the counts were read from, in
+    restricted (u, coords-in-space) coordinates.
     """
 
     space_name: str
@@ -272,13 +272,13 @@ class CountReport:
     stresses: int
     rigid_motions: int
     identity_residual: int
+    flex_basis: SubspaceBasis = field(compare=False, repr=False)
+    stress_basis: SubspaceBasis = field(compare=False, repr=False)
     flags: tuple = ()
 
 
 def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
-    require_valid(fw)
-    flex = flex_space(fw, space)
-    stress = stress_space(fw, space)
+    _, flex, stress = factorize(restricted_operator(fw, space), fw.tolerance)
     rigid = _rigid_space_restricted(fw, space)
     f = rigid.dim
     m = flex.dim - f
@@ -298,6 +298,8 @@ def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
         stresses=s,
         rigid_motions=f,
         identity_residual=residual,
+        flex_basis=flex,
+        stress_basis=stress,
         flags=tuple(flags),
     )
 

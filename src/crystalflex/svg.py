@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .frameworks import CrystalFramework, point_of, require_valid
+from .frameworks import CrystalFramework, point_of
 
 _DEFAULTS = {
     "scale": 80.0,          # pixels per geometry unit
@@ -34,7 +34,6 @@ def render_svg(fw: CrystalFramework, cell_range, options: dict = None) -> str:
     """SVG 1.1 document showing the fragment over a box of cells (d=2 only)."""
     if fw.dimension != 2:
         raise ValueError("SVG rendering requires a 2-dimensional framework")
-    require_valid(fw)
     opts = dict(_DEFAULTS)
     if options:
         unknown = set(options) - set(_DEFAULTS)

@@ -7,7 +7,8 @@ offsets), its action on edge classes, and the integer matrix through which
 the linear part acts on the period lattice.
 
 The finite-dimensional representations built here act on the domain and
-range of the affine rigidity operator in (u, vec A) coordinates:
+range of the affine rigidity operator in (u, vec A) coordinates, which are
+the coordinates of ``restricted_operator`` on the full matrix space:
 
     vertex_rep     block permutation, block (g.v, v) = B
     edge_perm      0/1 permutation of edge classes
@@ -23,34 +24,30 @@ are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Union
+from math import lcm
+from typing import Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, MotifEdge, require_valid
+from .frameworks import CrystalFramework, MotifEdge
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
     column_space_basis,
     complement_within,
-    cokernel_basis,
+    factorize,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
 )
 from .rigidity import (
     MatrixSpace,
-    _rigid_generators,
-    build_matrices,
+    _rigid_space_restricted,
     matrix_space,
     restricted_operator,
     right_multiplication_operator,
     unvec,
-    vec,
 )
-
-ORBIT_WALK_FACTOR = 48
 
 
 class SymmetryError(ValueError):
@@ -93,14 +90,6 @@ class SymmetryElement:
         """True when every motif vertex maps to a base-cell motif vertex."""
         return all(not any(off) for off in self.vertex_offsets)
 
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.linear.T + self.translation
-
-
-def is_separable(element: SymmetryElement) -> bool:
-    return element.separable
-
 
 def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g") -> SymmetryElement:
     """Match an isometry against the motif classes of a framework.
@@ -109,7 +98,6 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     incompatible with the period lattice, or if some vertex or edge image
     does not land on a framework vertex or edge class.
     """
-    require_valid(fw)
     d = fw.dimension
     tol = fw.tolerance
     b = np.asarray(linear, dtype=float)
@@ -247,26 +235,18 @@ def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> 
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
-                             space: Union[MatrixSpace, str] = "full") -> float:
+                             space: Optional[MatrixSpace] = None) -> float:
     """Max-norm residual of (edge action) . R - R . (domain action).
 
-    Zero (to round-off) for genuine symmetries; the restricted form
-    additionally requires the matrix space to be conjugation-invariant.
+    R is the operator restricted to ``space`` (default: the full space, whose
+    coordinates are vec A).  Zero (to round-off) for genuine symmetries;
+    the space must be invariant under conjugation by the element.
     """
+    if space is None:
+        space = matrix_space("full", fw.dimension, fw.tolerance)
     reps = representation_matrices(fw, element)
-    mats = build_matrices(fw)
-    if isinstance(space, str):
-        if space != "full":
-            space = matrix_space(space, fw.dimension, fw.tolerance)
-    if isinstance(space, str):
-        operator = np.hstack([
-            mats.vertex_block,
-            mats.affine_block @ right_multiplication_operator(fw.lattice.matrix),
-        ])
-        domain = reps.domain_rep
-    else:
-        operator = restricted_operator(fw, space)
-        domain = _restricted_domain_rep(reps, space)
+    operator = restricted_operator(fw, space)
+    domain = _restricted_domain_rep(reps, space)
     return float(np.max(np.abs(reps.edge_perm @ operator - operator @ domain)))
 
 
@@ -290,32 +270,11 @@ def fixed_space(operator, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     return kernel_basis(p - np.eye(p.shape[0]), tol)
 
 
-def edge_orbit_count(element: SymmetryElement) -> int:
-    """Number of orbits of the cyclic group of the element on edge classes."""
-    m = len(element.edge_map)
-    cap = ORBIT_WALK_FACTOR * max(m, 1)
+def _edge_cycle_lengths(element: SymmetryElement) -> list:
+    """Cycle lengths of the edge-class permutation."""
     seen = set()
-    orbits = 0
-    for start in range(m):
-        if start in seen:
-            continue
-        orbits += 1
-        current, steps = start, 0
-        while current not in seen:
-            seen.add(current)
-            current = element.edge_map[current]
-            steps += 1
-            if steps > cap:
-                raise SymmetryError("edge action does not close into cycles")
-    return orbits
-
-
-def edge_permutation_order(element: SymmetryElement) -> int:
-    """Order of the edge-class permutation (lcm of cycle lengths)."""
-    m = len(element.edge_map)
-    order = 1
-    seen = set()
-    for start in range(m):
+    lengths = []
+    for start in range(len(element.edge_map)):
         if start in seen:
             continue
         length, current = 0, start
@@ -323,25 +282,18 @@ def edge_permutation_order(element: SymmetryElement) -> int:
             seen.add(current)
             current = element.edge_map[current]
             length += 1
-        order = order * length // gcd(order, length)
-    return order
+        lengths.append(length)
+    return lengths
 
 
-def _full_operator_vec_a(fw: CrystalFramework) -> np.ndarray:
-    mats = build_matrices(fw)
-    return np.hstack([
-        mats.vertex_block,
-        mats.affine_block @ right_multiplication_operator(fw.lattice.matrix),
-    ])
+def edge_orbit_count(element: SymmetryElement) -> int:
+    """Number of orbits of the cyclic group of the element on edge classes."""
+    return len(_edge_cycle_lengths(element))
 
 
-def _rigid_space_vec_a(fw: CrystalFramework) -> SubspaceBasis:
-    """All infinitesimal isometries in (u, vec A) coordinates."""
-    d, n = fw.dimension, fw.vertex_count
-    full = matrix_space("full", d, fw.tolerance)
-    cols = [np.concatenate([u, vec(a)]) for u, a in _rigid_generators(fw, full)]
-    stacked = np.column_stack(cols) if cols else np.zeros((d * n + d * d, 0))
-    return column_space_basis(stacked, fw.tolerance)
+def edge_permutation_order(element: SymmetryElement) -> int:
+    """Order of the edge-class permutation (lcm of cycle lengths)."""
+    return lcm(*_edge_cycle_lengths(element))
 
 
 @dataclass(frozen=True)
@@ -367,7 +319,6 @@ class SymmetryCountReport:
 
 
 def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryCountReport:
-    require_valid(fw)
     tol = fw.tolerance
     reps = representation_matrices(fw, element)
 
@@ -376,9 +327,10 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     fixed_domain = fixed_space(reps.domain_rep, tol)
     orbits = edge_orbit_count(element)
 
-    operator = _full_operator_vec_a(fw)
+    full = matrix_space("full", fw.dimension, tol)
+    operator = restricted_operator(fw, full)
     flexes = kernel_basis(operator, tol)
-    rigid = _rigid_space_vec_a(fw)
+    rigid = _rigid_space_restricted(fw, full)
 
     f = subspace_intersection(rigid, fixed_domain).dim
     m = subspace_intersection(flexes, fixed_domain).dim - f
@@ -434,7 +386,6 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
     orthonormalized, so the domain action is orthogonal and orthogonal
     complements of invariant subspaces stay invariant.
     """
-    require_valid(fw)
     tol = fw.tolerance
     d = fw.dimension
     ortho = column_space_basis(space.stacked, tol)
@@ -443,14 +394,9 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
 
     reps = representation_matrices(fw, element)
     domain = _restricted_domain_rep(reps, space)
-    operator = restricted_operator(fw, space)
-
-    from .rigidity import _rigid_space_restricted
-
-    flexes = kernel_basis(operator, tol)
+    _, flexes, stresses = factorize(restricted_operator(fw, space), tol)
     rigid = _rigid_space_restricted(fw, space)
     mech = complement_within(flexes, rigid)
-    stresses = cokernel_basis(operator, tol)
 
     def subspace_trace(action, basis: SubspaceBasis) -> float:
         if basis.dim == 0:

@@ -74,7 +74,8 @@ def test_criterion_05_symmetry_equations():
     for name in cf.BUILTIN_NAMES:
         fw = cf.builtin_framework(name)
         for g in fw.symmetries:
-            residual = cf.verify_symmetry_equation(fw, g, "full")
+            full = cf.matrix_space("full", fw.dimension, fw.tolerance)
+            residual = cf.verify_symmetry_equation(fw, g, full)
             worst = max(worst, residual)
             pairs += 1
             assert residual < 1e-9, f"{name}/{g.name}: residual {residual}"

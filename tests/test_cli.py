@@ -1,6 +1,10 @@
 import json
 
+import numpy as np
+import pytest
+
 import crystalflex as cf
+import crystalflex.frameworks
 from crystalflex.cli import main
 
 
@@ -198,3 +202,92 @@ class TestExitCodes:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestBadNumbers:
+    """Non-finite numbers and unusable tolerances exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("path, value, shown", [
+        (("vertices", 1, "position", 0), float("nan"), "vertices[1].position[0]"),
+        (("period_vectors", 0, 1), float("inf"), "period_vectors[0][1]"),
+        (("tolerance",), float("nan"), "tolerance"),
+        (("symmetries", 0, "translation", 1), float("-inf"), "symmetries[0].translation[1]"),
+    ])
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_non_finite_file_entry(self, capsys, tmp_path, kagome, command, path, value, shown):
+        doc = cf.framework_to_dict(kagome)
+        if path[0] != "symmetries":
+            del doc["symmetries"]     # reach the numbers, not symmetry resolution
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {shown}: expected a finite number\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["analyze", "symmetry"])
+    def test_non_finite_tol_flag(self, capsys, command, tol):
+        code, _, err = run(capsys, command, "--builtin", "kagome", "--tol", tol)
+        assert code == 2
+        assert err == "error: --tol must be finite\n"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"],
+                                         ["analyze", "--mode", "space", "symmetric"]])
+    def test_tolerance_too_large_for_the_basis_check(self, capsys, command):
+        code, out, err = run(capsys, command[0], "--builtin", "kagome", "--tol", "0.3",
+                             *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance 0.3 is too large")
+
+
+class TestWorkPerRequest:
+    """One validation per framework value and one SVD per restricted operator."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        validations, svd_shapes = [], []
+        validate, svd = crystalflex.frameworks.validate_framework, np.linalg.svd
+
+        def counting_validate(fw):
+            validations.append(fw)
+            return validate(fw)
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(crystalflex.frameworks, "validate_framework", counting_validate)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return validations, svd_shapes
+
+    def test_analyze_validates_once_and_factors_each_operator_once(
+            self, capsys, tmp_path, kagome, counters):
+        big = cf.supercell(kagome, (2, 2))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big, path)
+        strict = (big.edge_count, 2 * big.vertex_count)
+        affine = (big.edge_count, 2 * big.vertex_count + 4)
+        validations, svd_shapes = counters
+        validations.clear()
+        svd_shapes.clear()
+        code, _, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        assert len(validations) == 1
+        assert svd_shapes.count(strict) == 1
+        assert svd_shapes.count(affine) == 1
+
+    def test_symmetry_validates_at_most_twice(self, capsys, tmp_path, kagome, counters):
+        path = tmp_path / "kagome.json"
+        cf.save_framework(kagome, path)
+        assert len(kagome.symmetries) == 1
+        validations, _ = counters
+        validations.clear()
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
+        assert code == 0
+        assert 1 <= len(validations) <= 2

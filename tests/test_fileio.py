@@ -96,6 +96,45 @@ class TestParseErrors:
             cf.framework_from_dict(doc)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path, shown", [
+        (("period_vectors", 0, 1), r"period_vectors\[0\]\[1\]"),
+        (("vertices", 1, "position", 0), r"vertices\[1\]\.position\[0\]"),
+        (("symmetries", 0, "linear", 1, 0), r"symmetries\[0\]\.linear\[1\]\[0\]"),
+        (("symmetries", 0, "translation", 0), r"symmetries\[0\]\.translation\[0\]"),
+    ])
+    def test_rejected_with_field_path(self, kagome, path, shown, value):
+        doc = cf.framework_to_dict(kagome)
+        _set(doc, path, value)
+        with pytest.raises(cf.FrameworkParseError, match=shown + ": expected a finite number"):
+            cf.framework_from_dict(doc)
+
+    def test_json_nan_literal_rejected(self, kagome):
+        first = '"position": [\n        0.5,'    # vertex p2
+        text = cf.serialize_framework(kagome).replace(first, first.replace("0.5", "NaN"), 1)
+        assert "NaN" in text
+        with pytest.raises(cf.FrameworkParseError, match=r"vertices\[1\]\.position\[0\]"):
+            cf.parse_framework(text)
+
+    @pytest.mark.parametrize("value", NON_FINITE[:2])
+    def test_tolerance(self, value):
+        doc = valid_doc()
+        doc["tolerance"] = value
+        with pytest.raises(cf.FrameworkParseError, match="tolerance: expected a finite number"):
+            cf.framework_from_dict(doc)
+
+
 class TestFractionalCoordinates:
     def test_frac_positions_multiply_through_the_lattice(self, kagome):
         doc = cf.framework_to_dict(kagome)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,38 +18,46 @@ def make(vertices, edges, lattice=None, d=2):
     )
 
 
+def violations_of(vertices, edges, lattice=None):
+    """Violations reported by the InvalidFrameworkError that construction raises."""
+    with pytest.raises(cf.InvalidFrameworkError) as info:
+        make(vertices, edges, lattice)
+    return info.value.violations
+
+
 class TestValidation:
     def test_builtins_are_valid(self, any_builtin):
         assert cf.validate_framework(any_builtin) == []
 
     def test_coincident_vertices_mod_lattice(self):
-        fw = make([(0.0, 0.0), (1.0, 0.0)], [cf.MotifEdge(0, (0, 0), 1, (0, 1))])
-        report = cf.validate_framework(fw)
+        report = violations_of([(0.0, 0.0), (1.0, 0.0)], [cf.MotifEdge(0, (0, 0), 1, (0, 1))])
         assert any("coincide modulo the lattice" in v for v in report)
 
     def test_self_loop(self):
-        fw = make([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 0, (0, 0))])
-        assert any("self-loop" in v for v in cf.validate_framework(fw))
+        report = violations_of([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 0, (0, 0))])
+        assert any("self-loop" in v for v in report)
 
     def test_duplicate_edge_class(self):
-        fw = make(
+        report = violations_of(
             [(0.0, 0.0), (0.5, 0.0)],
             [cf.MotifEdge(0, (0, 0), 1, (0, 0)), cf.MotifEdge(1, (1, 0), 0, (1, 0))],
         )
-        assert any("translates of the same edge class" in v for v in cf.validate_framework(fw))
+        assert any("translates of the same edge class" in v for v in report)
 
     def test_out_of_range_endpoint(self):
-        fw = make([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 3, (0, 0))])
-        assert any("out of range" in v for v in cf.validate_framework(fw))
+        report = violations_of([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 3, (0, 0))])
+        assert any("out of range" in v for v in report)
 
     def test_singular_lattice(self):
-        fw = make([(0.0, 0.0)], [], lattice=[[1.0, 2.0], [2.0, 4.0]])
-        assert any("singular" in v for v in cf.validate_framework(fw))
+        report = violations_of([(0.0, 0.0)], [], lattice=[[1.0, 2.0], [2.0, 4.0]])
+        assert any("singular" in v for v in report)
 
-    def test_operations_refuse_invalid_input(self):
-        fw = make([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 0, (0, 0))])
-        with pytest.raises(cf.InvalidFrameworkError):
-            cf.build_matrices(fw)
+    def test_operations_refuse_invalid_input(self, kagome, square_grid):
+        # Derived frameworks are validated too: no operation yields an invalid one.
+        with pytest.raises(cf.InvalidFrameworkError, match="coincide"):
+            kagome.with_tolerance(0.6)
+        with pytest.raises(cf.InvalidFrameworkError, match="self-loop"):
+            replace(square_grid, edges=(cf.MotifEdge(0, (0, 0), 0, (0, 0)),))
 
 
 class TestPointOf:

@@ -78,13 +78,13 @@ class TestResolve:
 
 class TestSeparability:
     def test_identity_is_separable(self, kagome):
-        assert cf.is_separable(identity_element(kagome))
+        assert identity_element(kagome).separable
 
     def test_threefold_is_separable(self, kagome_r3):
-        assert cf.is_separable(kagome_r3)
+        assert kagome_r3.separable
 
     def test_glide_is_not(self, kagome_glide):
-        assert not cf.is_separable(kagome_glide)
+        assert not kagome_glide.separable
 
 
 class TestRepresentations:
@@ -158,7 +158,8 @@ class TestSymmetryEquation:
 
     def test_declared_elements_full(self, any_builtin):
         for g in any_builtin.symmetries:
-            assert cf.verify_symmetry_equation(any_builtin, g, "full") < 1e-12
+            full = cf.matrix_space("full", any_builtin.dimension, any_builtin.tolerance)
+            assert cf.verify_symmetry_equation(any_builtin, g, full) < 1e-12
 
     def test_declared_elements_commutant_restricted(self, any_builtin):
         for g in any_builtin.symmetries:
@@ -166,7 +167,8 @@ class TestSymmetryEquation:
             assert cf.verify_symmetry_equation(any_builtin, g, commutant) < 1e-12
 
     def test_glide_with_coupling_block(self, kagome, kagome_glide):
-        assert cf.verify_symmetry_equation(kagome, kagome_glide, "full") < 1e-12
+        full = cf.matrix_space("full", 2, kagome.tolerance)
+        assert cf.verify_symmetry_equation(kagome, kagome_glide, full) < 1e-12
 
     def test_strict_form(self, kagome, kagome_r3):
         strict = cf.matrix_space("zero", 2, kagome.tolerance)
@@ -298,11 +300,11 @@ class TestSymmetryCounts:
             assert rep.stresses <= mode.stresses
 
     def test_fixed_domain_maps_into_fixed_edge_space(self, any_builtin):
-        from crystalflex.symmetry import _full_operator_vec_a
         fw = any_builtin
+        full = cf.matrix_space("full", fw.dimension, fw.tolerance)
         for g in fw.symmetries:
             reps = cf.representation_matrices(fw, g)
-            operator = _full_operator_vec_a(fw)
+            operator = cf.restricted_operator(fw, full)
             domain_fixed = cf.fixed_space(reps.domain_rep, fw.tolerance)
             edge_fixed = cf.fixed_space(reps.edge_perm, fw.tolerance)
             image = operator @ domain_fixed.basis
