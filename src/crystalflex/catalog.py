@@ -12,8 +12,6 @@ hexahedron    d=3, vertically stacked and horizontally connected triangular
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .frameworks import CrystalFramework, MotifEdge, MotifVertex, PeriodLattice
@@ -43,7 +41,7 @@ def _square_grid() -> CrystalFramework:
         ],
     )
     fourfold = _rotation_about(fw, _rotation2(np.pi / 2), [0.0, 0.0], "r4")
-    return replace(fw, symmetries=(fourfold,))
+    return fw.with_symmetries((fourfold,))
 
 
 def _kagome() -> CrystalFramework:
@@ -66,7 +64,7 @@ def _kagome() -> CrystalFramework:
     )
     centre = np.array([0.25, s3 / 12])
     threefold = _rotation_about(fw, _rotation2(2 * np.pi / 3), centre, "r3")
-    return replace(fw, symmetries=(threefold,))
+    return fw.with_symmetries((threefold,))
 
 
 def _hexahedron() -> CrystalFramework:
@@ -101,7 +99,7 @@ def _hexahedron() -> CrystalFramework:
     linear[:2, :2] = _rotation2(2 * np.pi / 3)
     axis = np.array([0.5, s3 / 6, 0.0])
     threefold = _rotation_about(fw, linear, axis, "r3")
-    return replace(fw, symmetries=(threefold,))
+    return fw.with_symmetries((threefold,))
 
 
 _BUILDERS = {

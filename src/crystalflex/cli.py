@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .catalog import BUILTIN_NAMES, builtin_framework
 from .fileio import (
@@ -174,7 +173,7 @@ def _cmd_symmetry(args) -> int:
         if not matching:
             declared = ", ".join(g.name for g in fw.symmetries) or "none"
             raise CliError(f"no declared symmetry named {args.element!r} (declared: {declared})")
-        fw = replace(fw, symmetries=matching)
+        fw = fw.with_symmetries(matching)
     if not fw.symmetries:
         sys.stdout.write(f"framework {name}: no declared symmetries\n")
         return 0

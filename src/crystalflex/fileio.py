@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,6 +100,8 @@ def _int_list(value, length, path):
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, int):
             _fail(f"{path}[{i}]", "expected an integer")
+        if abs(x) >= 2**53:     # beyond exact float and safe int64 arithmetic
+            _fail(f"{path}[{i}]", "expected an integer of magnitude below 2**53")
         out.append(int(x))
     return out
 
@@ -178,7 +180,7 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
             raise FrameworkParseError(f"{path}: {exc}") from exc
 
     if elements:
-        fw = replace(fw, symmetries=tuple(elements))
+        fw = fw.with_symmetries(elements)
     return fw
 
 

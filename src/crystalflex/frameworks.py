@@ -10,6 +10,7 @@ appear at file-parsing time.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -113,9 +114,18 @@ class MotifEdge:
 
     def class_key(self):
         """Canonical key shared by all translates/reorientations of the edge."""
-        fwd = (self.from_vertex, self.to_vertex, tuple(self.offset))
-        rev = (self.to_vertex, self.from_vertex, tuple(-self.offset))
-        return min(fwd, rev)
+        offset = tuple(t - f for f, t in zip(self.from_cell, self.to_cell))
+        return _edge_class_key(self.from_vertex, self.to_vertex, offset)
+
+
+def _edge_class_key(from_vertex: int, to_vertex: int, offset: tuple) -> tuple:
+    """Class key of the edge from ``from_vertex`` to ``to_vertex`` + ``offset``.
+
+    ``offset`` is a tuple of ints; the key is the smaller of the two
+    orientations, so both spellings of a bar give the same key.
+    """
+    return min((from_vertex, to_vertex, offset),
+               (to_vertex, from_vertex, tuple(-x for x in offset)))
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,72 @@ class CrystalFramework:
     def with_tolerance(self, tol: float) -> "CrystalFramework":
         return replace(self, tolerance=tol)
 
+    def with_symmetries(self, elements) -> "CrystalFramework":
+        """The same framework carrying the given resolved symmetry elements.
+
+        Validation never reads the symmetries, so this copy is not validated
+        again; it only checks that every element acts on this motif's vertex
+        and edge classes.
+        """
+        elements = tuple(elements)
+        for g in elements:
+            if len(g.vertex_map) != self.vertex_count or len(g.edge_map) != self.edge_count:
+                raise ValueError(f"symmetry element {g.name!r} was resolved against another motif")
+        out = copy.copy(self)
+        object.__setattr__(out, "symmetries", elements)
+        return out
+
+
+def lattice_matches(points, targets, tol: float):
+    """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
+
+    Both arguments are fractional coordinates, of shapes (n, d) and (m, d).
+    A pair matches when ``max |delta - round(delta)| <= tol`` for
+    ``delta = points[i] - targets[j]``; that test alone decides.  Candidates
+    come from hashing the coordinates, wrapped onto the unit torus, into
+    buckets at least 2 tol wide (wider for huge coordinates, whose
+    differences lose precision) and pairing each point with the targets in
+    its own and the neighbouring buckets, so the cost is near-linear in
+    n + m for spread-out points.  Returns two int arrays sorted by i, then j.
+    """
+    a = np.asarray(points, dtype=float)
+    b = np.asarray(targets, dtype=float)
+    none = np.zeros(0, dtype=np.int64)
+    if len(a) == 0 or len(b) == 0:
+        return none, none
+    d = a.shape[1]
+    # Non-finite entries match nothing; they are hashed as 0 to keep the buckets finite.
+    fa, fb = (np.where(np.isfinite(x), x, 0.0) for x in (a, b))
+    scale = max(1.0, float(np.max(np.abs(fa))), float(np.max(np.abs(fb))))
+    width = 2.0 * tol + 16.0 * np.finfo(float).eps * scale
+    k = max(1, int(1.0 / width))     # buckets per axis, each at least width wide
+
+    def bucket(x):
+        return np.floor((x - np.floor(x)) * k).astype(np.int64) % k
+
+    steps = sorted({s % k for s in (-1, 0, 1)})
+    shifts = np.array(list(itertools.product(steps, repeat=d)), dtype=np.int64)
+    queries = ((bucket(fa)[:, np.newaxis, :] + shifts) % k).reshape(-1, d)
+    _, group = np.unique(np.concatenate([bucket(fb), queries]), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    target_group, query_group = group[:len(b)], group[len(b):]
+
+    # Expand every query into the targets of its bucket.
+    members = np.argsort(target_group, kind="stable")
+    size = np.bincount(target_group, minlength=group.max() + 1)
+    first = np.cumsum(size) - size
+    per_query = size[query_group]
+    query = np.repeat(np.arange(len(query_group)), per_query)
+    rank = np.arange(len(query)) - np.repeat(np.cumsum(per_query) - per_query, per_query)
+    i = query // len(shifts)
+    j = members[first[query_group[query]] + rank]
+
+    diff = a[i] - b[j]
+    hit = np.max(np.abs(diff - np.round(diff)), axis=1) <= tol
+    i, j = i[hit], j[hit]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
 
 def validate_framework(fw: CrystalFramework) -> list:
     """Check all structural invariants; returns a list of violation strings.
@@ -221,35 +297,50 @@ def validate_framework(fw: CrystalFramework) -> list:
         return report
 
     frac = fw.lattice.fractional(fw.positions) if fw.vertices else np.zeros((0, d))
-    for i, j in itertools.combinations(range(fw.vertex_count), 2):
-        diff = frac[i] - frac[j]
-        if np.max(np.abs(diff - np.round(diff))) <= tol:
+    for i, j in zip(*(x.tolist() for x in lattice_matches(frac, frac, tol))):
+        if i < j:
             report.append(f"vertices {i} and {j} coincide modulo the lattice")
 
+    n, edges = fw.vertex_count, fw.edges
+    placeable = [idx for idx, e in enumerate(edges)
+                 if len(e.from_cell) == d and 0 <= e.from_vertex < n and 0 <= e.to_vertex < n]
+    vectors = _edge_vectors(fw, [edges[idx] for idx in placeable])
+    lengths = dict(zip(placeable, np.linalg.norm(vectors, axis=1).tolist()))
+
     seen = {}
-    for idx, e in enumerate(fw.edges):
+    for idx, e in enumerate(edges):
         if len(e.from_cell) != d:
             report.append(f"edge {idx} has cell indices of dimension {len(e.from_cell)}, lattice has {d}")
             continue
-        bad_index = False
-        for end, label in ((e.from_vertex, "from"), (e.to_vertex, "to")):
-            if not (0 <= end < fw.vertex_count):
-                report.append(f"edge {idx} {label}-vertex index {end} is out of range")
-                bad_index = True
-        if bad_index:
+        if idx not in lengths:
+            for end, label in ((e.from_vertex, "from"), (e.to_vertex, "to")):
+                if not (0 <= end < n):
+                    report.append(f"edge {idx} {label}-vertex index {end} is out of range")
             continue
-        if e.from_vertex == e.to_vertex and not np.any(e.offset):
+        offset = tuple(t - f for f, t in zip(e.from_cell, e.to_cell))
+        if e.from_vertex == e.to_vertex and not any(offset):
             report.append(f"edge {idx} is a self-loop within one cell")
             continue
-        geom = edge_geometry(fw, e)
-        if geom.length <= tol:
+        if lengths[idx] <= tol:
             report.append(f"edge {idx} has zero length")
-        key = e.class_key()
+        key = _edge_class_key(e.from_vertex, e.to_vertex, offset)
         if key in seen:
             report.append(f"edges {seen[key]} and {idx} are translates of the same edge class")
         else:
             seen[key] = idx
     return report
+
+
+def _edge_vectors(fw: CrystalFramework, edges) -> np.ndarray:
+    """Bar vectors (from-endpoint minus to-endpoint), one row per edge."""
+    if not edges:
+        return np.zeros((0, fw.dimension))
+    pos, z = fw.positions, fw.lattice.matrix
+    ends = [(e.from_vertex, e.to_vertex) for e in edges]
+    from_vertex, to_vertex = np.array(ends).T
+    from_cell = np.array([e.from_cell for e in edges], dtype=float)
+    to_cell = np.array([e.to_cell for e in edges], dtype=float)
+    return (pos[from_vertex] + from_cell @ z.T) - (pos[to_vertex] + to_cell @ z.T)
 
 
 def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:

@@ -7,9 +7,8 @@ value sigma counts as nonzero when
 
 Kernels and cokernels come from one full SVD (``factorize`` returns the
 rank, kernel and cokernel of a matrix together), so the returned bases are
-orthonormal.  Subspace intersections stack the orthogonal-complement
-projectors of the operands and take a kernel, which keeps the tolerance
-policy in one place.
+orthonormal.  Subspace intersections come from principal angles, with the
+threshold the same policy puts on the stacked complement projectors.
 """
 
 from __future__ import annotations
@@ -155,15 +154,36 @@ def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
+    """Intersection of two subspaces, from their principal angles.
+
+    The residual of the smaller operand's basis against the larger one has
+    singular values sin(theta) over the principal angles theta (Bjorck and
+    Golub); its right singular vectors give the matching directions of the
+    smaller operand.  A direction is kept when it would be a kernel vector of
+    the stacked complement projectors [I - P_a; I - P_b] under the shared
+    rank policy: that 2n x n stack has the singular values
+    sqrt(1 - cos(theta)) = sin(theta) / sqrt(1 + cos(theta)), and sqrt(2)
+    when the complements meet, so the threshold is the one its SVD would use.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
     n = a.ambient_dim
     tol = min(a.tol, b.tol)
-    stacked = np.vstack([
-        np.eye(n) - a.basis @ a.basis.T,
-        np.eye(n) - b.basis @ b.basis.T,
-    ])
-    return kernel_basis(stacked, tol)
+    small, large = (a, b) if a.dim <= b.dim else (b, a)
+    if small.dim == 0:
+        return SubspaceBasis(n, np.zeros((n, 0)), tol)
+    residual = small.basis - large.project(small.basis)
+    _, sines, vt = np.linalg.svd(residual, full_matrices=False)
+    sines = np.minimum(sines, 1.0)
+    cosines = np.sqrt(1.0 - sines ** 2)
+    stacked = sines / np.sqrt(1.0 + cosines)
+    meet = int(np.sum(sines == 0))
+    if n > small.dim + large.dim - meet:
+        top = np.sqrt(2.0)
+    else:
+        top = float(np.sqrt(np.max(1.0 + cosines, where=sines > 0, initial=0.0)))
+    keep = stacked <= _effective_tol(np.array([top]), (2 * n, n), tol)
+    return _span(small.basis @ vt[keep].T, tol)
 
 
 def complement_within(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, MotifEdge
+from .frameworks import CrystalFramework, _edge_class_key, lattice_matches
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -113,42 +113,41 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     lattice_action = np.round(lattice_action).astype(int)
 
     frac = fw.lattice.fractional(fw.positions)
-    vertex_map, vertex_offsets = [], []
-    for i in range(fw.vertex_count):
-        image = fw.lattice.fractional(b @ fw.vertices[i].position + c)
-        target = None
-        for j in range(fw.vertex_count):
-            diff = image - frac[j]
-            if np.max(np.abs(diff - np.round(diff))) <= 10 * tol:
-                target = (j, tuple(np.round(diff).astype(int)))
-                break
-        if target is None:
-            raise SymmetryError(
-                f"element {name!r} is not a symmetry: image of vertex "
-                f"{fw.vertex_label(i)} matches no vertex class")
-        vertex_map.append(target[0])
-        vertex_offsets.append(target[1])
-    if len(set(vertex_map)) != fw.vertex_count:
+    images = fw.lattice.fractional(fw.positions @ b.T + c)
+    image, target = lattice_matches(images, frac, 10 * tol)
+    image, first = np.unique(image, return_index=True)     # lowest matching class
+    if len(image) != fw.vertex_count:
+        matched = np.zeros(fw.vertex_count, dtype=bool)
+        matched[image] = True
+        unmatched = int(np.argmin(matched))
+        raise SymmetryError(
+            f"element {name!r} is not a symmetry: image of vertex "
+            f"{fw.vertex_label(unmatched)} matches no vertex class")
+    vertex_map = target[first]
+    offsets = np.round(images - frac[vertex_map]).astype(np.int64)
+    if len(set(vertex_map.tolist())) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
-    classes = {e.class_key(): idx for idx, e in enumerate(fw.edges)}
+    ends = np.array([(e.from_vertex, e.to_vertex) for e in fw.edges], dtype=np.int64).reshape(-1, 2)
+    cells = np.array([(e.from_cell, e.to_cell) for e in fw.edges], dtype=np.int64).reshape(-1, 2, d)
+    edge_offsets = cells[:, 1] - cells[:, 0]
+    classes = {_edge_class_key(fr, to, tuple(off)): idx
+               for idx, ((fr, to), off) in enumerate(zip(ends.tolist(), edge_offsets.tolist()))}
+    image_ends = vertex_map[ends]
+    image_offsets = offsets[ends[:, 1]] - offsets[ends[:, 0]] + edge_offsets @ lattice_action.T
     edge_map = []
-    for idx, e in enumerate(fw.edges):
-        fr, to = e.from_vertex, e.to_vertex
-        image_offset = (np.array(vertex_offsets[to]) - np.array(vertex_offsets[fr])
-                        + lattice_action @ e.offset)
-        image = MotifEdge(vertex_map[fr], (0,) * d, vertex_map[to], tuple(image_offset))
-        target = classes.get(image.class_key())
-        if target is None:
+    for idx, ((fr, to), off) in enumerate(zip(image_ends.tolist(), image_offsets.tolist())):
+        target_edge = classes.get(_edge_class_key(fr, to, tuple(off)))
+        if target_edge is None:
             raise SymmetryError(
                 f"element {name!r} is not a symmetry: image of edge {idx} matches no edge class")
-        edge_map.append(target)
+        edge_map.append(target_edge)
     if len(set(edge_map)) != fw.edge_count:
         raise SymmetryError(f"element {name!r}: edge action is not a bijection")
 
     return SymmetryElement(name=name, linear=b, translation=c,
-                           vertex_map=tuple(vertex_map),
-                           vertex_offsets=tuple(vertex_offsets),
+                           vertex_map=tuple(vertex_map.tolist()),
+                           vertex_offsets=tuple(map(tuple, offsets.tolist())),
                            edge_map=tuple(edge_map),
                            lattice_action=lattice_action)
 

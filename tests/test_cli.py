@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,18 @@ class TestBadNumbers:
         assert out == ""
         assert err == f"error: {shown}: expected a finite number\n"
 
+    @pytest.mark.parametrize("value", [2 ** 53, -(10 ** 30)])
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_edge_cell_out_of_range(self, capsys, tmp_path, kagome, command, value):
+        doc = cf.framework_to_dict(kagome)
+        doc["edges"][2]["to"]["cell"] = [value, 0]
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "error: edges[2].to.cell[0]: expected an integer of magnitude below 2**53\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["analyze", "symmetry"])
     def test_non_finite_tol_flag(self, capsys, command, tol):
@@ -247,7 +260,8 @@ class TestBadNumbers:
 
 
 class TestWorkPerRequest:
-    """One validation per framework value and one SVD per restricted operator."""
+    """One validation per framework value, one SVD per restricted operator,
+    and no factorization taller than the operator's domain."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -282,7 +296,7 @@ class TestWorkPerRequest:
         assert svd_shapes.count(strict) == 1
         assert svd_shapes.count(affine) == 1
 
-    def test_symmetry_validates_at_most_twice(self, capsys, tmp_path, kagome, counters):
+    def test_symmetry_validates_once(self, capsys, tmp_path, kagome, counters):
         path = tmp_path / "kagome.json"
         cf.save_framework(kagome, path)
         assert len(kagome.symmetries) == 1
@@ -290,4 +304,23 @@ class TestWorkPerRequest:
         validations.clear()
         code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
         assert code == 0
-        assert 1 <= len(validations) <= 2
+        assert len(validations) == 1
+        for name in cf.BUILTIN_NAMES:
+            validations.clear()
+            assert cf.builtin_framework(name).symmetries
+            assert len(validations) == 1
+
+    def test_symmetry_factors_nothing_taller_than_the_domain(
+            self, capsys, tmp_path, kagome, counters):
+        big = cf.supercell(kagome, (2, 2))
+        g = kagome.symmetries[0]
+        big = replace(big, symmetries=(cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big, path)
+        domain = 2 * big.vertex_count + 4
+        _, svd_shapes = counters
+        svd_shapes.clear()
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
+        assert code == 0
+        assert svd_shapes
+        assert max(rows for rows, _ in svd_shapes) <= domain

@@ -135,6 +135,22 @@ class TestNonFiniteNumbers:
             cf.framework_from_dict(doc)
 
 
+class TestCellRange:
+    @pytest.mark.parametrize("value", [2 ** 53, -(2 ** 53), 10 ** 30])
+    def test_rejected_with_field_path(self, value):
+        doc = valid_doc()
+        doc["edges"][1]["to"]["cell"] = [0, value]
+        with pytest.raises(cf.FrameworkParseError,
+                           match=r"edges\[1\]\.to\.cell\[1\]: expected an integer of magnitude below 2\*\*53"):
+            cf.framework_from_dict(doc)
+
+    def test_largest_allowed_cell_parses(self):
+        doc = valid_doc()
+        doc["edges"][0]["from"]["cell"] = [-(2 ** 53 - 1), 0]
+        fw = cf.framework_from_dict(doc)
+        assert fw.edges[0].from_cell == (-(2 ** 53 - 1), 0)
+
+
 class TestFractionalCoordinates:
     def test_frac_positions_multiply_through_the_lattice(self, kagome):
         doc = cf.framework_to_dict(kagome)

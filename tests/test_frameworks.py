@@ -2,9 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
+import crystalflex.frameworks
+from crystalflex.frameworks import lattice_matches
 from oracles import random_framework
 
 S3 = np.sqrt(3.0)
@@ -58,6 +62,109 @@ class TestValidation:
             kagome.with_tolerance(0.6)
         with pytest.raises(cf.InvalidFrameworkError, match="self-loop"):
             replace(square_grid, edges=(cf.MotifEdge(0, (0, 0), 0, (0, 0)),))
+
+    def test_coincidence_across_the_cell_boundary(self):
+        report = violations_of(
+            [(1e-10, 0.3), (1 - 1e-10, 0.3), (0.5, 0.5), (2 + 5e-11, -0.7)],
+            [cf.MotifEdge(2, (0, 0), 2, (1, 0))],
+        )
+        assert report == [
+            "vertices 0 and 1 coincide modulo the lattice",
+            "vertices 0 and 3 coincide modulo the lattice",
+            "vertices 1 and 3 coincide modulo the lattice",
+        ]
+
+    def test_violations_keep_edge_order(self):
+        report = violations_of(
+            [(0.0, 0.0), (0.5, 0.0)],
+            [cf.MotifEdge(0, (0, 0), 1, (0, 0)), cf.MotifEdge(0, (0, 0), 0, (0, 0)),
+             cf.MotifEdge(0, (0, 0), 5, (0, 0)), cf.MotifEdge(1, (2, 1), 0, (2, 1)),
+             cf.MotifEdge(0, (0,), 1, (1,))],
+        )
+        assert report == [
+            "edge 1 is a self-loop within one cell",
+            "edge 2 to-vertex index 5 is out of range",
+            "edges 0 and 3 are translates of the same edge class",
+            "edge 4 has cell indices of dimension 1, lattice has 2",
+        ]
+
+
+class TestWithSymmetries:
+    def test_keeps_the_framework_and_skips_validation(self, kagome, monkeypatch):
+        bare = replace(kagome, symmetries=())
+        calls = []
+        monkeypatch.setattr(crystalflex.frameworks, "validate_framework",
+                            lambda fw: calls.append(fw) or [])
+        fw = bare.with_symmetries(kagome.symmetries)
+        assert calls == []
+        assert fw.symmetries == kagome.symmetries
+        assert fw.edges == bare.edges and fw.tolerance == bare.tolerance
+        assert bare.symmetries == ()
+        replace(fw, tolerance=1e-8)
+        assert len(calls) == 1      # a plain replace still validates
+
+    def test_rejects_elements_of_another_motif(self, kagome, square_grid):
+        with pytest.raises(ValueError, match="r4"):
+            kagome.with_symmetries(square_grid.symmetries)
+
+
+def pairwise_matches(points, targets, tol):
+    """The direct O(n m) loop that lattice_matches replaces (reference)."""
+    pairs = []
+    for i in range(len(points)):
+        for j in range(len(targets)):
+            diff = points[i] - targets[j]
+            if np.max(np.abs(diff - np.round(diff))) <= tol:
+                pairs.append((i, j))
+    return pairs
+
+
+@st.composite
+def matching_problems(draw):
+    """Targets, and points built from them by lattice translates and nudges near tol."""
+    d = draw(st.integers(1, 3))
+    tol = 10.0 ** draw(st.floats(-12.0, np.log10(0.49)))
+    near_integer = st.builds(lambda k, e: k + e, st.integers(-1, 2), st.floats(-1e-9, 1e-9))
+    coordinate = st.one_of(st.floats(-1.5, 1.5), near_integer)
+    point = st.lists(coordinate, min_size=d, max_size=d)
+    targets = np.array(draw(st.lists(point, max_size=8)), dtype=float).reshape(-1, d)
+    nudge = st.builds(lambda sign, scale: sign * tol * scale,
+                      st.sampled_from([-1.0, 0.0, 1.0]),
+                      st.sampled_from([1.0, 1.0 - 1e-6, 1.0 + 1e-6]))
+    points = []
+    for _ in range(draw(st.integers(0, 10))):
+        if len(targets) and draw(st.booleans()):
+            base = targets[draw(st.integers(0, len(targets) - 1))]
+        else:
+            base = np.array(draw(point))
+        shift = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        points.append(base + shift + np.array(draw(st.lists(nudge, min_size=d, max_size=d))))
+    return np.array(points, dtype=float).reshape(-1, d), targets, tol
+
+
+class TestLatticeMatches:
+    @settings(max_examples=300, deadline=None)
+    @given(matching_problems())
+    def test_same_pairs_as_the_pairwise_loop(self, problem):
+        points, targets, tol = problem
+        found = list(zip(*(x.tolist() for x in lattice_matches(points, targets, tol))))
+        assert found == pairwise_matches(points, targets, tol)
+
+    @pytest.mark.parametrize("tol", [1 / 3, 0.49])
+    def test_wide_tolerance(self, tol, rng):
+        points = rng.uniform(-1, 2, size=(12, 2))
+        found = list(zip(*(x.tolist() for x in lattice_matches(points, points, tol))))
+        assert found == pairwise_matches(points, points, tol)
+
+    def test_non_finite_points_match_nothing(self):
+        points = np.array([[np.nan, 0.0], [np.inf, 0.5], [0.25, -np.inf], [0.25, 0.5]])
+        with np.errstate(invalid="ignore"):     # inf - round(inf) is NaN
+            found = list(zip(*(x.tolist() for x in lattice_matches(points, points, 1e-9))))
+            assert found == pairwise_matches(points, points, 1e-9) == [(3, 3)]
+
+    def test_empty(self):
+        i, j = lattice_matches(np.zeros((0, 2)), np.ones((3, 2)), 1e-9)
+        assert i.size == j.size == 0
 
 
 class TestPointOf:

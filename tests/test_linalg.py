@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crystalflex.linalg import (
@@ -78,6 +80,51 @@ def test_subspace_intersection():
     meet = subspace_intersection(xy, yz)
     assert meet.dim == 1
     assert_allclose(np.abs(meet.basis[:, 0]), [0, 1, 0], atol=1e-12)
+
+
+def stacked_projector_intersection(a, b):
+    """Kernel of the stacked complement projectors (reference)."""
+    n = a.ambient_dim
+    stacked = np.vstack([np.eye(n) - a.basis @ a.basis.T, np.eye(n) - b.basis @ b.basis.T])
+    return kernel_basis(stacked, min(a.tol, b.tol))
+
+
+def _rotated(columns, rng):
+    """An orthonormal basis of the same span, mixed by a random rotation."""
+    if columns.shape[1] == 0:
+        return columns
+    mix, _ = np.linalg.qr(rng.normal(size=(columns.shape[1],) * 2))
+    return columns @ mix
+
+
+@st.composite
+def planted_pairs(draw):
+    """Orthonormal pairs meeting in k dimensions, all other principal angles >= 1e-3."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n))
+    p = draw(st.integers(k, n))
+    q = draw(st.integers(k, n - p + k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    own_a, free = frame[:, k:p], frame[:, p:]
+    paired = min(p - k, q - k)
+    angles = np.array(draw(st.lists(st.floats(1e-3, np.pi / 2), min_size=paired, max_size=paired)))
+    tilted = np.cos(angles) * own_a[:, :paired] + np.sin(angles) * free[:, :paired]
+    own_b = np.hstack([tilted, free[:, paired:paired + q - k - paired]])
+    a = SubspaceBasis(n, _rotated(np.hstack([frame[:, :k], own_a]), rng))
+    b = SubspaceBasis(n, _rotated(np.hstack([frame[:, :k], own_b]), rng))
+    return a, b, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_pairs())
+def test_intersection_matches_the_stacked_projector_kernel(pair):
+    a, b, k = pair
+    meet = subspace_intersection(a, b)
+    assert meet.dim == stacked_projector_intersection(a, b).dim == k
+    assert subspace_intersection(b, a).dim == k
+    assert_allclose(meet.basis.T @ meet.basis, np.eye(k), atol=1e-12)
+    assert a.contains(meet.basis) and b.contains(meet.basis)
 
 
 def test_complement_within():

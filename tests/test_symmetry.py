@@ -17,6 +17,19 @@ def identity_element(fw, name="id"):
     return cf.resolve_symmetry(fw, np.eye(d), np.zeros(d), name)
 
 
+def reference_vertex_action(fw, linear, translation):
+    """Vertex map by the pairwise loop resolve_symmetry replaced: the lowest
+    class within 10 tol of each image; None when the map is not a bijection."""
+    frac = fw.lattice.fractional(fw.positions)
+    vertex_map = []
+    for p in fw.positions:
+        image = fw.lattice.fractional(linear @ p + translation)
+        vertex_map.append(next(j for j in range(fw.vertex_count)
+                               if np.max(np.abs(image - frac[j] - np.round(image - frac[j])))
+                               <= 10 * fw.tolerance))
+    return tuple(vertex_map) if len(set(vertex_map)) == fw.vertex_count else None
+
+
 @pytest.fixture
 def kagome_r3(kagome):
     return kagome.symmetries[0]
@@ -67,6 +80,31 @@ class TestResolve:
         assert kagome_glide.vertex_map == (1, 0, 2)
         assert kagome_glide.vertex_offsets == ((0, 0), (1, 0), (1, -1))
         assert not kagome_glide.separable
+
+    @pytest.mark.parametrize("order, expected", [((0, 1), (0, 1)), ((1, 0), None)])
+    def test_ambiguous_image_takes_the_lowest_class(self, order, expected):
+        # Classes 9 tol apart (distinct to validation) both lie within the
+        # 10 tol matching window of the first class's image under a shift by
+        # 6 tol; the second class's image reaches only its own class.  The
+        # lowest index wins, as in the pairwise loop: in the reversed order
+        # both images pick index 0 and the action is not a bijection.
+        tol = 1e-6
+        points = [np.array([0.1, 0.1]), np.array([0.1 + 9 * tol, 0.1])]
+        fw = cf.CrystalFramework(
+            cf.PeriodLattice(np.eye(2)),
+            [cf.MotifVertex(points[k]) for k in order],
+            [cf.MotifEdge(0, (0, 0), 0, (1, 0)), cf.MotifEdge(1, (0, 0), 1, (0, 1))],
+            tolerance=tol,
+        )
+        shift = np.array([6 * tol, 0.0])
+        assert reference_vertex_action(fw, np.eye(2), shift) == expected
+        if expected is None:
+            with pytest.raises(cf.SymmetryError, match="not a bijection"):
+                cf.resolve_symmetry(fw, np.eye(2), shift, "t")
+        else:
+            g = cf.resolve_symmetry(fw, np.eye(2), shift, "t")
+            assert g.vertex_map == expected
+            assert g.vertex_offsets == ((0, 0), (0, 0))
 
     def test_hexahedron_rotation_is_nonseparable(self, hexahedron):
         g = hexahedron.symmetries[0]
