@@ -29,7 +29,7 @@ print(f"commutant of the rotation: {counts.commutant_dim}")
 print(f"edge orbits: {counts.edge_orbits}, fixed rigid motions: {counts.fixed_rigid_dim}")
 print(f"symmetric mechanisms m_g = {counts.mechanisms}, symmetric stresses s_g = {counts.stresses}")
 print(f"identity residual: {counts.identity_residual}")
-print("predictor fires:", cf.flexibility_predictor(kagome, threefold))
+print("predictor fires:", counts.flexible_predicted)
 
 # Trace (character) row for the same element.
 row = cf.character_row(kagome, threefold, cf.commutant_basis(threefold.linear))

@@ -82,7 +82,6 @@ from .symmetry import (
     edge_orbit_count,
     edge_permutation_order,
     fixed_space,
-    flexibility_predictor,
     representation_matrices,
     resolve_symmetry,
     symmetry_counts,
@@ -112,7 +111,6 @@ __all__ = [
     "render_svg",
     "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
     "SymmetryRepresentation", "character_row", "commutant_basis", "edge_orbit_count",
-    "edge_permutation_order", "fixed_space", "flexibility_predictor",
-    "representation_matrices", "resolve_symmetry", "symmetry_counts",
-    "verify_symmetry_equation",
+    "edge_permutation_order", "fixed_space", "representation_matrices",
+    "resolve_symmetry", "symmetry_counts", "verify_symmetry_equation",
 ]

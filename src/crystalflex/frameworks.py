@@ -114,18 +114,24 @@ class MotifEdge:
 
     def class_key(self):
         """Canonical key shared by all translates/reorientations of the edge."""
-        offset = tuple(t - f for f, t in zip(self.from_cell, self.to_cell))
-        return _edge_class_key(self.from_vertex, self.to_vertex, offset)
+        key = _edge_class_keys(np.array([(self.from_vertex, self.to_vertex)], dtype=np.int64),
+                               self.offset[np.newaxis, :].astype(np.int64))[0].tolist()
+        return key[0], key[1], tuple(key[2:])
 
 
-def _edge_class_key(from_vertex: int, to_vertex: int, offset: tuple) -> tuple:
-    """Class key of the edge from ``from_vertex`` to ``to_vertex`` + ``offset``.
+def _edge_class_keys(ends, offsets) -> np.ndarray:
+    """Canonical rows (from, to, offset...) of edges given by int arrays.
 
-    ``offset`` is a tuple of ints; the key is the smaller of the two
-    orientations, so both spellings of a bar give the same key.
+    ``ends`` is (m, 2) and ``offsets`` (m, d); each row is the
+    lexicographically smaller of the edge's two orientations, so every
+    translate and reorientation of a bar gives the same row.
     """
-    return min((from_vertex, to_vertex, offset),
-               (to_vertex, from_vertex, tuple(-x for x in offset)))
+    forward = np.column_stack([ends, offsets])
+    backward = np.column_stack([ends[:, ::-1], -offsets])
+    diff = forward - backward
+    first = np.argmax(diff != 0, axis=1)       # first differing column; 0 when equal
+    keep = diff[np.arange(len(diff)), first] <= 0
+    return np.where(keep[:, np.newaxis], forward, backward)
 
 
 @dataclass(frozen=True)
@@ -304,49 +310,57 @@ def validate_framework(fw: CrystalFramework) -> list:
     n, edges = fw.vertex_count, fw.edges
     placeable = [idx for idx, e in enumerate(edges)
                  if len(e.from_cell) == d and 0 <= e.from_vertex < n and 0 <= e.to_vertex < n]
-    vectors = _edge_vectors(fw, [edges[idx] for idx in placeable])
-    lengths = dict(zip(placeable, np.linalg.norm(vectors, axis=1).tolist()))
-
-    seen = {}
-    for idx, e in enumerate(edges):
+    found = []     # (edge index, rank within the edge, violation)
+    for idx in sorted(set(range(len(edges))) - set(placeable)):
+        e = edges[idx]
         if len(e.from_cell) != d:
-            report.append(f"edge {idx} has cell indices of dimension {len(e.from_cell)}, lattice has {d}")
+            found.append((idx, 0, f"edge {idx} has cell indices of dimension {len(e.from_cell)}, "
+                                  f"lattice has {d}"))
             continue
-        if idx not in lengths:
-            for end, label in ((e.from_vertex, "from"), (e.to_vertex, "to")):
-                if not (0 <= end < n):
-                    report.append(f"edge {idx} {label}-vertex index {end} is out of range")
-            continue
-        offset = tuple(t - f for f, t in zip(e.from_cell, e.to_cell))
-        if e.from_vertex == e.to_vertex and not any(offset):
-            report.append(f"edge {idx} is a self-loop within one cell")
-            continue
-        if lengths[idx] <= tol:
-            report.append(f"edge {idx} has zero length")
-        key = _edge_class_key(e.from_vertex, e.to_vertex, offset)
-        if key in seen:
-            report.append(f"edges {seen[key]} and {idx} are translates of the same edge class")
-        else:
-            seen[key] = idx
-    return report
+        for rank, (end, label) in enumerate(((e.from_vertex, "from"), (e.to_vertex, "to"))):
+            if not (0 <= end < n):
+                found.append((idx, rank, f"edge {idx} {label}-vertex index {end} is out of range"))
+
+    index = np.array(placeable, dtype=np.int64)
+    ends, offsets, vectors = _edge_arrays(fw, [edges[idx] for idx in placeable])
+    loop = (ends[:, 0] == ends[:, 1]) & ~offsets.any(axis=1)
+    found += [(idx, 0, f"edge {idx} is a self-loop within one cell") for idx in index[loop].tolist()]
+    short = ~loop & (np.linalg.norm(vectors, axis=1) <= tol)
+    found += [(idx, 0, f"edge {idx} has zero length") for idx in index[short].tolist()]
+
+    bars = index[~loop]
+    _, first, group = np.unique(_edge_class_keys(ends[~loop], offsets[~loop]), axis=0,
+                                return_index=True, return_inverse=True)
+    owner = bars[first[group.reshape(-1)]]
+    repeat = owner != bars
+    found += [(idx, 1, f"edges {prior} and {idx} are translates of the same edge class")
+              for prior, idx in zip(owner[repeat].tolist(), bars[repeat].tolist())]
+    return report + [violation for *_, violation in sorted(found)]
 
 
-def _edge_vectors(fw: CrystalFramework, edges) -> np.ndarray:
-    """Bar vectors (from-endpoint minus to-endpoint), one row per edge."""
-    if not edges:
-        return np.zeros((0, fw.dimension))
+def _edge_arrays(fw: CrystalFramework, edges) -> tuple:
+    """Int64 end vertices (m, 2) and cell offsets (m, d), and bar vectors (m, d).
+
+    Offsets are to-cell minus from-cell, as in ``MotifEdge.offset``; bar
+    vectors run from the to-endpoint to the from-endpoint (from minus to),
+    the sign every bar row of the rigidity operator uses.
+    """
+    d = fw.dimension
+    ends = np.array([(e.from_vertex, e.to_vertex) for e in edges], dtype=np.int64).reshape(-1, 2)
+    cells = np.array([(e.from_cell, e.to_cell) for e in edges], dtype=np.int64).reshape(-1, 2, d)
     pos, z = fw.positions, fw.lattice.matrix
-    ends = [(e.from_vertex, e.to_vertex) for e in edges]
-    from_vertex, to_vertex = np.array(ends).T
-    from_cell = np.array([e.from_cell for e in edges], dtype=float)
-    to_cell = np.array([e.to_cell for e in edges], dtype=float)
-    return (pos[from_vertex] + from_cell @ z.T) - (pos[to_vertex] + to_cell @ z.T)
+    vectors = (pos[ends[:, 0]] + cells[:, 0] @ z.T) - (pos[ends[:, 1]] + cells[:, 1] @ z.T)
+    return ends, cells[:, 1] - cells[:, 0], vectors
+
+
+def _check_vertex(fw: CrystalFramework, vertex: int) -> None:
+    if not (0 <= vertex < fw.vertex_count):
+        raise IndexError(f"vertex index {vertex} out of range 0..{fw.vertex_count - 1}")
 
 
 def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:
     """Position of the copy of a motif vertex in the given cell."""
-    if not (0 <= vertex < fw.vertex_count):
-        raise IndexError(f"vertex index {vertex} out of range 0..{fw.vertex_count - 1}")
+    _check_vertex(fw, vertex)
     return fw.vertices[vertex].position + fw.lattice.translation(cell)
 
 
@@ -359,8 +373,11 @@ class EdgeGeometry:
 
 def edge_geometry(fw: CrystalFramework, edge: MotifEdge) -> EdgeGeometry:
     """Bar vector (from-endpoint minus to-endpoint), cell offset and length."""
-    v = point_of(fw, edge.from_vertex, edge.from_cell) - point_of(fw, edge.to_vertex, edge.to_cell)
-    return EdgeGeometry(vector=v, offset=edge.offset, length=float(np.linalg.norm(v)))
+    for vertex in (edge.from_vertex, edge.to_vertex):
+        _check_vertex(fw, vertex)     # array indexing would wrap a negative index
+    _, offsets, vectors = _edge_arrays(fw, [edge])
+    return EdgeGeometry(vector=vectors[0], offset=offsets[0],
+                        length=float(np.linalg.norm(vectors[0])))
 
 
 def supercell(fw: CrystalFramework, factors) -> CrystalFramework:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frameworks import AffineVelocity, CrystalFramework, edge_geometry
+from .frameworks import AffineVelocity, CrystalFramework, _edge_arrays
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -169,15 +169,14 @@ class RigidityMatrices:
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     """Assemble the rigidity blocks of a framework."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
-    vertex_block = np.zeros((m, d * n))
-    affine_block = np.zeros((m, d * d))
-    for row, e in enumerate(fw.edges):
-        geom = edge_geometry(fw, e)
-        if e.from_vertex != e.to_vertex:
-            vertex_block[row, d * e.from_vertex:d * e.from_vertex + d] = geom.vector
-            vertex_block[row, d * e.to_vertex:d * e.to_vertex + d] = -geom.vector
-        for j in range(d):
-            affine_block[row, d * j:d * j + d] = geom.offset[j] * geom.vector
+    ends, offsets, vectors = _edge_arrays(fw, fw.edges)
+    # Bars joining two copies of one vertex class keep a zero vertex row.
+    bars = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    vertex_block = np.zeros((m, n, d))
+    vertex_block[bars, ends[bars, 0]] = vectors[bars]
+    vertex_block[bars, ends[bars, 1]] = -vectors[bars]
+    vertex_block = vertex_block.reshape(m, n * d)
+    affine_block = (offsets[:, :, np.newaxis] * vectors[:, np.newaxis, :]).reshape(m, d * d)
     vertex_block.setflags(write=False)
     affine_block.setflags(write=False)
     return RigidityMatrices(vertex_block, affine_block, fw)
@@ -368,13 +367,10 @@ def edge_deviation(fw: CrystalFramework, velocity: AffineVelocity, t: float) -> 
         raise ValueError("I + t*A is singular; reduce t")
     frame = np.linalg.solve(flow, fw.lattice.matrix)
 
-    worst = 0.0
+    # The bar vector grows by t (u_from - u_to) and by (frame - Z) applied
+    # to the from-cell minus the to-cell, which is -offset.
+    ends, offsets, vectors = _edge_arrays(fw, fw.edges)
     u = velocity.vertex_velocities
-    for e in fw.edges:
-        rest = edge_geometry(fw, e).length
-        q_from = (fw.vertices[e.from_vertex].position + t * u[e.from_vertex]
-                  + frame @ np.asarray(e.from_cell, dtype=float))
-        q_to = (fw.vertices[e.to_vertex].position + t * u[e.to_vertex]
-                + frame @ np.asarray(e.to_cell, dtype=float))
-        worst = max(worst, abs(rest - float(np.linalg.norm(q_from - q_to))))
-    return worst
+    moved = vectors + t * (u[ends[:, 0]] - u[ends[:, 1]]) - offsets @ (frame - fw.lattice.matrix).T
+    change = np.linalg.norm(vectors, axis=1) - np.linalg.norm(moved, axis=1)
+    return float(np.max(np.abs(change), initial=0.0))

@@ -8,11 +8,9 @@ deterministic for a fixed input.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .frameworks import CrystalFramework, point_of
+from .frameworks import CrystalFramework, fragment
 
 _DEFAULTS = {
     "scale": 80.0,          # pixels per geometry unit
@@ -41,25 +39,10 @@ def render_svg(fw: CrystalFramework, cell_range, options: dict = None) -> str:
             raise ValueError(f"unknown SVG options: {', '.join(sorted(unknown))}")
         opts.update(options)
 
-    ranges = [(int(a), int(b)) for a, b in cell_range]
-    if len(ranges) != 2:
-        raise ValueError("need 2 cell ranges")
-    if any(b <= a for a, b in ranges):
-        raise ValueError("empty cell range")
-    cells = list(itertools.product(*(range(a, b) for a, b in ranges)))
-
-    segments = []
-    for cell in cells:
-        for idx, e in enumerate(fw.edges):
-            fcell = tuple(np.add(e.from_cell, cell))
-            tcell = tuple(np.add(e.to_cell, cell))
-            p = point_of(fw, e.from_vertex, fcell)
-            q = point_of(fw, e.to_vertex, tcell)
-            internal = all(r[0] <= c < r[1] for c, r in zip(fcell, ranges)) and \
-                all(r[0] <= c < r[1] for c, r in zip(tcell, ranges))
-            segments.append((p, q, internal))
-
-    circles = [point_of(fw, v, cell) for cell in cells for v in range(fw.vertex_count)]
+    frag = fragment(fw, cell_range)
+    segments = [(e.from_point.position, e.to_point.position, e.internal)
+                for e in sorted(frag.edges + frag.dangling, key=lambda e: (e.shift, e.edge_index))]
+    circles = [p.position for p in frag.points]
 
     z = fw.lattice.matrix
     outline = [np.zeros(2), z[:, 0], z[:, 0] + z[:, 1], z[:, 1]]

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, _edge_class_key, lattice_matches
+from .frameworks import CrystalFramework, _edge_arrays, _edge_class_keys, lattice_matches
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -124,31 +124,30 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
             f"element {name!r} is not a symmetry: image of vertex "
             f"{fw.vertex_label(unmatched)} matches no vertex class")
     vertex_map = target[first]
-    offsets = np.round(images - frac[vertex_map]).astype(np.int64)
+    shifts = np.round(images - frac[vertex_map]).astype(np.int64)
     if len(set(vertex_map.tolist())) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
-    ends = np.array([(e.from_vertex, e.to_vertex) for e in fw.edges], dtype=np.int64).reshape(-1, 2)
-    cells = np.array([(e.from_cell, e.to_cell) for e in fw.edges], dtype=np.int64).reshape(-1, 2, d)
-    edge_offsets = cells[:, 1] - cells[:, 0]
-    classes = {_edge_class_key(fr, to, tuple(off)): idx
-               for idx, ((fr, to), off) in enumerate(zip(ends.tolist(), edge_offsets.tolist()))}
-    image_ends = vertex_map[ends]
-    image_offsets = offsets[ends[:, 1]] - offsets[ends[:, 0]] + edge_offsets @ lattice_action.T
-    edge_map = []
-    for idx, ((fr, to), off) in enumerate(zip(image_ends.tolist(), image_offsets.tolist())):
-        target_edge = classes.get(_edge_class_key(fr, to, tuple(off)))
-        if target_edge is None:
-            raise SymmetryError(
-                f"element {name!r} is not a symmetry: image of edge {idx} matches no edge class")
-        edge_map.append(target_edge)
-    if len(set(edge_map)) != fw.edge_count:
+    ends, offsets, _ = _edge_arrays(fw, fw.edges)
+    image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
+    keys = np.concatenate([_edge_class_keys(ends, offsets),
+                           _edge_class_keys(vertex_map[ends], image_offsets)])
+    _, group = np.unique(keys, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    owner = np.full(len(keys), -1)
+    owner[group[:fw.edge_count]] = np.arange(fw.edge_count)
+    edge_map = owner[group[fw.edge_count:]]
+    unmatched = np.flatnonzero(edge_map < 0)
+    if len(unmatched):
+        raise SymmetryError(
+            f"element {name!r} is not a symmetry: image of edge {unmatched[0]} matches no edge class")
+    if len(set(edge_map.tolist())) != fw.edge_count:
         raise SymmetryError(f"element {name!r}: edge action is not a bijection")
 
     return SymmetryElement(name=name, linear=b, translation=c,
                            vertex_map=tuple(vertex_map.tolist()),
-                           vertex_offsets=tuple(map(tuple, offsets.tolist())),
-                           edge_map=tuple(edge_map),
+                           vertex_offsets=tuple(map(tuple, shifts.tolist())),
+                           edge_map=tuple(edge_map.tolist()),
                            lattice_action=lattice_action)
 
 
@@ -162,64 +161,48 @@ class SymmetryRepresentation:
     offset_coupling: np.ndarray
     matrix_conjugation: np.ndarray
 
-    @property
-    def domain_rep(self) -> np.ndarray:
-        """Block upper-triangular action on (u, vec A)."""
-        dn = self.vertex_rep.shape[0]
-        dd = self.matrix_conjugation.shape[0]
-        return np.block([
-            [self.vertex_rep, self.offset_coupling],
-            [np.zeros((dd, dn)), self.matrix_conjugation],
-        ])
-
 
 def representation_matrices(fw: CrystalFramework, element: SymmetryElement) -> SymmetryRepresentation:
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
     b = element.linear
+    vertex_map = np.array(element.vertex_map, dtype=np.int64)
 
-    vertex_rep = np.zeros((d * n, d * n))
-    for v in range(n):
-        g = element.vertex_map[v]
-        vertex_rep[d * g:d * g + d, d * v:d * v + d] = b
+    # Block (g.v, v) of the vertex representation is B.
+    vertex_rep = np.zeros((n, d, n, d))
+    vertex_rep[vertex_map, :, np.arange(n), :] = b
 
     edge_perm = np.zeros((m, m))
-    for e in range(m):
-        edge_perm[element.edge_map[e], e] = 1.0
+    edge_perm[np.array(element.edge_map, dtype=np.int64), np.arange(m)] = 1.0
 
     matrix_conjugation = np.kron(b, b)
 
     # Coupling of A into the vertex blocks. The image block at g.v is
     # B A B^-1 Z k(v), which depends only on the integer offsets, so
-    # separable elements get an exactly zero block.
-    offset_coupling = np.zeros((d * n, d * d))
-    z = fw.lattice.matrix
-    for v in range(n):
-        off = np.asarray(element.vertex_offsets[v], dtype=float)
-        if not off.any():
-            continue
-        g = element.vertex_map[v]
-        w = -b.T @ (z @ off)
-        offset_coupling[d * g:d * g + d, :] = -np.kron(w, b)
+    # separable elements get an exactly zero block: row (g.v, i), column
+    # (j, k) holds -w[j] B[i, k] with w = -B^T Z k(v).
+    offsets = np.array(element.vertex_offsets, dtype=np.int64).reshape(n, d)
+    moved = np.flatnonzero(offsets.any(axis=1))
+    w = -(offsets[moved] @ fw.lattice.matrix.T) @ b
+    offset_coupling = np.zeros((n, d, d, d))
+    offset_coupling[vertex_map[moved]] = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :])
 
-    return SymmetryRepresentation(element=element, vertex_rep=vertex_rep,
+    return SymmetryRepresentation(element=element, vertex_rep=vertex_rep.reshape(d * n, d * n),
                                   edge_perm=edge_perm,
-                                  offset_coupling=offset_coupling,
+                                  offset_coupling=offset_coupling.reshape(d * n, d * d),
                                   matrix_conjugation=matrix_conjugation)
-
-
-def _conjugated_space(space: MatrixSpace, b: np.ndarray) -> list:
-    return [b @ a @ b.T for a in space.basis]
 
 
 def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> np.ndarray:
     """Domain representation on (u, coords-in-space) coordinates.
 
-    Requires the space to be invariant under A -> B A B^-1; raises
+    Block upper-triangular: the vertex representation and the offset
+    coupling on top, the action A -> B A B^-1 in the space's coordinates
+    below.  Requires the space to be invariant under that action; raises
     SymmetryError otherwise.
     """
     b = reps.element.linear
     try:
-        conj_coords = np.column_stack([space.coordinates_of(m) for m in _conjugated_space(space, b)]) \
+        conj_coords = np.column_stack([space.coordinates_of(b @ a @ b.T) for a in space.basis]) \
             if space.dim else np.zeros((0, 0))
     except ValueError as exc:
         raise SymmetryError(
@@ -231,6 +214,11 @@ def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> 
         [reps.vertex_rep, coupling],
         [np.zeros((space.dim, dn)), conj_coords],
     ])
+
+
+def _equation_residual(reps: SymmetryRepresentation, operator, domain) -> float:
+    """Max-norm residual of (edge action) . R - R . (domain action)."""
+    return float(np.max(np.abs(reps.edge_perm @ operator - operator @ domain)))
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
@@ -245,8 +233,7 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
         space = matrix_space("full", fw.dimension, fw.tolerance)
     reps = representation_matrices(fw, element)
     operator = restricted_operator(fw, space)
-    domain = _restricted_domain_rep(reps, space)
-    return float(np.max(np.abs(reps.edge_perm @ operator - operator @ domain)))
+    return _equation_residual(reps, operator, _restricted_domain_rep(reps, space))
 
 
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
@@ -302,6 +289,8 @@ class SymmetryCountReport:
     For separable elements fixed_domain_dim splits as fixed_vertex_dim +
     commutant_dim; nonseparable elements use fixed_domain_dim directly.
     identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f).
+    equation_residual is the residual of the symmetry equation on the full
+    space (see ``verify_symmetry_equation``).
     """
 
     element_name: str
@@ -315,19 +304,23 @@ class SymmetryCountReport:
     stresses: int
     identity_residual: int
     flexible_predicted: bool
+    equation_residual: float
 
 
 def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryCountReport:
     tol = fw.tolerance
     reps = representation_matrices(fw, element)
+    full = matrix_space("full", fw.dimension, tol)
+    domain = _restricted_domain_rep(reps, full)
 
     fixed_vertex = fixed_space(reps.vertex_rep, tol)
     commutant = commutant_basis(element.linear, tol)
-    fixed_domain = fixed_space(reps.domain_rep, tol)
+    fixed_domain = fixed_space(domain, tol)
     orbits = edge_orbit_count(element)
 
-    full = matrix_space("full", fw.dimension, tol)
     operator = restricted_operator(fw, full)
+    equation = _equation_residual(reps, operator, domain)
+    del domain      # square in the domain dimension; not needed past here
     flexes = kernel_basis(operator, tol)
     rigid = _rigid_space_restricted(fw, full)
 
@@ -353,12 +346,8 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
         stresses=s,
         identity_residual=residual,
         flexible_predicted=predicted,
+        equation_residual=equation,
     )
-
-
-def flexibility_predictor(fw: CrystalFramework, element: SymmetryElement) -> bool:
-    """True when the counting inequality already forces a symmetric mechanism."""
-    return symmetry_counts(fw, element).flexible_predicted
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,9 @@ def direct_row_values(fw, u, a):
     z = fw.lattice.matrix
     values = []
     for e in fw.edges:
-        geom = cf.edge_geometry(fw, e)
+        vector = cf.point_of(fw, e.from_vertex, e.from_cell) - cf.point_of(fw, e.to_vertex, e.to_cell)
         du = np.zeros(fw.dimension) if e.from_vertex == e.to_vertex else u[e.from_vertex] - u[e.to_vertex]
-        values.append(float(geom.vector @ (du + a @ z @ geom.offset)))
+        values.append(float(vector @ (du + a @ z @ e.offset)))
     return np.array(values)
 
 
@@ -174,3 +174,18 @@ def random_framework(rng, d=2, n_vertices=3, n_edges=5):
     fw = cf.CrystalFramework(cf.PeriodLattice(z), vertices, edges)
     assert cf.validate_framework(fw) == []
     return fw
+
+
+def scrambled_supercell(name, n, rng):
+    """Builtin ``name`` over the n x ... x n supercell, respelled: its edges
+    permuted, about half of them reversed and each translated by a random
+    cell, so the same bars arrive in another order and orientation."""
+    base = cf.builtin_framework(name)
+    big = cf.supercell(base, (n,) * base.dimension)
+    edges = []
+    for k in rng.permutation(big.edge_count):
+        e = big.edges[k].reversed() if rng.random() < 0.5 else big.edges[k]
+        shift = rng.integers(-2, 3, base.dimension)
+        edges.append(cf.MotifEdge(e.from_vertex, np.add(e.from_cell, shift),
+                                  e.to_vertex, np.add(e.to_cell, shift)))
+    return cf.CrystalFramework(big.lattice, big.vertices, edges, tolerance=big.tolerance)

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,23 @@ class TestBadNumbers:
         assert err.startswith("error: tolerance 0.3 is too large")
 
 
+def count_calls(monkeypatch, name):
+    """Record the positional arguments of every call to the crystalflex
+    function ``name``, wherever a module of the package refers to it."""
+    calls = []
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "crystalflex"]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestWorkPerRequest:
     """One validation per framework value, one SVD per restricted operator,
     and no factorization taller than the operator's domain."""
@@ -324,3 +342,23 @@ class TestWorkPerRequest:
         assert code == 0
         assert svd_shapes
         assert max(rows for rows, _ in svd_shapes) <= domain
+
+    def test_symmetry_builds_each_operator_and_representation_once_per_use(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # symmetry_counts and character_row each need one representation and
+        # one operator; the equation residual reuses those of the counts.
+        big = cf.supercell(kagome, (2, 2))
+        g = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big, path)
+        reps = count_calls(monkeypatch, "representation_matrices")
+        operators = count_calls(monkeypatch, "restricted_operator")
+        builds = count_calls(monkeypatch, "build_matrices")
+        equations = count_calls(monkeypatch, "verify_symmetry_equation")
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
+        assert code == 0
+        assert len(reps) <= 2
+        assert [space.name for _, space in operators].count("full") == 1
+        assert len(builds) <= 2
+        assert equations == []

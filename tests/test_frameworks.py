@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.frameworks
 from crystalflex.frameworks import lattice_matches
-from oracles import random_framework
+from oracles import random_framework, scrambled_supercell
 
 S3 = np.sqrt(3.0)
 
@@ -87,6 +87,33 @@ class TestValidation:
             "edges 0 and 3 are translates of the same edge class",
             "edge 4 has cell indices of dimension 1, lattice has 2",
         ]
+
+
+def reference_class_key(e):
+    """The tuple rule: the smaller of the edge's two orientations."""
+    offset = tuple(t - f for f, t in zip(e.from_cell, e.to_cell))
+    return min((e.from_vertex, e.to_vertex, offset),
+               (e.to_vertex, e.from_vertex, tuple(-x for x in offset)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cf.BUILTIN_NAMES), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_a_respelled_bar_is_reported_against_its_first_spelling(name, n, seed):
+    rng = np.random.default_rng(seed)
+    fw = scrambled_supercell(name, min(n, 2) if name == "hexahedron" else n, rng)
+    k = int(rng.integers(fw.edge_count))
+    e = fw.edges[k].reversed() if rng.random() < 0.5 else fw.edges[k]
+    shift = rng.integers(-2, 3, fw.dimension)
+    respelled = cf.MotifEdge(e.from_vertex, np.add(e.from_cell, shift),
+                             e.to_vertex, np.add(e.to_cell, shift))
+    at = int(rng.integers(fw.edge_count + 1))
+    edges = list(fw.edges)
+    edges.insert(at, respelled)
+    assert [x.class_key() for x in edges] == [reference_class_key(x) for x in edges]
+    first, second = (at, k + 1) if at <= k else (k, at)
+    with pytest.raises(cf.InvalidFrameworkError) as info:
+        cf.CrystalFramework(fw.lattice, fw.vertices, edges, tolerance=fw.tolerance)
+    assert info.value.violations == [f"edges {first} and {second} are translates of the same edge class"]
 
 
 class TestWithSymmetries:

@@ -1,0 +1,71 @@
+"""Byte-for-byte CLI outputs against recorded goldens.
+
+Each case runs ``crystalflex`` in-process from ``tests/golden`` (so the
+kagome 2x2 file is named by its relative path in the report) and compares
+stdout with ``tests/golden/<case>.txt``; stderr must be empty and the exit
+code 0.  Text reports only: JSON carries flex bases, and the bases of
+multi-dimensional kernels depend on the LAPACK build.
+
+Run ``python tests/test_golden.py`` to record the goldens again.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from crystalflex.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = {
+    "square_grid": ["--builtin", "square_grid"],
+    "kagome": ["--builtin", "kagome"],
+    "hexahedron": ["--builtin", "hexahedron"],
+    "kagome_2x2": ["kagome_2x2.json"],
+}
+COMMANDS = {
+    "analyze": ["analyze"],
+    "analyze_symmetric": ["analyze", "--mode", "space", "symmetric"],
+    "analyze_skew": ["analyze", "--mode", "space", "skew"],
+    "analyze_diagonal": ["analyze", "--mode", "space", "diagonal"],
+    "symmetry_characters": ["symmetry", "--characters"],
+}
+REPORTS = {f"{command}-{name}": COMMANDS[command][:1] + source + COMMANDS[command][1:]
+           for command in COMMANDS for name, source in INPUTS.items()}
+SVG_CASE, SVG_ARGV = "svg_3x2-kagome", ["svg", "--builtin", "kagome", "--cells", "3x2"]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_text_report(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(REPORTS[case])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+def test_svg(tmp_path):
+    target = tmp_path / "out.svg"
+    code, out, err = run_cli(SVG_ARGV + ["-o", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN / f"{SVG_CASE}.svg").read_bytes()
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN)
+    for case, argv in REPORTS.items():
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), (case, code, err)
+        Path(f"{case}.txt").write_text(out, encoding="utf-8")
+    code, _, err = run_cli(SVG_ARGV + ["-o", f"{SVG_CASE}.svg"])
+    assert (code, err) == (0, ""), (SVG_CASE, code, err)
+    sys.stdout.write(f"recorded {len(REPORTS) + 1} goldens in {GOLDEN}\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
@@ -8,6 +10,7 @@ from oracles import (
     exact_rank_profile,
     match_rows_up_to_sign,
     random_framework,
+    scrambled_supercell,
     torus_rigidity_matrix,
 )
 
@@ -357,3 +360,53 @@ class TestRandomFrameworks:
             a = rng.normal(size=(d, d))
             packed = np.concatenate([u.reshape(-1), (a @ fw.lattice.matrix).reshape(-1, order="F")])
             assert_allclose(mats.full @ packed, direct_row_values(fw, u, a), atol=1e-10)
+
+
+def reference_build_matrices(fw):
+    """The per-edge assembly build_matrices replaced: each bar's vector from
+    the placed endpoints, written into its row block by block."""
+    d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
+    vertex_block = np.zeros((m, d * n))
+    affine_block = np.zeros((m, d * d))
+    for row, e in enumerate(fw.edges):
+        vector = cf.point_of(fw, e.from_vertex, e.from_cell) - cf.point_of(fw, e.to_vertex, e.to_cell)
+        if e.from_vertex != e.to_vertex:
+            vertex_block[row, d * e.from_vertex:d * e.from_vertex + d] = vector
+            vertex_block[row, d * e.to_vertex:d * e.to_vertex + d] = -vector
+        for j in range(d):
+            affine_block[row, d * j:d * j + d] = e.offset[j] * vector
+    return vertex_block, affine_block
+
+
+def reference_edge_deviation(fw, velocity, t):
+    """The per-edge loop edge_deviation replaced: both endpoints of each bar
+    moved by the finite motion, then measured."""
+    frame = np.linalg.solve(np.eye(fw.dimension) + t * velocity.distortion, fw.lattice.matrix)
+    u = velocity.vertex_velocities
+    worst = 0.0
+    for e in fw.edges:
+        rest = np.linalg.norm(cf.point_of(fw, e.from_vertex, e.from_cell)
+                              - cf.point_of(fw, e.to_vertex, e.to_cell))
+        q_from = (fw.vertices[e.from_vertex].position + t * u[e.from_vertex]
+                  + frame @ np.asarray(e.from_cell, dtype=float))
+        q_to = (fw.vertices[e.to_vertex].position + t * u[e.to_vertex]
+                + frame @ np.asarray(e.to_cell, dtype=float))
+        worst = max(worst, abs(rest - float(np.linalg.norm(q_from - q_to))))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cf.BUILTIN_NAMES), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_array_assembly_matches_the_per_edge_loop(name, n, seed):
+    rng = np.random.default_rng(seed)
+    fw = scrambled_supercell(name, min(n, 2) if name == "hexahedron" else n, rng)
+    mats = cf.build_matrices(fw)
+    vertex_block, affine_block = reference_build_matrices(fw)
+    assert_allclose(mats.vertex_block, vertex_block, rtol=0, atol=1e-12)
+    assert_allclose(mats.affine_block, affine_block, rtol=0, atol=1e-12)
+    d = fw.dimension
+    velocity = cf.AffineVelocity(rng.uniform(-1.0, 1.0, (fw.vertex_count, d)),
+                                 rng.uniform(-1.0, 1.0, (d, d)))
+    for t in (0.0, 1e-3, 0.1):
+        deviation = cf.edge_deviation(fw, velocity, t)
+        assert abs(deviation - reference_edge_deviation(fw, velocity, t)) <= 1e-12

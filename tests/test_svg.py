@@ -40,6 +40,11 @@ def test_empty_range_rejected(kagome):
         cf.render_svg(kagome, [(0, 0), (0, 1)])
 
 
+def test_wrong_range_count_rejected(kagome):
+    with pytest.raises(ValueError, match="need 2 cell ranges, got 1"):
+        cf.render_svg(kagome, [(0, 1)])
+
+
 def test_internal_count_matches_fragment(kagome):
     svg = cf.render_svg(kagome, [(0, 3), (0, 3)])
     frag = cf.fragment(kagome, [(0, 3), (0, 3)])

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
+from crystalflex.symmetry import _restricted_domain_rep
+from oracles import scrambled_supercell
 
 S3 = np.sqrt(3.0)
 
@@ -15,6 +19,11 @@ def rotation(angle):
 def identity_element(fw, name="id"):
     d = fw.dimension
     return cf.resolve_symmetry(fw, np.eye(d), np.zeros(d), name)
+
+
+def full_domain_rep(fw, reps):
+    """Domain action on (u, vec A), the coordinates of the full space."""
+    return _restricted_domain_rep(reps, cf.matrix_space("full", fw.dimension, fw.tolerance))
 
 
 def reference_vertex_action(fw, linear, translation):
@@ -160,6 +169,51 @@ class TestRepresentations:
         assert np.max(np.abs(reps.offset_coupling)) > 0.1
 
 
+def reference_representation(fw, element):
+    """The per-vertex construction representation_matrices replaced, and the
+    block domain action on (u, vec A) assembled from its blocks."""
+    d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
+    b, z = element.linear, fw.lattice.matrix
+    vertex_rep = np.zeros((d * n, d * n))
+    coupling = np.zeros((d * n, d * d))
+    for v in range(n):
+        g = element.vertex_map[v]
+        vertex_rep[d * g:d * g + d, d * v:d * v + d] = b
+        off = np.asarray(element.vertex_offsets[v], dtype=float)
+        if off.any():
+            w = -b.T @ (z @ off)
+            coupling[d * g:d * g + d, :] = -np.kron(w, b)
+    edge_perm = np.zeros((m, m))
+    for e in range(m):
+        edge_perm[element.edge_map[e], e] = 1.0
+    domain = np.block([[vertex_rep, coupling], [np.zeros((d * d, d * n)), np.kron(b, b)]])
+    return vertex_rep, edge_perm, coupling, domain
+
+
+ELEMENTS = [("square_grid", "r4"), ("kagome", "r3"), ("kagome", "glide"), ("hexahedron", "r3")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ELEMENTS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_array_representations_match_the_per_vertex_loop(case, n, seed):
+    name, element = case
+    fw = scrambled_supercell(name, min(n, 2) if name == "hexahedron" else n,
+                             np.random.default_rng(seed))
+    if element == "glide":      # nonseparable, with offsets in both directions
+        linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
+    else:
+        declared = cf.builtin_framework(name).symmetries[0]
+        linear, translation = declared.linear, declared.translation
+    g = cf.resolve_symmetry(fw, linear, translation, element)
+    assert element != "glide" or not g.separable
+    reps = cf.representation_matrices(fw, g)
+    vertex_rep, edge_perm, coupling, domain = reference_representation(fw, g)
+    assert_allclose(reps.vertex_rep, vertex_rep, rtol=0, atol=1e-12)
+    assert_allclose(reps.edge_perm, edge_perm, rtol=0, atol=1e-12)
+    assert_allclose(reps.offset_coupling, coupling, rtol=0, atol=1e-12)
+    assert_allclose(full_domain_rep(fw, reps), domain, rtol=0, atol=1e-12)
+
+
 class TestHomomorphism:
     @staticmethod
     def compose(fw, g, h, name):
@@ -176,8 +230,9 @@ class TestHomomorphism:
         rid = cf.representation_matrices(kagome, ggg)
         assert_allclose(rg.edge_perm @ rg.edge_perm, rgg.edge_perm, atol=1e-12)
         assert_allclose(rg.vertex_rep @ rg.vertex_rep, rgg.vertex_rep, atol=1e-12)
-        assert_allclose(rg.domain_rep @ rg.domain_rep, rgg.domain_rep, atol=1e-12)
-        assert_allclose(rid.domain_rep, np.eye(10), atol=1e-12)
+        dg = full_domain_rep(kagome, rg)
+        assert_allclose(dg @ dg, full_domain_rep(kagome, rgg), atol=1e-12)
+        assert_allclose(full_domain_rep(kagome, rid), np.eye(10), atol=1e-12)
 
     def test_glide_squares_to_translation(self, kagome, kagome_glide):
         g = kagome_glide
@@ -186,7 +241,8 @@ class TestHomomorphism:
         assert_allclose(squared.translation, [1.0, 0.0], atol=1e-15)
         rg = cf.representation_matrices(kagome, g)
         rsq = cf.representation_matrices(kagome, squared)
-        assert_allclose(rg.domain_rep @ rg.domain_rep, rsq.domain_rep, atol=1e-12)
+        dg = full_domain_rep(kagome, rg)
+        assert_allclose(dg @ dg, full_domain_rep(kagome, rsq), atol=1e-12)
         assert_allclose(rg.edge_perm @ rg.edge_perm, rsq.edge_perm, atol=1e-12)
 
 
@@ -343,7 +399,7 @@ class TestSymmetryCounts:
         for g in fw.symmetries:
             reps = cf.representation_matrices(fw, g)
             operator = cf.restricted_operator(fw, full)
-            domain_fixed = cf.fixed_space(reps.domain_rep, fw.tolerance)
+            domain_fixed = cf.fixed_space(full_domain_rep(fw, reps), fw.tolerance)
             edge_fixed = cf.fixed_space(reps.edge_perm, fw.tolerance)
             image = operator @ domain_fixed.basis
             outside = image - edge_fixed.project(image)
@@ -352,13 +408,13 @@ class TestSymmetryCounts:
 
 class TestPredictor:
     def test_kagome_threefold_predicts_mechanism(self, kagome, kagome_r3):
-        assert cf.flexibility_predictor(kagome, kagome_r3)
+        assert cf.symmetry_counts(kagome, kagome_r3).flexible_predicted
 
     def test_hexahedron_is_inconclusive(self, hexahedron):
-        assert not cf.flexibility_predictor(hexahedron, hexahedron.symmetries[0])
+        assert not cf.symmetry_counts(hexahedron, hexahedron.symmetries[0]).flexible_predicted
 
     def test_square_grid_fourfold_is_inconclusive(self, square_grid):
-        assert not cf.flexibility_predictor(square_grid, square_grid.symmetries[0])
+        assert not cf.symmetry_counts(square_grid, square_grid.symmetries[0]).flexible_predicted
 
 
 class TestCharacterRow:
