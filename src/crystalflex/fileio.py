@@ -32,11 +32,14 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .frameworks import (
+    CELL_LIMIT,
     CrystalFramework,
     InvalidFrameworkError,
     MotifEdge,
@@ -47,7 +50,6 @@ from .rigidity import (
     MatrixSpace,
     analyze_counts,
     matrix_space,
-    velocity_from_mode_coordinates,
 )
 from .symmetry import (
     SymmetryError,
@@ -99,7 +101,7 @@ def _int_list(value, length, path):
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, int):
             _fail(f"{path}[{i}]", "expected an integer")
-        if abs(x) >= 2**53:     # beyond exact float and safe int64 arithmetic
+        if abs(x) >= CELL_LIMIT:     # beyond exact float and safe int64 arithmetic
             _fail(f"{path}[{i}]", "expected an integer of magnitude below 2**53")
         out.append(int(x))
     return out
@@ -224,7 +226,7 @@ def framework_to_dict(fw: CrystalFramework) -> dict:
 
 
 def serialize_framework(fw: CrystalFramework) -> str:
-    return json.dumps(framework_to_dict(fw), indent=2) + "\n"
+    return _json_text(framework_to_dict(fw)) + "\n"
 
 
 def load_framework(path) -> CrystalFramework:
@@ -266,12 +268,154 @@ def _display(x: float) -> float:
     return 0.0 if r == 0 else r
 
 
-def _display_vector(v) -> list:
-    return [_display(x) for x in np.asarray(v, dtype=float).reshape(-1)]
+def _display_array(values) -> np.ndarray:
+    """``_display`` of every element, as array operations.
+
+    ``rint(x * 1e9) / 1e9`` is the float ``round(x, 9)`` returns whenever
+    rint lands on the integer nearest to the exact x * 10**9: the division
+    is correctly rounded, as is round's conversion of its decimal result.
+    That holds unless the rounded product lies within its rounding error of
+    a half-integer, so those elements, products of 2**52 and beyond and
+    non-finite values take ``_display`` itself.
+    """
+    x = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e9
+        out = np.rint(scaled) / 1e9 + 0.0       # + 0.0 shows -0.0 as 0.0
+        tie_gap = np.abs(scaled - np.floor(scaled) - 0.5)
+        unsure = ~(np.abs(scaled) < 2.0 ** 52) | (tie_gap <= np.spacing(np.abs(scaled)))
+    if unsure.any():
+        out[unsure] = list(map(_display, x[unsure].tolist()))
+    return out
 
 
-def _display_matrix(m) -> list:
-    return [[_display(x) for x in row] for row in np.asarray(m, dtype=float)]
+def _decoded_flexes(fw: CrystalFramework, space: MatrixSpace, basis: np.ndarray):
+    """Vertex velocities (k, n, d) and distortions (k, d, d) of k flex columns.
+
+    Decodes every column as ``velocity_from_mode_coordinates`` does; the
+    distortions accumulate 0 + c_0 B_0 + c_1 B_1 + ... in the order of
+    ``MatrixSpace.matrix_from_coordinates``, so each entry is bitwise equal.
+    """
+    d, n, k = fw.dimension, fw.vertex_count, basis.shape[1]
+    velocities = basis[:d * n].T.reshape(k, n, d)
+    distortions = np.zeros((k, d, d))
+    for coords, b in zip(basis[d * n:], space.basis):
+        distortions = distortions + coords[:, np.newaxis, np.newaxis] * b
+    return velocities, distortions
+
+
+_INDENT = "  "
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, with lists of floats written in bulk."""
+    out = []
+    _write_json(obj, 0, out)
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return f'"{_json_float(key)}"'
+    if key is True or key is False or key is None:
+        return '"true"' if key is True else '"false"' if key is False else '"null"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(o, level: int, out: list) -> None:
+    """Append the JSON of ``o``, nested ``level`` deep, to ``out``.
+
+    Follows the encoder behind ``json.dumps(..., indent=2)``: the same type
+    tests in the same order, two spaces per level, ',' between items and
+    ': ' after keys.
+    """
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, (list, tuple)):
+        block = _float_block(o, level) if o else "[]"
+        if block is not None:
+            out.append(block)
+            return
+        newline = "\n" + _INDENT * (level + 1)
+        separator = "[" + newline
+        for item in o:
+            out.append(separator)
+            _write_json(item, level + 1, out)
+            separator = "," + newline
+        out.append("\n" + _INDENT * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        newline = "\n" + _INDENT * (level + 1)
+        separator = "{" + newline
+        for key, value in o.items():
+            out.append(separator + _json_key(key) + ": ")
+            _write_json(value, level + 1, out)
+            separator = "," + newline
+        out.append("\n" + _INDENT * level + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float_block(items, level: int):
+    """JSON of a non-empty list of finite floats or an equal-width matrix of them.
+
+    All numbers go through one ``map(float.__repr__)``; a matrix's numbers
+    are interleaved with a precomputed separator list.  Returns None for any
+    other list (ints, bools, non-finite floats, empty or ragged rows), which
+    the generic path of ``_write_json`` then writes.
+    """
+    width = 0
+    if type(items[0]) is list:
+        if set(map(type, items)) != {list}:
+            return None
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        (width,) = widths
+        items = list(chain.from_iterable(items))
+    try:
+        numbers = list(map(float.__repr__, items))
+    except TypeError:
+        return None
+    row = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level + "]"
+    if not width:
+        text = "[" + row + ("," + row).join(numbers) + close
+    else:
+        cell = row + _INDENT
+        separators = ([f",{cell}"] * (width - 1) + [f"{row}],{row}[{cell}"]) * (len(numbers) // width)
+        separators[-1] = row + "]" + close
+        parts = [f"[{row}[{cell}"] * (2 * len(numbers) + 1)
+        parts[1::2] = numbers
+        parts[2::2] = separators
+        text = "".join(parts)
+    return None if "n" in text else text     # nan and inf, which JSON spells NaN and Infinity
 
 
 @dataclass(frozen=True)
@@ -306,8 +450,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
         counts = analyze_counts(fw, space)
-        decoded = [velocity_from_mode_coordinates(fw, space, col)
-                   for col in counts.flex_basis.basis.T]
+        velocities, distortions = _decoded_flexes(fw, space, counts.flex_basis.basis)
         mode_entries.append({
             "mode": label,
             "space": space.name,
@@ -320,13 +463,11 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
             "identity_residual": counts.identity_residual,
             "flags": list(counts.flags),
             "flexes": [
-                {
-                    "vertex_velocities": _display_matrix(v.vertex_velocities),
-                    "distortion": _display_matrix(v.distortion),
-                }
-                for v in decoded
+                {"vertex_velocities": u, "distortion": a}
+                for u, a in zip(_display_array(velocities).tolist(),
+                                _display_array(distortions).tolist())
             ],
-            "stresses_basis": [_display_vector(col) for col in counts.stress_basis.basis.T],
+            "stresses_basis": _display_array(counts.stress_basis.basis.T).tolist(),
         })
 
     symmetry_entries = []
@@ -377,7 +518,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:
     if format == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
+        return _json_text(report.to_dict()) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}; use 'text' or 'json'")
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL
 
+CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
+
 
 class InvalidFrameworkError(ValueError):
     """Raised when a CrystalFramework would fail validation."""
@@ -309,7 +311,8 @@ def validate_framework(fw: CrystalFramework) -> list:
 
     n, edges = fw.vertex_count, fw.edges
     placeable = [idx for idx, e in enumerate(edges)
-                 if len(e.from_cell) == d and 0 <= e.from_vertex < n and 0 <= e.to_vertex < n]
+                 if len(e.from_cell) == d and 0 <= e.from_vertex < n and 0 <= e.to_vertex < n
+                 and _cells_in_range(e)]
     found = []     # (edge index, rank within the edge, violation)
     for idx in sorted(set(range(len(edges))) - set(placeable)):
         e = edges[idx]
@@ -320,6 +323,8 @@ def validate_framework(fw: CrystalFramework) -> list:
         for rank, (end, label) in enumerate(((e.from_vertex, "from"), (e.to_vertex, "to"))):
             if not (0 <= end < n):
                 found.append((idx, rank, f"edge {idx} {label}-vertex index {end} is out of range"))
+        if not _cells_in_range(e):
+            found.append((idx, 2, f"edge {idx}: cell index out of range"))
 
     index = np.array(placeable, dtype=np.int64)
     ends, offsets, vectors = _edge_arrays(fw, [edges[idx] for idx in placeable])
@@ -336,6 +341,16 @@ def validate_framework(fw: CrystalFramework) -> list:
     found += [(idx, 1, f"edges {prior} and {idx} are translates of the same edge class")
               for prior, idx in zip(owner[repeat].tolist(), bars[repeat].tolist())]
     return report + [violation for *_, violation in sorted(found)]
+
+
+def _cells_in_range(edge: MotifEdge) -> bool:
+    """Whether every cell index is below 2**53, as file parsing requires.
+
+    That keeps cells exact as floats and the int64 edge arithmetic from
+    overflowing.
+    """
+    cells = edge.from_cell + edge.to_cell
+    return -CELL_LIMIT < min(cells) and max(cells) < CELL_LIMIT
 
 
 def _edge_arrays(fw: CrystalFramework, edges) -> tuple:

@@ -38,13 +38,10 @@ def _canonical_signs(basis: np.ndarray) -> np.ndarray:
 
     Makes SVD-derived bases reproducible for report output.
     """
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-    return out
+    if basis.shape[0] == 0:
+        return basis.copy()
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.where(lead < 0, -basis, basis)
 
 
 @dataclass(frozen=True)

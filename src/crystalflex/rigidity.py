@@ -235,7 +235,14 @@ def _rigid_space_restricted(fw: CrystalFramework, space: MatrixSpace) -> Subspac
     d, n = fw.dimension, fw.vertex_count
     cols = [np.concatenate([u, space.coordinates_of(a)]) for u, a in _rigid_generators(fw, space)]
     stacked = np.column_stack(cols) if cols else np.zeros((d * n + space.dim, 0))
-    return column_space_basis(stacked, fw.tolerance)
+    rigid = column_space_basis(stacked, fw.tolerance)
+    if n and rigid.dim < d:
+        # The d translations are rigid motions of every framework with a
+        # vertex, so a rank below d means the tolerance hides their
+        # singular values.
+        raise DependentBasisError(
+            f"the rigid motions span {rigid.dim} dimensions, fewer than the {d} translations")
+    return rigid
 
 
 def flex_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:

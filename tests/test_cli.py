@@ -259,6 +259,19 @@ class TestBadNumbers:
         assert out == ""
         assert err.startswith("error: tolerance 0.3 is too large")
 
+    @pytest.mark.parametrize("name, tol, dimension", [
+        ("kagome", "0.2", 2), ("square_grid", "0.2", 2), ("kagome", "0.1", 2), ("hexahedron", "0.1", 3)])
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--json"],
+                                         ["symmetry", "--characters"]])
+    def test_tolerance_that_hides_the_translations(self, capsys, command, name, tol, dimension):
+        # Below the basis-check threshold, but the d translations no longer
+        # count as rigid motions: exit 2, not a report (square_grid) or exit 3 (kagome 0.2).
+        code, out, err = run(capsys, command[0], "--builtin", name, "--tol", tol, *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: tolerance {tol} is too large: the rigid motions span 0 "
+                       f"dimensions, fewer than the {dimension} translations\n")
+
 
 def count_calls(monkeypatch, name):
     """Record the positional arguments of every call to the crystalflex
@@ -362,3 +375,14 @@ class TestWorkPerRequest:
         assert [space.name for _, space in operators].count("full") == 1
         assert len(builds) <= 2
         assert equations == []
+
+    def test_analyze_rounds_bases_in_bulk(self, capsys, tmp_path, kagome, monkeypatch):
+        # The per-element _display is left for the scalar fields; the flex
+        # and stress bases are rounded as arrays.
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(cf.supercell(kagome, (2, 2)), path)
+        displays = count_calls(monkeypatch, "_display")
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        assert len(displays) <= 20
+        assert sum(len(mode["stresses_basis"]) for mode in json.loads(out)["modes"]) > 0

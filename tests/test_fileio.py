@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
+from crystalflex.fileio import _decoded_flexes, _display, _display_array, _json_text, mode_space
 
 
 class TestRoundTrip:
@@ -226,3 +229,112 @@ class TestReports:
     def test_residual_property(self, kagome):
         report = cf.analyze_framework(kagome, name="kagome")
         assert report.max_identity_residual == 0
+
+    @pytest.mark.parametrize("mode", ["strict", "affine", *cf.MATRIX_SPACE_NAMES])
+    def test_json_report_is_json_dumps_of_the_body(self, any_builtin, mode):
+        report = cf.analyze_framework(any_builtin, modes=(mode,), name="x", characters=True)
+        assert cf.emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("mode", ["strict", "affine", *cf.MATRIX_SPACE_NAMES])
+    def test_bases_match_the_per_element_decoding(self, any_builtin, mode):
+        # Reference: decode each flex column on its own and round each entry.
+        fw = cf.supercell(any_builtin, (2,) * any_builtin.dimension)
+        space = mode_space(mode, fw.dimension, fw.tolerance)
+        counts = cf.analyze_counts(fw, space)
+        def rows(m):
+            return [[_display(x) for x in row] for row in np.asarray(m)]
+
+        flexes = [cf.velocity_from_mode_coordinates(fw, space, col)
+                  for col in counts.flex_basis.basis.T]
+        expected = {
+            "flexes": [{"vertex_velocities": rows(v.vertex_velocities),
+                        "distortion": rows(v.distortion)} for v in flexes],
+            "stresses_basis": rows(counts.stress_basis.basis.T),
+        }
+        body = cf.analyze_framework(fw, modes=(mode,)).to_dict()["modes"][0]
+        assert json.dumps({key: body[key] for key in expected}) == json.dumps(expected)
+        velocities, distortions = _decoded_flexes(fw, space, counts.flex_basis.basis)
+        assert velocities.tobytes() == np.array([v.vertex_velocities for v in flexes]).tobytes()
+        assert distortions.tobytes() == np.array([v.distortion for v in flexes]).tobytes()
+
+
+def hexes(values):
+    return [float.hex(x) for x in values]
+
+
+rounding_inputs = st.one_of(
+    st.floats(),                                                    # incl. nan, +-inf, +-0, subnormals
+    st.floats(-10.0, 10.0),
+    st.integers(-(2 ** 53), 2 ** 53).map(lambda k: (k + 0.5) / 1e9),  # decimal ties
+    st.integers(-(2 ** 40), 2 ** 40).map(lambda k: k / 1e9),
+    st.floats(2.0 ** 52 / 1e9, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 52 / 1e9, 2.0 ** 53 / 1e9,
+                     4.5e-9, -4.5e-9, 5e-10, -5e-10]),
+)
+
+
+class TestDisplayArray:
+    """Bulk rounding equals the scalar ``_display`` loop element for element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(rounding_inputs, max_size=40))
+    def test_matches_the_scalar_loop(self, values):
+        got = _display_array(np.array(values, dtype=float))
+        assert hexes(got.tolist()) == hexes([_display(x) for x in values])
+
+    def test_keeps_the_shape(self):
+        values = np.arange(24.0).reshape(2, 3, 4) * 1.23456789012e-3 - 0.01
+        got = _display_array(values)
+        assert got.shape == values.shape
+        assert hexes(got.reshape(-1).tolist()) == hexes(map(_display, values.reshape(-1).tolist()))
+
+    def test_negative_zero_shown_as_zero(self):
+        assert hexes(_display_array([-0.0, -1e-12, -4e-10]).tolist()) == hexes([0.0, 0.0, 0.0])
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+float_lists = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats()),
+                       max_size=6)
+float_matrices = st.integers(0, 4).flatmap(
+    lambda w: st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=w, max_size=w), max_size=4))
+json_bodies = st.recursive(
+    st.one_of(json_scalars, float_lists, float_matrices),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(json_keys, children, max_size=4)),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    """The report and framework writer is ``json.dumps(obj, indent=2)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_bodies)
+    def test_matches_json_dumps(self, body):
+        assert _json_text(body) == json.dumps(body, indent=2)
+
+    @pytest.mark.parametrize("body", [
+        [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], [[1.0]],
+        [1.0, float("nan")], [[1.0, float("inf")], [2.0, 3.0]], [1.0, 2, True], [[1.0], 2.0],
+        [1.0, [2.0]], [np.float64(0.1), 2.0], {"\u00e9\"\n": ["\u2603", "\\"]},
+        {1: 1.5, 2.5: None, True: [], None: {}}, ([1.0, 2.0], (3.0,)), [[[1.0, 2.0]], [[3.0, 4.0]]],
+    ])
+    def test_edge_cases(self, body):
+        assert _json_text(body) == json.dumps(body, indent=2)
+
+    @pytest.mark.parametrize("body, message", [
+        ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+        ([1.0, object()], "Object of type object is not JSON serializable"),
+    ])
+    def test_refuses_what_json_refuses(self, body, message):
+        with pytest.raises(TypeError, match=message):
+            json.dumps(body, indent=2)
+        with pytest.raises(TypeError, match=message):
+            _json_text(body)
+
+    def test_serialized_framework(self, any_builtin):
+        text = cf.serialize_framework(cf.supercell(any_builtin, (2,) * any_builtin.dimension))
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

@@ -52,6 +52,17 @@ class TestValidation:
         report = violations_of([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 3, (0, 0))])
         assert any("out of range" in v for v in report)
 
+    @pytest.mark.parametrize("value", [2 ** 53, -(2 ** 53), 10 ** 30])
+    def test_cell_beyond_the_file_limit(self, value):
+        # Beyond int64 this used to escape as a bare OverflowError.
+        report = violations_of([(0.0, 0.0), (0.5, 0.0)],
+                               [cf.MotifEdge(0, (0, 0), 1, (0, 0)), cf.MotifEdge(0, (0, 0), 1, (value, 0))])
+        assert report == ["edge 1: cell index out of range"]
+
+    def test_largest_allowed_cell(self):
+        fw = make([(0.0, 0.0)], [cf.MotifEdge(0, (0, 0), 0, (0, 2 ** 53 - 1))])
+        assert fw.edges[0].to_cell == (0, 2 ** 53 - 1)
+
     def test_singular_lattice(self):
         report = violations_of([(0.0, 0.0)], [], lattice=[[1.0, 2.0], [2.0, 4.0]])
         assert any("singular" in v for v in report)

@@ -3,7 +3,8 @@
 Each case runs ``crystalflex`` in-process from ``tests/golden`` (so the
 kagome 2x2 file is named by its relative path in the report) and compares
 stdout with ``tests/golden/<case>.txt``; stderr must be empty and the exit
-code 0.  Text reports only: JSON carries flex bases, and the bases of
+code 0.  Text reports for every command; JSON only where it carries no
+flex or stress bases (``symmetry`` and ``supercell``), because the bases of
 multi-dimensional kernels depend on the LAPACK build.
 
 Run ``python tests/test_golden.py`` to record the goldens again.
@@ -35,6 +36,10 @@ COMMANDS = {
 }
 REPORTS = {f"{command}-{name}": COMMANDS[command][:1] + source + COMMANDS[command][1:]
            for command in COMMANDS for name, source in INPUTS.items()}
+JSON_REPORTS = {f"symmetry_characters-{name}": ["symmetry"] + source + ["--characters", "--json"]
+                for name, source in INPUTS.items()}
+JSON_REPORTS["supercell_2x2-kagome"] = ["supercell", "--builtin", "kagome", "--n", "2,2"]
+JSON_REPORTS["supercell_2x2x2-hexahedron"] = ["supercell", "--builtin", "hexahedron", "--n", "2,2,2"]
 SVG_CASE, SVG_ARGV = "svg_3x2-kagome", ["svg", "--builtin", "kagome", "--cells", "3x2"]
 
 
@@ -53,6 +58,14 @@ def test_text_report(case, monkeypatch):
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("case", sorted(JSON_REPORTS))
+def test_json_report(case, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(JSON_REPORTS[case])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
 def test_svg(tmp_path):
     target = tmp_path / "out.svg"
     code, out, err = run_cli(SVG_ARGV + ["-o", str(target)])
@@ -66,6 +79,10 @@ if __name__ == "__main__":
         code, out, err = run_cli(argv)
         assert (code, err) == (0, ""), (case, code, err)
         Path(f"{case}.txt").write_text(out, encoding="utf-8")
+    for case, argv in JSON_REPORTS.items():
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), (case, code, err)
+        Path(f"{case}.json").write_text(out, encoding="utf-8")
     code, _, err = run_cli(SVG_ARGV + ["-o", f"{SVG_CASE}.svg"])
     assert (code, err) == (0, ""), (SVG_CASE, code, err)
-    sys.stdout.write(f"recorded {len(REPORTS) + 1} goldens in {GOLDEN}\n")
+    sys.stdout.write(f"recorded {len(REPORTS) + len(JSON_REPORTS) + 1} goldens in {GOLDEN}\n")

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from crystalflex.linalg import (
     SubspaceBasis,
+    _canonical_signs,
     cokernel_basis,
     column_space_basis,
     complement_within,
@@ -139,3 +140,26 @@ def test_column_space_basis_collapses_dependent_columns(rng):
     v = rng.normal(size=(5, 1))
     spanning = np.hstack([v, 2 * v, -v])
     assert column_space_basis(spanning).dim == 1
+
+
+def canonical_signs_loop(basis):
+    """Reference: flip each column whose first largest-magnitude entry is negative."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            out[:, j] = -col
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.data())
+def test_canonical_signs_match_the_column_loop(rows, cols, data):
+    # Small integers make ties of magnitude common: the first maximum decides.
+    entries = data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 0.3, -0.7]),
+                                 min_size=rows * cols, max_size=rows * cols))
+    basis = np.array(entries).reshape(rows, cols)
+    got = _canonical_signs(basis)
+    assert got.shape == basis.shape
+    assert got.tobytes() == canonical_signs_loop(basis).tobytes()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
+from crystalflex.rigidity import _rigid_space_restricted
 from oracles import (
     direct_row_values,
     exact_rank_profile,
@@ -43,6 +44,24 @@ class TestMatrixSpaces:
         assert_allclose(sym.matrix_from_coordinates(coords), mat, atol=1e-12)
         with pytest.raises(ValueError):
             sym.coordinates_of(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+class TestRigidSpace:
+    @pytest.mark.parametrize("tol", [0.1, 0.2])
+    def test_a_tolerance_that_hides_the_translations_is_refused(self, kagome, tol):
+        fw = kagome.with_tolerance(tol)
+        with pytest.raises(cf.DependentBasisError, match="fewer than the 2 translations"):
+            _rigid_space_restricted(fw, cf.matrix_space("full", 2, tol))
+
+    def test_translations_always_counted(self, any_builtin):
+        zero = space("zero", any_builtin)
+        assert _rigid_space_restricted(any_builtin, zero).dim == any_builtin.dimension
+
+    def test_nothing_to_translate_without_vertices(self):
+        fw = cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), [], [])
+        assert _rigid_space_restricted(fw, space("zero", fw)).dim == 0
+        assert [c.rigid_motions for c in (cf.analyze_counts(fw, space(name, fw))
+                                          for name in ("zero", "full"))] == [0, 1]
 
 
 class TestBuildMatrices:
