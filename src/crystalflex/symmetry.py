@@ -41,6 +41,7 @@ from .linalg import (
     subspace_intersection,
 )
 from .rigidity import (
+    DependentBasisError,
     MatrixSpace,
     _rigid_space_restricted,
     matrix_space,
@@ -256,30 +257,30 @@ def fixed_space(operator, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     return kernel_basis(p - np.eye(p.shape[0]), tol)
 
 
-def _edge_cycle_lengths(element: SymmetryElement) -> list:
-    """Cycle lengths of the edge-class permutation."""
-    seen = set()
-    lengths = []
-    for start in range(len(element.edge_map)):
-        if start in seen:
+def _cycles(perm) -> np.ndarray:
+    """Cycle label of each point of a permutation, numbered in the order of
+    each cycle's lowest point."""
+    labels = [-1] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if labels[start] >= 0:
             continue
-        length, current = 0, start
-        while current not in seen:
-            seen.add(current)
-            current = element.edge_map[current]
-            length += 1
-        lengths.append(length)
-    return lengths
+        current = start
+        while labels[current] < 0:
+            labels[current] = count
+            current = perm[current]
+        count += 1
+    return np.array(labels, dtype=np.int64)
 
 
 def edge_orbit_count(element: SymmetryElement) -> int:
     """Number of orbits of the cyclic group of the element on edge classes."""
-    return len(_edge_cycle_lengths(element))
+    return len(np.bincount(_cycles(element.edge_map)))
 
 
 def edge_permutation_order(element: SymmetryElement) -> int:
     """Order of the edge-class permutation (lcm of cycle lengths)."""
-    return lcm(*_edge_cycle_lengths(element))
+    return lcm(*np.bincount(_cycles(element.edge_map)).tolist())
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,9 @@ class SymmetryCountReport:
 
     For separable elements fixed_domain_dim splits as fixed_vertex_dim +
     commutant_dim; nonseparable elements use fixed_domain_dim directly.
-    identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f).
+    identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f),
+    which reduces to rank(F_e^T R F_dom) - rank(R F_dom) for the fixed
+    domain basis F_dom and the fixed edge basis F_e.
     equation_residual is the residual of the symmetry equation on the full
     space (see ``verify_symmetry_equation``).
     """
@@ -308,28 +311,47 @@ class SymmetryCountReport:
 
 
 def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryCountReport:
+    """Counts of R restricted to the fixed domain, which it maps into the
+    fixed edge space spanned by the edge orbits.  Raises DependentBasisError
+    when the tolerance makes the two readings of f_g disagree.
+    """
     tol = fw.tolerance
+    d = fw.dimension
     reps = representation_matrices(fw, element)
-    full = matrix_space("full", fw.dimension, tol)
+    full = matrix_space("full", d, tol)
     domain = _restricted_domain_rep(reps, full)
 
-    fixed_vertex = fixed_space(reps.vertex_rep, tol)
     commutant = commutant_basis(element.linear, tol)
     fixed_domain = fixed_space(domain, tol)
-    orbits = edge_orbit_count(element)
-
     operator = restricted_operator(fw, full)
     equation = _equation_residual(reps, operator, domain)
-    del domain      # square in the domain dimension; not needed past here
-    flexes = kernel_basis(operator, tol)
     rigid = _rigid_space_restricted(fw, full)
 
+    # g maps rigid motions to rigid motions, so f_g is also the fixed
+    # dimension of its action on them.
     f = subspace_intersection(rigid, fixed_domain).dim
-    m = subspace_intersection(flexes, fixed_domain).dim - f
+    acting = fixed_space(rigid.basis.T @ domain @ rigid.basis, tol).dim
+    if acting != f:
+        raise DependentBasisError(
+            f"the rigid motions fixed by element {element.name!r} span {acting} "
+            f"dimensions, but {f} lie in its fixed domain")
 
-    fixed_edge = fixed_space(reps.edge_perm, tol)
-    restricted = fixed_edge.basis.T @ operator @ fixed_domain.basis
-    s = fixed_edge.dim - numeric_rank(restricted, tol)
+    image = operator @ fixed_domain.basis
+    m = fixed_domain.dim - numeric_rank(image, tol) - f
+
+    labels = _cycles(element.edge_map)
+    sizes = np.bincount(labels)
+    orbits = len(sizes)
+    fixed_edge = np.zeros((fw.edge_count, orbits))
+    fixed_edge[np.arange(fw.edge_count), labels] = 1.0 / np.sqrt(sizes[labels])
+    s = orbits - numeric_rank(fixed_edge.T @ image, tol)
+
+    # A vertex k-cycle carries the fixed vectors (x, Bx, ..., B^{k-1} x)
+    # with B^k x = x: d - rank(B^k - I) of them.
+    lengths, cycles = np.unique(np.bincount(_cycles(element.vertex_map)), return_counts=True)
+    fixed_vertex = sum(int(count) * (d - numeric_rank(
+        np.linalg.matrix_power(element.linear, int(k)) - np.eye(d), tol))
+        for k, count in zip(lengths, cycles))
 
     residual = (m - s) - (fixed_domain.dim - orbits - f)
     predicted = orbits < fixed_domain.dim - f
@@ -337,7 +359,7 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     return SymmetryCountReport(
         element_name=element.name,
         separable=element.separable,
-        fixed_vertex_dim=fixed_vertex.dim,
+        fixed_vertex_dim=fixed_vertex,
         commutant_dim=commutant.dim,
         fixed_domain_dim=fixed_domain.dim,
         edge_orbits=orbits,

@@ -272,6 +272,23 @@ class TestBadNumbers:
         assert err == (f"error: tolerance {tol} is too large: the rigid motions span 0 "
                        f"dimensions, fewer than the {dimension} translations\n")
 
+    @pytest.mark.parametrize("name, tol, element, acting, fixed", [
+        ("kagome", "0.05", "r3", 1, 3), ("hexahedron", "0.02", "r3", 2, 3),
+        ("hexahedron", "0.05", "r3", 1, 3), ("square_grid", "0.1", "r4", 1, 2)])
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--json"],
+                                         ["symmetry", "--characters"]])
+    def test_tolerance_that_splits_the_fixed_rigid_motions(
+            self, capsys, command, name, tol, element, acting, fixed):
+        # The translations survive, but the rigid motions the element fixes
+        # read differently in its fixed domain and under its action on them:
+        # bad input, exit 2, not an identity that fails to close (exit 3).
+        code, out, err = run(capsys, command[0], "--builtin", name, "--tol", tol, *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: tolerance {tol} is too large: the rigid motions fixed by "
+                       f"element {element!r} span {acting} dimensions, but {fixed} lie in "
+                       f"its fixed domain\n")
+
 
 def count_calls(monkeypatch, name):
     """Record the positional arguments of every call to the crystalflex
@@ -355,6 +372,25 @@ class TestWorkPerRequest:
         assert code == 0
         assert svd_shapes
         assert max(rows for rows, _ in svd_shapes) <= domain
+
+    def test_symmetry_counts_factor_only_the_fixed_domain_square(
+            self, capsys, tmp_path, kagome, counters):
+        # The counts restrict R to the fixed subspaces: the one dense square
+        # SVD is the fixed domain's; vertex and edge fixed spaces come from
+        # cycles and the full operator is never factored.
+        big = cf.supercell(kagome, (2, 2))
+        g = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big, path)
+        m, dn = big.edge_count, 2 * big.vertex_count
+        _, svd_shapes = counters
+        svd_shapes.clear()
+        code, _, _ = run(capsys, "symmetry", str(path))
+        assert code == 0
+        for shape in [(m, m), (dn, dn), (m, dn + 4)]:
+            assert shape not in svd_shapes
+        assert svd_shapes.count((dn + 4, dn + 4)) == 1
 
     def test_symmetry_builds_each_operator_and_representation_once_per_use(
             self, capsys, tmp_path, kagome, monkeypatch):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.symmetry import _restricted_domain_rep
+from crystalflex.rigidity import _rigid_space_restricted
+from crystalflex.symmetry import _cycles, _equation_residual, _restricted_domain_rep
 from oracles import scrambled_supercell
 
 S3 = np.sqrt(3.0)
@@ -212,6 +213,76 @@ def test_array_representations_match_the_per_vertex_loop(case, n, seed):
     assert_allclose(reps.edge_perm, edge_perm, rtol=0, atol=1e-12)
     assert_allclose(reps.offset_coupling, coupling, rtol=0, atol=1e-12)
     assert_allclose(full_domain_rep(fw, reps), domain, rtol=0, atol=1e-12)
+
+
+def reference_cycle_lengths(perm):
+    """Cycle lengths by the set-based walk that _cycles replaced."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        length, current = 0, start
+        while current not in seen:
+            seen.add(current)
+            current = perm[current]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def reference_symmetry_counts(fw, element):
+    """The dense path symmetry_counts replaced: fixed vertex and edge spaces
+    from SVDs of the representations, and m_g + f_g from the kernel of the
+    whole operator intersected with the fixed domain."""
+    tol = fw.tolerance
+    reps = cf.representation_matrices(fw, element)
+    full = cf.matrix_space("full", fw.dimension, tol)
+    domain = _restricted_domain_rep(reps, full)
+    fixed_domain = cf.fixed_space(domain, tol)
+    orbits = len(reference_cycle_lengths(element.edge_map))
+    operator = cf.restricted_operator(fw, full)
+    rigid = _rigid_space_restricted(fw, full)
+    f = cf.subspace_intersection(rigid, fixed_domain).dim
+    m = cf.subspace_intersection(cf.kernel_basis(operator, tol), fixed_domain).dim - f
+    fixed_edge = cf.fixed_space(reps.edge_perm, tol)
+    s = fixed_edge.dim - cf.numeric_rank(fixed_edge.basis.T @ operator @ fixed_domain.basis, tol)
+    return cf.SymmetryCountReport(
+        element_name=element.name,
+        separable=element.separable,
+        fixed_vertex_dim=cf.fixed_space(reps.vertex_rep, tol).dim,
+        commutant_dim=cf.commutant_basis(element.linear, tol).dim,
+        fixed_domain_dim=fixed_domain.dim,
+        edge_orbits=orbits,
+        fixed_rigid_dim=f,
+        mechanisms=m,
+        stresses=s,
+        identity_residual=(m - s) - (fixed_domain.dim - orbits - f),
+        flexible_predicted=orbits < fixed_domain.dim - f,
+        equation_residual=_equation_residual(reps, operator, domain),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_counts_on_the_fixed_subspaces_match_the_dense_path(case, n, seed):
+    name, element = case
+    fw = scrambled_supercell(name, n, np.random.default_rng(seed))
+    if element == "glide":
+        linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
+    else:
+        declared = cf.builtin_framework(name).symmetries[0]
+        linear, translation = declared.linear, declared.translation
+    g = cf.resolve_symmetry(fw, linear, translation, element)
+    assert cf.symmetry_counts(fw, g) == reference_symmetry_counts(fw, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_labels_match_the_walk(perm):
+    labels = _cycles(perm)
+    lengths = reference_cycle_lengths(perm)
+    assert np.bincount(labels).tolist() == lengths
+    assert all(labels[perm[x]] == labels[x] for x in range(len(perm)))
 
 
 class TestHomomorphism:
