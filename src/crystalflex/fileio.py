@@ -116,7 +116,7 @@ def _matrix(value, d, path):
 def framework_from_dict(doc: dict) -> CrystalFramework:
     if not isinstance(doc, dict):
         raise FrameworkParseError("top level: expected an object")
-    if "format" in doc and doc["format"] != FORMAT_VERSION:
+    if "format" in doc and (isinstance(doc["format"], bool) or doc["format"] != FORMAT_VERSION):
         _fail("format", f"unsupported format {doc['format']!r}; this reader handles {FORMAT_VERSION}")
 
     dimension = _require(doc, "dimension", "", int)
@@ -144,7 +144,10 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
             _fail(f"{path}.id", f"duplicate vertex id {vid!r}")
         ids[vid] = i
         pos = np.array(_number_list(_require(entry, "position", path), dimension, f"{path}.position"))
-        if entry.get("frac", False):
+        frac = entry.get("frac", False)
+        if not isinstance(frac, bool):
+            _fail(f"{path}.frac", "expected a boolean")
+        if frac:
             pos = lattice.matrix @ pos
         vertices.append(MotifVertex(pos, vid))
 
@@ -168,10 +171,16 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
         raise FrameworkParseError(
             "framework validation failed: " + "; ".join(exc.violations)) from exc
 
-    elements = []
-    for i, entry in enumerate(doc.get("symmetries", [])):
+    raw_symmetries = doc.get("symmetries", [])
+    if not isinstance(raw_symmetries, list):
+        _fail("symmetries", "expected a list")
+    elements, names = [], set()
+    for i, entry in enumerate(raw_symmetries):
         path = f"symmetries[{i}]"
         name = _require(entry, "name", path, str)
+        if name in names:
+            _fail(f"{path}.name", f"duplicate symmetry name {name!r}")
+        names.add(name)
         linear = _matrix(_require(entry, "linear", path), dimension, f"{path}.linear")
         translation = np.array(_number_list(_require(entry, "translation", path),
                                             dimension, f"{path}.translation"))

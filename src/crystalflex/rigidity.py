@@ -33,7 +33,6 @@ from .linalg import (
     factorize,
     kernel_basis,
     numeric_rank,
-    subspace_intersection,
 )
 
 MATRIX_SPACE_NAMES = ("zero", "full", "symmetric", "skew", "diagonal")
@@ -60,12 +59,17 @@ class DependentBasisError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixSpace:
-    """Linear space of admissible d x d velocity matrices."""
+    """Linear space of admissible d x d velocity matrices.
+
+    ``stacked`` is the (d^2, dim) matrix whose columns are the column-stacked
+    basis matrices, built once with the space.
+    """
 
     dimension: int
     basis: tuple
     name: str = "custom"
     tol: float = DEFAULT_TOL
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = []
@@ -79,19 +83,16 @@ class MatrixSpace:
             m.setflags(write=False)
             mats.append(m)
         object.__setattr__(self, "basis", tuple(mats))
-        if mats and numeric_rank(self.stacked, self.tol) != len(mats):
+        stacked = np.column_stack([vec(b) for b in mats]) if mats \
+            else np.zeros((self.dimension ** 2, 0))
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked", stacked)
+        if numeric_rank(stacked, self.tol) != len(mats):
             raise DependentBasisError("matrix space basis is linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """(d^2, dim) matrix whose columns are the column-stacked basis."""
-        if not self.basis:
-            return np.zeros((self.dimension ** 2, 0))
-        return np.column_stack([vec(b) for b in self.basis])
 
     def matrix_from_coordinates(self, coords) -> np.ndarray:
         c = np.asarray(coords, dtype=float).reshape(-1)
@@ -198,44 +199,37 @@ def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
 
 
 def _rigid_generators(fw: CrystalFramework, space: MatrixSpace):
-    """Generating (u, A) pairs of the admissible infinitesimal isometries.
+    """Generating (u, A, c) triples of the admissible infinitesimal isometries.
 
-    Translations are always admissible; a rotation generator S contributes
-    only when -S (equivalently S) lies in the admissible space.
+    The d translations have A = 0.  The rotations are the kernel of
+    c -> vec(M(c) + M(c)^T), where M(c) is the matrix with coordinates c in
+    the space's basis: each kernel vector c gives the skew A = M(c) and the
+    velocities u_v = -A p_v, with c already in the space's coordinates.
     """
     d, n = fw.dimension, fw.vertex_count
-    pos = fw.positions
-    pairs = []
-    for i in range(d):
-        u = np.tile(np.eye(d)[i], n)
-        pairs.append((u, np.zeros((d, d))))
-    skews = _skew_generators(d)
-    if skews and space.dim:
-        skew_span = column_space_basis(np.column_stack([vec(s) for s in skews]), fw.tolerance)
-        space_span = column_space_basis(space.stacked, fw.tolerance)
-        meet = subspace_intersection(skew_span, space_span)
-        for col in meet.basis.T:
-            s = unvec(col, d)
-            u = (pos @ s.T).reshape(-1)
-            pairs.append((u, -s))
-    return pairs
+    triples = [(np.tile(np.eye(d)[i], n), np.zeros((d, d)), np.zeros(space.dim))
+               for i in range(d)]
+    # Rows reordered by this index turn vec(B) into vec(B^T).
+    transpose = np.arange(d * d).reshape(d, d).reshape(-1, order="F")
+    symmetric_part = space.stacked + space.stacked[transpose]
+    for c in kernel_basis(symmetric_part, fw.tolerance).basis.T:
+        a = unvec(space.stacked @ c, d)
+        triples.append((-(fw.positions @ a.T).reshape(-1), a, c))
+    return triples
 
 
 def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
     """Admissible rigid-motion flexes in (u, vec(A Z)) coordinates."""
-    d, n = fw.dimension, fw.vertex_count
     z = fw.lattice.matrix
-    cols = [np.concatenate([u, vec(a @ z)]) for u, a in _rigid_generators(fw, space)]
-    stacked = np.column_stack(cols) if cols else np.zeros((d * n + d * d, 0))
-    return column_space_basis(stacked, fw.tolerance)
+    cols = [np.concatenate([u, vec(a @ z)]) for u, a, _ in _rigid_generators(fw, space)]
+    return column_space_basis(np.column_stack(cols), fw.tolerance)
 
 
 def _rigid_space_restricted(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
     """Rigid motions in the restricted (u, coords-in-space) coordinates."""
     d, n = fw.dimension, fw.vertex_count
-    cols = [np.concatenate([u, space.coordinates_of(a)]) for u, a in _rigid_generators(fw, space)]
-    stacked = np.column_stack(cols) if cols else np.zeros((d * n + space.dim, 0))
-    rigid = column_space_basis(stacked, fw.tolerance)
+    cols = [np.concatenate([u, c]) for u, _, c in _rigid_generators(fw, space)]
+    rigid = column_space_basis(np.column_stack(cols), fw.tolerance)
     if n and rigid.dim < d:
         # The d translations are rigid motions of every framework with a
         # vertex, so a rank below d means the tolerance hides their
@@ -287,6 +281,9 @@ def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
     _, flex, stress = factorize(restricted_operator(fw, space), fw.tolerance)
     rigid = _rigid_space_restricted(fw, space)
     f = rigid.dim
+    if f > flex.dim:
+        raise DependentBasisError(
+            f"the rigid motions span {f} dimensions, more than the {flex.dim} flexes")
     m = flex.dim - f
     s = stress.dim
     d, n = fw.dimension, fw.vertex_count

@@ -219,7 +219,10 @@ def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> 
 
 def _equation_residual(reps: SymmetryRepresentation, operator, domain) -> float:
     """Max-norm residual of (edge action) . R - R . (domain action)."""
-    return float(np.max(np.abs(reps.edge_perm @ operator - operator @ domain)))
+    # Row g.e of the permuted operator is row e, a gather instead of a
+    # product with the m x m permutation matrix.
+    permuted = operator[np.argsort(reps.element.edge_map)]
+    return float(np.max(np.abs(permuted - operator @ domain), initial=0.0))
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
@@ -313,7 +316,8 @@ class SymmetryCountReport:
 def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryCountReport:
     """Counts of R restricted to the fixed domain, which it maps into the
     fixed edge space spanned by the edge orbits.  Raises DependentBasisError
-    when the tolerance makes the two readings of f_g disagree.
+    when the tolerance makes the two readings of f_g disagree, or leaves
+    more fixed rigid motions than fixed flexes.
     """
     tol = fw.tolerance
     d = fw.dimension
@@ -337,7 +341,12 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
             f"dimensions, but {f} lie in its fixed domain")
 
     image = operator @ fixed_domain.basis
-    m = fixed_domain.dim - numeric_rank(image, tol) - f
+    fixed_flexes = fixed_domain.dim - numeric_rank(image, tol)
+    if f > fixed_flexes:
+        raise DependentBasisError(
+            f"the rigid motions fixed by element {element.name!r} span {f} dimensions, "
+            f"more than the {fixed_flexes} fixed flexes")
+    m = fixed_flexes - f
 
     labels = _cycles(element.edge_map)
     sizes = np.bincount(labels)

@@ -7,7 +7,10 @@ import pytest
 
 import crystalflex as cf
 import crystalflex.frameworks
+import crystalflex.rigidity
+import crystalflex.symmetry
 from crystalflex.cli import main
+from crystalflex.rigidity import _rigid_space_restricted
 
 
 def run(capsys, *argv):
@@ -106,6 +109,18 @@ class TestAnalyze:
 
 
 class TestSymmetryCommand:
+    @pytest.mark.parametrize("command", ["analyze", "symmetry"])
+    def test_framework_without_bars(self, capsys, tmp_path, command):
+        doc = {"dimension": 2, "period_vectors": [[1, 0], [0, 1]],
+               "vertices": [{"id": "p", "position": [0, 0]}], "edges": [],
+               "symmetries": [{"name": "r4", "linear": [[0, -1], [1, 0]],
+                               "translation": [0, 0]}]}
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        assert "symmetry r4 (separable): m_g=1 s_g=0, dimF=0 dimE=2 fixed=2 e_g=0 f_g=1 " in out
+
     def test_kagome_symmetry_report(self, capsys):
         code, out, _ = run(capsys, "symmetry", "--builtin", "kagome")
         assert code == 0
@@ -243,6 +258,15 @@ class TestBadNumbers:
         assert out == ""
         assert err == "error: edges[2].to.cell[0]: expected an integer of magnitude below 2**53\n"
 
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_symmetries_that_are_not_a_list(self, capsys, tmp_path, kagome, command):
+        doc = cf.framework_to_dict(kagome)
+        doc["symmetries"] = None
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert (code, out, err) == (2, "", "error: symmetries: expected a list\n")
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["analyze", "symmetry"])
     def test_non_finite_tol_flag(self, capsys, command, tol):
@@ -288,6 +312,43 @@ class TestBadNumbers:
         assert err == (f"error: tolerance {tol} is too large: the rigid motions fixed by "
                        f"element {element!r} span {acting} dimensions, but {fixed} lie in "
                        f"its fixed domain\n")
+
+    @pytest.mark.parametrize("tol", ["1e-9", "0.02", "0.05"])
+    def test_space_without_a_skew_member_counts_only_the_translations(
+            self, capsys, tmp_path, tol):
+        # dim(E ∩ Skew) = 0 exactly, so f = d = 2 whatever the tolerance.
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps([[[2, 1], [-1, 2]], [[1, 2], [-2, 0]]]))
+        code, out, _ = run(capsys, "analyze", "--builtin", "square_grid", "--tol", tol,
+                           "--mode", "space", f"custom:{space}")
+        assert code == 0
+        assert "mode custom: m=0 s=0 f=2\n" in out
+
+    def test_rigid_motions_beyond_the_flexes(self, capsys, monkeypatch):
+        # More rigid motions than flexes would print m < 0: exit 2 instead.
+        def one_too_many(fw, space):
+            cols = cf.flex_space(fw, space).dim + 1
+            return cf.SubspaceBasis(2 * fw.vertex_count + space.dim,
+                                    np.eye(2 * fw.vertex_count + space.dim)[:, :cols])
+
+        monkeypatch.setattr(crystalflex.rigidity, "_rigid_space_restricted", one_too_many)
+        code, out, err = run(capsys, "analyze", "--builtin", "kagome", "--mode", "strict")
+        assert (code, out) == (2, "")
+        assert err == ("error: tolerance 1e-09 is too large: the rigid motions span 4 "
+                       "dimensions, more than the 3 flexes\n")
+
+    def test_fixed_rigid_motions_beyond_the_fixed_flexes(self, capsys, monkeypatch):
+        # Every domain vector taken as rigid: f_g reads the same both ways,
+        # but exceeds dim ker(R F_dom), which would print m_g < 0.
+        def everything(fw, space):
+            ambient = fw.dimension * fw.vertex_count + space.dim
+            return cf.SubspaceBasis(ambient, np.eye(ambient))
+
+        monkeypatch.setattr(crystalflex.symmetry, "_rigid_space_restricted", everything)
+        code, out, err = run(capsys, "symmetry", "--builtin", "kagome")
+        assert (code, out) == (2, "")
+        assert err == ("error: tolerance 1e-09 is too large: the rigid motions fixed by "
+                       "element 'r3' span 4 dimensions, more than the 2 fixed flexes\n")
 
 
 def count_calls(monkeypatch, name):
@@ -343,6 +404,27 @@ class TestWorkPerRequest:
         assert len(validations) == 1
         assert svd_shapes.count(strict) == 1
         assert svd_shapes.count(affine) == 1
+
+    def test_rigid_motions_take_one_kernel_and_one_span(self, kagome, counters, monkeypatch):
+        # E ∩ Skew is read in E's own coordinates: one SVD for the kernel of
+        # the symmetric part, one for the span, and nothing solved back.
+        _, svd_shapes = counters
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            solves.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        intersections = count_calls(monkeypatch, "subspace_intersection")
+        full = cf.matrix_space("full", 2, kagome.tolerance)
+        svd_shapes.clear()
+        rigid = _rigid_space_restricted(kagome, full)
+        assert rigid.dim == 3
+        assert len(svd_shapes) == 2
+        assert solves == []
+        assert intersections == []
 
     def test_symmetry_validates_once(self, capsys, tmp_path, kagome, counters):
         path = tmp_path / "kagome.json"

@@ -98,6 +98,34 @@ class TestParseErrors:
         with pytest.raises(cf.FrameworkParseError, match="tolerance"):
             cf.framework_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [None, 3, {"name": "r4"}])
+    def test_symmetries_must_be_a_list(self, value):
+        doc = valid_doc()
+        doc["symmetries"] = value
+        with pytest.raises(cf.FrameworkParseError, match="^symmetries: expected a list$"):
+            cf.framework_from_dict(doc)
+
+    def test_boolean_format_rejected(self):
+        doc = valid_doc()
+        doc["format"] = True
+        with pytest.raises(cf.FrameworkParseError, match="^format: unsupported format True"):
+            cf.framework_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_frac_must_be_a_boolean(self, value):
+        doc = valid_doc()
+        doc["vertices"][0]["frac"] = value
+        with pytest.raises(cf.FrameworkParseError,
+                           match=r"^vertices\[0\]\.frac: expected a boolean$"):
+            cf.framework_from_dict(doc)
+
+    def test_duplicate_symmetry_name(self, kagome):
+        doc = cf.framework_to_dict(kagome)
+        doc["symmetries"].append(dict(doc["symmetries"][0]))
+        with pytest.raises(cf.FrameworkParseError,
+                           match=r"^symmetries\[1\]\.name: duplicate symmetry name 'r3'$"):
+            cf.framework_from_dict(doc)
+
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
 

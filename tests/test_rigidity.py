@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _rigid_space_restricted
+from crystalflex.rigidity import _rigid_space_restricted, _skew_generators, unvec, vec
 from oracles import (
     direct_row_values,
     exact_rank_profile,
@@ -429,3 +430,85 @@ def test_array_assembly_matches_the_per_edge_loop(name, n, seed):
     for t in (0.0, 1e-3, 0.1):
         deviation = cf.edge_deviation(fw, velocity, t)
         assert abs(deviation - reference_edge_deviation(fw, velocity, t)) <= 1e-12
+
+
+def reference_rigid_generators(fw, space):
+    """The construction _rigid_generators replaced: (u, A) pairs from the
+    principal-angle intersection of orthonormalised Skew and E, each
+    rotation written back into E's coordinates by a solve."""
+    d, n = fw.dimension, fw.vertex_count
+    pairs = [(np.tile(np.eye(d)[i], n), np.zeros((d, d))) for i in range(d)]
+    skews = _skew_generators(d)
+    if skews and space.dim:
+        skew_span = cf.column_space_basis(np.column_stack([vec(s) for s in skews]), fw.tolerance)
+        space_span = cf.column_space_basis(space.stacked, fw.tolerance)
+        for col in cf.subspace_intersection(skew_span, space_span).basis.T:
+            s = unvec(col, d)
+            pairs.append(((fw.positions @ s.T).reshape(-1), -s))
+    return pairs
+
+
+def reference_rigid_spaces(fw, space):
+    """(restricted, affine) rigid spaces from the reference generators."""
+    pairs = reference_rigid_generators(fw, space)
+    z = fw.lattice.matrix
+    restricted = np.column_stack([np.concatenate([u, space.coordinates_of(a)]) for u, a in pairs])
+    affine = np.column_stack([np.concatenate([u, vec(a @ z)]) for u, a in pairs])
+    return (cf.column_space_basis(restricted, fw.tolerance),
+            cf.column_space_basis(affine, fw.tolerance))
+
+
+def same_span(a, b):
+    return a.dim == b.dim and a.contains(b.basis) and b.contains(a.basis)
+
+
+@st.composite
+def integer_spaces(draw):
+    """(d, members) with integer entries in -2..2, k = 1..d^2 members, the
+    first of them an exact skew matrix about half the time."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, d * d))
+    entry = st.integers(-2, 2)
+    members = [np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)),
+                        dtype=float).reshape(d, d) for _ in range(k)]
+    if d > 1 and draw(st.booleans()):
+        upper = np.triu(np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)),
+                                 dtype=float).reshape(d, d), 1)
+        members[0] = upper - upper.T
+    return d, members
+
+
+def exact_rank(columns):
+    return sp.Matrix([[sp.Integer(int(x)) for x in row] for row in np.column_stack(columns)]).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_spaces(), st.integers(0, 2 ** 32 - 1))
+def test_rigid_motions_match_the_intersection_and_the_exact_count(spec, seed):
+    d, members = spec
+    k = len(members)
+    assume(exact_rank([vec(b) for b in members]) == k)
+    rng = np.random.default_rng(seed)
+    fw = random_framework(rng, d=d, n_vertices=int(rng.integers(1, 4)),
+                          n_edges=int(rng.integers(1, 6)))
+    e = cf.MatrixSpace(d, tuple(members), tol=fw.tolerance)
+    restricted = _rigid_space_restricted(fw, e)
+    affine = cf.rigid_motion_space(fw, e)
+    old_restricted, old_affine = reference_rigid_spaces(fw, e)
+    assert same_span(restricted, old_restricted)
+    assert same_span(affine, old_affine)
+    # E meets Skew in the kernel of B -> B + B^T on E.
+    exact_f = d + k - exact_rank([vec(b + b.T) for b in members])
+    assert restricted.dim == affine.dim == exact_f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_rigid_motions_lie_in_the_flex_space(d, seed):
+    rng = np.random.default_rng(seed)
+    fw = random_framework(rng, d=d, n_vertices=int(rng.integers(1, 4)),
+                          n_edges=int(rng.integers(1, 7)))
+    for name in cf.MATRIX_SPACE_NAMES:
+        e = cf.matrix_space(name, d, fw.tolerance)
+        rigid = _rigid_space_restricted(fw, e)
+        assert cf.analyze_counts(fw, e).flex_basis.contains(rigid.basis)
