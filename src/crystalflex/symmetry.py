@@ -33,6 +33,7 @@ from .frameworks import CrystalFramework, _edge_arrays, _edge_class_keys, lattic
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
+    _effective_tol,
     column_space_basis,
     complement_within,
     factorize,
@@ -201,14 +202,19 @@ def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> 
     below.  Requires the space to be invariant under that action; raises
     SymmetryError otherwise.
     """
-    b = reps.element.linear
-    try:
-        conj_coords = np.column_stack([space.coordinates_of(b @ a @ b.T) for a in space.basis]) \
-            if space.dim else np.zeros((0, 0))
-    except ValueError as exc:
-        raise SymmetryError(
-            f"matrix space {space.name!r} is not invariant under conjugation by "
-            f"element {reps.element.name!r}") from exc
+    # One solve for the coordinates of every conjugated basis matrix,
+    # vec(B A B^T) = (B kron B) vec A, each column checked as coordinates_of
+    # checks a single matrix.
+    conj_coords = np.zeros((0, 0))
+    if space.dim:
+        conjugated = reps.matrix_conjugation @ space.stacked
+        conj_coords, *_ = np.linalg.lstsq(space.stacked, conjugated, rcond=None)
+        residual = np.max(np.abs(space.stacked @ conj_coords - conjugated), axis=0)
+        scale = np.maximum(1.0, np.max(np.abs(conjugated), axis=0))
+        if np.any(residual > 100 * space.tol * scale):
+            raise SymmetryError(
+                f"matrix space {space.name!r} is not invariant under conjugation by "
+                f"element {reps.element.name!r}")
     dn = reps.vertex_rep.shape[0]
     coupling = reps.offset_coupling @ space.stacked
     return np.block([
@@ -286,12 +292,87 @@ def edge_permutation_order(element: SymmetryElement) -> int:
     return lcm(*np.bincount(_cycles(element.edge_map)).tolist())
 
 
+def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
+                  tol: float) -> tuple[SubspaceBasis, int]:
+    """Fixed space of the domain action on (u, vec A), built from the vertex
+    cycles, and the number of its columns with A = 0 (dimF).
+
+    A fixed (u, A) has A in the commutant and u_{g.v} = B u_v + c_{g.v}(A),
+    where c is the offset coupling.  Along a vertex k-cycle v_0, ..., v_{k-1}
+    this closes when (I - B^k) u_{v_0} = h(A) = sum_j B^{k-j} c_{v_j}(A).
+    One d x d SVD of I - B^k per cycle length gives the free columns
+    (x, Bx, ..., B^{k-1} x)/sqrt(k) from its null vectors x, the closure
+    constraint W^T h(A) = 0 from its left null vectors W, and the particular
+    velocities u_{v_0} = (I - B^k)^+ h(A), propagated round the cycle.  The
+    admissible A are the kernel of the stacked constraints; their columns are
+    orthonormalised against the free ones, on which they have no A part.
+    """
+    element = reps.element
+    b = element.linear
+    d, q = element.dimension, commutant.dim
+    perm = np.array(element.vertex_map, dtype=np.int64)
+    n = len(perm)
+    labels = _cycles(element.vertex_map)
+    sizes = np.bincount(labels)
+    # Labels are numbered in the order of each cycle's lowest point, so the
+    # running maximum of the labels steps up exactly at each cycle's start.
+    starts = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    coupling = (reps.offset_coupling @ commutant.stacked).reshape(n, d, q)
+
+    velocities = np.zeros((n, d, q))      # particular solutions, per commutant coordinate
+    free, constraints = [], []
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        cycles = np.flatnonzero(sizes == k)
+        walk = np.empty((len(cycles), k), dtype=np.int64)
+        walk[:, 0] = starts[cycles]
+        for i in range(1, k):
+            walk[:, i] = perm[walk[:, i - 1]]
+        left, sigma, right_t = np.linalg.svd(np.eye(d) - np.linalg.matrix_power(b, k))
+        rank = int(np.sum(sigma > _effective_tol(sigma, (d, d), tol)))
+
+        closing = np.zeros((len(cycles), d, q))
+        for i in range(1, k + 1):
+            closing = b @ closing + coupling[walk[:, i % k]]
+        constraints.append((left[:, rank:].T @ closing).reshape(-1, q))
+        u = right_t[:rank].T @ ((left[:, :rank].T @ closing) / sigma[:rank, np.newaxis])
+        for i in range(k):
+            velocities[walk[:, i]] = u
+            u = b @ u + coupling[walk[:, (i + 1) % k]]
+
+        x = right_t[rank:].T / np.sqrt(k)
+        block = np.zeros((n, d, len(cycles), x.shape[1]))
+        for i in range(k):
+            block[walk[:, i], :, np.arange(len(cycles)), :] = x
+            x = b @ x
+        free.append(block.reshape(n * d, -1))
+
+    free = np.hstack(free) if free else np.zeros((n * d, 0))
+    stack = np.vstack(constraints) if constraints else np.zeros((0, q))
+    admissible = np.eye(q)
+    if stack.size:
+        # V^T must be q x q to hold the kernel when the stack has fewer rows.
+        _, sigma, vt = np.linalg.svd(stack, full_matrices=len(stack) < q)
+        admissible = vt[int(np.sum(sigma > _effective_tol(sigma, stack.shape, tol))):].T
+
+    # The A parts are orthonormal, so the columns stay independent once the
+    # free ones are projected out: all of them are kept, with no rank decision.
+    tied = velocities.reshape(n * d, q) @ admissible
+    tied = np.vstack([tied - free @ (free.T @ tied), commutant.stacked @ admissible])
+    basis = np.hstack([np.vstack([free, np.zeros((d * d, free.shape[1]))]),
+                       np.linalg.svd(tied, full_matrices=False)[0]])
+    return SubspaceBasis(n * d + d * d, basis, tol), free.shape[1]
+
+
 @dataclass(frozen=True)
 class SymmetryCountReport:
     """Symmetry-adapted mechanism and stress counts for one element.
 
-    For separable elements fixed_domain_dim splits as fixed_vertex_dim +
-    commutant_dim; nonseparable elements use fixed_domain_dim directly.
+    The fixed domain F_dom is built from the element's vertex cycles (see
+    ``_fixed_domain``): fixed_vertex_dim counts its columns with A = 0, one
+    set per cycle from the null space of I - B^k, and the rest carry the
+    commutant matrices whose offset coupling closes round every cycle.  For
+    separable elements the coupling is zero, so fixed_domain_dim splits as
+    fixed_vertex_dim + commutant_dim; for nonseparable ones it can be less.
     identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f),
     which reduces to rank(F_e^T R F_dom) - rank(R F_dom) for the fixed
     domain basis F_dom and the fixed edge basis F_e.
@@ -326,7 +407,7 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     domain = _restricted_domain_rep(reps, full)
 
     commutant = commutant_basis(element.linear, tol)
-    fixed_domain = fixed_space(domain, tol)
+    fixed_domain, fixed_vertex = _fixed_domain(reps, commutant, tol)
     operator = restricted_operator(fw, full)
     equation = _equation_residual(reps, operator, domain)
     rigid = _rigid_space_restricted(fw, full)
@@ -334,7 +415,8 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     # g maps rigid motions to rigid motions, so f_g is also the fixed
     # dimension of its action on them.
     f = subspace_intersection(rigid, fixed_domain).dim
-    acting = fixed_space(rigid.basis.T @ domain @ rigid.basis, tol).dim
+    action = rigid.basis.T @ domain @ rigid.basis
+    acting = rigid.dim - numeric_rank(action - np.eye(rigid.dim), tol)
     if acting != f:
         raise DependentBasisError(
             f"the rigid motions fixed by element {element.name!r} span {acting} "
@@ -354,13 +436,6 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     fixed_edge = np.zeros((fw.edge_count, orbits))
     fixed_edge[np.arange(fw.edge_count), labels] = 1.0 / np.sqrt(sizes[labels])
     s = orbits - numeric_rank(fixed_edge.T @ image, tol)
-
-    # A vertex k-cycle carries the fixed vectors (x, Bx, ..., B^{k-1} x)
-    # with B^k x = x: d - rank(B^k - I) of them.
-    lengths, cycles = np.unique(np.bincount(_cycles(element.vertex_map)), return_counts=True)
-    fixed_vertex = sum(int(count) * (d - numeric_rank(
-        np.linalg.matrix_power(element.linear, int(k)) - np.eye(d), tol))
-        for k, count in zip(lengths, cycles))
 
     residual = (m - s) - (fixed_domain.dim - orbits - f)
     predicted = orbits < fixed_domain.dim - f

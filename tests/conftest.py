@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import crystalflex as cf
+
+# HYPOTHESIS_PROFILE=ci makes the property tests draw the same examples on
+# every run and print the blob that replays a failure; the default profile
+# draws at random.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -351,6 +351,50 @@ class TestBadNumbers:
                        "element 'r3' span 4 dimensions, more than the 2 fixed flexes\n")
 
 
+class TestGlideFixedDomain:
+    """The fixed domain of the kagome glide diag(1, -1) + (1/2, 0) is built
+    from its vertex cycles, so a looser tolerance leaves it, and the
+    symmetry counts read from it, as they are at the default."""
+
+    @staticmethod
+    def symmetry_lines(out):
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("symmetry glide"))
+        return lines[at:at + 2]
+
+    @pytest.fixture
+    def glide_file(self, tmp_path, kagome):
+        def make(n):
+            big = cf.supercell(kagome, (n, n))
+            g = cf.resolve_symmetry(big, np.diag([1.0, -1.0]), [0.5, 0.0], "glide")
+            path = tmp_path / f"kagome_{n}x{n}_glide.json"
+            cf.save_framework(big.with_symmetries((g,)), path)
+            return str(path)
+        return make
+
+    def test_looser_tolerance_does_not_over_count_the_fixed_domain(self, capsys, glide_file):
+        # Dense D - I had a singular value 0.168 below its size-scaled
+        # threshold 0.223 at --tol 1e-4: fixed=14 s_g=2, a predicted mechanism.
+        path = glide_file(4)
+        expected = ["symmetry glide (nonseparable): m_g=3 s_g=3, dimF=12 dimE=2 fixed=13 "
+                    "e_g=12 f_g=1 (residual 0)",
+                    "  equation residual 0; count inconclusive"]
+        for tol in [[], ["--tol", "1e-4"]]:
+            code, out, _ = run(capsys, "analyze", path, *tol)
+            assert code == 0
+            assert self.symmetry_lines(out) == expected
+
+    def test_looser_tolerance_closes_the_identity(self, capsys, glide_file):
+        # Dense D - I over-counted here too, and s_g then failed to close
+        # the identity (exit 3).
+        path = glide_file(3)
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        code, loose, _ = run(capsys, "analyze", path, "--tol", "1e-3")
+        assert code == 0
+        assert self.symmetry_lines(loose) == self.symmetry_lines(out)
+
+
 def count_calls(monkeypatch, name):
     """Record the positional arguments of every call to the crystalflex
     function ``name``, wherever a module of the package refers to it."""
@@ -389,6 +433,18 @@ class TestWorkPerRequest:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         return validations, svd_shapes
 
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        return calls
+
     def test_analyze_validates_once_and_factors_each_operator_once(
             self, capsys, tmp_path, kagome, counters):
         big = cf.supercell(kagome, (2, 2))
@@ -405,18 +461,11 @@ class TestWorkPerRequest:
         assert svd_shapes.count(strict) == 1
         assert svd_shapes.count(affine) == 1
 
-    def test_rigid_motions_take_one_kernel_and_one_span(self, kagome, counters, monkeypatch):
+    def test_rigid_motions_take_one_kernel_and_one_span(
+            self, kagome, counters, solves, monkeypatch):
         # E ∩ Skew is read in E's own coordinates: one SVD for the kernel of
         # the symmetric part, one for the span, and nothing solved back.
         _, svd_shapes = counters
-        solves = []
-        lstsq = np.linalg.lstsq
-
-        def counting_lstsq(*args, **kwargs):
-            solves.append(args)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         intersections = count_calls(monkeypatch, "subspace_intersection")
         full = cf.matrix_space("full", 2, kagome.tolerance)
         svd_shapes.clear()
@@ -455,24 +504,37 @@ class TestWorkPerRequest:
         assert svd_shapes
         assert max(rows for rows, _ in svd_shapes) <= domain
 
-    def test_symmetry_counts_factor_only_the_fixed_domain_square(
-            self, capsys, tmp_path, kagome, counters):
-        # The counts restrict R to the fixed subspaces: the one dense square
-        # SVD is the fixed domain's; vertex and edge fixed spaces come from
-        # cycles and the full operator is never factored.
+    def test_symmetry_counts_factor_no_domain_square(
+            self, capsys, tmp_path, kagome, monkeypatch, counters):
+        # The counts restrict R to the fixed subspaces: the fixed domain and
+        # the vertex and edge fixed spaces come from cycles, so no square SVD
+        # of the domain or edge size is taken and the full operator is
+        # never factored.
         big = cf.supercell(kagome, (2, 2))
         g = kagome.symmetries[0]
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
         path = tmp_path / "kagome_2x2.json"
         cf.save_framework(big, path)
         m, dn = big.edge_count, 2 * big.vertex_count
+        fixed_spaces = count_calls(monkeypatch, "fixed_space")
         _, svd_shapes = counters
         svd_shapes.clear()
         code, _, _ = run(capsys, "symmetry", str(path))
         assert code == 0
         for shape in [(m, m), (dn, dn), (m, dn + 4)]:
             assert shape not in svd_shapes
-        assert svd_shapes.count((dn + 4, dn + 4)) == 1
+        assert svd_shapes.count((dn + 4, dn + 4)) == 0
+        assert fixed_spaces == []
+
+    @pytest.mark.parametrize("argv, count", [
+        (["symmetry", "--builtin", "hexahedron", "--characters"], 2),
+        (["analyze", "--builtin", "kagome"], 1)])
+    def test_one_solve_per_domain_representation(self, capsys, solves, argv, count):
+        # The conjugation action's coordinates come from one solve against
+        # all conjugated basis matrices, not one per basis matrix.
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(solves) == count
 
     def test_symmetry_builds_each_operator_and_representation_once_per_use(
             self, capsys, tmp_path, kagome, monkeypatch):

@@ -6,7 +6,12 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 from crystalflex.rigidity import _rigid_space_restricted
-from crystalflex.symmetry import _cycles, _equation_residual, _restricted_domain_rep
+from crystalflex.symmetry import (
+    _cycles,
+    _equation_residual,
+    _fixed_domain,
+    _restricted_domain_rep,
+)
 from oracles import scrambled_supercell
 
 S3 = np.sqrt(3.0)
@@ -192,20 +197,36 @@ def reference_representation(fw, element):
 
 
 ELEMENTS = [("square_grid", "r4"), ("kagome", "r3"), ("kagome", "glide"), ("hexahedron", "r3")]
+# Elements of the supercells only (n >= 2): the translation by the base
+# cell's first period, whose vertex cycles close through the offsets alone,
+# and the inversion, whose linear part fixes no vector.
+SUPERCELL_ELEMENTS = [("kagome", "translation"), ("kagome", "inversion")]
+
+
+def supercell_element(case, n, seed):
+    """Scrambled n-fold supercell of a builtin and one element resolved on it."""
+    name, element = case
+    if (name, element) in SUPERCELL_ELEMENTS:
+        n = max(n, 2)
+    fw = scrambled_supercell(name, n, np.random.default_rng(seed))
+    base = cf.builtin_framework(name)
+    if element == "glide":      # nonseparable, with offsets in both directions
+        linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
+    elif element == "translation":
+        linear, translation = np.eye(base.dimension), base.lattice.matrix[:, 0]
+    elif element == "inversion":
+        linear, translation = -np.eye(base.dimension), np.zeros(base.dimension)
+    else:
+        declared = base.symmetries[0]
+        linear, translation = declared.linear, declared.translation
+    return fw, cf.resolve_symmetry(fw, linear, translation, element)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ELEMENTS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_array_representations_match_the_per_vertex_loop(case, n, seed):
     name, element = case
-    fw = scrambled_supercell(name, min(n, 2) if name == "hexahedron" else n,
-                             np.random.default_rng(seed))
-    if element == "glide":      # nonseparable, with offsets in both directions
-        linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
-    else:
-        declared = cf.builtin_framework(name).symmetries[0]
-        linear, translation = declared.linear, declared.translation
-    g = cf.resolve_symmetry(fw, linear, translation, element)
+    fw, g = supercell_element(case, min(n, 2) if name == "hexahedron" else n, seed)
     assert element != "glide" or not g.separable
     reps = cf.representation_matrices(fw, g)
     vertex_rep, edge_perm, coupling, domain = reference_representation(fw, g)
@@ -263,17 +284,28 @@ def reference_symmetry_counts(fw, element):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ELEMENTS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(ELEMENTS + SUPERCELL_ELEMENTS), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
 def test_counts_on_the_fixed_subspaces_match_the_dense_path(case, n, seed):
-    name, element = case
-    fw = scrambled_supercell(name, n, np.random.default_rng(seed))
-    if element == "glide":
-        linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
-    else:
-        declared = cf.builtin_framework(name).symmetries[0]
-        linear, translation = declared.linear, declared.translation
-    g = cf.resolve_symmetry(fw, linear, translation, element)
+    fw, g = supercell_element(case, n, seed)
     assert cf.symmetry_counts(fw, g) == reference_symmetry_counts(fw, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTS + SUPERCELL_ELEMENTS), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_orbit_built_fixed_domain_matches_the_dense_fixed_space(case, n, seed):
+    fw, g = supercell_element(case, n, seed)
+    tol = fw.tolerance
+    reps = cf.representation_matrices(fw, g)
+    domain = full_domain_rep(fw, reps)
+    fixed, free = _fixed_domain(reps, cf.commutant_basis(g.linear, tol), tol)
+    dense = cf.fixed_space(domain, tol)
+    assert_allclose(fixed.basis.T @ fixed.basis, np.eye(fixed.dim), rtol=0, atol=1e-12)
+    assert_allclose(domain @ fixed.basis, fixed.basis, rtol=0, atol=1e-9)
+    assert fixed.dim == dense.dim
+    assert cf.subspace_intersection(fixed, dense).dim == dense.dim
+    assert free == cf.fixed_space(reps.vertex_rep, tol).dim
 
 
 @settings(max_examples=100, deadline=None)
