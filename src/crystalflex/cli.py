@@ -22,6 +22,7 @@ from .fileio import (
     serialize_framework,
 )
 from .frameworks import InvalidFrameworkError, supercell
+from .linalg import MIN_TOL
 from .rigidity import MATRIX_SPACE_NAMES, DependentBasisError
 from .svg import render_svg
 from .symmetry import SymmetryError
@@ -98,6 +99,8 @@ def _load_input(args):
             raise CliError("--tol must be positive")
         if not math.isfinite(args.tol):
             raise CliError("--tol must be finite")
+        if args.tol < MIN_TOL:
+            raise CliError(f"--tol must be at least {MIN_TOL:.2g}")
         fw = fw.with_tolerance(args.tol)
     return fw, name
 

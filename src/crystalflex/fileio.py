@@ -46,6 +46,7 @@ from .frameworks import (
     MotifVertex,
     PeriodLattice,
 )
+from .linalg import MIN_TOL
 from .rigidity import (
     MatrixSpace,
     analyze_counts,
@@ -134,6 +135,8 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
         _fail("tolerance", "expected a positive number")
     if not abs(tolerance) <= sys.float_info.max:
         _fail("tolerance", "expected a finite number")
+    if tolerance < MIN_TOL:
+        _fail("tolerance", f"expected a number of at least {MIN_TOL:.2g}")
 
     raw_vertices = _require(doc, "vertices", "", list)
     vertices, ids = [], {}
@@ -298,21 +301,6 @@ def _display_array(values) -> np.ndarray:
     return out
 
 
-def _decoded_flexes(fw: CrystalFramework, space: MatrixSpace, basis: np.ndarray):
-    """Vertex velocities (k, n, d) and distortions (k, d, d) of k flex columns.
-
-    Decodes every column as ``velocity_from_mode_coordinates`` does; the
-    distortions accumulate 0 + c_0 B_0 + c_1 B_1 + ... in the order of
-    ``MatrixSpace.matrix_from_coordinates``, so each entry is bitwise equal.
-    """
-    d, n, k = fw.dimension, fw.vertex_count, basis.shape[1]
-    velocities = basis[:d * n].T.reshape(k, n, d)
-    distortions = np.zeros((k, d, d))
-    for coords, b in zip(basis[d * n:], space.basis):
-        distortions = distortions + coords[:, np.newaxis, np.newaxis] * b
-    return velocities, distortions
-
-
 _INDENT = "  "
 
 
@@ -459,7 +447,9 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
         counts = analyze_counts(fw, space)
-        velocities, distortions = _decoded_flexes(fw, space, counts.flex_basis.basis)
+        flexes, dn = counts.flex_basis.basis, d * fw.vertex_count
+        velocities = flexes[:dn].T.reshape(flexes.shape[1], fw.vertex_count, d)
+        distortions = space.matrix_from_coordinates(flexes[dn:].T)
         mode_entries.append({
             "mode": label,
             "space": space.name,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, MIN_TOL
 
 CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
 
@@ -64,7 +64,8 @@ class PeriodLattice:
 
     @property
     def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or nan, checked by validation
+            return float(np.linalg.det(self.matrix))
 
     def translation(self, cell) -> np.ndarray:
         """Cartesian translation vector of an integer cell index."""
@@ -185,6 +186,8 @@ class CrystalFramework:
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
+        if self.tolerance < MIN_TOL:
+            raise ValueError(f"tolerance must be at least {MIN_TOL:.2g}")
         violations = validate_framework(self)
         if violations:
             raise InvalidFrameworkError(violations)
@@ -293,8 +296,10 @@ def validate_framework(fw: CrystalFramework) -> list:
     d = fw.dimension
     tol = fw.tolerance
 
-    if abs(fw.lattice.determinant) <= tol:
-        report.append("period lattice is singular (determinant below tolerance)")
+    det = abs(fw.lattice.determinant)
+    if not tol < det < np.inf:     # a nan determinant is not finite either
+        report.append("period lattice is singular (determinant below tolerance)" if det <= tol
+                      else "period lattice determinant is not finite")
         return report
 
     for i, v in enumerate(fw.vertices):

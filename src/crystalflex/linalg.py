@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+MIN_TOL = float(np.finfo(float).eps)     # smaller tolerances sit below binary64 round-off
 
 
 def _as_matrix(mat) -> np.ndarray:
@@ -31,6 +32,11 @@ def _as_matrix(mat) -> np.ndarray:
 def _effective_tol(singular_values: np.ndarray, shape, tol: float) -> float:
     largest = float(singular_values[0]) if len(singular_values) else 0.0
     return tol * max(1.0, largest) * max(shape[0], shape[1], 1)
+
+
+def _rank(singular_values: np.ndarray, shape, tol: float) -> int:
+    """Number of singular values of a matrix of ``shape`` above the shared threshold."""
+    return int(np.sum(singular_values > _effective_tol(singular_values, shape, tol)))
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
@@ -96,8 +102,7 @@ def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:
     m = _as_matrix(mat)
     if min(m.shape) == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > _effective_tol(s, m.shape, tol)))
+    return _rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
 
 
 def _span(columns: np.ndarray, tol: float) -> SubspaceBasis:
@@ -111,7 +116,7 @@ def _full_svd(mat, tol: float):
     if rows == 0 or cols == 0:
         return 0, np.eye(rows), np.eye(cols)
     u, s, vt = np.linalg.svd(m, full_matrices=True)
-    return int(np.sum(s > _effective_tol(s, m.shape, tol))), u, vt
+    return _rank(s, m.shape, tol), u, vt
 
 
 class Factorization(NamedTuple):
@@ -146,8 +151,7 @@ def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     if m.shape[1] == 0 or rows == 0:
         return SubspaceBasis(rows, np.zeros((rows, 0)), tol)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > _effective_tol(s, m.shape, tol)))
-    return _span(u[:, :rank], tol)
+    return _span(u[:, :_rank(s, m.shape, tol)], tol)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

@@ -95,13 +95,26 @@ class MatrixSpace:
         return len(self.basis)
 
     def matrix_from_coordinates(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float).reshape(-1)
-        if c.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} coordinates, got {c.shape[0]}")
-        out = np.zeros((self.dimension, self.dimension))
-        for cj, b in zip(c, self.basis):
-            out = out + cj * b
-        return out
+        """0 + c_0 B_0 + c_1 B_1 + ... for one coordinate vector, or the (k, d, d)
+        stack of them for k coordinate rows, bitwise equal to the row-by-row calls;
+        a 2-D input is always rows, so a (dim, 1) column is refused."""
+        c = np.asarray(coords, dtype=float)
+        rows = c if c.ndim == 2 else c.reshape(1, -1)
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {rows.shape[1]}")
+        out = np.zeros((len(rows), self.dimension, self.dimension))
+        for cj, b in zip(rows.T, self.basis):
+            out = out + cj[:, np.newaxis, np.newaxis] * b
+        return out if c.ndim == 2 else out[0]
+
+    def _column_coordinates(self, columns) -> np.ndarray:
+        """Coordinates of column-stacked member matrices, from one solve; raises
+        ValueError unless each column is reproduced to 100 tol max(1, max|column|)."""
+        coords, *_ = np.linalg.lstsq(self.stacked, columns, rcond=None)
+        residual = np.max(np.abs(self.stacked @ coords - columns), axis=0)
+        if np.any(residual > 100 * self.tol * np.maximum(1.0, np.max(np.abs(columns), axis=0))):
+            raise ValueError("matrix is not in the space spanned by the basis")
+        return coords
 
     def coordinates_of(self, mat) -> np.ndarray:
         """Coordinates of a member matrix in this basis; raises if outside."""
@@ -110,11 +123,7 @@ class MatrixSpace:
             if np.max(np.abs(target), initial=0.0) > 10 * self.tol:
                 raise ValueError("matrix is not in the zero space")
             return np.zeros(0)
-        coords, *_ = np.linalg.lstsq(self.stacked, target, rcond=None)
-        residual = np.max(np.abs(self.stacked @ coords - target))
-        if residual > 100 * self.tol * max(1.0, np.max(np.abs(target))):
-            raise ValueError("matrix is not in the space spanned by the basis")
-        return coords
+        return self._column_coordinates(target[:, np.newaxis])[:, 0]
 
 
 def _skew_generators(d: int) -> list:
@@ -259,9 +268,9 @@ class CountReport:
     """Mechanism/stress/rigid-motion dimensions and the counting identity.
 
     identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f)
-    and must be zero for consistent rank decisions.  flex_basis and
-    stress_basis are the kernel and cokernel the counts were read from, in
-    restricted (u, coords-in-space) coordinates.
+    and must be zero for consistent rank decisions.  flex_basis, stress_basis
+    and rigid_basis are the kernel, cokernel and rigid motions the counts were
+    read from, in restricted (u, coords-in-space) coordinates.
     """
 
     space_name: str
@@ -274,6 +283,7 @@ class CountReport:
     identity_residual: int
     flex_basis: SubspaceBasis = field(compare=False, repr=False)
     stress_basis: SubspaceBasis = field(compare=False, repr=False)
+    rigid_basis: SubspaceBasis = field(compare=False, repr=False)
     flags: tuple = ()
 
 
@@ -303,6 +313,7 @@ def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
         identity_residual=residual,
         flex_basis=flex,
         stress_basis=stress,
+        rigid_basis=rigid,
         flags=tuple(flags),
     )
 

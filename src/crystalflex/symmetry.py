@@ -29,14 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, _edge_arrays, _edge_class_keys, lattice_matches
+from .frameworks import CELL_LIMIT, CrystalFramework, _edge_arrays, _edge_class_keys, lattice_matches
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
-    _effective_tol,
-    column_space_basis,
-    complement_within,
-    factorize,
+    _rank,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -45,6 +42,7 @@ from .rigidity import (
     DependentBasisError,
     MatrixSpace,
     _rigid_space_restricted,
+    analyze_counts,
     matrix_space,
     restricted_operator,
     right_multiplication_operator,
@@ -126,7 +124,12 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
             f"element {name!r} is not a symmetry: image of vertex "
             f"{fw.vertex_label(unmatched)} matches no vertex class")
     vertex_map = target[first]
-    shifts = np.round(images - frac[vertex_map]).astype(np.int64)
+    shifts = np.round(images - frac[vertex_map])
+    beyond = np.flatnonzero(np.any(np.abs(shifts) >= CELL_LIMIT, axis=1))
+    if len(beyond):
+        raise SymmetryError(f"element {name!r}: image of vertex "
+                            f"{fw.vertex_label(beyond[0])} lies 2**53 or more cells away")
+    shifts = shifts.astype(np.int64)
     if len(set(vertex_map.tolist())) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
@@ -202,19 +205,15 @@ def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> 
     below.  Requires the space to be invariant under that action; raises
     SymmetryError otherwise.
     """
-    # One solve for the coordinates of every conjugated basis matrix,
-    # vec(B A B^T) = (B kron B) vec A, each column checked as coordinates_of
-    # checks a single matrix.
+    # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.
     conj_coords = np.zeros((0, 0))
     if space.dim:
-        conjugated = reps.matrix_conjugation @ space.stacked
-        conj_coords, *_ = np.linalg.lstsq(space.stacked, conjugated, rcond=None)
-        residual = np.max(np.abs(space.stacked @ conj_coords - conjugated), axis=0)
-        scale = np.maximum(1.0, np.max(np.abs(conjugated), axis=0))
-        if np.any(residual > 100 * space.tol * scale):
+        try:
+            conj_coords = space._column_coordinates(reps.matrix_conjugation @ space.stacked)
+        except ValueError:
             raise SymmetryError(
                 f"matrix space {space.name!r} is not invariant under conjugation by "
-                f"element {reps.element.name!r}")
+                f"element {reps.element.name!r}") from None
     dn = reps.vertex_rep.shape[0]
     coupling = reps.offset_coupling @ space.stacked
     return np.block([
@@ -328,7 +327,7 @@ def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
         for i in range(1, k):
             walk[:, i] = perm[walk[:, i - 1]]
         left, sigma, right_t = np.linalg.svd(np.eye(d) - np.linalg.matrix_power(b, k))
-        rank = int(np.sum(sigma > _effective_tol(sigma, (d, d), tol)))
+        rank = _rank(sigma, (d, d), tol)
 
         closing = np.zeros((len(cycles), d, q))
         for i in range(1, k + 1):
@@ -348,11 +347,7 @@ def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
 
     free = np.hstack(free) if free else np.zeros((n * d, 0))
     stack = np.vstack(constraints) if constraints else np.zeros((0, q))
-    admissible = np.eye(q)
-    if stack.size:
-        # V^T must be q x q to hold the kernel when the stack has fewer rows.
-        _, sigma, vt = np.linalg.svd(stack, full_matrices=len(stack) < q)
-        admissible = vt[int(np.sum(sigma > _effective_tol(sigma, stack.shape, tol))):].T
+    admissible = kernel_basis(stack, tol).basis
 
     # The A parts are orthonormal, so the columns stay independent once the
     # free ones are projected out: all of them are kept, with no rank decision.
@@ -475,34 +470,25 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
     """Trace identity row: mech - stress vs vertex - edge - rigid.
 
     The admissible space must be invariant under conjugation by the
-    element's linear part.  Traces over flex/rigid/mechanism subspaces are
-    computed in restricted (u, coords) coordinates with the space basis
-    orthonormalized, so the domain action is orthogonal and orthogonal
-    complements of invariant subspaces stay invariant.
+    element's linear part.  Each trace is tr(Q^T D Q) for the orthonormal
+    flex, rigid or stress basis Q of ``analyze_counts``; the subspace is
+    invariant, so that is the trace of D on it for any basis of the space
+    and any action D, orthogonal or not.  Rigid motions are flexes, so the
+    mechanism trace, the trace on the quotient flex / rigid, is
+    tr(flex) - tr(rigid).
     """
-    tol = fw.tolerance
-    d = fw.dimension
-    ortho = column_space_basis(space.stacked, tol)
-    space = MatrixSpace(d, tuple(unvec(col, d) for col in ortho.basis.T),
-                        name=space.name, tol=tol)
-
     reps = representation_matrices(fw, element)
     domain = _restricted_domain_rep(reps, space)
-    _, flexes, stresses = factorize(restricted_operator(fw, space), tol)
-    rigid = _rigid_space_restricted(fw, space)
-    mech = complement_within(flexes, rigid)
+    counts = analyze_counts(fw, space)
 
     def subspace_trace(action, basis: SubspaceBasis) -> float:
-        if basis.dim == 0:
-            return 0.0
         return float(np.trace(basis.basis.T @ action @ basis.basis))
 
     vertex_trace = float(np.trace(domain))
     edge_trace = float(np.trace(reps.edge_perm))
-    rigid_trace = subspace_trace(domain, rigid)
-    mech_trace = subspace_trace(domain, mech)
-    stress_trace = subspace_trace(reps.edge_perm, stresses)
-    residual = (mech_trace - stress_trace) - (vertex_trace - edge_trace - rigid_trace)
+    rigid_trace = subspace_trace(domain, counts.rigid_basis)
+    mech_trace = subspace_trace(domain, counts.flex_basis) - rigid_trace
+    stress_trace = subspace_trace(reps.edge_perm, counts.stress_basis)
     return CharacterRow(
         element_name=element.name,
         space_name=space.name,
@@ -511,5 +497,5 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
         rigid_trace=rigid_trace,
         mechanism_trace=mech_trace,
         stress_trace=stress_trace,
-        residual=float(residual),
+        residual=(mech_trace - stress_trace) - (vertex_trace - edge_trace - rigid_trace),
     )

@@ -274,6 +274,51 @@ class TestBadNumbers:
         assert code == 2
         assert err == "error: --tol must be finite\n"
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-17"])
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_tol_flag_below_round_off(self, capsys, command, tol):
+        # Below binary64 round-off the orthonormality checks of the bases
+        # failed with a traceback (1e-20) or blamed a tolerance "too large" (1e-17).
+        code, out, err = run(capsys, command[0], "--builtin", "kagome", "--tol", tol,
+                             *command[1:])
+        assert (code, out, err) == (2, "", "error: --tol must be at least 2.2e-16\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_file_tolerance_below_round_off(self, capsys, tmp_path, kagome, command):
+        doc = cf.framework_to_dict(kagome)
+        doc["tolerance"] = 1e-300
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert (code, out, err) == (
+            2, "", "error: tolerance: expected a number of at least 2.2e-16\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_symmetry_image_beyond_the_cell_limit(self, capsys, tmp_path, square_grid, command):
+        # Shifts of 1e300 cells used to be cast to int64 as garbage offsets.
+        doc = cf.framework_to_dict(square_grid)
+        doc["symmetries"] = [{"name": "t", "linear": [[1.0, 0.0], [0.0, 1.0]],
+                              "translation": [1e300, 0.0]}]
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert (code, out, err) == (
+            2, "", "error: symmetries[0]: element 't': image of vertex p1 lies 2**53 or "
+                   "more cells away\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
+    def test_period_lattice_whose_determinant_overflows(self, capsys, tmp_path, square_grid,
+                                                        command):
+        doc = cf.framework_to_dict(square_grid)
+        doc["period_vectors"] = [[1e300, 0.0], [0.0, 1e300]]
+        del doc["symmetries"]
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(file), *command[1:])
+        assert (code, out, err) == (
+            2, "", "error: framework validation failed: period lattice determinant is "
+                   "not finite\n")
+
     @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"],
                                          ["analyze", "--mode", "space", "symmetric"]])
     def test_tolerance_too_large_for_the_basis_check(self, capsys, command):
@@ -525,6 +570,28 @@ class TestWorkPerRequest:
             assert shape not in svd_shapes
         assert svd_shapes.count((dn + 4, dn + 4)) == 0
         assert fixed_spaces == []
+
+    def test_character_rows_read_the_counts_factorization(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # character_row reads analyze_counts' bases: the character operator
+        # is factored once, the space keeps its own basis (no SVD of its
+        # d^2 x q stack) and the mechanism trace is a quotient trace (no
+        # orthogonal complement).
+        big = cf.supercell(kagome, (2, 2))
+        g = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big, path)
+        factorizations = count_calls(monkeypatch, "factorize")
+        complements = count_calls(monkeypatch, "complement_within")
+        spans = count_calls(monkeypatch, "column_space_basis")
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters")
+        assert code == 0
+        commutant = cf.commutant_basis(g.linear, big.tolerance)
+        assert [np.shape(args[0]) for args in factorizations] == [
+            (big.edge_count, 2 * big.vertex_count + commutant.dim)]
+        assert complements == []
+        assert (4, commutant.dim) not in [np.shape(args[0]) for args in spans]
 
     @pytest.mark.parametrize("argv, count", [
         (["symmetry", "--builtin", "hexahedron", "--characters"], 2),

@@ -67,6 +67,19 @@ class TestValidation:
         report = violations_of([(0.0, 0.0)], [], lattice=[[1.0, 2.0], [2.0, 4.0]])
         assert any("singular" in v for v in report)
 
+    @pytest.mark.parametrize("lattice", [[[1e300, 0.0], [0.0, 1e300]],
+                                         [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_lattice_determinant_that_overflows(self, lattice):
+        # det Z = 1e600 used to pass as inf after an overflow warning, and a
+        # nan period as a nan determinant.
+        report = violations_of([(0.0, 0.0)], [], lattice=lattice)
+        assert report == ["period lattice determinant is not finite"]
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_tolerance_below_round_off(self, kagome, tol):
+        with pytest.raises(ValueError, match=r"^tolerance must be at least 2\.2e-16$"):
+            kagome.with_tolerance(tol)
+
     def test_operations_refuse_invalid_input(self, kagome, square_grid):
         # Derived frameworks are validated too: no operation yields an invalid one.
         with pytest.raises(cf.InvalidFrameworkError, match="coincide"):

@@ -46,6 +46,31 @@ class TestMatrixSpaces:
         with pytest.raises(ValueError):
             sym.coordinates_of(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
+    def test_one_column_outside_the_space_fails_the_solve(self):
+        sym = cf.matrix_space("symmetric", 2)
+        members = [np.array([[1.0, 2.0], [2.0, -3.0]]), np.eye(2), np.diag([0.0, 5.0])]
+        columns = np.column_stack([vec(m) for m in members])
+        coords = sym._column_coordinates(columns)
+        assert_allclose(coords, np.column_stack([sym.coordinates_of(m) for m in members]),
+                        atol=1e-12)
+        columns[:, 1] += vec(np.array([[0.0, 1e-3], [-1e-3, 0.0]]))     # a skew part
+        with pytest.raises(ValueError, match="not in the space spanned by the basis"):
+            sym._column_coordinates(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cf.MATRIX_SPACE_NAMES), st.integers(1, 3), st.integers(0, 4),
+       st.data())
+def test_stacked_matrices_equal_the_row_by_row_calls(name, d, k, data):
+    space = cf.matrix_space(name, d)
+    coords = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=space.dim, max_size=space.dim),
+        min_size=k, max_size=k))).reshape(k, space.dim)
+    stacked = space.matrix_from_coordinates(coords)
+    assert stacked.shape == (k, d, d)
+    rows = np.array([space.matrix_from_coordinates(row) for row in coords]).reshape(k, d, d)
+    assert stacked.tobytes() == rows.tobytes()
+
 
 class TestRigidSpace:
     @pytest.mark.parametrize("tol", [0.1, 0.2])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _rigid_space_restricted
+from crystalflex.rigidity import _rigid_space_restricted, unvec
 from crystalflex.symmetry import (
     _cycles,
     _equation_residual,
@@ -120,6 +120,11 @@ class TestResolve:
             g = cf.resolve_symmetry(fw, np.eye(2), shift, "t")
             assert g.vertex_map == expected
             assert g.vertex_offsets == ((0, 0), (0, 0))
+
+    def test_image_beyond_the_cell_limit(self, square_grid):
+        with pytest.raises(cf.SymmetryError,
+                           match=r"^element 't': image of vertex p1 lies 2\*\*53 or more cells away$"):
+            cf.resolve_symmetry(square_grid, np.eye(2), [1e300, 0.0], "t")
 
     def test_hexahedron_rotation_is_nonseparable(self, hexahedron):
         g = hexahedron.symmetries[0]
@@ -315,6 +320,58 @@ def test_cycle_labels_match_the_walk(perm):
     lengths = reference_cycle_lengths(perm)
     assert np.bincount(labels).tolist() == lengths
     assert all(labels[perm[x]] == labels[x] for x in range(len(perm)))
+
+
+def reference_character_row(fw, element, space):
+    """The construction character_row replaced: the space re-spanned by an
+    orthonormal basis, its own factorization and rigid span, and the
+    mechanisms as the orthogonal complement of the rigid motions in the
+    flexes."""
+    tol, d = fw.tolerance, fw.dimension
+    ortho = cf.column_space_basis(space.stacked, tol)
+    space = cf.MatrixSpace(d, tuple(unvec(col, d) for col in ortho.basis.T),
+                           name=space.name, tol=tol)
+    reps = cf.representation_matrices(fw, element)
+    domain = _restricted_domain_rep(reps, space)
+    _, flexes, stresses = cf.factorize(cf.restricted_operator(fw, space), tol)
+    rigid = _rigid_space_restricted(fw, space)
+    mech = cf.complement_within(flexes, rigid)
+
+    def trace(action, basis):
+        return float(np.trace(basis.basis.T @ action @ basis.basis)) if basis.dim else 0.0
+
+    vertex, edge = float(np.trace(domain)), float(np.trace(reps.edge_perm))
+    rigid_trace, mech_trace = trace(domain, rigid), trace(domain, mech)
+    stress_trace = trace(reps.edge_perm, stresses)
+    return cf.CharacterRow(
+        element_name=element.name, space_name=space.name, vertex_trace=vertex,
+        edge_trace=edge, rigid_trace=rigid_trace, mechanism_trace=mech_trace,
+        stress_trace=stress_trace,
+        residual=(mech_trace - stress_trace) - (vertex - edge - rigid_trace))
+
+
+def sheared(space):
+    """The same space spanned by B_0, B_0 + 3 B_1, B_1 + 3 B_2, ...: a basis
+    that is neither orthogonal nor normalised."""
+    basis = space.basis[:1] + tuple(a + 3 * b for a, b in zip(space.basis, space.basis[1:]))
+    return cf.MatrixSpace(space.dimension, basis, name=space.name, tol=space.tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ELEMENTS + SUPERCELL_ELEMENTS), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["commutant", "full"]), st.booleans())
+def test_character_row_matches_the_orthonormalised_construction(case, n, seed, space_name,
+                                                                shear):
+    fw, g = supercell_element(case, n, seed)
+    space = (cf.commutant_basis(g.linear, fw.tolerance) if space_name == "commutant"
+             else cf.matrix_space("full", fw.dimension, fw.tolerance))
+    if shear:
+        space = sheared(space)
+    row, expected = cf.character_row(fw, g, space), reference_character_row(fw, g, space)
+    assert (row.element_name, row.space_name) == (expected.element_name, expected.space_name)
+    for key in ["vertex_trace", "edge_trace", "rigid_trace", "mechanism_trace",
+                "stress_trace", "residual"]:
+        assert getattr(row, key) == pytest.approx(getattr(expected, key), abs=1e-9), key
 
 
 class TestHomomorphism:
