@@ -18,7 +18,8 @@ lengths = {round(cf.edge_geometry(hexa, e).length, 12) for e in hexa.edges}
 print("distinct bar lengths:", lengths)
 
 mats = cf.build_matrices(hexa)
-print("strict matrix:", mats.vertex_block.shape, "| affine:", mats.full.shape)
+affine = cf.restricted_operator(hexa, cf.matrix_space("full", 3))
+print("strict matrix:", mats.vertex_block.shape, "| affine:", affine.shape)
 print("equatorial bars join a class to its own translates, so their vertex",
       "blocks vanish:", np.count_nonzero(mats.vertex_block[:3]) == 0)
 

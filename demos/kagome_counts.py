@@ -21,15 +21,15 @@ for i, e in enumerate(kagome.edges):
     print(f"  bar {i}: vector {np.round(geom.vector, 6)}, offset {geom.offset}, length {geom.length:.3f}")
 
 # The strict operator (no lattice distortion) is 6x6; with the d^2 = 4
-# distortion coordinates appended it is 6x10.
-mats = cf.build_matrices(kagome)
-print("strict matrix shape:", mats.vertex_block.shape, "| full affine shape:", mats.full.shape)
-
+# coordinates of the distortion velocity A appended it is 6x10.
 strict = cf.matrix_space("zero", 2)
 affine = cf.matrix_space("full", 2)
+print("strict matrix shape:", cf.restricted_operator(kagome, strict).shape,
+      "| full affine shape:", cf.restricted_operator(kagome, affine).shape)
 
+counts = {}
 for label, space in (("strict", strict), ("affine", affine)):
-    rep = cf.analyze_counts(kagome, space)
+    rep = counts[label] = cf.analyze_counts(kagome, space)
     print(f"\n{label}: m={rep.mechanisms} s={rep.stresses} f={rep.rigid_motions}")
     print(f"  identity: {rep.mechanisms} - {rep.stresses} = "
           f"{rep.vertex_dof} + {rep.space_dim} - {rep.edge_count} - {rep.rigid_motions}"
@@ -37,7 +37,7 @@ for label, space in (("strict", strict), ("affine", affine)):
 
 # The one strict mechanism is the alternating rotation of the motif
 # triangle about its centre.
-mech = cf.mechanism_space(kagome, strict)
+mech = cf.complement_within(counts["strict"].flex_basis, counts["strict"].rigid_basis)
 velocity = cf.velocity_from_mode_coordinates(kagome, strict, mech.basis[:, 0])
 print("\nalternating mechanism, vertex velocities:")
 print(np.round(velocity.vertex_velocities, 6))

@@ -1,9 +1,12 @@
 """Infinitesimal rigidity analysis of periodic bar-joint frameworks.
 
 Build a framework from a finite motif and period lattice (or load one of
-the builtins), assemble its rigidity matrices, and compute flex, stress and
-rigid-motion subspaces, Maxwell-Calladine style counts, and symmetry-adapted
-counts for declared space-group elements.
+the builtins), choose a space E of admissible lattice velocity matrices,
+and read the flex, stress and rigid-motion subspaces and Maxwell-Calladine
+style counts from one ``analyze_counts`` call; symmetry-adapted counts
+cover declared space-group elements.  Every basis is in one coordinate
+system, (u, coordinates of A in E's basis); ``velocity_from_mode_coordinates``
+decodes a vector of it.
 """
 
 from .catalog import BUILTIN_NAMES, builtin_framework
@@ -40,7 +43,6 @@ from .linalg import (
     DEFAULT_TOL,
     Factorization,
     SubspaceBasis,
-    cokernel_basis,
     column_space_basis,
     complement_within,
     factorize,
@@ -58,16 +60,11 @@ from .rigidity import (
     analyze_counts,
     build_matrices,
     edge_deviation,
-    flex_space,
-    flex_velocities,
     is_affinely_rigid,
     matrix_space,
-    mechanism_space,
     restricted_operator,
     right_multiplication_operator,
     rigid_motion_space,
-    stress_space,
-    velocity_from_affine_coordinates,
     velocity_from_mode_coordinates,
 )
 from .svg import render_svg
@@ -99,15 +96,14 @@ __all__ = [
     "InvalidFrameworkError", "MotifEdge", "MotifVertex", "PeriodLattice", "PlacedEdge",
     "PlacedPoint", "edge_geometry", "fragment", "point_of", "supercell",
     "validate_framework",
-    "DEFAULT_TOL", "Factorization", "SubspaceBasis", "cokernel_basis",
-    "column_space_basis", "complement_within", "factorize", "kernel_basis",
-    "numeric_rank", "subspace_intersection",
+    "DEFAULT_TOL", "Factorization", "SubspaceBasis", "column_space_basis",
+    "complement_within", "factorize", "kernel_basis", "numeric_rank",
+    "subspace_intersection",
     "AffineRigidityCheck", "CountReport", "DependentBasisError", "MATRIX_SPACE_NAMES",
     "MatrixSpace", "RigidityMatrices", "analyze_counts", "build_matrices",
-    "edge_deviation", "flex_space", "flex_velocities", "is_affinely_rigid",
-    "matrix_space", "mechanism_space", "restricted_operator",
-    "right_multiplication_operator", "rigid_motion_space", "stress_space",
-    "velocity_from_affine_coordinates", "velocity_from_mode_coordinates",
+    "edge_deviation", "is_affinely_rigid", "matrix_space", "restricted_operator",
+    "right_multiplication_operator", "rigid_motion_space",
+    "velocity_from_mode_coordinates",
     "render_svg",
     "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
     "SymmetryRepresentation", "character_row", "commutant_basis", "edge_orbit_count",

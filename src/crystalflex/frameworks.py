@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, MIN_TOL
+from .linalg import DEFAULT_TOL, MIN_TOL, numeric_rank
 
 CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
 
@@ -300,6 +300,12 @@ def validate_framework(fw: CrystalFramework) -> list:
     if not tol < det < np.inf:     # a nan determinant is not finite either
         report.append("period lattice is singular (determinant below tolerance)" if det <= tol
                       else "period lattice determinant is not finite")
+        return report
+    if numeric_rank(fw.lattice.matrix, MIN_TOL) < d:
+        # A finite determinant can still hide a condition number near
+        # 1 / eps (det [[1, 0], [1e8, 1]] is 1); no operator rank is
+        # meaningful on such a lattice.
+        report.append("period lattice is numerically singular")
         return report
 
     for i, v in enumerate(fw.vertices):

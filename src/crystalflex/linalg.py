@@ -138,12 +138,6 @@ def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     return _span(vt[rank:, :].T, tol)
 
 
-def cokernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the left null space (row-dependency space)."""
-    rank, u, _ = _full_svd(mat, tol)
-    return _span(u[:, rank:], tol)
-
-
 def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of the given column vectors."""
     m = _as_matrix(vectors)

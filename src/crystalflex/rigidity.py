@@ -1,15 +1,18 @@
 """Rigidity matrices of periodic frameworks and Maxwell-Calladine counts.
 
-The central object is the affine rigidity operator of a motif.  Acting on a
-pair (u, M) -- vertex-class velocities u and a lattice-frame velocity matrix
-M = A Z, column-stacked -- the row of a bar evaluates to
+The central object is the affine rigidity operator of a motif.  The row of a
+bar evaluates to
 
-    <v, u_from - u_to + M q>
+    <v, u_from - u_to + A Z q>
 
-where v is the bar vector and q the integer cell offset between the bar's
+where u holds the vertex-class velocities, A is the velocity matrix of the
+lattice, v the bar vector and q the integer cell offset between the bar's
 endpoints.  Bars joining two copies of the same vertex class have no vertex
-term.  Restricting the admissible velocity matrices A to a linear subspace
-of d x d matrices restricts the operator's domain accordingly.
+term.  ``build_matrices`` assembles the lattice-frame block on vec(A Z), the
+Borcea-Streinu form; ``restricted_operator`` composes it with
+vec(A Z) = (Z^T kron I) vec A and with the basis of an admissible space E of
+velocity matrices.  Every basis, count and decoder of this module is in that
+one domain system, (u, coordinates of A in E's basis).
 
 Sign conventions: the velocity of the copy of vertex ``v`` in cell k is
 ``u_v - A Z k``, and a global rotation with skew generator S corresponds to
@@ -27,9 +30,7 @@ from .frameworks import AffineVelocity, CrystalFramework, _edge_arrays
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
-    cokernel_basis,
     column_space_basis,
-    complement_within,
     factorize,
     kernel_basis,
     numeric_rank,
@@ -168,12 +169,6 @@ class RigidityMatrices:
 
     vertex_block: np.ndarray
     affine_block: np.ndarray
-    framework: CrystalFramework
-
-    @property
-    def full(self) -> np.ndarray:
-        """Concatenated operator acting on (u, vec(A Z))."""
-        return np.hstack([self.vertex_block, self.affine_block])
 
 
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
@@ -189,7 +184,7 @@ def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     affine_block = (offsets[:, :, np.newaxis] * vectors[:, np.newaxis, :]).reshape(m, d * d)
     vertex_block.setflags(write=False)
     affine_block.setflags(write=False)
-    return RigidityMatrices(vertex_block, affine_block, fw)
+    return RigidityMatrices(vertex_block, affine_block)
 
 
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
@@ -207,37 +202,25 @@ def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
     return np.hstack([mats.vertex_block, mats.affine_block @ lift])
 
 
-def _rigid_generators(fw: CrystalFramework, space: MatrixSpace):
-    """Generating (u, A, c) triples of the admissible infinitesimal isometries.
+def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
+    """Admissible rigid motions in (u, coords-in-space) coordinates.
 
-    The d translations have A = 0.  The rotations are the kernel of
+    The d translations have c = 0.  The rotations are the kernel of
     c -> vec(M(c) + M(c)^T), where M(c) is the matrix with coordinates c in
     the space's basis: each kernel vector c gives the skew A = M(c) and the
-    velocities u_v = -A p_v, with c already in the space's coordinates.
+    velocities u_v = -A (p_v - p_bar) about the vertex centroid p_bar.
+    These differ from -A p_v by a translation, so the span is the same, but
+    the columns do not grow with the distance of the motif from the origin.
     """
     d, n = fw.dimension, fw.vertex_count
-    triples = [(np.tile(np.eye(d)[i], n), np.zeros((d, d)), np.zeros(space.dim))
-               for i in range(d)]
+    cols = [np.concatenate([np.tile(np.eye(d)[i], n), np.zeros(space.dim)]) for i in range(d)]
     # Rows reordered by this index turn vec(B) into vec(B^T).
     transpose = np.arange(d * d).reshape(d, d).reshape(-1, order="F")
     symmetric_part = space.stacked + space.stacked[transpose]
+    centred = fw.positions - fw.positions.mean(axis=0) if n else fw.positions
     for c in kernel_basis(symmetric_part, fw.tolerance).basis.T:
         a = unvec(space.stacked @ c, d)
-        triples.append((-(fw.positions @ a.T).reshape(-1), a, c))
-    return triples
-
-
-def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
-    """Admissible rigid-motion flexes in (u, vec(A Z)) coordinates."""
-    z = fw.lattice.matrix
-    cols = [np.concatenate([u, vec(a @ z)]) for u, a, _ in _rigid_generators(fw, space)]
-    return column_space_basis(np.column_stack(cols), fw.tolerance)
-
-
-def _rigid_space_restricted(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
-    """Rigid motions in the restricted (u, coords-in-space) coordinates."""
-    d, n = fw.dimension, fw.vertex_count
-    cols = [np.concatenate([u, c]) for u, _, c in _rigid_generators(fw, space)]
+        cols.append(np.concatenate([-(centred @ a.T).reshape(-1), c]))
     rigid = column_space_basis(np.column_stack(cols), fw.tolerance)
     if n and rigid.dim < d:
         # The d translations are rigid motions of every framework with a
@@ -246,21 +229,6 @@ def _rigid_space_restricted(fw: CrystalFramework, space: MatrixSpace) -> Subspac
         raise DependentBasisError(
             f"the rigid motions span {rigid.dim} dimensions, fewer than the {d} translations")
     return rigid
-
-
-def flex_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
-    """Kernel of the restricted operator: all admissible infinitesimal flexes."""
-    return kernel_basis(restricted_operator(fw, space), fw.tolerance)
-
-
-def stress_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
-    """Cokernel of the restricted operator: admissible self-stresses."""
-    return cokernel_basis(restricted_operator(fw, space), fw.tolerance)
-
-
-def mechanism_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
-    """Flexes orthogonal to the rigid motions (internal mechanisms)."""
-    return complement_within(flex_space(fw, space), _rigid_space_restricted(fw, space))
 
 
 @dataclass(frozen=True)
@@ -289,7 +257,7 @@ class CountReport:
 
 def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
     _, flex, stress = factorize(restricted_operator(fw, space), fw.tolerance)
-    rigid = _rigid_space_restricted(fw, space)
+    rigid = rigid_motion_space(fw, space)
     f = rigid.dim
     if f > flex.dim:
         raise DependentBasisError(
@@ -327,22 +295,10 @@ class AffineRigidityCheck:
 
 def is_affinely_rigid(fw: CrystalFramework) -> AffineRigidityCheck:
     """Full-space rigidity test: rank must reach vertex dof + rotation count."""
-    mats = build_matrices(fw)
     d = fw.dimension
-    rank = numeric_rank(mats.full, fw.tolerance)
+    rank = numeric_rank(restricted_operator(fw, matrix_space("full", d, fw.tolerance)), fw.tolerance)
     required = d * fw.vertex_count + d * (d - 1) // 2
     return AffineRigidityCheck(is_rigid=(rank == required), rank=rank, required_rank=required)
-
-
-def velocity_from_affine_coordinates(fw: CrystalFramework, vector) -> AffineVelocity:
-    """Decode a (u, vec(A Z)) coordinate vector into an AffineVelocity."""
-    d, n = fw.dimension, fw.vertex_count
-    x = np.asarray(vector, dtype=float).reshape(-1)
-    if x.shape != (d * n + d * d,):
-        raise ValueError(f"expected a vector of length {d * n + d * d}, got {x.shape[0]}")
-    u = x[:d * n].reshape((n, d))
-    a = unvec(x[d * n:], d) @ np.linalg.inv(fw.lattice.matrix)
-    return AffineVelocity(u, a)
 
 
 def velocity_from_mode_coordinates(fw: CrystalFramework, space: MatrixSpace, vector) -> AffineVelocity:
@@ -353,12 +309,6 @@ def velocity_from_mode_coordinates(fw: CrystalFramework, space: MatrixSpace, vec
         raise ValueError(f"expected a vector of length {d * n + space.dim}, got {x.shape[0]}")
     u = x[:d * n].reshape((n, d))
     return AffineVelocity(u, space.matrix_from_coordinates(x[d * n:]))
-
-
-def flex_velocities(fw: CrystalFramework, space: MatrixSpace) -> list:
-    """Decoded basis of the flex space, one AffineVelocity per basis vector."""
-    return [velocity_from_mode_coordinates(fw, space, col)
-            for col in flex_space(fw, space).basis.T]
 
 
 def edge_deviation(fw: CrystalFramework, velocity: AffineVelocity, t: float) -> float:

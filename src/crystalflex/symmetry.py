@@ -41,11 +41,11 @@ from .linalg import (
 from .rigidity import (
     DependentBasisError,
     MatrixSpace,
-    _rigid_space_restricted,
     analyze_counts,
     matrix_space,
     restricted_operator,
     right_multiplication_operator,
+    rigid_motion_space,
     unvec,
 )
 
@@ -405,7 +405,7 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     fixed_domain, fixed_vertex = _fixed_domain(reps, commutant, tol)
     operator = restricted_operator(fw, full)
     equation = _equation_residual(reps, operator, domain)
-    rigid = _rigid_space_restricted(fw, full)
+    rigid = rigid_motion_space(fw, full)
 
     # g maps rigid motions to rigid motions, so f_g is also the fixed
     # dimension of its action on them.

@@ -75,6 +75,18 @@ class TestValidation:
         report = violations_of([(0.0, 0.0)], [], lattice=lattice)
         assert report == ["period lattice determinant is not finite"]
 
+    @pytest.mark.parametrize("lattice", [[[1.0, 1e300], [0.0, 1.0]],
+                                         [[1.0, 1e8], [0.0, 1.0]]])
+    def test_numerically_singular_lattice(self, lattice):
+        # The determinant is 1, but the periods are dependent to round-off;
+        # the determinant checks keep their own messages.
+        report = violations_of([(0.0, 0.0)], [], lattice=lattice)
+        assert report == ["period lattice is numerically singular"]
+
+    def test_badly_conditioned_lattice_still_accepted(self):
+        fw = make([(0.0, 0.0)], [], lattice=[[1.0, 1e3], [0.0, 1.0]])
+        assert cf.validate_framework(fw) == []
+
     @pytest.mark.parametrize("tol", [1e-17, 1e-300])
     def test_tolerance_below_round_off(self, kagome, tol):
         with pytest.raises(ValueError, match=r"^tolerance must be at least 2\.2e-16$"):

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from crystalflex.linalg import (
     SubspaceBasis,
     _canonical_signs,
-    cokernel_basis,
     column_space_basis,
     complement_within,
+    factorize,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -20,7 +20,7 @@ def test_rank_of_zero_matrix():
     z = np.zeros((2, 2))
     assert numeric_rank(z) == 0
     assert kernel_basis(z).dim == 2
-    assert cokernel_basis(z).dim == 2
+    assert factorize(z).cokernel.dim == 2
 
 
 def test_rank_kernel_cokernel_dimensions_add_up(rng):
@@ -30,7 +30,7 @@ def test_rank_kernel_cokernel_dimensions_add_up(rng):
         a = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols)) if r else np.zeros((rows, cols))
         assert numeric_rank(a) == r
         assert kernel_basis(a).dim + r == cols
-        assert cokernel_basis(a).dim + r == rows
+        assert factorize(a).cokernel.dim + r == rows
 
 
 def test_kernel_vectors_annihilated(rng):
@@ -44,7 +44,7 @@ def test_kernel_vectors_annihilated(rng):
 
 def test_cokernel_vectors_annihilate_rows(rng):
     a = rng.normal(size=(6, 4))
-    c = cokernel_basis(a)
+    c = factorize(a).cokernel
     assert c.dim == 2
     assert_allclose(c.basis.T @ a, 0, atol=1e-12)
 
@@ -52,9 +52,9 @@ def test_cokernel_vectors_annihilate_rows(rng):
 def test_empty_shapes():
     assert numeric_rank(np.zeros((0, 3))) == 0
     assert kernel_basis(np.zeros((0, 3))).dim == 3
-    assert cokernel_basis(np.zeros((0, 3))).dim == 0
+    assert factorize(np.zeros((0, 3))).cokernel.dim == 0
     assert kernel_basis(np.zeros((3, 0))).dim == 0
-    assert cokernel_basis(np.zeros((3, 0))).dim == 3
+    assert factorize(np.zeros((3, 0))).cokernel.dim == 3
 
 
 def test_rank_tolerance_scales_with_magnitude():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _rigid_space_restricted, _skew_generators, unvec, vec
+from crystalflex.rigidity import _skew_generators, unvec, vec
 from oracles import (
     direct_row_values,
     exact_rank_profile,
@@ -19,6 +21,17 @@ from oracles import (
 
 def space(name, fw):
     return cf.matrix_space(name, fw.dimension, fw.tolerance)
+
+
+def borcea_streinu_rows(mats, u, a, lattice):
+    """Bar rows on (u, vec(A Z)): the vertex block on u plus the lattice-frame
+    block on the column-stacked A Z."""
+    return mats.vertex_block @ u.reshape(-1) + mats.affine_block @ vec(a @ lattice)
+
+
+def borcea_streinu_matrix(mats):
+    """The operator on (u, vec(A Z)), the blocks side by side."""
+    return np.hstack([mats.vertex_block, mats.affine_block])
 
 
 class TestMatrixSpaces:
@@ -77,29 +90,41 @@ class TestRigidSpace:
     def test_a_tolerance_that_hides_the_translations_is_refused(self, kagome, tol):
         fw = kagome.with_tolerance(tol)
         with pytest.raises(cf.DependentBasisError, match="fewer than the 2 translations"):
-            _rigid_space_restricted(fw, cf.matrix_space("full", 2, tol))
+            cf.rigid_motion_space(fw, cf.matrix_space("full", 2, tol))
 
     def test_translations_always_counted(self, any_builtin):
         zero = space("zero", any_builtin)
-        assert _rigid_space_restricted(any_builtin, zero).dim == any_builtin.dimension
+        assert cf.rigid_motion_space(any_builtin, zero).dim == any_builtin.dimension
 
     def test_nothing_to_translate_without_vertices(self):
         fw = cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), [], [])
-        assert _rigid_space_restricted(fw, space("zero", fw)).dim == 0
+        assert cf.rigid_motion_space(fw, space("zero", fw)).dim == 0
         assert [c.rigid_motions for c in (cf.analyze_counts(fw, space(name, fw))
                                           for name in ("zero", "full"))] == [0, 1]
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+def test_counts_do_not_depend_on_where_the_motif_sits(any_builtin, shift):
+    # Rotations turn about the vertex centroid, so the rigid-motion columns,
+    # and the threshold of their span, do not grow with the positions.
+    fw = any_builtin
+    step = shift * np.eye(fw.dimension)[0]
+    moved = replace(fw, vertices=tuple(replace(v, position=v.position + step) for v in fw.vertices),
+                    symmetries=())
+    for name in cf.MATRIX_SPACE_NAMES:
+        assert cf.analyze_counts(moved, space(name, moved)) == cf.analyze_counts(fw, space(name, fw))
 
 
 class TestBuildMatrices:
     def test_kagome_shapes(self, kagome):
         mats = cf.build_matrices(kagome)
         assert mats.vertex_block.shape == (6, 6)
-        assert mats.full.shape == (6, 10)
+        assert cf.restricted_operator(kagome, space("full", kagome)).shape == (6, 10)
 
     def test_hexahedron_shapes_and_reflexive_rows(self, hexahedron):
         mats = cf.build_matrices(hexahedron)
         assert mats.vertex_block.shape == (9, 6)
-        assert mats.full.shape == (9, 15)
+        assert cf.restricted_operator(hexahedron, space("full", hexahedron)).shape == (9, 15)
         assert_allclose(mats.vertex_block[:3], 0)
         assert np.any(mats.affine_block[:3] != 0)
 
@@ -117,27 +142,26 @@ class TestBuildMatrices:
         for _ in range(trials):
             u = rng.normal(size=(n, d))
             a = rng.normal(size=(d, d))
-            packed = np.concatenate([u.reshape(-1), (a @ fw.lattice.matrix).reshape(-1, order="F")])
-            assert_allclose(mats.full @ packed, direct_row_values(fw, u, a), atol=1e-12)
+            assert_allclose(borcea_streinu_rows(mats, u, a, fw.lattice.matrix),
+                            direct_row_values(fw, u, a), atol=1e-12)
 
     def test_reversing_an_edge_changes_rows_at_most_by_sign(self, kagome):
-        mats = cf.build_matrices(kagome)
-        from dataclasses import replace
+        mats = borcea_streinu_matrix(cf.build_matrices(kagome))
         for which in range(kagome.edge_count):
             flipped_edges = list(kagome.edges)
             flipped_edges[which] = flipped_edges[which].reversed()
             flipped = replace(kagome, edges=tuple(flipped_edges), symmetries=())
-            mats2 = cf.build_matrices(flipped)
+            mats2 = borcea_streinu_matrix(cf.build_matrices(flipped))
             for row in range(kagome.edge_count):
-                same = np.max(np.abs(mats2.full[row] - mats.full[row]))
-                negated = np.max(np.abs(mats2.full[row] + mats.full[row]))
+                same = np.max(np.abs(mats2[row] - mats[row]))
+                negated = np.max(np.abs(mats2[row] + mats[row]))
                 assert min(same, negated) < 1e-15
             for name in ("zero", "full"):
-                assert cf.flex_space(flipped, space(name, flipped)).dim == \
-                    cf.flex_space(kagome, space(name, kagome)).dim
-                assert cf.stress_space(flipped, space(name, flipped)).dim == \
-                    cf.stress_space(kagome, space(name, kagome)).dim
-                assert cf.numeric_rank(mats2.full) == cf.numeric_rank(mats.full)
+                counts2 = cf.analyze_counts(flipped, space(name, flipped))
+                counts = cf.analyze_counts(kagome, space(name, kagome))
+                assert counts2.flex_basis.dim == counts.flex_basis.dim
+                assert counts2.stress_basis.dim == counts.stress_basis.dim
+                assert cf.numeric_rank(mats2) == cf.numeric_rank(mats)
 
 
 class TestRestrictedOperator:
@@ -148,7 +172,8 @@ class TestRestrictedOperator:
     def test_full_space_has_same_rank_as_concatenation(self, any_builtin):
         fw = any_builtin
         op = cf.restricted_operator(fw, space("full", fw))
-        assert cf.numeric_rank(op, fw.tolerance) == cf.numeric_rank(cf.build_matrices(fw).full, fw.tolerance)
+        concatenation = borcea_streinu_matrix(cf.build_matrices(fw))
+        assert cf.numeric_rank(op, fw.tolerance) == cf.numeric_rank(concatenation, fw.tolerance)
 
     def test_square_grid_full_rank_is_two(self, square_grid):
         op = cf.restricted_operator(square_grid, space("full", square_grid))
@@ -167,17 +192,16 @@ class TestExactRankOracle:
             "square_grid" if fw.vertex_count == 1 else
             "kagome" if fw.dimension == 2 else "hexahedron")
         assert cf.numeric_rank(mats.vertex_block, fw.tolerance) == strict_rank
-        assert cf.numeric_rank(mats.full, fw.tolerance) == full_rank
+        full = cf.restricted_operator(fw, space("full", fw))
+        assert cf.numeric_rank(full, fw.tolerance) == full_rank
 
 
 class TestKernelCokernelValues:
     def test_kagome_affine_has_independent_rows(self, kagome):
-        mats = cf.build_matrices(kagome)
-        assert cf.cokernel_basis(mats.full, kagome.tolerance).dim == 0
+        assert cf.analyze_counts(kagome, space("full", kagome)).stress_basis.dim == 0
 
     def test_kagome_strict_has_three_row_dependencies(self, kagome):
-        mats = cf.build_matrices(kagome)
-        stresses = cf.cokernel_basis(mats.vertex_block, kagome.tolerance)
+        stresses = cf.analyze_counts(kagome, space("zero", kagome)).stress_basis
         assert stresses.dim == 3
         # the collinear-pair stresses span the cokernel
         for pair in ((0, 3), (1, 4), (2, 5)):
@@ -197,11 +221,11 @@ class TestRigidMotionSpace:
 
     def test_rigid_motions_are_flexes(self, any_builtin):
         fw = any_builtin
-        mats = cf.build_matrices(fw)
         for name in ("zero", "full", "symmetric", "skew", "diagonal"):
             rigid = cf.rigid_motion_space(fw, space(name, fw))
             if rigid.dim:
-                assert_allclose(mats.full @ rigid.basis, 0, atol=1e-10)
+                op = cf.restricted_operator(fw, space(name, fw))
+                assert_allclose(op @ rigid.basis, 0, atol=1e-10)
 
     def test_rigid_contained_in_flex_space(self, any_builtin):
         fw = any_builtin
@@ -210,32 +234,37 @@ class TestRigidMotionSpace:
             assert report.flags == ()
 
 
+def mechanisms(counts):
+    """The flexes orthogonal to the rigid motions."""
+    return cf.complement_within(counts.flex_basis, counts.rigid_basis)
+
+
 class TestFlexAndStress:
     def test_kagome_strict_dimensions(self, kagome):
-        strict = space("zero", kagome)
-        assert cf.flex_space(kagome, strict).dim == 3
-        assert cf.stress_space(kagome, strict).dim == 3
+        counts = cf.analyze_counts(kagome, space("zero", kagome))
+        assert counts.flex_basis.dim == 3
+        assert counts.stress_basis.dim == 3
 
     def test_kagome_affine_dimensions(self, kagome):
-        affine = space("full", kagome)
-        assert cf.flex_space(kagome, affine).dim == 4
-        assert cf.stress_space(kagome, affine).dim == 0
+        counts = cf.analyze_counts(kagome, space("full", kagome))
+        assert counts.flex_basis.dim == 4
+        assert counts.stress_basis.dim == 0
 
     def test_square_grid_affine_dimensions(self, square_grid):
-        affine = space("full", square_grid)
-        assert cf.flex_space(square_grid, affine).dim == 4
-        assert cf.stress_space(square_grid, affine).dim == 0
+        counts = cf.analyze_counts(square_grid, space("full", square_grid))
+        assert counts.flex_basis.dim == 4
+        assert counts.stress_basis.dim == 0
 
     def test_mechanism_space_dimension(self, kagome):
-        assert cf.mechanism_space(kagome, space("zero", kagome)).dim == 1
-        assert cf.mechanism_space(kagome, space("full", kagome)).dim == 1
+        assert mechanisms(cf.analyze_counts(kagome, space("zero", kagome))).dim == 1
+        assert mechanisms(cf.analyze_counts(kagome, space("full", kagome))).dim == 1
 
     def test_flex_vectors_satisfy_all_bars(self, any_builtin):
         fw = any_builtin
         for name in ("zero", "full"):
             sp_ = space(name, fw)
             op = cf.restricted_operator(fw, sp_)
-            basis = cf.flex_space(fw, sp_).basis
+            basis = cf.analyze_counts(fw, sp_).flex_basis.basis
             if basis.size:
                 assert_allclose(op @ basis, 0, atol=1e-10)
 
@@ -324,7 +353,7 @@ class TestEdgeDeviation:
     @staticmethod
     def mechanism(fw):
         strict = cf.matrix_space("zero", fw.dimension, fw.tolerance)
-        mech = cf.mechanism_space(fw, strict)
+        mech = mechanisms(cf.analyze_counts(fw, strict))
         return cf.velocity_from_mode_coordinates(fw, strict, mech.basis[:, 0])
 
     def test_zero_velocity(self, kagome):
@@ -342,7 +371,8 @@ class TestEdgeDeviation:
 
     def test_affine_flexes_scale_quadratically(self, kagome):
         affine = cf.matrix_space("full", 2, kagome.tolerance)
-        for velocity in cf.flex_velocities(kagome, affine):
+        for col in cf.analyze_counts(kagome, affine).flex_basis.basis.T:
+            velocity = cf.velocity_from_mode_coordinates(kagome, affine, col)
             r1 = cf.edge_deviation(kagome, velocity, 1e-2) / 1e-4
             r2 = cf.edge_deviation(kagome, velocity, 1e-3) / 1e-6
             if max(r1, r2) < 1e-6:
@@ -363,20 +393,14 @@ class TestEdgeDeviation:
 
 
 class TestDecoding:
-    def test_full_mode_coordinates_agree_with_affine_decode(self, kagome):
-        full = cf.matrix_space("full", 2, kagome.tolerance)
-        for col in cf.flex_space(kagome, full).basis.T:
-            v1 = cf.velocity_from_mode_coordinates(kagome, full, col)
-            packed = np.concatenate([
-                v1.vertex_velocities.reshape(-1),
-                (v1.distortion @ kagome.lattice.matrix).reshape(-1, order="F"),
-            ])
-            v2 = cf.velocity_from_affine_coordinates(kagome, packed)
-            assert_allclose(v2.distortion, v1.distortion, atol=1e-12)
-            assert_allclose(v2.vertex_velocities, v1.vertex_velocities, atol=1e-12)
-
-    def test_flex_velocities_count(self, kagome):
-        assert len(cf.flex_velocities(kagome, cf.matrix_space("full", 2))) == 4
+    def test_decoded_flexes_satisfy_the_direct_row_formula(self, any_builtin):
+        fw = any_builtin
+        for name in cf.MATRIX_SPACE_NAMES:
+            e = space(name, fw)
+            for col in cf.analyze_counts(fw, e).flex_basis.basis.T:
+                v = cf.velocity_from_mode_coordinates(fw, e, col)
+                assert_allclose(direct_row_values(fw, v.vertex_velocities, v.distortion), 0,
+                                atol=1e-10)
 
 
 class TestRandomFrameworks:
@@ -403,8 +427,8 @@ class TestRandomFrameworks:
             mats = cf.build_matrices(fw)
             u = rng.normal(size=(fw.vertex_count, d))
             a = rng.normal(size=(d, d))
-            packed = np.concatenate([u.reshape(-1), (a @ fw.lattice.matrix).reshape(-1, order="F")])
-            assert_allclose(mats.full @ packed, direct_row_values(fw, u, a), atol=1e-10)
+            assert_allclose(borcea_streinu_rows(mats, u, a, fw.lattice.matrix),
+                            direct_row_values(fw, u, a), atol=1e-10)
 
 
 def reference_build_matrices(fw):
@@ -458,7 +482,7 @@ def test_array_assembly_matches_the_per_edge_loop(name, n, seed):
 
 
 def reference_rigid_generators(fw, space):
-    """The construction _rigid_generators replaced: (u, A) pairs from the
+    """The construction rigid_motion_space replaced: (u, A) pairs from the
     principal-angle intersection of orthonormalised Skew and E, each
     rotation written back into E's coordinates by a solve."""
     d, n = fw.dimension, fw.vertex_count
@@ -473,14 +497,11 @@ def reference_rigid_generators(fw, space):
     return pairs
 
 
-def reference_rigid_spaces(fw, space):
-    """(restricted, affine) rigid spaces from the reference generators."""
+def reference_rigid_space(fw, space):
+    """The rigid space in (u, coords-in-space) from the reference generators."""
     pairs = reference_rigid_generators(fw, space)
-    z = fw.lattice.matrix
-    restricted = np.column_stack([np.concatenate([u, space.coordinates_of(a)]) for u, a in pairs])
-    affine = np.column_stack([np.concatenate([u, vec(a @ z)]) for u, a in pairs])
-    return (cf.column_space_basis(restricted, fw.tolerance),
-            cf.column_space_basis(affine, fw.tolerance))
+    columns = np.column_stack([np.concatenate([u, space.coordinates_of(a)]) for u, a in pairs])
+    return cf.column_space_basis(columns, fw.tolerance)
 
 
 def same_span(a, b):
@@ -517,14 +538,11 @@ def test_rigid_motions_match_the_intersection_and_the_exact_count(spec, seed):
     fw = random_framework(rng, d=d, n_vertices=int(rng.integers(1, 4)),
                           n_edges=int(rng.integers(1, 6)))
     e = cf.MatrixSpace(d, tuple(members), tol=fw.tolerance)
-    restricted = _rigid_space_restricted(fw, e)
-    affine = cf.rigid_motion_space(fw, e)
-    old_restricted, old_affine = reference_rigid_spaces(fw, e)
-    assert same_span(restricted, old_restricted)
-    assert same_span(affine, old_affine)
+    rigid = cf.rigid_motion_space(fw, e)
+    assert same_span(rigid, reference_rigid_space(fw, e))
     # E meets Skew in the kernel of B -> B + B^T on E.
     exact_f = d + k - exact_rank([vec(b + b.T) for b in members])
-    assert restricted.dim == affine.dim == exact_f
+    assert rigid.dim == exact_f
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,5 +553,5 @@ def test_rigid_motions_lie_in_the_flex_space(d, seed):
                           n_edges=int(rng.integers(1, 7)))
     for name in cf.MATRIX_SPACE_NAMES:
         e = cf.matrix_space(name, d, fw.tolerance)
-        rigid = _rigid_space_restricted(fw, e)
+        rigid = cf.rigid_motion_space(fw, e)
         assert cf.analyze_counts(fw, e).flex_basis.contains(rigid.basis)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _rigid_space_restricted, unvec
+from crystalflex.rigidity import unvec
 from crystalflex.symmetry import (
     _cycles,
     _equation_residual,
@@ -267,7 +267,7 @@ def reference_symmetry_counts(fw, element):
     fixed_domain = cf.fixed_space(domain, tol)
     orbits = len(reference_cycle_lengths(element.edge_map))
     operator = cf.restricted_operator(fw, full)
-    rigid = _rigid_space_restricted(fw, full)
+    rigid = cf.rigid_motion_space(fw, full)
     f = cf.subspace_intersection(rigid, fixed_domain).dim
     m = cf.subspace_intersection(cf.kernel_basis(operator, tol), fixed_domain).dim - f
     fixed_edge = cf.fixed_space(reps.edge_perm, tol)
@@ -334,7 +334,7 @@ def reference_character_row(fw, element, space):
     reps = cf.representation_matrices(fw, element)
     domain = _restricted_domain_rep(reps, space)
     _, flexes, stresses = cf.factorize(cf.restricted_operator(fw, space), tol)
-    rigid = _rigid_space_restricted(fw, space)
+    rigid = cf.rigid_motion_space(fw, space)
     mech = cf.complement_within(flexes, rigid)
 
     def trace(action, basis):
