@@ -73,13 +73,9 @@ from .symmetry import (
     SymmetryCountReport,
     SymmetryElement,
     SymmetryError,
-    SymmetryRepresentation,
     character_row,
     commutant_basis,
     edge_orbit_count,
-    edge_permutation_order,
-    fixed_space,
-    representation_matrices,
     resolve_symmetry,
     symmetry_counts,
     verify_symmetry_equation,
@@ -106,7 +102,6 @@ __all__ = [
     "velocity_from_mode_coordinates",
     "render_svg",
     "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
-    "SymmetryRepresentation", "character_row", "commutant_basis", "edge_orbit_count",
-    "edge_permutation_order", "fixed_space", "representation_matrices",
-    "resolve_symmetry", "symmetry_counts", "verify_symmetry_equation",
+    "character_row", "commutant_basis", "edge_orbit_count", "resolve_symmetry",
+    "symmetry_counts", "verify_symmetry_equation",
 ]

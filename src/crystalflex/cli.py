@@ -18,7 +18,6 @@ from .fileio import (
     emit_report,
     load_framework,
     parse_matrix_space,
-    save_framework,
     serialize_framework,
 )
 from .frameworks import InvalidFrameworkError, supercell
@@ -147,6 +146,14 @@ def _parse_cells(text, dimension):
     return ranges
 
 
+def _write_output(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _report(fw, as_json, **options):
     """Analyze, write the report and check that every counting identity closes."""
     try:
@@ -192,9 +199,9 @@ def _cmd_supercell(args) -> int:
     try:
         big = supercell(fw, factors)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise CliError(f"--n {args.n!r}: {exc}")
     if args.output:
-        save_framework(big, args.output)
+        _write_output(args.output, serialize_framework(big))
     else:
         sys.stdout.write(serialize_framework(big))
     return 0
@@ -207,8 +214,7 @@ def _cmd_svg(args) -> int:
         document = render_svg(fw, ranges)
     except ValueError as exc:
         raise CliError(str(exc))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    _write_output(args.output, document)
     return 0
 
 

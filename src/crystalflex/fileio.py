@@ -252,7 +252,9 @@ def save_framework(fw: CrystalFramework, path) -> None:
 
 
 def parse_matrix_space(text: str, dimension: int, tol: float) -> MatrixSpace:
-    """Custom admissible-space file: a JSON list of d x d matrices."""
+    """Custom admissible-space file: a JSON list of d x d matrices, each scaled
+    to unit Frobenius norm, so the rank decisions do not depend on the scale
+    of the basis."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -261,6 +263,8 @@ def parse_matrix_space(text: str, dimension: int, tol: float) -> MatrixSpace:
     if not isinstance(doc, list):
         raise FrameworkParseError("top level: expected a list of matrices")
     mats = [_matrix(m, dimension, f"[{i}]") for i, m in enumerate(doc)]
+    mats = [m / (np.max(np.abs(m)) or 1.0) for m in mats]     # so the norms cannot overflow
+    mats = [m / (np.linalg.norm(m) or 1.0) for m in mats]     # a zero matrix stays zero
     try:
         return MatrixSpace(dimension, tuple(mats), name="custom", tol=tol)
     except ValueError as exc:

@@ -414,7 +414,10 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
     residue and a supercell index.  Declared symmetries are dropped (they
     may be incompatible with a non-uniform supercell); re-resolve if needed.
     """
-    n = np.asarray(factors, dtype=int).reshape(-1)
+    try:
+        n = np.asarray(factors, dtype=int).reshape(-1)
+    except OverflowError:
+        raise ValueError("supercell multiplicities must fit in a machine integer") from None
     if n.shape != (fw.dimension,):
         raise ValueError(f"need {fw.dimension} multiplicities, got {n.shape[0]}")
     if np.any(n < 1):

@@ -6,25 +6,20 @@ action on vertex classes (a permutation together with integer lattice
 offsets), its action on edge classes, and the integer matrix through which
 the linear part acts on the period lattice.
 
-The finite-dimensional representations built here act on the domain and
-range of the affine rigidity operator in (u, vec A) coordinates, which are
-the coordinates of ``restricted_operator`` on the full matrix space:
-
-    vertex_rep     block permutation, block (g.v, v) = B
-    edge_perm      0/1 permutation of edge classes
-    matrix_conjugation   vec A -> vec(B A B^-1)
-    offset_coupling      couples A into the vertex blocks; zero exactly
-                         when the element is separable (all offsets zero)
-
-Velocities transform by the linear part only; rigidity rows annihilate the
-constant translation component, so kernels, cokernels and subspace traces
-are unaffected.
+These actions are monomial, so they are applied as index maps and never
+built as dense matrices.  On the range, row g.e of the permuted operator is
+row e.  On the domain, (u, coordinates of A in an admissible space E),
+vertex block v moves to g.v and is multiplied by B, the offset coupling
+carries A into the vertex blocks (zero exactly when the element is
+separable), and A -> B A B^-1 acts on E.  Traces are counted from fixed
+points.  Velocities transform by the linear part only; rigidity rows
+annihilate the constant translation component, so kernels, cokernels and
+subspace traces are unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -156,78 +151,81 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
                            lattice_action=lattice_action)
 
 
+def _fixed_points(perm) -> int:
+    """Number of points a permutation fixes: the trace of its matrix."""
+    return int(np.count_nonzero(np.asarray(perm) == np.arange(len(perm))))
+
+
 @dataclass(frozen=True)
-class SymmetryRepresentation:
-    """Representation blocks of one element in (u, vec A) coordinates."""
+class _DomainAction:
+    """Domain action [[V, C], [0, K]] of one element, kept as its parts: V is
+    the element's vertex map and B, C (dn x q) the offset coupling and K
+    (q x q) the conjugation, both in E's coordinates."""
 
     element: SymmetryElement
-    vertex_rep: np.ndarray
-    edge_perm: np.ndarray
-    offset_coupling: np.ndarray
-    matrix_conjugation: np.ndarray
+    coupling: np.ndarray
+    conjugation: np.ndarray
+
+    def apply(self, columns) -> np.ndarray:
+        """D times a stack of domain columns, by a gather and one d x d multiply."""
+        n, d = len(self.element.vertex_map), self.element.dimension
+        vertex, coords = columns[:n * d], columns[n * d:]
+        # Block g.v of the image is B times block v.
+        source = np.argsort(self.element.vertex_map)
+        moved = self.element.linear @ vertex.reshape(n, d, columns.shape[1])[source]
+        return np.vstack([moved.reshape(n * d, -1) + self.coupling @ coords,
+                          self.conjugation @ coords])
+
+    def permute_edges(self, rows) -> np.ndarray:
+        """The edge action on a stack of edge rows: row g.e of the image is row e."""
+        return rows[np.argsort(self.element.edge_map)]
+
+    def trace(self) -> float:
+        """tr D = (fixed vertices) tr B + tr K; the coupling is off the diagonal."""
+        fixed = _fixed_points(self.element.vertex_map)
+        return fixed * float(np.trace(self.element.linear)) + float(np.trace(self.conjugation))
+
+    def equation_residual(self, operator) -> float:
+        """Max-norm residual of (edge action) . R - R . D, with R = [R_u | R_c]."""
+        m, n, d = len(operator), len(self.element.vertex_map), self.element.dimension
+        r_u, r_c = operator[:, :n * d], operator[:, n * d:]
+        # Vertex block v of R V is block g.v of R_u times B; the A columns
+        # of R D are R_u C + R_c K.
+        residual = self.permute_edges(operator)
+        vertex = r_u.reshape(m, n, d)[:, np.array(self.element.vertex_map)] @ self.element.linear
+        residual[:, :n * d] -= vertex.reshape(m, n * d)
+        residual[:, n * d:] -= r_u @ self.coupling + r_c @ self.conjugation
+        return float(np.max(np.abs(residual, out=residual), initial=0.0))
 
 
-def representation_matrices(fw: CrystalFramework, element: SymmetryElement) -> SymmetryRepresentation:
-    d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
+def _domain_action(fw: CrystalFramework, element: SymmetryElement,
+                   space: MatrixSpace) -> _DomainAction:
+    """The element's action on (u, coords-in-space).  Requires the space to
+    be invariant under A -> B A B^-1; raises SymmetryError otherwise."""
+    d, n = fw.dimension, fw.vertex_count
     b = element.linear
-    vertex_map = np.array(element.vertex_map, dtype=np.int64)
-
-    # Block (g.v, v) of the vertex representation is B.
-    vertex_rep = np.zeros((n, d, n, d))
-    vertex_rep[vertex_map, :, np.arange(n), :] = b
-
-    edge_perm = np.zeros((m, m))
-    edge_perm[np.array(element.edge_map, dtype=np.int64), np.arange(m)] = 1.0
-
-    matrix_conjugation = np.kron(b, b)
+    # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.
+    conjugation = np.zeros((0, 0))
+    if space.dim:
+        try:
+            conjugation = space._column_coordinates(np.kron(b, b) @ space.stacked)
+        except ValueError:
+            raise SymmetryError(
+                f"matrix space {space.name!r} is not invariant under conjugation by "
+                f"element {element.name!r}") from None
 
     # Coupling of A into the vertex blocks. The image block at g.v is
     # B A B^-1 Z k(v), which depends only on the integer offsets, so
     # separable elements get an exactly zero block: row (g.v, i), column
-    # (j, k) holds -w[j] B[i, k] with w = -B^T Z k(v).
+    # (j, k) of vec A holds -w[j] B[i, k] with w = -B^T Z k(v).
     offsets = np.array(element.vertex_offsets, dtype=np.int64).reshape(n, d)
     moved = np.flatnonzero(offsets.any(axis=1))
     w = -(offsets[moved] @ fw.lattice.matrix.T) @ b
-    offset_coupling = np.zeros((n, d, d, d))
-    offset_coupling[vertex_map[moved]] = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :])
-
-    return SymmetryRepresentation(element=element, vertex_rep=vertex_rep.reshape(d * n, d * n),
-                                  edge_perm=edge_perm,
-                                  offset_coupling=offset_coupling.reshape(d * n, d * d),
-                                  matrix_conjugation=matrix_conjugation)
-
-
-def _restricted_domain_rep(reps: SymmetryRepresentation, space: MatrixSpace) -> np.ndarray:
-    """Domain representation on (u, coords-in-space) coordinates.
-
-    Block upper-triangular: the vertex representation and the offset
-    coupling on top, the action A -> B A B^-1 in the space's coordinates
-    below.  Requires the space to be invariant under that action; raises
-    SymmetryError otherwise.
-    """
-    # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.
-    conj_coords = np.zeros((0, 0))
-    if space.dim:
-        try:
-            conj_coords = space._column_coordinates(reps.matrix_conjugation @ space.stacked)
-        except ValueError:
-            raise SymmetryError(
-                f"matrix space {space.name!r} is not invariant under conjugation by "
-                f"element {reps.element.name!r}") from None
-    dn = reps.vertex_rep.shape[0]
-    coupling = reps.offset_coupling @ space.stacked
-    return np.block([
-        [reps.vertex_rep, coupling],
-        [np.zeros((space.dim, dn)), conj_coords],
-    ])
-
-
-def _equation_residual(reps: SymmetryRepresentation, operator, domain) -> float:
-    """Max-norm residual of (edge action) . R - R . (domain action)."""
-    # Row g.e of the permuted operator is row e, a gather instead of a
-    # product with the m x m permutation matrix.
-    permuted = operator[np.argsort(reps.element.edge_map)]
-    return float(np.max(np.abs(permuted - operator @ domain), initial=0.0))
+    on_vec = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :]).reshape(-1, d * d)
+    coupling = np.zeros((n, d, space.dim))
+    coupling[np.array(element.vertex_map)[moved]] = \
+        (on_vec @ space.stacked).reshape(len(moved), d, space.dim)
+    return _DomainAction(element, coupling.reshape(n * d, space.dim), conjugation)
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
@@ -240,9 +238,8 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
     """
     if space is None:
         space = matrix_space("full", fw.dimension, fw.tolerance)
-    reps = representation_matrices(fw, element)
-    operator = restricted_operator(fw, space)
-    return _equation_residual(reps, operator, _restricted_domain_rep(reps, space))
+    action = _domain_action(fw, element, space)
+    return action.equation_residual(restricted_operator(fw, space))
 
 
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
@@ -255,14 +252,6 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     kernel = kernel_basis(bracket, tol)
     mats = tuple(unvec(col, d) for col in kernel.basis.T)
     return MatrixSpace(d, mats, name="commutant", tol=tol)
-
-
-def fixed_space(operator, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Eigenspace of eigenvalue one: all vectors fixed by the operator."""
-    p = np.asarray(operator, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("fixed_space needs a square matrix")
-    return kernel_basis(p - np.eye(p.shape[0]), tol)
 
 
 def _cycles(perm) -> np.ndarray:
@@ -286,18 +275,14 @@ def edge_orbit_count(element: SymmetryElement) -> int:
     return len(np.bincount(_cycles(element.edge_map)))
 
 
-def edge_permutation_order(element: SymmetryElement) -> int:
-    """Order of the edge-class permutation (lcm of cycle lengths)."""
-    return lcm(*np.bincount(_cycles(element.edge_map)).tolist())
-
-
-def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
+def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
                   tol: float) -> tuple[SubspaceBasis, int]:
     """Fixed space of the domain action on (u, vec A), built from the vertex
     cycles, and the number of its columns with A = 0 (dimF).
 
     A fixed (u, A) has A in the commutant and u_{g.v} = B u_v + c_{g.v}(A),
-    where c is the offset coupling.  Along a vertex k-cycle v_0, ..., v_{k-1}
+    where c is the offset coupling, read in vec A coordinates from the
+    action on the full space.  Along a vertex k-cycle v_0, ..., v_{k-1}
     this closes when (I - B^k) u_{v_0} = h(A) = sum_j B^{k-j} c_{v_j}(A).
     One d x d SVD of I - B^k per cycle length gives the free columns
     (x, Bx, ..., B^{k-1} x)/sqrt(k) from its null vectors x, the closure
@@ -306,7 +291,7 @@ def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
     admissible A are the kernel of the stacked constraints; their columns are
     orthonormalised against the free ones, on which they have no A part.
     """
-    element = reps.element
+    element = action.element
     b = element.linear
     d, q = element.dimension, commutant.dim
     perm = np.array(element.vertex_map, dtype=np.int64)
@@ -316,7 +301,7 @@ def _fixed_domain(reps: SymmetryRepresentation, commutant: MatrixSpace,
     # Labels are numbered in the order of each cycle's lowest point, so the
     # running maximum of the labels steps up exactly at each cycle's start.
     starts = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
-    coupling = (reps.offset_coupling @ commutant.stacked).reshape(n, d, q)
+    coupling = (action.coupling @ commutant.stacked).reshape(n, d, q)
 
     velocities = np.zeros((n, d, q))      # particular solutions, per commutant coordinate
     free, constraints = [], []
@@ -397,21 +382,20 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     """
     tol = fw.tolerance
     d = fw.dimension
-    reps = representation_matrices(fw, element)
     full = matrix_space("full", d, tol)
-    domain = _restricted_domain_rep(reps, full)
+    action = _domain_action(fw, element, full)
 
     commutant = commutant_basis(element.linear, tol)
-    fixed_domain, fixed_vertex = _fixed_domain(reps, commutant, tol)
+    fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
     operator = restricted_operator(fw, full)
-    equation = _equation_residual(reps, operator, domain)
+    equation = action.equation_residual(operator)
     rigid = rigid_motion_space(fw, full)
 
     # g maps rigid motions to rigid motions, so f_g is also the fixed
     # dimension of its action on them.
     f = subspace_intersection(rigid, fixed_domain).dim
-    action = rigid.basis.T @ domain @ rigid.basis
-    acting = rigid.dim - numeric_rank(action - np.eye(rigid.dim), tol)
+    on_rigid = rigid.basis.T @ action.apply(rigid.basis)
+    acting = rigid.dim - numeric_rank(on_rigid - np.eye(rigid.dim), tol)
     if acting != f:
         raise DependentBasisError(
             f"the rigid motions fixed by element {element.name!r} span {acting} "
@@ -473,22 +457,22 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
     element's linear part.  Each trace is tr(Q^T D Q) for the orthonormal
     flex, rigid or stress basis Q of ``analyze_counts``; the subspace is
     invariant, so that is the trace of D on it for any basis of the space
-    and any action D, orthogonal or not.  Rigid motions are flexes, so the
-    mechanism trace, the trace on the quotient flex / rigid, is
-    tr(flex) - tr(rigid).
+    and any action D, orthogonal or not.  D Q is gathered, never formed as
+    a matrix product.  Rigid motions are flexes, so the mechanism trace,
+    the trace on the quotient flex / rigid, is tr(flex) - tr(rigid).
     """
-    reps = representation_matrices(fw, element)
-    domain = _restricted_domain_rep(reps, space)
+    action = _domain_action(fw, element, space)
     counts = analyze_counts(fw, space)
 
-    def subspace_trace(action, basis: SubspaceBasis) -> float:
-        return float(np.trace(basis.basis.T @ action @ basis.basis))
+    def subspace_trace(basis: SubspaceBasis) -> float:
+        return float(np.vdot(basis.basis, action.apply(basis.basis)))
 
-    vertex_trace = float(np.trace(domain))
-    edge_trace = float(np.trace(reps.edge_perm))
-    rigid_trace = subspace_trace(domain, counts.rigid_basis)
-    mech_trace = subspace_trace(domain, counts.flex_basis) - rigid_trace
-    stress_trace = subspace_trace(reps.edge_perm, counts.stress_basis)
+    vertex_trace = action.trace()
+    edge_trace = float(_fixed_points(element.edge_map))
+    rigid_trace = subspace_trace(counts.rigid_basis)
+    mech_trace = subspace_trace(counts.flex_basis) - rigid_trace
+    stresses = counts.stress_basis.basis
+    stress_trace = float(np.vdot(stresses, action.permute_edges(stresses)))
     return CharacterRow(
         element_name=element.name,
         space_name=space.name,

@@ -210,6 +210,14 @@ class TestMatrixSpaceFile:
         with pytest.raises(cf.FrameworkParseError, match="dependent"):
             cf.fileio.parse_matrix_space(text, 2, 1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e-8, 1e300])
+    def test_matrices_are_scaled_to_unit_norm(self, scale):
+        text = json.dumps([(scale * np.eye(2)).tolist(), [[0.0, 3.0], [3.0, 0.0]]])
+        space = cf.fileio.parse_matrix_space(text, 2, 1e-9)
+        assert_allclose(space.basis[0], np.eye(2) / np.sqrt(2), rtol=0, atol=1e-15)
+        assert_allclose(space.basis[1], [[0.0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0.0]],
+                        rtol=0, atol=1e-15)
+
     def test_wrong_shape_names_entry(self):
         text = json.dumps([[[1.0, 0.0]]])
         with pytest.raises(cf.FrameworkParseError, match=r"\[0\]"):

@@ -310,6 +310,10 @@ class TestSupercell:
         with pytest.raises(ValueError):
             cf.supercell(kagome, (0, 2))
 
+    def test_rejects_multiplicity_beyond_a_machine_integer(self, kagome):
+        with pytest.raises(ValueError, match="machine integer"):
+            cf.supercell(kagome, (10 ** 20, 1))
+
     def test_fragment_point_sets_agree(self, kagome):
         factors = (2, 2)
         big = cf.supercell(kagome, factors)

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import crystalflex as cf
+from crystalflex import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,9 +37,42 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def readme_blocks(language, text=None):
+    return re.findall(rf"^```{language}\n(.*?)^```", text or README.read_text(), re.M | re.S)
+
+
 def test_readme_python_blocks_run():
     # Names the package no longer has fail here, not in a reader's hands.
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    blocks = readme_blocks("python")
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+@pytest.fixture
+def readme_framework(tmp_path, monkeypatch):
+    """A scratch directory holding README's framework file as my_framework.json."""
+    (framework,) = readme_blocks("json")
+    (tmp_path / "my_framework.json").write_text(framework)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / "my_framework.json"
+
+
+def test_readme_commands_run(readme_framework, capsys):
+    section = README.read_text().split("## Command line\n", 1)[1]
+    commands = [line for line in readme_blocks("sh", section)[0].splitlines()
+                if line.startswith("crystalflex ")]
+    assert len(commands) >= 6
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == "", line
+
+
+def test_readme_framework_reproduces_the_builtin(readme_framework, capsys):
+    # Every report line after the header, which names the input.
+    reports = []
+    for source in [[str(readme_framework)], ["--builtin", "kagome"]]:
+        assert cli.main(["analyze", *source]) == 0
+        reports.append(capsys.readouterr().out.splitlines()[1:])
+    assert any(line.startswith("symmetry r3") for line in reports[0])
+    assert reports[0] == reports[1]

@@ -1,3 +1,7 @@
+import tracemalloc
+from dataclasses import replace
+from math import lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +12,9 @@ import crystalflex as cf
 from crystalflex.rigidity import unvec
 from crystalflex.symmetry import (
     _cycles,
-    _equation_residual,
+    _domain_action,
     _fixed_domain,
-    _restricted_domain_rep,
+    _fixed_points,
 )
 from oracles import scrambled_supercell
 
@@ -27,9 +31,29 @@ def identity_element(fw, name="id"):
     return cf.resolve_symmetry(fw, np.eye(d), np.zeros(d), name)
 
 
-def full_domain_rep(fw, reps):
-    """Domain action on (u, vec A), the coordinates of the full space."""
-    return _restricted_domain_rep(reps, cf.matrix_space("full", fw.dimension, fw.tolerance))
+def full_action(fw, element):
+    """Gathered domain action on (u, vec A), the coordinates of the full space."""
+    return _domain_action(fw, element, cf.matrix_space("full", fw.dimension, fw.tolerance))
+
+
+def dense(action):
+    """The gathered domain action as a matrix: its image of the identity."""
+    return action.apply(np.eye(len(action.coupling) + len(action.conjugation)))
+
+
+def edge_matrix(action):
+    """The gathered edge action as a matrix: its image of the identity."""
+    return action.permute_edges(np.eye(len(action.element.edge_map)))
+
+
+def fixed_space(matrix, tol=cf.DEFAULT_TOL):
+    """Eigenspace of eigenvalue one of a dense matrix, from one SVD of D - I."""
+    return cf.kernel_basis(matrix - np.eye(len(matrix)), tol)
+
+
+def dense_equation_residual(operator, edge_perm, domain):
+    """Max-norm residual of P_e R - R D from the dense matrices."""
+    return float(np.max(np.abs(edge_perm @ operator - operator @ domain), initial=0.0))
 
 
 def reference_vertex_action(fw, linear, translation):
@@ -147,42 +171,43 @@ class TestSeparability:
 
 class TestRepresentations:
     def test_identity_blocks(self, kagome):
-        reps = cf.representation_matrices(kagome, identity_element(kagome))
-        assert_allclose(reps.vertex_rep, np.eye(6))
-        assert_allclose(reps.edge_perm, np.eye(6))
-        assert_allclose(reps.matrix_conjugation, np.eye(4))
-        assert_allclose(reps.offset_coupling, 0)
+        action = full_action(kagome, identity_element(kagome))
+        assert_allclose(dense(action)[:6, :6], np.eye(6))
+        assert_allclose(edge_matrix(action), np.eye(6))
+        assert_allclose(action.conjugation, np.eye(4))
+        assert_allclose(action.coupling, 0)
 
     def test_threefold_vertex_rep_is_kron(self, kagome, kagome_r3):
-        reps = cf.representation_matrices(kagome, kagome_r3)
+        action = full_action(kagome, kagome_r3)
         perm = np.zeros((3, 3))
         for v in range(3):
             perm[kagome_r3.vertex_map[v], v] = 1.0
-        assert_allclose(reps.vertex_rep, np.kron(perm, kagome_r3.linear), atol=1e-15)
-        assert_allclose(reps.offset_coupling, 0)
+        assert_allclose(dense(action)[:6, :6], np.kron(perm, kagome_r3.linear), atol=1e-15)
+        assert_allclose(action.coupling, 0)
 
     def test_edge_perm_is_permutation(self, any_builtin):
         for g in any_builtin.symmetries:
-            p = cf.representation_matrices(any_builtin, g).edge_perm
+            p = edge_matrix(full_action(any_builtin, g))
             assert_allclose(p.sum(axis=0), 1)
             assert_allclose(p.sum(axis=1), 1)
             assert set(np.unique(p)) <= {0.0, 1.0}
 
     def test_conjugation_block(self, kagome, kagome_r3):
-        reps = cf.representation_matrices(kagome, kagome_r3)
+        action = full_action(kagome, kagome_r3)
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = kagome_r3.linear
-        lhs = reps.matrix_conjugation @ a.reshape(-1, order="F")
+        lhs = action.conjugation @ a.reshape(-1, order="F")
         assert_allclose(lhs, (b @ a @ b.T).reshape(-1, order="F"), atol=1e-14)
 
     def test_glide_coupling_is_nonzero(self, kagome, kagome_glide):
-        reps = cf.representation_matrices(kagome, kagome_glide)
-        assert np.max(np.abs(reps.offset_coupling)) > 0.1
+        action = full_action(kagome, kagome_glide)
+        assert np.max(np.abs(action.coupling)) > 0.1
 
 
 def reference_representation(fw, element):
-    """The per-vertex construction representation_matrices replaced, and the
-    block domain action on (u, vec A) assembled from its blocks."""
+    """The dense representation, one block per vertex: the vertex
+    representation, the 0/1 edge permutation, the offset coupling and the
+    block domain action on (u, vec A) assembled from them."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
     b, z = element.linear, fw.lattice.matrix
     vertex_rep = np.zeros((d * n, d * n))
@@ -233,12 +258,18 @@ def test_array_representations_match_the_per_vertex_loop(case, n, seed):
     name, element = case
     fw, g = supercell_element(case, min(n, 2) if name == "hexahedron" else n, seed)
     assert element != "glide" or not g.separable
-    reps = cf.representation_matrices(fw, g)
+    action = full_action(fw, g)
     vertex_rep, edge_perm, coupling, domain = reference_representation(fw, g)
-    assert_allclose(reps.vertex_rep, vertex_rep, rtol=0, atol=1e-12)
-    assert_allclose(reps.edge_perm, edge_perm, rtol=0, atol=1e-12)
-    assert_allclose(reps.offset_coupling, coupling, rtol=0, atol=1e-12)
-    assert_allclose(full_domain_rep(fw, reps), domain, rtol=0, atol=1e-12)
+    dn = len(vertex_rep)
+    assert_allclose(dense(action)[:dn, :dn], vertex_rep, rtol=0, atol=1e-12)
+    assert_allclose(edge_matrix(action), edge_perm, rtol=0, atol=1e-12)
+    assert_allclose(action.coupling, coupling, rtol=0, atol=1e-12)
+    assert_allclose(dense(action), domain, rtol=0, atol=1e-12)
+    assert action.trace() == pytest.approx(np.trace(domain), abs=1e-12)
+    assert _fixed_points(g.edge_map) == np.trace(edge_perm)
+    operator = cf.restricted_operator(fw, cf.matrix_space("full", fw.dimension, fw.tolerance))
+    assert action.equation_residual(operator) == pytest.approx(
+        dense_equation_residual(operator, edge_perm, domain), abs=1e-12)
 
 
 def reference_cycle_lengths(perm):
@@ -261,21 +292,20 @@ def reference_symmetry_counts(fw, element):
     from SVDs of the representations, and m_g + f_g from the kernel of the
     whole operator intersected with the fixed domain."""
     tol = fw.tolerance
-    reps = cf.representation_matrices(fw, element)
+    vertex_rep, edge_perm, _, domain = reference_representation(fw, element)
     full = cf.matrix_space("full", fw.dimension, tol)
-    domain = _restricted_domain_rep(reps, full)
-    fixed_domain = cf.fixed_space(domain, tol)
+    fixed_domain = fixed_space(domain, tol)
     orbits = len(reference_cycle_lengths(element.edge_map))
     operator = cf.restricted_operator(fw, full)
     rigid = cf.rigid_motion_space(fw, full)
     f = cf.subspace_intersection(rigid, fixed_domain).dim
     m = cf.subspace_intersection(cf.kernel_basis(operator, tol), fixed_domain).dim - f
-    fixed_edge = cf.fixed_space(reps.edge_perm, tol)
+    fixed_edge = fixed_space(edge_perm, tol)
     s = fixed_edge.dim - cf.numeric_rank(fixed_edge.basis.T @ operator @ fixed_domain.basis, tol)
     return cf.SymmetryCountReport(
         element_name=element.name,
         separable=element.separable,
-        fixed_vertex_dim=cf.fixed_space(reps.vertex_rep, tol).dim,
+        fixed_vertex_dim=fixed_space(vertex_rep, tol).dim,
         commutant_dim=cf.commutant_basis(element.linear, tol).dim,
         fixed_domain_dim=fixed_domain.dim,
         edge_orbits=orbits,
@@ -284,7 +314,7 @@ def reference_symmetry_counts(fw, element):
         stresses=s,
         identity_residual=(m - s) - (fixed_domain.dim - orbits - f),
         flexible_predicted=orbits < fixed_domain.dim - f,
-        equation_residual=_equation_residual(reps, operator, domain),
+        equation_residual=dense_equation_residual(operator, edge_perm, domain),
     )
 
 
@@ -293,7 +323,10 @@ def reference_symmetry_counts(fw, element):
        st.integers(0, 2 ** 32 - 1))
 def test_counts_on_the_fixed_subspaces_match_the_dense_path(case, n, seed):
     fw, g = supercell_element(case, n, seed)
-    assert cf.symmetry_counts(fw, g) == reference_symmetry_counts(fw, g)
+    counts, expected = cf.symmetry_counts(fw, g), reference_symmetry_counts(fw, g)
+    # The residuals sum the same products in a different order.
+    assert counts.equation_residual == pytest.approx(expected.equation_residual, abs=1e-12)
+    assert replace(counts, equation_residual=expected.equation_residual) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,15 +335,14 @@ def test_counts_on_the_fixed_subspaces_match_the_dense_path(case, n, seed):
 def test_orbit_built_fixed_domain_matches_the_dense_fixed_space(case, n, seed):
     fw, g = supercell_element(case, n, seed)
     tol = fw.tolerance
-    reps = cf.representation_matrices(fw, g)
-    domain = full_domain_rep(fw, reps)
-    fixed, free = _fixed_domain(reps, cf.commutant_basis(g.linear, tol), tol)
-    dense = cf.fixed_space(domain, tol)
+    vertex_rep, _, _, domain = reference_representation(fw, g)
+    fixed, free = _fixed_domain(full_action(fw, g), cf.commutant_basis(g.linear, tol), tol)
+    expected = fixed_space(domain, tol)
     assert_allclose(fixed.basis.T @ fixed.basis, np.eye(fixed.dim), rtol=0, atol=1e-12)
     assert_allclose(domain @ fixed.basis, fixed.basis, rtol=0, atol=1e-9)
-    assert fixed.dim == dense.dim
-    assert cf.subspace_intersection(fixed, dense).dim == dense.dim
-    assert free == cf.fixed_space(reps.vertex_rep, tol).dim
+    assert fixed.dim == expected.dim
+    assert cf.subspace_intersection(fixed, expected).dim == expected.dim
+    assert free == fixed_space(vertex_rep, tol).dim
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,15 +356,18 @@ def test_cycle_labels_match_the_walk(perm):
 
 def reference_character_row(fw, element, space):
     """The construction character_row replaced: the space re-spanned by an
-    orthonormal basis, its own factorization and rigid span, and the
-    mechanisms as the orthogonal complement of the rigid motions in the
-    flexes."""
+    orthonormal basis, its own factorization and rigid span, the mechanisms
+    as the orthogonal complement of the rigid motions in the flexes, and the
+    dense representation restricted to the space through that basis."""
     tol, d = fw.tolerance, fw.dimension
     ortho = cf.column_space_basis(space.stacked, tol)
     space = cf.MatrixSpace(d, tuple(unvec(col, d) for col in ortho.basis.T),
                            name=space.name, tol=tol)
-    reps = cf.representation_matrices(fw, element)
-    domain = _restricted_domain_rep(reps, space)
+    _, edge_perm, _, full_domain = reference_representation(fw, element)
+    dn = d * fw.vertex_count
+    embed = np.block([[np.eye(dn), np.zeros((dn, space.dim))],
+                      [np.zeros((d * d, dn)), ortho.basis]])
+    domain = embed.T @ full_domain @ embed
     _, flexes, stresses = cf.factorize(cf.restricted_operator(fw, space), tol)
     rigid = cf.rigid_motion_space(fw, space)
     mech = cf.complement_within(flexes, rigid)
@@ -340,9 +375,9 @@ def reference_character_row(fw, element, space):
     def trace(action, basis):
         return float(np.trace(basis.basis.T @ action @ basis.basis)) if basis.dim else 0.0
 
-    vertex, edge = float(np.trace(domain)), float(np.trace(reps.edge_perm))
+    vertex, edge = float(np.trace(domain)), float(np.trace(edge_perm))
     rigid_trace, mech_trace = trace(domain, rigid), trace(domain, mech)
-    stress_trace = trace(reps.edge_perm, stresses)
+    stress_trace = trace(edge_perm, stresses)
     return cf.CharacterRow(
         element_name=element.name, space_name=space.name, vertex_trace=vertex,
         edge_trace=edge, rigid_trace=rigid_trace, mechanism_trace=mech_trace,
@@ -385,25 +420,24 @@ class TestHomomorphism:
         g = kagome_r3
         gg = self.compose(kagome, g, g, "r3^2")
         ggg = self.compose(kagome, g, gg, "r3^3")
-        rg = cf.representation_matrices(kagome, g)
-        rgg = cf.representation_matrices(kagome, gg)
-        rid = cf.representation_matrices(kagome, ggg)
-        assert_allclose(rg.edge_perm @ rg.edge_perm, rgg.edge_perm, atol=1e-12)
-        assert_allclose(rg.vertex_rep @ rg.vertex_rep, rgg.vertex_rep, atol=1e-12)
-        dg = full_domain_rep(kagome, rg)
-        assert_allclose(dg @ dg, full_domain_rep(kagome, rgg), atol=1e-12)
-        assert_allclose(full_domain_rep(kagome, rid), np.eye(10), atol=1e-12)
+        rg = full_action(kagome, g)
+        rgg = full_action(kagome, gg)
+        rid = full_action(kagome, ggg)
+        assert_allclose(rg.permute_edges(edge_matrix(rg)), edge_matrix(rgg), atol=1e-12)
+        vg = dense(rg)[:6, :6]
+        assert_allclose(vg @ vg, dense(rgg)[:6, :6], atol=1e-12)
+        assert_allclose(rg.apply(dense(rg)), dense(rgg), atol=1e-12)
+        assert_allclose(dense(rid), np.eye(10), atol=1e-12)
 
     def test_glide_squares_to_translation(self, kagome, kagome_glide):
         g = kagome_glide
         squared = self.compose(kagome, g, g, "glide^2")
         assert_allclose(squared.linear, np.eye(2), atol=1e-15)
         assert_allclose(squared.translation, [1.0, 0.0], atol=1e-15)
-        rg = cf.representation_matrices(kagome, g)
-        rsq = cf.representation_matrices(kagome, squared)
-        dg = full_domain_rep(kagome, rg)
-        assert_allclose(dg @ dg, full_domain_rep(kagome, rsq), atol=1e-12)
-        assert_allclose(rg.edge_perm @ rg.edge_perm, rsq.edge_perm, atol=1e-12)
+        rg = full_action(kagome, g)
+        rsq = full_action(kagome, squared)
+        assert_allclose(rg.apply(dense(rg)), dense(rsq), atol=1e-12)
+        assert_allclose(rg.permute_edges(edge_matrix(rg)), edge_matrix(rsq), atol=1e-12)
 
 
 class TestSymmetryEquation:
@@ -456,17 +490,20 @@ class TestCommutant:
 
 
 class TestFixedSpace:
-    def test_identity_operator(self):
-        assert cf.fixed_space(np.eye(5)).dim == 5
+    def test_identity_operator(self, kagome):
+        assert fixed_space(np.eye(5)).dim == 5
+        action = full_action(kagome, identity_element(kagome))
+        fixed, free = _fixed_domain(action, cf.commutant_basis(np.eye(2), kagome.tolerance),
+                                    kagome.tolerance)
+        assert (fixed.dim, free) == (10, 6)
 
     def test_kagome_vertex_rep(self, kagome, kagome_r3):
-        reps = cf.representation_matrices(kagome, kagome_r3)
-        assert cf.fixed_space(reps.vertex_rep, kagome.tolerance).dim == 2
+        action = full_action(kagome, kagome_r3)
+        assert fixed_space(dense(action)[:6, :6], kagome.tolerance).dim == 2
 
     def test_permutation_fixed_space_counts_orbits(self, any_builtin):
         for g in any_builtin.symmetries:
-            reps = cf.representation_matrices(any_builtin, g)
-            fixed = cf.fixed_space(reps.edge_perm, any_builtin.tolerance)
+            fixed = fixed_space(edge_matrix(full_action(any_builtin, g)), any_builtin.tolerance)
             assert fixed.dim == cf.edge_orbit_count(g)
 
 
@@ -534,7 +571,7 @@ class TestSymmetryCounts:
 
     def test_burnside_orbit_identity(self, any_builtin):
         for g in any_builtin.symmetries:
-            order = cf.edge_permutation_order(g)
+            order = lcm(*reference_cycle_lengths(g.edge_map))
             perm = list(g.edge_map)
             total, current = 0, list(range(len(perm)))
             for _ in range(order):
@@ -553,14 +590,29 @@ class TestSymmetryCounts:
             assert rep.mechanisms <= mode.mechanisms
             assert rep.stresses <= mode.stresses
 
+    def test_counts_allocate_no_square_of_the_domain(self, kagome):
+        # The actions are gathers, so the peak is a few copies of the
+        # operator, never the dense (dn + d^2)^2 domain representation.
+        g = kagome.symmetries[0]
+        big = cf.supercell(kagome, (8, 8))
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        operator = cf.restricted_operator(big, cf.matrix_space("full", 2, big.tolerance))
+        tracemalloc.start()
+        try:
+            cf.symmetry_counts(big, big.symmetries[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * operator.nbytes
+
     def test_fixed_domain_maps_into_fixed_edge_space(self, any_builtin):
         fw = any_builtin
         full = cf.matrix_space("full", fw.dimension, fw.tolerance)
         for g in fw.symmetries:
-            reps = cf.representation_matrices(fw, g)
+            _, edge_perm, _, domain = reference_representation(fw, g)
             operator = cf.restricted_operator(fw, full)
-            domain_fixed = cf.fixed_space(full_domain_rep(fw, reps), fw.tolerance)
-            edge_fixed = cf.fixed_space(reps.edge_perm, fw.tolerance)
+            domain_fixed = fixed_space(domain, fw.tolerance)
+            edge_fixed = fixed_space(edge_perm, fw.tolerance)
             image = operator @ domain_fixed.basis
             outside = image - edge_fixed.project(image)
             assert np.max(np.abs(outside), initial=0.0) <= 10 * fw.tolerance
