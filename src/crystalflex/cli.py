@@ -130,9 +130,12 @@ def _resolve_modes(args, fw):
 def _parse_cells(text, dimension):
     if "x" in text and ":" not in text:
         counts = text.split("x")
-        if len(counts) != dimension or not all(c.isdigit() for c in counts):
-            raise CliError(f"--cells {text!r}: expected {dimension} counts like '3x3'")
-        return [(0, int(c)) for c in counts]
+        try:
+            if len(counts) == dimension and all(c.isdigit() for c in counts):
+                return [(0, int(c)) for c in counts]
+        except ValueError:      # more digits than int() converts
+            pass
+        raise CliError(f"--cells {text!r}: expected {dimension} counts like '3x3'")
     ranges = []
     for part in text.split(","):
         bounds = part.split(":")
@@ -213,7 +216,9 @@ def _cmd_svg(args) -> int:
     try:
         document = render_svg(fw, ranges)
     except ValueError as exc:
-        raise CliError(str(exc))
+        # In the plane every refusal is of the box of cells: an empty or
+        # too large range.
+        raise CliError(f"--cells {args.cells!r}: {exc}" if fw.dimension == 2 else str(exc))
     _write_output(args.output, document)
     return 0
 

@@ -49,7 +49,8 @@ from .frameworks import (
 from .linalg import MIN_TOL
 from .rigidity import (
     MatrixSpace,
-    analyze_counts,
+    bordered_counts,
+    factor_strict,
     matrix_space,
 )
 from .symmetry import (
@@ -448,9 +449,10 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     """
     d = fw.dimension
     mode_entries = []
+    strict = factor_strict(fw) if modes else None
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
-        counts = analyze_counts(fw, space)
+        counts = bordered_counts(strict, space)
         flexes, dn = counts.flex_basis.basis, d * fw.vertex_count
         velocities = flexes[:dn].T.reshape(flexes.shape[1], fw.vertex_count, d)
         distortions = space.matrix_from_coordinates(flexes[dn:].T)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -20,6 +21,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, MIN_TOL, numeric_rank
 
 CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
+COPY_LIMIT = 2**20    # most vertex and edge copies a supercell or fragment may hold
 
 
 class InvalidFrameworkError(ValueError):
@@ -406,6 +408,15 @@ def edge_geometry(fw: CrystalFramework, edge: MotifEdge) -> EdgeGeometry:
                         length=float(np.linalg.norm(vectors[0])))
 
 
+def _check_copies(fw: CrystalFramework, cells: int, what: str):
+    """Refuse ``cells`` copies of the motif before any of them is listed."""
+    copies = cells * (fw.vertex_count + fw.edge_count)
+    if copies > COPY_LIMIT:
+        raise ValueError(
+            f"{what} has {cells} cells, {copies} vertex and edge copies in all; "
+            f"at most {COPY_LIMIT} are allowed")
+
+
 def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
     """Framework with the same geometry over the coarser lattice Z diag(n).
 
@@ -422,6 +433,7 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
         raise ValueError(f"need {fw.dimension} multiplicities, got {n.shape[0]}")
     if np.any(n < 1):
         raise ValueError("supercell multiplicities must be positive")
+    _check_copies(fw, math.prod(int(k) for k in n), "the supercell")
 
     lattice = PeriodLattice(fw.lattice.matrix * n[np.newaxis, :])
     residues = list(itertools.product(*(range(k) for k in n)))
@@ -492,6 +504,7 @@ def fragment(fw: CrystalFramework, cell_range) -> Fragment:
         raise ValueError(f"need {fw.dimension} cell ranges, got {len(ranges)}")
     if any(b <= a for a, b in ranges):
         raise ValueError("empty cell range")
+    _check_copies(fw, math.prod(b - a for a, b in ranges), "the box")
 
     cells = list(itertools.product(*(range(a, b) for a, b in ranges)))
     inside = set(cells)

@@ -1,13 +1,17 @@
 """Dense linear algebra with a shared rank-tolerance policy.
 
 Every rank decision in the package goes through this module: a singular
-value sigma counts as nonzero when
+value sigma of a matrix counts as nonzero when
 
     sigma > tol * max(1, sigma_max) * max(n_rows, n_cols).
 
-Kernels and cokernels come from one full SVD (``factorize`` returns the
-rank, kernel and cokernel of a matrix together), so the returned bases are
-orthonormal.  Subspace intersections come from principal angles, with the
+Kernels and cokernels are read off full SVDs with orthonormal columns.
+``factorize`` reads them off the full SVD of the matrix itself;
+``factorize_bordered`` reads those of a bordered matrix [A | C], with C a
+few columns wide, off the full SVD of A and one small factorization of
+the border, so one SVD of A serves every border.  Its threshold puts the
+bound hypot(sigma_max(A), ||C||_2) >= sigma_max([A | C]) in place of
+sigma_max.  Subspace intersections come from principal angles, with the
 threshold the same policy puts on the stacked complement projectors.
 """
 
@@ -29,14 +33,17 @@ def _as_matrix(mat) -> np.ndarray:
     return a
 
 
-def _effective_tol(singular_values: np.ndarray, shape, tol: float) -> float:
-    largest = float(singular_values[0]) if len(singular_values) else 0.0
+def _threshold(largest: float, shape, tol: float) -> float:
     return tol * max(1.0, largest) * max(shape[0], shape[1], 1)
 
 
-def _rank(singular_values: np.ndarray, shape, tol: float) -> int:
-    """Number of singular values of a matrix of ``shape`` above the shared threshold."""
-    return int(np.sum(singular_values > _effective_tol(singular_values, shape, tol)))
+def _rank(singular_values: np.ndarray, shape, tol: float, largest=None) -> int:
+    """Number of singular values above the shared threshold of a matrix of
+    ``shape`` whose largest singular value is ``largest`` (by default the
+    first of ``singular_values``; a border passes its bound)."""
+    if largest is None:
+        largest = float(singular_values[0]) if len(singular_values) else 0.0
+    return int(np.sum(singular_values > _threshold(largest, shape, tol)))
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
@@ -109,33 +116,101 @@ def _span(columns: np.ndarray, tol: float) -> SubspaceBasis:
     return SubspaceBasis(columns.shape[0], _canonical_signs(columns), tol)
 
 
-def _full_svd(mat, tol: float):
-    """Rank and the full U and V^T of ``mat`` (identities when it is empty)."""
+class FullSVD(NamedTuple):
+    """Full SVD of one matrix: ``u`` (rows x rows), the singular values in
+    descending order and ``vt`` (cols x cols)."""
+
+    u: np.ndarray
+    singular_values: np.ndarray
+    vt: np.ndarray
+
+
+def full_svd(mat) -> FullSVD:
+    """Full SVD of ``mat``; identities and no singular values when it is empty."""
     m = _as_matrix(mat)
     rows, cols = m.shape
     if rows == 0 or cols == 0:
-        return 0, np.eye(rows), np.eye(cols)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    return _rank(s, m.shape, tol), u, vt
+        return FullSVD(np.eye(rows), np.zeros(0), np.eye(cols))
+    return FullSVD(*np.linalg.svd(m, full_matrices=True))
 
 
 class Factorization(NamedTuple):
-    """Rank, kernel and cokernel of one matrix, read off a single SVD."""
+    """Rank, kernel and cokernel of one matrix, with orthonormal bases."""
 
     rank: int
     kernel: SubspaceBasis
     cokernel: SubspaceBasis
 
 
+def border_bound(svd: FullSVD, border) -> float:
+    """hypot(sigma_max(A), ||C||_2) for the SVD of A and the border C.
+
+    It bounds sigma_max([A | C]) from above: for a unit vector (x, z),
+    |A x + C z| <= sigma_max(A) |x| + ||C||_2 |z| <= the bound, by
+    Cauchy-Schwarz.  ||C||_2 comes from the dim C x dim C Gram matrix.
+    """
+    s = svd.singular_values
+    largest = float(s[0]) if len(s) else 0.0
+    c = _as_matrix(border)
+    if c.size == 0:
+        return largest
+    norm = np.sqrt(max(float(np.linalg.eigvalsh(c.T @ c)[-1]), 0.0))
+    return float(np.hypot(largest, norm))
+
+
+def factorize_bordered(svd: FullSVD, border, tol: float = DEFAULT_TOL) -> Factorization:
+    """Rank, kernel and cokernel of [A | C] from the full SVD of A.
+
+    With the threshold of the shared rule for the shape of [A | C] and the
+    bound ``border_bound`` in place of its sigma_max, r singular values of
+    A are kept.  S = U[:, r:] spans A's cokernel and B = S^T C (s x q) is
+    the part of the border A cannot reach.  Then
+
+    - the rank is r + rank B;
+    - the cokernel is S times the left null space of B;
+    - the kernel is (V[:, r:], 0) plus the lifts (-A^+ C z, z) for z in
+      ker B, orthonormalised.  A^+ C z lies in A's row space, so the lifts
+      are orthogonal to the first block.
+
+    B is factored as a QR and the SVD of its q x q (at most) triangle, so no
+    SVD as tall as A is taken.  An empty border gives A's own factorization.
+    """
+    u, s, vt = svd
+    c = _as_matrix(border)
+    rows, cols, q = u.shape[0], vt.shape[0], c.shape[1]
+    if c.shape[0] != rows:
+        raise ValueError(f"border has {c.shape[0]} rows, the matrix {rows}")
+    shape = (rows, cols + q)
+    bound = border_bound(svd, c)
+    r = _rank(s, shape, tol, bound)
+    if q == 0:
+        return Factorization(r, _span(vt[r:].T, tol), _span(u[:, r:], tol))
+
+    reached = u.T @ c                             # U^T C; its rows r: are B
+    q_b, r_b = np.linalg.qr(reached[r:], mode="complete")
+    k = min(r_b.shape)
+    top_u, top_s, top_vt = full_svd(r_b[:k])
+    rank_b = _rank(top_s, shape, tol, bound)
+    left_null = np.hstack([q_b[:, :k] @ top_u[:, rank_b:], q_b[:, k:]])
+    kernel_b = top_vt[rank_b:].T
+
+    lifted = vt[:r].T @ (reached[:r] @ kernel_b / s[:r, np.newaxis])
+    lifts, _ = np.linalg.qr(np.vstack([-lifted, kernel_b]))
+    kernel = np.hstack([np.vstack([vt[r:].T, np.zeros((q, cols - r))]), lifts])
+    return Factorization(r + rank_b, _span(kernel, tol), _span(u[:, r:] @ left_null, tol))
+
+
 def factorize(mat, tol: float = DEFAULT_TOL) -> Factorization:
-    rank, u, vt = _full_svd(mat, tol)
-    return Factorization(rank, _span(vt[rank:, :].T, tol), _span(u[:, rank:], tol))
+    """Rank, kernel and cokernel of ``mat``, read off its own full SVD."""
+    m = _as_matrix(mat)
+    return factorize_bordered(full_svd(m), np.zeros((m.shape[0], 0)), tol)
 
 
 def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the (numerical) null space of ``mat``."""
-    rank, _, vt = _full_svd(mat, tol)
-    return _span(vt[rank:, :].T, tol)
+    m = _as_matrix(mat)
+    _, s, vt = full_svd(m)
+    return _span(vt[_rank(s, m.shape, tol):].T, tol)
 
 
 def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
@@ -177,7 +252,7 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         top = np.sqrt(2.0)
     else:
         top = float(np.sqrt(np.max(1.0 + cosines, where=sines > 0, initial=0.0)))
-    keep = stacked <= _effective_tol(np.array([top]), (2 * n, n), tol)
+    keep = stacked <= _threshold(top, (2 * n, n), tol)
     return _span(small.basis @ vt[keep].T, tol)
 
 

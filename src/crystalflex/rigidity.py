@@ -14,6 +14,13 @@ vec(A Z) = (Z^T kron I) vec A and with the basis of an admissible space E of
 velocity matrices.  Every basis, count and decoder of this module is in that
 one domain system, (u, coordinates of A in E's basis).
 
+The operator of E is the strict operator R0 (the vertex block) bordered by
+the dim E <= d^2 lattice-velocity columns C_E, so one full SVD of R0
+(``factor_strict``) serves every admissible space: ``bordered_counts``
+reads each space's counts and bases off it and a small factorization of
+S0^T C_E, S0 the strict stresses.  ``analyze_counts`` is the two in one
+call.
+
 Sign conventions: the velocity of the copy of vertex ``v`` in cell k is
 ``u_v - A Z k``, and a global rotation with skew generator S corresponds to
 (u_v = S p_v, A = -S).
@@ -29,9 +36,11 @@ import numpy as np
 from .frameworks import AffineVelocity, CrystalFramework, _edge_arrays
 from .linalg import (
     DEFAULT_TOL,
+    FullSVD,
     SubspaceBasis,
     column_space_basis,
-    factorize,
+    factorize_bordered,
+    full_svd,
     kernel_basis,
     numeric_rank,
 )
@@ -187,19 +196,24 @@ def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     return RigidityMatrices(vertex_block, affine_block)
 
 
+def _lattice_columns(fw: CrystalFramework, mats: RigidityMatrices, space: MatrixSpace) -> np.ndarray:
+    """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z)."""
+    if space.dimension != fw.dimension:
+        raise ValueError(
+            f"matrix space dimension {space.dimension} != framework dimension {fw.dimension}"
+        )
+    lift = right_multiplication_operator(fw.lattice.matrix) @ space.stacked
+    return mats.affine_block @ lift
+
+
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
     """Operator on (u, coords-in-space); columns [vertex block | X L].
 
     L maps the j-th basis matrix A_j to vec(A_j Z), so kernel vectors carry
     velocity-matrix coordinates directly in the given basis.
     """
-    if space.dimension != fw.dimension:
-        raise ValueError(
-            f"matrix space dimension {space.dimension} != framework dimension {fw.dimension}"
-        )
     mats = build_matrices(fw)
-    lift = right_multiplication_operator(fw.lattice.matrix) @ space.stacked
-    return np.hstack([mats.vertex_block, mats.affine_block @ lift])
+    return np.hstack([mats.vertex_block, _lattice_columns(fw, mats, space)])
 
 
 def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
@@ -255,8 +269,26 @@ class CountReport:
     flags: tuple = ()
 
 
-def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
-    _, flex, stress = factorize(restricted_operator(fw, space), fw.tolerance)
+@dataclass(frozen=True)
+class StrictFactorization:
+    """A framework's rigidity blocks and the one full SVD of its strict
+    operator R0 (the vertex block) that every admissible space reads."""
+
+    fw: CrystalFramework
+    matrices: RigidityMatrices
+    svd: FullSVD
+
+
+def factor_strict(fw: CrystalFramework) -> StrictFactorization:
+    mats = build_matrices(fw)
+    return StrictFactorization(fw, mats, full_svd(mats.vertex_block))
+
+
+def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountReport:
+    """Counts and bases in ``space``, from R0's SVD bordered by C_E."""
+    fw = strict.fw
+    border = _lattice_columns(fw, strict.matrices, space)
+    _, flex, stress = factorize_bordered(strict.svd, border, fw.tolerance)
     rigid = rigid_motion_space(fw, space)
     f = rigid.dim
     if f > flex.dim:
@@ -286,6 +318,10 @@ def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
     )
 
 
+def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
+    return bordered_counts(factor_strict(fw), space)
+
+
 @dataclass(frozen=True)
 class AffineRigidityCheck:
     is_rigid: bool
@@ -294,9 +330,14 @@ class AffineRigidityCheck:
 
 
 def is_affinely_rigid(fw: CrystalFramework) -> AffineRigidityCheck:
-    """Full-space rigidity test: rank must reach vertex dof + rotation count."""
+    """Full-space rigidity test: rank must reach vertex dof + rotation count.
+
+    The rank is read off the full-space counts, so it is the one the
+    reports print: vertex dof + d^2 - (m + f).
+    """
     d = fw.dimension
-    rank = numeric_rank(restricted_operator(fw, matrix_space("full", d, fw.tolerance)), fw.tolerance)
+    counts = analyze_counts(fw, matrix_space("full", d, fw.tolerance))
+    rank = counts.vertex_dof + counts.space_dim - counts.flex_basis.dim
     required = d * fw.vertex_count + d * (d - 1) // 2
     return AffineRigidityCheck(is_rigid=(rank == required), rank=rank, required_rank=required)
 

@@ -5,10 +5,13 @@ in sympy (no floats, no shared code with the package), so the numeric rank
 decisions are checked against symbolic ground truth.  The torus oracle
 rebuilds the strict rigidity matrix from placed one-cell geometry with
 endpoints identified by fractional-coordinate matching, an entirely
-different code path from the motif assembly.
+different code path from the motif assembly.  ``dense_counts`` reads the
+counts of a space off one SVD of the whole restricted operator, the path
+that the bordered factorization of the strict operator replaced.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -189,3 +192,23 @@ def scrambled_supercell(name, n, rng):
         edges.append(cf.MotifEdge(e.from_vertex, np.add(e.from_cell, shift),
                                   e.to_vertex, np.add(e.to_cell, shift)))
     return cf.CrystalFramework(big.lattice, big.vertices, edges, tolerance=big.tolerance)
+
+
+class DenseCounts(NamedTuple):
+    mechanisms: int
+    stresses: int
+    rigid_motions: int
+    flex_basis: cf.SubspaceBasis
+    stress_basis: cf.SubspaceBasis
+    sigma_max: float
+
+
+def dense_counts(fw, space):
+    """Counts and bases of ``space`` from the SVD of the whole restricted
+    operator [R0 | C_E], with its own sigma_max in the threshold."""
+    operator = cf.restricted_operator(fw, space)
+    _, flex, stress = cf.factorize(operator, fw.tolerance)
+    f = cf.rigid_motion_space(fw, space).dim
+    sigma = np.linalg.svd(operator, compute_uv=False) if operator.size else np.zeros(0)
+    return DenseCounts(flex.dim - f, stress.dim, f, flex, stress,
+                       float(sigma[0]) if len(sigma) else 0.0)

@@ -206,6 +206,27 @@ class TestSupercell:
         assert err == ("error: --n '100000000000000000000,1': supercell multiplicities "
                        "must fit in a machine integer\n")
 
+    @pytest.mark.parametrize("command, flag", [
+        (["supercell", "--n", "100000,100000"], "--n '100000,100000'"),
+        (["svg", "--cells", "100000x100000", "-o", "x.svg"], "--cells '100000x100000'"),
+        (["svg", "--cells", "0:100000,0:100000", "-o", "x.svg"], "--cells '0:100000,0:100000'")])
+    def test_absurd_sizes_exit_2(self, capsys, tmp_path, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command[0], "--builtin", "kagome", *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {flag}: the {'supercell' if command[0] == 'supercell' else 'box'} "
+                       f"has 10000000000 cells, 90000000000 vertex and edge copies in all; "
+                       f"at most {crystalflex.frameworks.COPY_LIMIT} are allowed\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cell_count_beyond_the_integer_conversion(self, capsys, tmp_path):
+        cells = "1" + "0" * 5000 + "x1"
+        code, _, err = run(capsys, "svg", "--builtin", "kagome", "--cells", cells,
+                           "-o", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err.startswith("error: --cells '1000") and err.endswith("expected 2 counts like '3x3'\n")
+
     @pytest.mark.parametrize("command", [["supercell", "--n", "2,2"], ["svg", "--cells", "2x2"]])
     @pytest.mark.parametrize("target", ["missing", "directory"])
     def test_unwritable_output(self, capsys, tmp_path, command, target):
@@ -518,8 +539,8 @@ def count_calls(monkeypatch, name):
 
 
 class TestWorkPerRequest:
-    """One validation per framework value, one SVD per restricted operator,
-    and no factorization taller than the operator's domain."""
+    """One validation per framework value, one SVD of the strict operator per
+    analysis, and no factorization taller than the operator's domain."""
 
     @pytest.fixture
     def counters(self, monkeypatch):
@@ -550,8 +571,10 @@ class TestWorkPerRequest:
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         return calls
 
-    def test_analyze_validates_once_and_factors_each_operator_once(
+    def test_analyze_validates_once_and_factors_the_strict_operator_once(
             self, capsys, tmp_path, kagome, counters):
+        # Strict and affine both read one SVD of R0; the affine operator
+        # [R0 | C_E] is never factored.
         big = cf.supercell(kagome, (2, 2))
         path = tmp_path / "kagome_2x2.json"
         cf.save_framework(big, path)
@@ -564,7 +587,24 @@ class TestWorkPerRequest:
         assert code == 0
         assert len(validations) == 1
         assert svd_shapes.count(strict) == 1
-        assert svd_shapes.count(affine) == 1
+        assert svd_shapes.count(affine) == 0
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "space", "symmetric"]])
+    def test_analyze_takes_no_other_svd_as_tall_as_the_operator(
+            self, capsys, tmp_path, counters, mode):
+        # Every space is a border of R0: the one SVD with |Fe| rows is R0's.
+        # The 2x2x2 hexahedron has |Fe| = 72 rows, unlike d|Fv| + dim E and
+        # d^2, so no rigid-motion SVD can pass for the operator's.
+        base = cf.builtin_framework("hexahedron")
+        big = cf.supercell(base, (2, 2, 2))
+        path = tmp_path / "hexahedron_2x2x2.json"
+        cf.save_framework(big, path)
+        _, svd_shapes = counters
+        svd_shapes.clear()
+        code, _, _ = run(capsys, "analyze", str(path), *mode)
+        assert code == 0
+        tall = [shape for shape in svd_shapes if shape[0] == big.edge_count]
+        assert tall == [(big.edge_count, base.dimension * big.vertex_count)]
 
     def test_rigid_motions_take_one_kernel_and_one_span(
             self, kagome, counters, solves, monkeypatch):
@@ -631,23 +671,25 @@ class TestWorkPerRequest:
 
     def test_character_rows_read_the_counts_factorization(
             self, capsys, tmp_path, kagome, monkeypatch):
-        # character_row reads analyze_counts' bases: the character operator
-        # is factored once, the space keeps its own basis (no SVD of its
-        # d^2 x q stack) and the mechanism trace is a quotient trace (no
-        # orthogonal complement).
+        # character_row reads analyze_counts' bases: the strict operator is
+        # factored once and the commutant space is its border, the space
+        # keeps its own basis (no SVD of its d^2 x q stack) and the
+        # mechanism trace is a quotient trace (no orthogonal complement).
         big = cf.supercell(kagome, (2, 2))
         g = kagome.symmetries[0]
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
         path = tmp_path / "kagome_2x2.json"
         cf.save_framework(big, path)
         factorizations = count_calls(monkeypatch, "factorize")
+        svds = count_calls(monkeypatch, "full_svd")
         complements = count_calls(monkeypatch, "complement_within")
         spans = count_calls(monkeypatch, "column_space_basis")
         code, _, _ = run(capsys, "symmetry", str(path), "--characters")
         assert code == 0
         commutant = cf.commutant_basis(g.linear, big.tolerance)
-        assert [np.shape(args[0]) for args in factorizations] == [
-            (big.edge_count, 2 * big.vertex_count + commutant.dim)]
+        assert factorizations == []
+        tall = [np.shape(args[0]) for args in svds if np.shape(args[0])[0] == big.edge_count]
+        assert tall == [(big.edge_count, 2 * big.vertex_count)]
         assert complements == []
         assert (4, commutant.dim) not in [np.shape(args[0]) for args in spans]
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,40 @@ class TestSupercell:
     def test_rejects_multiplicity_beyond_a_machine_integer(self, kagome):
         with pytest.raises(ValueError, match="machine integer"):
             cf.supercell(kagome, (10 ** 20, 1))
+
+
+class TestCopyLimit:
+    """A supercell or fragment is refused, before any copy is listed, when
+    its cells times (vertices + edges) exceed COPY_LIMIT."""
+
+    @pytest.mark.parametrize("build", [
+        lambda fw: cf.supercell(fw, (100000, 100000)),
+        lambda fw: cf.supercell(fw, (2 ** 62, 4)),
+        lambda fw: cf.fragment(fw, [(0, 100000), (-100000, 0)])])
+    def test_absurd_sizes_are_refused_without_allocating(self, kagome, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {crystalflex.frameworks.COPY_LIMIT}"):
+                build(kagome)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_limit_counts_vertices_and_edges(self, kagome, monkeypatch):
+        # kagome has 3 vertices and 6 edges per cell: 4 cells are 36 copies.
+        monkeypatch.setattr(crystalflex.frameworks, "COPY_LIMIT", 36)
+        assert cf.supercell(kagome, (2, 2)).edge_count == 24
+        assert len(cf.fragment(kagome, [(0, 2), (0, 2)]).points) == 12
+        with pytest.raises(ValueError, match="has 6 cells, 54 vertex and edge copies"):
+            cf.supercell(kagome, (2, 3))
+        with pytest.raises(ValueError, match="has 5 cells, 45 vertex and edge copies"):
+            cf.fragment(kagome, [(0, 5), (0, 1)])
+
+    def test_pictures_of_200x200_cells_stay_allowed(self):
+        for name in ("square_grid", "kagome"):
+            fw = cf.builtin_framework(name)
+            assert 200 * 200 * (fw.vertex_count + fw.edge_count) <= crystalflex.frameworks.COPY_LIMIT
 
     def test_fragment_point_sets_agree(self, kagome):
         factors = (2, 2)

@@ -7,9 +7,12 @@ from numpy.testing import assert_allclose
 from crystalflex.linalg import (
     SubspaceBasis,
     _canonical_signs,
+    border_bound,
     column_space_basis,
     complement_within,
     factorize,
+    factorize_bordered,
+    full_svd,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -163,3 +166,39 @@ def test_canonical_signs_match_the_column_loop(rows, cols, data):
     got = _canonical_signs(basis)
     assert got.shape == basis.shape
     assert got.tobytes() == canonical_signs_loop(basis).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.integers(0, 4), st.data())
+def test_bordered_factorization_matches_the_whole_matrix(rows, cols, q, data):
+    # [A | C] with A of planted rank and C partly in A's column space.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r = data.draw(st.integers(0, min(rows, cols)))
+    a = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+    c = np.hstack([a @ rng.normal(size=(cols, q // 2)), rng.normal(size=(rows, q - q // 2))])
+    bordered = factorize_bordered(full_svd(a), c)
+    whole = factorize(np.hstack([a, c]))
+    assert bordered.rank == whole.rank
+    for got, want in [(bordered.kernel, whole.kernel), (bordered.cokernel, whole.cokernel)]:
+        assert got.dim == want.dim
+        assert_allclose(got.basis @ got.basis.T, want.basis @ want.basis.T, atol=1e-9)
+    sigma = np.linalg.svd(np.hstack([a, c]), compute_uv=False) if rows and cols + q else [0.0]
+    assert border_bound(full_svd(a), c) >= sigma[0] * (1 - 1e-12)
+
+
+def test_border_must_match_the_rows():
+    with pytest.raises(ValueError, match="rows"):
+        factorize_bordered(full_svd(np.eye(3)), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("small, border, rank", [
+    # Kept by A's own threshold (2 tol) but not by the bordered shape's (3 tol).
+    (0.0025, [[0.0], [0.0]], 1),
+    # Below 3 tol sigma_hat = 3 sqrt(2) tol, though above 3 tol sigma_max(A).
+    (0.0035, [[1.0], [0.0]], 1),
+    (0.0045, [[1.0], [0.0]], 2)])
+def test_border_threshold_reads_the_bordered_shape_and_bound(small, border, rank):
+    a = np.diag([1.0, small])
+    assert factorize(a, 1e-3).rank == 2
+    bordered = factorize_bordered(full_svd(a), np.array(border), 1e-3)
+    assert bordered.rank == factorize(np.hstack([a, border]), 1e-3).rank == rank

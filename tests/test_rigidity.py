@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _skew_generators, unvec, vec
+from crystalflex.linalg import border_bound
+from crystalflex.rigidity import _skew_generators, bordered_counts, factor_strict, unvec, vec
 from oracles import (
+    dense_counts,
     direct_row_values,
     exact_rank_profile,
     match_rows_up_to_sign,
@@ -555,3 +557,79 @@ def test_rigid_motions_lie_in_the_flex_space(d, seed):
         e = cf.matrix_space(name, d, fw.tolerance)
         rigid = cf.rigid_motion_space(fw, e)
         assert cf.analyze_counts(fw, e).flex_basis.contains(rigid.basis)
+
+
+def projector(space):
+    return space.basis @ space.basis.T
+
+
+def random_spaces(rng, d, tol, count):
+    """``count`` custom spaces of random Gaussian matrices, of dimension 0..d^2."""
+    return [cf.MatrixSpace(d, tuple(rng.normal(size=(int(rng.integers(0, d * d + 1)), d, d))),
+                           tol=tol) for _ in range(count)]
+
+
+def assert_border_matches_dense(fw, space):
+    """The counts and subspaces of the bordered strict SVD are the dense
+    operator's, and the threshold's bound is at least its sigma_max."""
+    strict = factor_strict(fw)
+    counts = bordered_counts(strict, space)
+    dense = dense_counts(fw, space)
+    assert (counts.mechanisms, counts.stresses, counts.rigid_motions) == dense[:3], space.name
+    assert counts.identity_residual == 0
+    assert_allclose(projector(counts.flex_basis), projector(dense.flex_basis), atol=1e-9)
+    assert_allclose(projector(counts.stress_basis), projector(dense.stress_basis), atol=1e-9)
+    border = cf.restricted_operator(fw, space)[:, fw.dimension * fw.vertex_count:]
+    # Up to the round-off of the two ways of computing it.
+    assert border_bound(strict.svd, border) >= dense.sigma_max * (1 - 1e-12)
+
+
+def all_spaces(rng, d, tol, custom):
+    return [cf.matrix_space(name, d, tol) for name in cf.MATRIX_SPACE_NAMES] + \
+        random_spaces(rng, d, tol, custom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([cf.DEFAULT_TOL, 1e-6]), st.integers(0, 2 ** 32 - 1))
+def test_border_matches_the_dense_operator_on_random_frameworks(d, tol, seed):
+    rng = np.random.default_rng(seed)
+    fw = random_framework(rng, d=d, n_vertices=int(rng.integers(1, 5)),
+                          n_edges=int(rng.integers(0, 9))).with_tolerance(tol)
+    for e in all_spaces(rng, d, tol, 2):
+        assert_border_matches_dense(fw, e)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(cf.BUILTIN_NAMES), st.integers(1, 3),
+       st.sampled_from([cf.DEFAULT_TOL, 1e-6]), st.integers(0, 2 ** 32 - 1))
+def test_border_matches_the_dense_operator_on_scrambled_supercells(name, n, tol, seed):
+    rng = np.random.default_rng(seed)
+    fw = scrambled_supercell(name, n, rng).with_tolerance(tol)
+    for e in all_spaces(rng, fw.dimension, tol, 1):
+        assert_border_matches_dense(fw, e)
+
+
+class TestBorderEdgeCases:
+    def test_strict_operator_of_zero(self, square_grid, rng):
+        # Every bar joins copies of the one vertex class, so R0 = 0 and every
+        # rank is the border's.
+        assert not np.any(cf.build_matrices(square_grid).vertex_block)
+        for e in all_spaces(rng, 2, square_grid.tolerance, 2):
+            assert_border_matches_dense(square_grid, e)
+
+    def test_no_bars(self, rng):
+        fw = random_framework(rng, d=2, n_vertices=2, n_edges=0)
+        assert fw.edge_count == 0
+        for e in all_spaces(rng, 2, fw.tolerance, 2):
+            assert_border_matches_dense(fw, e)
+            assert cf.analyze_counts(fw, e).stresses == 0
+
+    @pytest.mark.parametrize("e", [cf.matrix_space("zero", 2), cf.MatrixSpace(2, ())])
+    def test_empty_space_is_the_strict_factorization(self, kagome, e):
+        # q = 0: the bases are R0's own SVD read-off, to the bit.
+        big = cf.supercell(kagome, (2, 2))
+        assert_border_matches_dense(big, e)
+        counts = cf.analyze_counts(big, e)
+        strict = cf.factorize(cf.build_matrices(big).vertex_block, big.tolerance)
+        assert np.array_equal(counts.flex_basis.basis, strict.kernel.basis)
+        assert np.array_equal(counts.stress_basis.basis, strict.cokernel.basis)
