@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input or usage error, 3 internal inconsistency
-(a Maxwell-Calladine identity failed to close, which indicates broken rank
-decisions rather than bad input).
+(a Maxwell-Calladine identity or a printed character row failed to close,
+which indicates broken rank decisions rather than bad input).
 """
 
 from __future__ import annotations

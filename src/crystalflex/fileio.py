@@ -42,9 +42,9 @@ from .frameworks import (
     CELL_LIMIT,
     CrystalFramework,
     InvalidFrameworkError,
-    MotifEdge,
     MotifVertex,
     PeriodLattice,
+    _EdgeTable,
 )
 from .linalg import MIN_TOL
 from .rigidity import (
@@ -156,18 +156,19 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
         vertices.append(MotifVertex(pos, vid))
 
     raw_edges = _require(doc, "edges", "", list)
-    edges = []
+    rows = []     # (from-vertex, *from-cell, to-vertex, *to-cell)
     for i, entry in enumerate(raw_edges):
         path = f"edges[{i}]"
-        ends = []
+        row = []
         for side in ("from", "to"):
             endpoint = _require(entry, side, path)
             vid = _require(endpoint, "v", f"{path}.{side}", str)
             if vid not in ids:
                 _fail(f"{path}.{side}.v", f"unknown vertex id {vid!r}")
             cell = endpoint.get("cell", [0] * dimension)
-            ends.append((ids[vid], tuple(_int_list(cell, dimension, f"{path}.{side}.cell"))))
-        edges.append(MotifEdge(ends[0][0], ends[0][1], ends[1][0], ends[1][1]))
+            row += [ids[vid], *_int_list(cell, dimension, f"{path}.{side}.cell")]
+        rows.append(row)
+    edges = _EdgeTable(rows, dimension)
 
     try:
         fw = CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=float(tolerance))
@@ -209,21 +210,19 @@ def parse_framework(text: str) -> CrystalFramework:
 
 def framework_to_dict(fw: CrystalFramework) -> dict:
     d = fw.dimension
+    labels = [fw.vertex_label(i) for i in range(fw.vertex_count)]
     doc = {
         "format": FORMAT_VERSION,
         "dimension": d,
         "period_vectors": [list(map(float, fw.lattice.matrix[:, j])) for j in range(d)],
         "tolerance": fw.tolerance,
         "vertices": [
-            {"id": fw.vertex_label(i), "position": list(map(float, v.position))}
-            for i, v in enumerate(fw.vertices)
+            {"id": label, "position": list(map(float, v.position))}
+            for label, v in zip(labels, fw.vertices)
         ],
         "edges": [
-            {
-                "from": {"v": fw.vertex_label(e.from_vertex), "cell": list(e.from_cell)},
-                "to": {"v": fw.vertex_label(e.to_vertex), "cell": list(e.to_cell)},
-            }
-            for e in fw.edges
+            {"from": {"v": labels[f], "cell": fc}, "to": {"v": labels[t], "cell": tc}}
+            for (f, t), (fc, tc) in zip(fw.edges.ends.tolist(), fw.edges.cells.tolist())
         ],
     }
     if fw.symmetries:
@@ -427,12 +426,14 @@ class AnalysisReport:
     body: dict
 
     @property
-    def max_identity_residual(self) -> int:
+    def max_identity_residual(self) -> float:
+        """Largest residual of a counting identity or a printed character row."""
         worst = 0
         for mode in self.body["modes"]:
             worst = max(worst, abs(mode["identity_residual"]))
         for sym in self.body.get("symmetries", []):
-            worst = max(worst, abs(sym["identity_residual"]))
+            residual = sym.get("characters", {}).get("residual", 0)
+            worst = max(worst, abs(sym["identity_residual"]), abs(residual))
         return worst
 
     def to_dict(self) -> dict:

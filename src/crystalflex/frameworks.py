@@ -4,8 +4,9 @@ A framework is stored as a finite set of representative vertices (one per
 translation class, with positions in the base cell's coordinate frame) and a
 finite set of representative edges.  Every edge endpoint carries an integer
 cell index, so edges whose endpoints both sit outside the base cell are
-representable.  All positions are Cartesian; fractional coordinates only
-appear at file-parsing time.
+representable.  The edges are one read-only int64 table, built once with the
+framework.  All positions are Cartesian; fractional coordinates only appear
+at file-parsing time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,8 +44,10 @@ def _as_point(x, d=None) -> np.ndarray:
 
 
 def _as_cell(x) -> tuple:
-    cell = tuple(int(c) for c in np.asarray(x).reshape(-1))
-    return cell
+    cell = np.asarray(x, dtype=object).reshape(-1).tolist()
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cell):
+        raise ValueError(f"edge cell indices must be integers, got {tuple(cell)!r}")
+    return tuple(map(int, cell))
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,67 @@ def _edge_class_keys(ends, offsets) -> np.ndarray:
     return np.where(keep[:, np.newaxis], forward, backward)
 
 
+class _EdgeTable(Sequence):
+    """The motif's bars as one read-only int64 table; its items are MotifEdges.
+
+    Each row is (from-vertex, *from-cell, to-vertex, *to-cell); ``ends``
+    (m, 2) and ``cells`` (m, 2, d) are views of it.  Only the parser and
+    ``supercell`` build a table from rows, and both keep every vertex and
+    cell in range; any other edge sequence goes through ``of``, whose
+    ``problems`` lists each edge no row can hold as (edge index, rank
+    within the edge, violation).
+    """
+
+    def __init__(self, rows, d: int, problems=()):
+        table = np.array(rows, dtype=np.int64).reshape(-1, 2, 1 + d)
+        table.setflags(write=False)
+        self.ends, self.cells, self.problems = table[..., 0], table[..., 1:], problems
+
+    @classmethod
+    def of(cls, edges, d: int, n: int) -> "_EdgeTable":
+        """``edges`` if it is a table fitting d and n vertices, else its table built edge by edge."""
+        if (isinstance(edges, cls) and edges.cells.shape[2] == d
+                and np.all((0 <= edges.ends) & (edges.ends < n))):
+            return edges
+        rows, problems = [], []
+        for idx, e in enumerate(edges):
+            start = len(problems)
+            if len(e.from_cell) != d:
+                problems.append((idx, 0, f"edge {idx} has cell indices of dimension {len(e.from_cell)}, "
+                                         f"lattice has {d}"))
+            else:
+                for rank, (end, label) in enumerate(((e.from_vertex, "from"), (e.to_vertex, "to"))):
+                    if not (0 <= end < n):
+                        problems.append((idx, rank, f"edge {idx} {label}-vertex index {end} is out of range"))
+                # Below 2**53 cells are exact as floats and int64 arithmetic cannot overflow.
+                cells = e.from_cell + e.to_cell
+                if not (-CELL_LIMIT < min(cells) and max(cells) < CELL_LIMIT):
+                    problems.append((idx, 2, f"edge {idx}: cell index out of range"))
+            rows.append((e.from_vertex, *e.from_cell, e.to_vertex, *e.to_cell) if len(problems) == start
+                        else (0,) * (2 + 2 * d))
+        return cls(rows, d, tuple(problems))
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """(m, d) to-cell minus from-cell, as in ``MotifEdge.offset``."""
+        return self.cells[:, 1] - self.cells[:, 0]
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        (f, t), (fc, tc) = self.ends[i].tolist(), self.cells[i].tolist()
+        return MotifEdge(f, fc, t, tc)
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _EdgeTable)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class AffineVelocity:
     """Vertex-class velocities plus the velocity matrix of the lattice frame.
@@ -172,8 +238,10 @@ class AffineVelocity:
 class CrystalFramework:
     """Finite motif + period lattice describing an infinite periodic framework.
 
-    Construction validates the framework (see ``validate_framework``) and
-    raises InvalidFrameworkError on any violation, so every instance is valid.
+    Any sequence of MotifEdges is turned once into the int64 edge table,
+    which reads back as equal MotifEdges.  Construction validates the
+    framework (see ``validate_framework``) and raises InvalidFrameworkError
+    on any violation, so every instance is valid.
     """
 
     lattice: PeriodLattice
@@ -184,7 +252,7 @@ class CrystalFramework:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "edges", _EdgeTable.of(self.edges, self.dimension, len(self.vertices)))
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be positive and finite")
@@ -206,12 +274,12 @@ class CrystalFramework:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        """(n_vertices, d) array of representative positions."""
-        if not self.vertices:
-            return np.zeros((0, self.dimension))
-        return np.array([v.position for v in self.vertices])
+        """Read-only (n_vertices, d) array of representative positions."""
+        positions = np.array([v.position for v in self.vertices]).reshape(-1, self.dimension)
+        positions.setflags(write=False)
+        return positions
 
     def vertex_label(self, index: int) -> str:
         name = self.vertices[index].name
@@ -322,28 +390,12 @@ def validate_framework(fw: CrystalFramework) -> list:
         if i < j:
             report.append(f"vertices {i} and {j} coincide modulo the lattice")
 
-    n, edges = fw.vertex_count, fw.edges
-    placeable = [idx for idx, e in enumerate(edges)
-                 if len(e.from_cell) == d and 0 <= e.from_vertex < n and 0 <= e.to_vertex < n
-                 and _cells_in_range(e)]
-    found = []     # (edge index, rank within the edge, violation)
-    for idx in sorted(set(range(len(edges))) - set(placeable)):
-        e = edges[idx]
-        if len(e.from_cell) != d:
-            found.append((idx, 0, f"edge {idx} has cell indices of dimension {len(e.from_cell)}, "
-                                  f"lattice has {d}"))
-            continue
-        for rank, (end, label) in enumerate(((e.from_vertex, "from"), (e.to_vertex, "to"))):
-            if not (0 <= end < n):
-                found.append((idx, rank, f"edge {idx} {label}-vertex index {end} is out of range"))
-        if not _cells_in_range(e):
-            found.append((idx, 2, f"edge {idx}: cell index out of range"))
-
-    index = np.array(placeable, dtype=np.int64)
-    ends, offsets, vectors = _edge_arrays(fw, [edges[idx] for idx in placeable])
+    found = list(fw.edges.problems)     # (edge index, rank within the edge, violation)
+    index = np.setdiff1d(np.arange(fw.edge_count), np.array([idx for idx, *_ in found], dtype=np.int64))
+    ends, cells, offsets = fw.edges.ends[index], fw.edges.cells[index], fw.edges.offsets[index]
     loop = (ends[:, 0] == ends[:, 1]) & ~offsets.any(axis=1)
     found += [(idx, 0, f"edge {idx} is a self-loop within one cell") for idx in index[loop].tolist()]
-    short = ~loop & (np.linalg.norm(vectors, axis=1) <= tol)
+    short = ~loop & (np.linalg.norm(_bar_vectors(fw, ends, cells), axis=1) <= tol)
     found += [(idx, 0, f"edge {idx} has zero length") for idx in index[short].tolist()]
 
     bars = index[~loop]
@@ -356,29 +408,11 @@ def validate_framework(fw: CrystalFramework) -> list:
     return report + [violation for *_, violation in sorted(found)]
 
 
-def _cells_in_range(edge: MotifEdge) -> bool:
-    """Whether every cell index is below 2**53, as file parsing requires.
-
-    That keeps cells exact as floats and the int64 edge arithmetic from
-    overflowing.
-    """
-    cells = edge.from_cell + edge.to_cell
-    return -CELL_LIMIT < min(cells) and max(cells) < CELL_LIMIT
-
-
-def _edge_arrays(fw: CrystalFramework, edges) -> tuple:
-    """Int64 end vertices (m, 2) and cell offsets (m, d), and bar vectors (m, d).
-
-    Offsets are to-cell minus from-cell, as in ``MotifEdge.offset``; bar
-    vectors run from the to-endpoint to the from-endpoint (from minus to),
-    the sign every bar row of the rigidity operator uses.
-    """
-    d = fw.dimension
-    ends = np.array([(e.from_vertex, e.to_vertex) for e in edges], dtype=np.int64).reshape(-1, 2)
-    cells = np.array([(e.from_cell, e.to_cell) for e in edges], dtype=np.int64).reshape(-1, 2, d)
+def _bar_vectors(fw: CrystalFramework, ends, cells) -> np.ndarray:
+    """Bar vectors (m, d), from-endpoint minus to-endpoint as every bar row of the
+    operator uses them, of the bars with int64 ends (m, 2) and cells (m, 2, d)."""
     pos, z = fw.positions, fw.lattice.matrix
-    vectors = (pos[ends[:, 0]] + cells[:, 0] @ z.T) - (pos[ends[:, 1]] + cells[:, 1] @ z.T)
-    return ends, cells[:, 1] - cells[:, 0], vectors
+    return (pos[ends[:, 0]] + cells[:, 0] @ z.T) - (pos[ends[:, 1]] + cells[:, 1] @ z.T)
 
 
 def _check_vertex(fw: CrystalFramework, vertex: int) -> None:
@@ -403,9 +437,9 @@ def edge_geometry(fw: CrystalFramework, edge: MotifEdge) -> EdgeGeometry:
     """Bar vector (from-endpoint minus to-endpoint), cell offset and length."""
     for vertex in (edge.from_vertex, edge.to_vertex):
         _check_vertex(fw, vertex)     # array indexing would wrap a negative index
-    _, offsets, vectors = _edge_arrays(fw, [edge])
-    return EdgeGeometry(vector=vectors[0], offset=offsets[0],
-                        length=float(np.linalg.norm(vectors[0])))
+    vector = _bar_vectors(fw, np.array([(edge.from_vertex, edge.to_vertex)]),
+                          np.array([(edge.from_cell, edge.to_cell)], dtype=np.int64))[0]
+    return EdgeGeometry(vector=vector, offset=edge.offset, length=float(np.linalg.norm(vector)))
 
 
 def _check_copies(fw: CrystalFramework, cells: int, what: str):
@@ -437,29 +471,18 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
 
     lattice = PeriodLattice(fw.lattice.matrix * n[np.newaxis, :])
     residues = list(itertools.product(*(range(k) for k in n)))
-    index = {(v, r): i for i, (v, r) in enumerate(itertools.product(range(fw.vertex_count), residues))}
+    shifts = [fw.lattice.translation(r) for r in residues]
+    vertices = [MotifVertex(v.position + shift, f"{v.name}[{','.join(map(str, r))}]" if v.name else None)
+                for v in fw.vertices for r, shift in zip(residues, shifts)]
 
-    vertices = []
-    for v, r in itertools.product(range(fw.vertex_count), residues):
-        base = fw.vertices[v]
-        suffix = ",".join(str(c) for c in r)
-        name = f"{base.name}[{suffix}]" if base.name else None
-        vertices.append(MotifVertex(point_of(fw, v, r), name))
-
-    def split(cell):
-        c = np.asarray(cell, dtype=int)
-        residue = np.mod(c, n)
-        return tuple(residue), tuple((c - residue) // n)
-
-    edges = []
-    for e in fw.edges:
-        for r in residues:
-            fr_res, fr_cell = split(np.add(e.from_cell, r))
-            to_res, to_cell = split(np.add(e.to_cell, r))
-            edges.append(MotifEdge(index[(e.from_vertex, fr_res)], fr_cell,
-                                   index[(e.to_vertex, to_res)], to_cell))
-
-    return CrystalFramework(lattice, vertices, edges, symmetries=(), tolerance=fw.tolerance)
+    # Copy r of edge e is row e R + r; each endpoint cell splits into a
+    # residue, which picks the vertex copy, and a supercell index.
+    cells = fw.edges.cells[:, np.newaxis] + np.array(residues, dtype=np.int64)[:, np.newaxis]
+    residue = np.mod(cells, n)
+    ends = fw.edges.ends[:, np.newaxis] * len(residues) + np.ravel_multi_index(np.moveaxis(residue, -1, 0), n)
+    rows = np.concatenate([ends[..., np.newaxis], (cells - residue) // n], axis=-1)
+    return CrystalFramework(lattice, vertices, _EdgeTable(rows, fw.dimension), symmetries=(),
+                            tolerance=fw.tolerance)
 
 
 @dataclass(frozen=True)
@@ -514,9 +537,9 @@ def fragment(fw: CrystalFramework, cell_range) -> Fragment:
 
     points = tuple(placed(v, cell) for cell in cells for v in range(fw.vertex_count))
 
-    internal, dangling = [], []
+    internal, dangling, edges = [], [], tuple(fw.edges)
     for shift in cells:
-        for idx, e in enumerate(fw.edges):
+        for idx, e in enumerate(edges):
             fcell = tuple(np.add(e.from_cell, shift))
             tcell = tuple(np.add(e.to_cell, shift))
             edge = PlacedEdge(idx, shift, placed(e.from_vertex, fcell),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frameworks import AffineVelocity, CrystalFramework, _edge_arrays
+from .frameworks import AffineVelocity, CrystalFramework, _bar_vectors
 from .linalg import (
     DEFAULT_TOL,
     FullSVD,
@@ -183,7 +183,7 @@ class RigidityMatrices:
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     """Assemble the rigidity blocks of a framework."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
-    ends, offsets, vectors = _edge_arrays(fw, fw.edges)
+    ends, offsets, vectors = fw.edges.ends, fw.edges.offsets, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
     # Bars joining two copies of one vertex class keep a zero vertex row.
     bars = np.flatnonzero(ends[:, 0] != ends[:, 1])
     vertex_block = np.zeros((m, n, d))
@@ -375,7 +375,7 @@ def edge_deviation(fw: CrystalFramework, velocity: AffineVelocity, t: float) -> 
 
     # The bar vector grows by t (u_from - u_to) and by (frame - Z) applied
     # to the from-cell minus the to-cell, which is -offset.
-    ends, offsets, vectors = _edge_arrays(fw, fw.edges)
+    ends, offsets, vectors = fw.edges.ends, fw.edges.offsets, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
     u = velocity.vertex_velocities
     moved = vectors + t * (u[ends[:, 0]] - u[ends[:, 1]]) - offsets @ (frame - fw.lattice.matrix).T
     change = np.linalg.norm(vectors, axis=1) - np.linalg.norm(moved, axis=1)

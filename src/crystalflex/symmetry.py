@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework, _edge_arrays, _edge_class_keys, lattice_matches
+from .frameworks import CELL_LIMIT, CrystalFramework, _edge_class_keys, lattice_matches
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -128,7 +128,7 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     if len(set(vertex_map.tolist())) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
-    ends, offsets, _ = _edge_arrays(fw, fw.edges)
+    ends, offsets = fw.edges.ends, fw.edges.offsets
     image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
     keys = np.concatenate([_edge_class_keys(ends, offsets),
                            _edge_class_keys(vertex_map[ends], image_offsets)])

@@ -194,6 +194,37 @@ def scrambled_supercell(name, n, rng):
     return cf.CrystalFramework(big.lattice, big.vertices, edges, tolerance=big.tolerance)
 
 
+def reference_supercell(fw, factors):
+    """The per-copy loop that the array ``supercell`` replaced: (period
+    matrix, vertices, edges) of the supercell, with one MotifEdge built per
+    edge copy and each endpoint cell split into a residue, which looks up
+    the vertex copy, and a supercell index."""
+    n = np.asarray(factors, dtype=int).reshape(-1)
+    residues = list(itertools.product(*(range(k) for k in n)))
+    index = {(v, r): i for i, (v, r) in enumerate(itertools.product(range(fw.vertex_count), residues))}
+
+    vertices = []
+    for v, r in itertools.product(range(fw.vertex_count), residues):
+        base = fw.vertices[v]
+        suffix = ",".join(str(c) for c in r)
+        name = f"{base.name}[{suffix}]" if base.name else None
+        vertices.append(cf.MotifVertex(cf.point_of(fw, v, r), name))
+
+    def split(cell):
+        c = np.asarray(cell, dtype=int)
+        residue = np.mod(c, n)
+        return tuple(residue), tuple((c - residue) // n)
+
+    edges = []
+    for e in fw.edges:
+        for r in residues:
+            fr_res, fr_cell = split(np.add(e.from_cell, r))
+            to_res, to_cell = split(np.add(e.to_cell, r))
+            edges.append(cf.MotifEdge(index[(e.from_vertex, fr_res)], fr_cell,
+                                      index[(e.to_vertex, to_res)], to_cell))
+    return fw.lattice.matrix * n[np.newaxis, :], vertices, edges
+
+
 class DenseCounts(NamedTuple):
     mechanisms: int
     stresses: int

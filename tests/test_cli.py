@@ -510,6 +510,23 @@ class TestGlideFixedDomain:
             assert code == 0
             assert self.symmetry_lines(out) == expected
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_character_row_that_does_not_close_exits_3(self, capsys, glide_file, fmt):
+        # At --tol 1e-3 the stress trace of the 4x4 glide comes out 1.15
+        # where the trace identity wants 0; the row is printed as it is and
+        # the command exits 3, as for the counting identities.
+        path = glide_file(4)
+        code, out, err = run(capsys, "symmetry", path, "--characters", *fmt)
+        assert (code, err) == (0, "")
+        code, loose, err = run(capsys, "symmetry", path, "--characters", "--tol", "1e-3", *fmt)
+        assert code == 3
+        assert err == "error: counting identity failed to close (internal inconsistency)\n"
+        if fmt:
+            characters = json.loads(loose)["symmetries"][0]["characters"]
+            assert (characters["stress_trace"], characters["residual"]) == (1.149514091, -1.149514091)
+        else:
+            assert "tr_str=1.149514091 (residual -1.15)" in loose
+
     def test_looser_tolerance_closes_the_identity(self, capsys, glide_file):
         # Dense D - I over-counted here too, and s_g then failed to close
         # the identity (exit 3).
@@ -722,6 +739,25 @@ class TestWorkPerRequest:
         assert [space.name for _, space in operators].count("full") == 1
         assert len(builds) <= 2
         assert equations == []
+
+    def test_requests_build_no_motif_edge_and_validate_once(
+            self, capsys, tmp_path, kagome, counters, monkeypatch):
+        # The parser hands its int64 edge table to the framework, and every
+        # consumer reads that table: no MotifEdge is built on either request.
+        big = cf.supercell(kagome, (4, 4))
+        g = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_4x4.json"
+        cf.save_framework(big, path)
+        validations, _ = counters
+        built, post_init = [], cf.MotifEdge.__post_init__
+        monkeypatch.setattr(cf.MotifEdge, "__post_init__", lambda e: built.append(e) or post_init(e))
+        for argv in (["analyze", str(path), "--json"], ["symmetry", str(path), "--characters"]):
+            validations.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert len(validations) == 1
+            assert built == []
 
     def test_analyze_rounds_bases_in_bulk(self, capsys, tmp_path, kagome, monkeypatch):
         # The per-element _display is left for the scalar fields; the flex

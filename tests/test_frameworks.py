@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.frameworks
 from crystalflex.frameworks import lattice_matches
-from oracles import random_framework, scrambled_supercell
+from oracles import random_framework, reference_supercell, scrambled_supercell
 
 S3 = np.sqrt(3.0)
 
@@ -151,6 +151,55 @@ def test_a_respelled_bar_is_reported_against_its_first_spelling(name, n, seed):
     with pytest.raises(cf.InvalidFrameworkError) as info:
         cf.CrystalFramework(fw.lattice, fw.vertices, edges, tolerance=fw.tolerance)
     assert info.value.violations == [f"edges {first} and {second} are translates of the same edge class"]
+
+
+class TestMotifEdge:
+    @pytest.mark.parametrize("cell", [(0.9, 0), (True, 0), (np.float64(1.0), 0), (np.True_, 0),
+                                      np.array([0.0, 1.0])])
+    def test_refuses_cells_that_are_not_integers(self, cell):
+        # int() used to truncate these: (0.9, 0) barred the pair at (0, 0).
+        with pytest.raises(ValueError, match="must be integers"):
+            cf.MotifEdge(0, cell, 1, (0, 0))
+        with pytest.raises(ValueError, match="must be integers"):
+            cf.MotifEdge(0, (0, 0), 1, cell)
+
+    @pytest.mark.parametrize("cell", [(2, -1), (np.int64(2), np.int8(-1)), np.array([2, -1]), [2, -1]])
+    def test_accepts_python_and_numpy_integers(self, cell):
+        e = cf.MotifEdge(0, cell, 1, (0, 0))
+        assert e.from_cell == (2, -1)
+        assert [type(c) for c in e.from_cell] == [int, int]
+
+
+class TestEdgeTable:
+    """The edges are one int64 table; ``fw.edges`` reads back the MotifEdges."""
+
+    KAGOME = (cf.MotifEdge(0, (0, 0), 1, (0, 0)), cf.MotifEdge(1, (0, 0), 2, (0, 0)),
+              cf.MotifEdge(0, (0, 0), 2, (0, 0)), cf.MotifEdge(0, (0, 0), 1, (-1, 0)),
+              cf.MotifEdge(1, (0, 0), 2, (1, -1)), cf.MotifEdge(2, (0, 0), 0, (0, 1)))
+
+    def test_builtin_parsed_and_supercell_edges_are_the_motif_edges(self, kagome):
+        assert kagome.edges == self.KAGOME
+        assert cf.parse_framework(cf.serialize_framework(kagome)).edges == self.KAGOME
+        big = cf.supercell(kagome, (2, 3))
+        assert big.edges == tuple(reference_supercell(kagome, (2, 3))[2])
+        assert big.edges[-1] == tuple(big.edges)[-1]
+        assert big.edges[1:4] == tuple(big.edges)[1:4]
+        assert all(type(c) is int for e in big.edges for c in e.from_cell + e.to_cell)
+
+    def test_parsed_file_edges(self):
+        doc = {"dimension": 2, "period_vectors": [[1.0, 0.0], [0.0, 1.0]],
+               "vertices": [{"id": "b", "position": [0.5, 0.5]}, {"id": "a", "position": [0.0, 0.0]}],
+               "edges": [{"from": {"v": "a"}, "to": {"v": "b", "cell": [-1, 0]}},
+                         {"from": {"v": "b", "cell": [3, 4]}, "to": {"v": "b", "cell": [3, 5]}}]}
+        fw = cf.framework_from_dict(doc)
+        assert fw.edges == (cf.MotifEdge(1, (0, 0), 0, (-1, 0)), cf.MotifEdge(0, (3, 4), 0, (3, 5)))
+
+    def test_derived_frameworks_keep_the_table_and_positions_are_built_once(self, kagome):
+        for derived in (replace(kagome, tolerance=1e-8), kagome.with_tolerance(1e-8),
+                        kagome.with_symmetries(())):
+            assert derived.edges is kagome.edges
+        assert kagome.positions is kagome.positions
+        assert not kagome.positions.flags.writeable
 
 
 class TestWithSymmetries:
@@ -314,6 +363,27 @@ class TestSupercell:
     def test_rejects_multiplicity_beyond_a_machine_integer(self, kagome):
         with pytest.raises(ValueError, match="machine integer"):
             cf.supercell(kagome, (10 ** 20, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, *cf.BUILTIN_NAMES]), st.integers(1, 3),
+       st.lists(st.integers(1, 3), min_size=3, max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_supercell_matches_the_per_copy_loop(name, n, factors, seed):
+    # The array supercell lists the same vertices and edge copies, in the
+    # same order, as the loop that built one MotifEdge per copy.
+    rng = np.random.default_rng(seed)
+    if name is None:
+        fw = random_framework(rng, d=int(rng.integers(1, 4)), n_vertices=int(rng.integers(1, 4)),
+                              n_edges=int(rng.integers(0, 7)))
+    else:
+        fw = scrambled_supercell(name, min(n, 2) if name == "hexahedron" else n, rng)
+    factors = factors[:fw.dimension]
+    big = cf.supercell(fw, factors)
+    matrix, vertices, edges = reference_supercell(fw, factors)
+    assert np.array_equal(big.lattice.matrix, matrix)
+    assert [v.name for v in big.vertices] == [v.name for v in vertices]
+    assert np.array_equal(big.positions, np.array([v.position for v in vertices]).reshape(-1, fw.dimension))
+    assert big.edges == tuple(edges)
 
 
 class TestCopyLimit:
