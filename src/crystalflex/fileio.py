@@ -115,6 +115,39 @@ def _matrix(value, d, path):
     return np.array([_number_list(row, d, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
+def _edge_rows(raw_edges: list, ids: dict, dimension: int):
+    """The (m, 2 + 2 d) int64 rows of an edge list, checked in bulk, or None
+    when some field fails a check, so that the per-field path names it.
+
+    Accepts exactly what the per-field path accepts: each edge and endpoint
+    a dict, a known vertex id and a cell (default the zero cell) that is a
+    list of ``dimension`` integers, not bools, of magnitude below 2**53.
+    """
+    if not all(type(entry) is dict for entry in raw_edges):
+        return None
+    try:
+        sides = [entry[side] for entry in raw_edges for side in ("from", "to")]
+        if not all(type(p) is dict for p in sides):
+            return None
+        vertex = [ids[p["v"]] for p in sides]
+    except (TypeError, KeyError):     # a missing field, or an unknown or unhashable id
+        return None
+    zero = [0] * dimension
+    cells = [p.get("cell", zero) for p in sides]
+    if not (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {dimension}):
+        return None
+    flat = list(chain.from_iterable(cells))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        table = np.array(flat, dtype=np.int64).reshape(len(sides), dimension)
+    except OverflowError:
+        return None
+    if np.any((table <= -CELL_LIMIT) | (table >= CELL_LIMIT)):
+        return None
+    return np.column_stack([vertex, table]).reshape(len(raw_edges), -1) if sides else None
+
+
 def framework_from_dict(doc: dict) -> CrystalFramework:
     if not isinstance(doc, dict):
         raise FrameworkParseError("top level: expected an object")
@@ -156,18 +189,20 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
         vertices.append(MotifVertex(pos, vid))
 
     raw_edges = _require(doc, "edges", "", list)
-    rows = []     # (from-vertex, *from-cell, to-vertex, *to-cell)
-    for i, entry in enumerate(raw_edges):
-        path = f"edges[{i}]"
-        row = []
-        for side in ("from", "to"):
-            endpoint = _require(entry, side, path)
-            vid = _require(endpoint, "v", f"{path}.{side}", str)
-            if vid not in ids:
-                _fail(f"{path}.{side}.v", f"unknown vertex id {vid!r}")
-            cell = endpoint.get("cell", [0] * dimension)
-            row += [ids[vid], *_int_list(cell, dimension, f"{path}.{side}.cell")]
-        rows.append(row)
+    rows = _edge_rows(raw_edges, ids, dimension)
+    if rows is None:
+        rows = []     # (from-vertex, *from-cell, to-vertex, *to-cell)
+        for i, entry in enumerate(raw_edges):
+            path = f"edges[{i}]"
+            row = []
+            for side in ("from", "to"):
+                endpoint = _require(entry, side, path)
+                vid = _require(endpoint, "v", f"{path}.{side}", str)
+                if vid not in ids:
+                    _fail(f"{path}.{side}.v", f"unknown vertex id {vid!r}")
+                cell = endpoint.get("cell", [0] * dimension)
+                row += [ids[vid], *_int_list(cell, dimension, f"{path}.{side}.cell")]
+            rows.append(row)
     edges = _EdgeTable(rows, dimension)
 
     try:

@@ -304,6 +304,21 @@ class CrystalFramework:
         return out
 
 
+def _group_rows(rows):
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)[1:]``
+    for a 2-D integer array, by one ``np.lexsort``: the first index of each
+    distinct row, the rows in lexicographic order, and each row's group.
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])      # stable; column 0 is the primary key
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def lattice_matches(points, targets, tol: float):
     """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
 
@@ -334,8 +349,7 @@ def lattice_matches(points, targets, tol: float):
     steps = sorted({s % k for s in (-1, 0, 1)})
     shifts = np.array(list(itertools.product(steps, repeat=d)), dtype=np.int64)
     queries = ((bucket(fa)[:, np.newaxis, :] + shifts) % k).reshape(-1, d)
-    _, group = np.unique(np.concatenate([bucket(fb), queries]), axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    _, group = _group_rows(np.concatenate([bucket(fb), queries]))
     target_group, query_group = group[:len(b)], group[len(b):]
 
     # Expand every query into the targets of its bucket.
@@ -399,9 +413,8 @@ def validate_framework(fw: CrystalFramework) -> list:
     found += [(idx, 0, f"edge {idx} has zero length") for idx in index[short].tolist()]
 
     bars = index[~loop]
-    _, first, group = np.unique(_edge_class_keys(ends[~loop], offsets[~loop]), axis=0,
-                                return_index=True, return_inverse=True)
-    owner = bars[first[group.reshape(-1)]]
+    first, group = _group_rows(_edge_class_keys(ends[~loop], offsets[~loop]))
+    owner = bars[first[group]]
     repeat = owner != bars
     found += [(idx, 1, f"edges {prior} and {idx} are translates of the same edge class")
               for prior, idx in zip(owner[repeat].tolist(), bars[repeat].tolist())]

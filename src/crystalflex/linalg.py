@@ -11,8 +11,11 @@ Kernels and cokernels are read off full SVDs with orthonormal columns.
 few columns wide, off the full SVD of A and one small factorization of
 the border, so one SVD of A serves every border.  Its threshold puts the
 bound hypot(sigma_max(A), ||C||_2) >= sigma_max([A | C]) in place of
-sigma_max.  Subspace intersections come from principal angles, with the
-threshold the same policy puts on the stacked complement projectors.
+sigma_max.  A's SVD may be given block by block (``BlockSVD``), for A
+orthogonally equivalent to a block-diagonal matrix; the singular values of
+all blocks are pooled under the one threshold of the whole matrix.
+Subspace intersections come from principal angles, with the threshold the
+same policy puts on the stacked complement projectors.
 """
 
 from __future__ import annotations
@@ -37,13 +40,19 @@ def _threshold(largest: float, shape, tol: float) -> float:
     return tol * max(1.0, largest) * max(shape[0], shape[1], 1)
 
 
+def _kept(singular_values: np.ndarray, shape, tol: float, largest: float) -> np.ndarray:
+    """Which singular values lie above the shared threshold of a matrix of
+    ``shape`` whose largest singular value is ``largest``."""
+    return singular_values > _threshold(largest, shape, tol)
+
+
 def _rank(singular_values: np.ndarray, shape, tol: float, largest=None) -> int:
     """Number of singular values above the shared threshold of a matrix of
     ``shape`` whose largest singular value is ``largest`` (by default the
     first of ``singular_values``; a border passes its bound)."""
     if largest is None:
         largest = float(singular_values[0]) if len(singular_values) else 0.0
-    return int(np.sum(singular_values > _threshold(largest, shape, tol)))
+    return int(np.sum(_kept(singular_values, shape, tol, largest)))
 
 
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
@@ -142,15 +151,48 @@ class Factorization(NamedTuple):
     cokernel: SubspaceBasis
 
 
-def border_bound(svd: FullSVD, border) -> float:
-    """hypot(sigma_max(A), ||C||_2) for the SVD of A and the border C.
+class BlockSVD(NamedTuple):
+    """Full SVD of A = P diag(A_1, ..., A_N) Q^T, held block by block.
+
+    ``batches`` holds the full SVDs of the diagonal blocks in order, one
+    FullSVD of stacked arrays per run of equally shaped blocks: u (k, a, a),
+    the singular values (k, min(a, b)), each row descending, and vt
+    (k, b, b).  ``rows`` and ``cols`` are the orthogonal P and Q, or None
+    for the identity; each has ``to_blocks(x)`` (P^T x) and
+    ``from_blocks(y)`` (P y) for a stack of columns.
+    """
+
+    batches: tuple
+    rows: object = None
+    cols: object = None
+
+    @classmethod
+    def of(cls, svd: FullSVD) -> "BlockSVD":
+        """One matrix as its own single block."""
+        return cls((FullSVD(*(x[np.newaxis] for x in svd)),))
+
+    @property
+    def shape(self) -> tuple:
+        return (sum(u.shape[0] * u.shape[1] for u, _, _ in self.batches),
+                sum(vt.shape[0] * vt.shape[1] for _, _, vt in self.batches))
+
+    @property
+    def largest(self) -> float:
+        """sigma_max(A), the largest singular value of any block."""
+        return max((float(np.max(s)) for _, s, _ in self.batches if s.size), default=0.0)
+
+
+def border_bound(svd, border) -> float:
+    """hypot(sigma_max(A), ||C||_2) for the SVD of A (a FullSVD or a
+    BlockSVD) and the border C.
 
     It bounds sigma_max([A | C]) from above: for a unit vector (x, z),
     |A x + C z| <= sigma_max(A) |x| + ||C||_2 |z| <= the bound, by
-    Cauchy-Schwarz.  ||C||_2 comes from the dim C x dim C Gram matrix.
+    Cauchy-Schwarz.  ||C||_2 comes from the dim C x dim C Gram matrix, so
+    it is the same in any orthonormal coordinates of C's rows.
     """
-    s = svd.singular_values
-    largest = float(s[0]) if len(s) else 0.0
+    blocks = svd if isinstance(svd, BlockSVD) else BlockSVD.of(svd)
+    largest = blocks.largest
     c = _as_matrix(border)
     if c.size == 0:
         return largest
@@ -158,13 +200,50 @@ def border_bound(svd: FullSVD, border) -> float:
     return float(np.hypot(largest, norm))
 
 
-def factorize_bordered(svd: FullSVD, border, tol: float = DEFAULT_TOL) -> Factorization:
-    """Rank, kernel and cokernel of [A | C] from the full SVD of A.
+def _dropped(vectors: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The singular vectors past each block's ``kept`` first ones, as the
+    columns of the block-diagonal matrix they make: ``vectors`` is (k, p, p),
+    with the j-th vector of block i in ``vectors[i, :, j]``."""
+    k, p = vectors.shape[:2]
+    if k == 1:     # a view, as the slice of a dense SVD is
+        return vectors[0, :, kept[0]:]
+    block, index = np.nonzero(np.arange(p) >= kept[:, np.newaxis])
+    out = np.zeros((k, p, len(block)))
+    out[block, :, np.arange(len(block))] = vectors[block, :, index]
+    return out.reshape(k * p, len(block))
+
+
+def _block_diagonal(parts) -> np.ndarray:
+    """The block-diagonal matrix of the given 2-D parts."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.zeros((sum(p.shape[0] for p in parts), sum(p.shape[1] for p in parts)))
+    rows = cols = 0
+    for p in parts:
+        out[rows:rows + p.shape[0], cols:cols + p.shape[1]] = p
+        rows, cols = rows + p.shape[0], cols + p.shape[1]
+    return out
+
+
+def _rows_of(blocks: BlockSVD, x: np.ndarray) -> list:
+    """x split into one (k, a, ...) stack per batch of row blocks of size a."""
+    parts, start = [], 0
+    for u, _, _ in blocks.batches:
+        k, a = u.shape[:2]
+        parts.append(x[start:start + k * a].reshape(k, a, x.shape[1]))
+        start += k * a
+    return parts
+
+
+def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
+    """Rank, kernel and cokernel of [A | C] from the full SVD of A, given as
+    a FullSVD or, block by block, as a BlockSVD.
 
     With the threshold of the shared rule for the shape of [A | C] and the
     bound ``border_bound`` in place of its sigma_max, r singular values of
-    A are kept.  S = U[:, r:] spans A's cokernel and B = S^T C (s x q) is
-    the part of the border A cannot reach.  Then
+    A are kept: pooled over all blocks, r_i of block i.  S = U[:, r:] spans
+    A's cokernel (the dropped left singular vectors of every block) and
+    B = S^T C (s x q) is the part of the border A cannot reach.  Then
 
     - the rank is r + rank B;
     - the cokernel is S times the left null space of B;
@@ -174,30 +253,61 @@ def factorize_bordered(svd: FullSVD, border, tol: float = DEFAULT_TOL) -> Factor
 
     B is factored as a QR and the SVD of its q x q (at most) triangle, so no
     SVD as tall as A is taken.  An empty border gives A's own factorization.
+    A BlockSVD's formulas run in the blocks' coordinates, C moved into them
+    by P^T and the bases moved back by P and Q; for a single block and
+    identity maps they are the FullSVD's, operation for operation.
     """
-    u, s, vt = svd
+    blocks = svd if isinstance(svd, BlockSVD) else BlockSVD.of(svd)
     c = _as_matrix(border)
-    rows, cols, q = u.shape[0], vt.shape[0], c.shape[1]
+    (rows, cols), q = blocks.shape, c.shape[1]
     if c.shape[0] != rows:
         raise ValueError(f"border has {c.shape[0]} rows, the matrix {rows}")
     shape = (rows, cols + q)
-    bound = border_bound(svd, c)
-    r = _rank(s, shape, tol, bound)
-    if q == 0:
-        return Factorization(r, _span(vt[r:].T, tol), _span(u[:, r:], tol))
+    bound = border_bound(blocks, c)
+    r, kept, null, conull = 0, [], [], []
+    for u, s, vt in blocks.batches:
+        keep = _kept(s, shape, tol, bound)
+        kept.append(np.sum(keep, axis=1))
+        r += int(np.sum(keep))
+        null.append(_dropped(np.swapaxes(vt, 1, 2), kept[-1]))
+        conull.append(_dropped(u, kept[-1]))
+    null, conull = _block_diagonal(null), _block_diagonal(conull)
 
-    reached = u.T @ c                             # U^T C; its rows r: are B
-    q_b, r_b = np.linalg.qr(reached[r:], mode="complete")
+    def kernel_back(basis):
+        if blocks.cols is None:
+            return basis
+        return np.vstack([blocks.cols.from_blocks(basis[:cols]), basis[cols:]])
+
+    def cokernel_back(basis):
+        return basis if blocks.rows is None else blocks.rows.from_blocks(basis)
+
+    if q == 0:
+        return Factorization(r, _span(kernel_back(null), tol), _span(cokernel_back(conull), tol))
+
+    hat = c if blocks.rows is None else blocks.rows.to_blocks(c)
+    # U^T C block by block; the rows past each block's kept ones stack into B.
+    reached = [np.swapaxes(u, 1, 2) @ part
+               for (u, _, _), part in zip(blocks.batches, _rows_of(blocks, hat))]
+    drop = [np.arange(part.shape[1]) >= k[:, np.newaxis] for part, k in zip(reached, kept)]
+    q_b, r_b = np.linalg.qr(np.vstack([part[d] for part, d in zip(reached, drop)]), mode="complete")
     k = min(r_b.shape)
     top_u, top_s, top_vt = full_svd(r_b[:k])
     rank_b = _rank(top_s, shape, tol, bound)
     left_null = np.hstack([q_b[:, :k] @ top_u[:, rank_b:], q_b[:, k:]])
     kernel_b = top_vt[rank_b:].T
 
-    lifted = vt[:r].T @ (reached[:r] @ kernel_b / s[:r, np.newaxis])
-    lifts, _ = np.linalg.qr(np.vstack([-lifted, kernel_b]))
-    kernel = np.hstack([np.vstack([vt[r:].T, np.zeros((q, cols - r))]), lifts])
-    return Factorization(r + rank_b, _span(kernel, tol), _span(u[:, r:] @ left_null, tol))
+    lifted = []
+    for (_, s, vt), part, k_i in zip(blocks.batches, reached, kept):
+        p = int(np.max(k_i, initial=0))
+        keep = np.arange(p) < k_i[:, np.newaxis]      # A^+ reads each block's kept values only
+        scaled = part[:, :p] @ kernel_b / np.where(keep, s[:, :p], 1.0)[..., np.newaxis]
+        scaled[~keep] = 0.0
+        lifted.append((np.swapaxes(vt[:, :p], 1, 2) @ scaled).reshape(vt.shape[0] * vt.shape[1],
+                                                                      kernel_b.shape[1]))
+    lifts, _ = np.linalg.qr(np.vstack([-np.vstack(lifted), kernel_b]))
+    kernel = np.hstack([np.vstack([null, np.zeros((q, cols - r))]), lifts])
+    return Factorization(r + rank_b, _span(kernel_back(kernel), tol),
+                         _span(cokernel_back(conull @ left_null), tol))
 
 
 def factorize(mat, tol: float = DEFAULT_TOL) -> Factorization:

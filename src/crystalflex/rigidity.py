@@ -21,6 +21,15 @@ reads each space's counts and bases off it and a small factorization of
 S0^T C_E, S0 the strict stresses.  ``analyze_counts`` is the two in one
 call.
 
+A motif that repeats under a finer lattice, as a supercell does, has
+translations T = L'/L that permute its vertices and bars; in the real
+Fourier basis of their orbits R0 is block-diagonal, one Bloch block Phi(w)
+per character of T, each the size of the finer lattice's motif.
+``factor_strict`` finds T above BLOCK_MIN_VERTEX_DOF vertex coordinates
+and holds R0's SVD as those blocks' SVDs (see ``translations``);
+otherwise, and when T is trivial, it holds R0's own SVD as one block.
+Either way ``linalg.factorize_bordered`` reads it.
+
 Sign conventions: the velocity of the copy of vertex ``v`` in cell k is
 ``u_v - A Z k``, and a global rotation with skew generator S corresponds to
 (u_v = S p_v, A = -S).
@@ -36,7 +45,7 @@ import numpy as np
 from .frameworks import AffineVelocity, CrystalFramework, _bar_vectors
 from .linalg import (
     DEFAULT_TOL,
-    FullSVD,
+    BlockSVD,
     SubspaceBasis,
     column_space_basis,
     factorize_bordered,
@@ -180,30 +189,36 @@ class RigidityMatrices:
     affine_block: np.ndarray
 
 
+def _affine_block(fw: CrystalFramework, vectors: np.ndarray) -> np.ndarray:
+    """The lattice-frame block X (bars x d^2): row e is offset_e kron v_e."""
+    d = fw.dimension
+    block = (fw.edges.offsets[:, :, np.newaxis] * vectors[:, np.newaxis, :]).reshape(-1, d * d)
+    block.setflags(write=False)
+    return block
+
+
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     """Assemble the rigidity blocks of a framework."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
-    ends, offsets, vectors = fw.edges.ends, fw.edges.offsets, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+    ends, vectors = fw.edges.ends, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
     # Bars joining two copies of one vertex class keep a zero vertex row.
     bars = np.flatnonzero(ends[:, 0] != ends[:, 1])
     vertex_block = np.zeros((m, n, d))
     vertex_block[bars, ends[bars, 0]] = vectors[bars]
     vertex_block[bars, ends[bars, 1]] = -vectors[bars]
     vertex_block = vertex_block.reshape(m, n * d)
-    affine_block = (offsets[:, :, np.newaxis] * vectors[:, np.newaxis, :]).reshape(m, d * d)
     vertex_block.setflags(write=False)
-    affine_block.setflags(write=False)
-    return RigidityMatrices(vertex_block, affine_block)
+    return RigidityMatrices(vertex_block, _affine_block(fw, vectors))
 
 
-def _lattice_columns(fw: CrystalFramework, mats: RigidityMatrices, space: MatrixSpace) -> np.ndarray:
+def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: MatrixSpace) -> np.ndarray:
     """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z)."""
     if space.dimension != fw.dimension:
         raise ValueError(
             f"matrix space dimension {space.dimension} != framework dimension {fw.dimension}"
         )
     lift = right_multiplication_operator(fw.lattice.matrix) @ space.stacked
-    return mats.affine_block @ lift
+    return affine_block @ lift
 
 
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
@@ -213,7 +228,7 @@ def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
     velocity-matrix coordinates directly in the given basis.
     """
     mats = build_matrices(fw)
-    return np.hstack([mats.vertex_block, _lattice_columns(fw, mats, space)])
+    return np.hstack([mats.vertex_block, _lattice_columns(fw, mats.affine_block, space)])
 
 
 def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
@@ -269,25 +284,41 @@ class CountReport:
     flags: tuple = ()
 
 
+# Below this many vertex coordinates d|Fv| the dense SVD of R0 costs less
+# than finding the motif's translations and assembling its Bloch blocks.
+BLOCK_MIN_VERTEX_DOF = 150
+
+
 @dataclass(frozen=True)
 class StrictFactorization:
-    """A framework's rigidity blocks and the one full SVD of its strict
-    operator R0 (the vertex block) that every admissible space reads."""
+    """A framework's lattice-frame block X and the one full SVD of its strict
+    operator R0 (the vertex block) that every admissible space reads, held
+    as one block per character of the motif's translation group."""
 
     fw: CrystalFramework
-    matrices: RigidityMatrices
-    svd: FullSVD
+    affine_block: np.ndarray
+    svd: BlockSVD
 
 
 def factor_strict(fw: CrystalFramework) -> StrictFactorization:
+    """R0's SVD, as Bloch blocks when d|Fv| is at least BLOCK_MIN_VERTEX_DOF
+    and the motif repeats under a finer lattice; otherwise one dense block."""
+    if fw.dimension * fw.vertex_count >= BLOCK_MIN_VERTEX_DOF and fw.edge_count:
+        # Smaller operators never need the module; it imports symmetry,
+        # which imports this one.
+        from .translations import _bloch_blocks, _find_translations
+        vectors = _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+        group = _find_translations(fw, vectors)
+        if group is not None:
+            return StrictFactorization(fw, _affine_block(fw, vectors), _bloch_blocks(fw, vectors, group))
     mats = build_matrices(fw)
-    return StrictFactorization(fw, mats, full_svd(mats.vertex_block))
+    return StrictFactorization(fw, mats.affine_block, BlockSVD.of(full_svd(mats.vertex_block)))
 
 
 def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountReport:
     """Counts and bases in ``space``, from R0's SVD bordered by C_E."""
     fw = strict.fw
-    border = _lattice_columns(fw, strict.matrices, space)
+    border = _lattice_columns(fw, strict.affine_block, space)
     _, flex, stress = factorize_bordered(strict.svd, border, fw.tolerance)
     rigid = rigid_motion_space(fw, space)
     f = rigid.dim

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework, _edge_class_keys, lattice_matches
+from .frameworks import CELL_LIMIT, CrystalFramework, _edge_class_keys, _group_rows, lattice_matches
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -71,10 +71,10 @@ class SymmetryElement:
         object.__setattr__(self, "linear", b)
         object.__setattr__(self, "translation", c)
         object.__setattr__(self, "lattice_action", mb)
-        object.__setattr__(self, "vertex_map", tuple(int(v) for v in self.vertex_map))
+        object.__setattr__(self, "vertex_map", tuple(map(int, self.vertex_map)))
         object.__setattr__(self, "vertex_offsets",
-                           tuple(tuple(int(x) for x in off) for off in self.vertex_offsets))
-        object.__setattr__(self, "edge_map", tuple(int(e) for e in self.edge_map))
+                           tuple(tuple(map(int, off)) for off in self.vertex_offsets))
+        object.__setattr__(self, "edge_map", tuple(map(int, self.edge_map)))
 
     @property
     def dimension(self) -> int:
@@ -132,8 +132,7 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
     keys = np.concatenate([_edge_class_keys(ends, offsets),
                            _edge_class_keys(vertex_map[ends], image_offsets)])
-    _, group = np.unique(keys, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    _, group = _group_rows(keys)
     owner = np.full(len(keys), -1)
     owner[group[:fw.edge_count]] = np.arange(fw.edge_count)
     edge_map = owner[group[fw.edge_count:]]

@@ -179,19 +179,28 @@ def random_framework(rng, d=2, n_vertices=3, n_edges=5):
     return fw
 
 
-def scrambled_supercell(name, n, rng):
-    """Builtin ``name`` over the n x ... x n supercell, respelled: its edges
-    permuted, about half of them reversed and each translated by a random
-    cell, so the same bars arrive in another order and orientation."""
+def scrambled_supercell(name, factors, rng, translate=True):
+    """Builtin ``name`` over the supercell of ``factors`` (one multiplicity
+    per axis, or one for all), respelled as the benchmark's generator does:
+    its vertices permuted, its edges permuted, about half of them reversed
+    and each translated by a random cell, and with ``translate`` the whole
+    motif moved by a random vector, so the same geometry arrives in another
+    order, orientation and place."""
     base = cf.builtin_framework(name)
-    big = cf.supercell(base, (n,) * base.dimension)
+    d = base.dimension
+    big = cf.supercell(base, tuple(int(k) for k in np.broadcast_to(factors, d)))
+    order = rng.permutation(big.vertex_count)       # order[k] is the old index of vertex k
+    new_index = np.empty_like(order)
+    new_index[order] = np.arange(big.vertex_count)
+    move = rng.uniform(-0.5, 0.5, d) if translate else np.zeros(d)
+    vertices = [cf.MotifVertex(big.vertices[k].position + move, big.vertices[k].name) for k in order]
     edges = []
     for k in rng.permutation(big.edge_count):
         e = big.edges[k].reversed() if rng.random() < 0.5 else big.edges[k]
-        shift = rng.integers(-2, 3, base.dimension)
-        edges.append(cf.MotifEdge(e.from_vertex, np.add(e.from_cell, shift),
-                                  e.to_vertex, np.add(e.to_cell, shift)))
-    return cf.CrystalFramework(big.lattice, big.vertices, edges, tolerance=big.tolerance)
+        shift = rng.integers(-2, 3, d)
+        edges.append(cf.MotifEdge(int(new_index[e.from_vertex]), np.add(e.from_cell, shift),
+                                  int(new_index[e.to_vertex]), np.add(e.to_cell, shift)))
+    return cf.CrystalFramework(big.lattice, vertices, edges, tolerance=big.tolerance)
 
 
 def reference_supercell(fw, factors):

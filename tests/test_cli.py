@@ -10,6 +10,7 @@ import crystalflex.frameworks
 import crystalflex.rigidity
 import crystalflex.symmetry
 from crystalflex.cli import main
+from oracles import scrambled_supercell
 
 
 def run(capsys, *argv):
@@ -588,40 +589,51 @@ class TestWorkPerRequest:
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         return calls
 
+    @staticmethod
+    def block_bound(fw, cells):
+        """2 max(|Fe|, d|Fv|) / N for a supercell of N cells: the larger side
+        of the real Bloch block of a pair of characters."""
+        return 2 * max(fw.edge_count, fw.dimension * fw.vertex_count) // cells
+
     def test_analyze_validates_once_and_factors_the_strict_operator_once(
             self, capsys, tmp_path, kagome, counters):
-        # Strict and affine both read one SVD of R0; the affine operator
-        # [R0 | C_E] is never factored.
-        big = cf.supercell(kagome, (2, 2))
-        path = tmp_path / "kagome_2x2.json"
-        cf.save_framework(big, path)
-        strict = (big.edge_count, 2 * big.vertex_count)
-        affine = (big.edge_count, 2 * big.vertex_count + 4)
+        # The builtin is its own one block: one SVD of R0, and the affine
+        # operator [R0 | C_E] is never factored.
         validations, svd_shapes = counters
+        code, _, _ = run(capsys, "analyze", "--builtin", "kagome", "--json")
+        assert code == 0
+        assert len(validations) == 1
+        assert svd_shapes.count((kagome.edge_count, 2 * kagome.vertex_count)) == 1
+        assert svd_shapes.count((kagome.edge_count, 2 * kagome.vertex_count + 4)) == 0
+        # On the 8 x 8 supercell R0 is factored as 64 Bloch blocks: no SVD
+        # has both sides above 2 max(|Fe|, d|Fv|) / 64 = 12.
+        big = scrambled_supercell("kagome", 8, np.random.default_rng(8))
+        path = tmp_path / "kagome_8x8.json"
+        cf.save_framework(big, path)
         validations.clear()
         svd_shapes.clear()
         code, _, _ = run(capsys, "analyze", str(path), "--json")
         assert code == 0
         assert len(validations) == 1
-        assert svd_shapes.count(strict) == 1
-        assert svd_shapes.count(affine) == 0
+        assert self.block_bound(big, 64) == 12
+        assert [shape for shape in svd_shapes if min(shape[-2:]) > 12] == []
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "space", "symmetric"]])
     def test_analyze_takes_no_other_svd_as_tall_as_the_operator(
             self, capsys, tmp_path, counters, mode):
-        # Every space is a border of R0: the one SVD with |Fe| rows is R0's.
-        # The 2x2x2 hexahedron has |Fe| = 72 rows, unlike d|Fv| + dim E and
-        # d^2, so no rigid-motion SVD can pass for the operator's.
+        # Every space is a border of R0's Bloch blocks, so no SVD has |Fe|
+        # rows. The 3x3x3 hexahedron has |Fe| = 243, unlike d|Fv| + dim E
+        # and d^2, so no rigid-motion SVD can pass for the operator's.
         base = cf.builtin_framework("hexahedron")
-        big = cf.supercell(base, (2, 2, 2))
-        path = tmp_path / "hexahedron_2x2x2.json"
+        big = cf.supercell(base, (3, 3, 3))
+        path = tmp_path / "hexahedron_3x3x3.json"
         cf.save_framework(big, path)
         _, svd_shapes = counters
         svd_shapes.clear()
         code, _, _ = run(capsys, "analyze", str(path), *mode)
         assert code == 0
-        tall = [shape for shape in svd_shapes if shape[0] == big.edge_count]
-        assert tall == [(big.edge_count, base.dimension * big.vertex_count)]
+        assert [shape for shape in svd_shapes if big.edge_count in shape[-2:-1]] == []
+        assert [shape for shape in svd_shapes if min(shape[-2:]) > self.block_bound(big, 27)] == []
 
     def test_rigid_motions_take_one_kernel_and_one_span(
             self, kagome, counters, solves, monkeypatch):
@@ -686,29 +698,39 @@ class TestWorkPerRequest:
             assert shape not in svd_shapes
         assert svd_shapes.count((dn + 4, dn + 4)) == 0
 
-    def test_character_rows_read_the_counts_factorization(
-            self, capsys, tmp_path, kagome, monkeypatch):
-        # character_row reads analyze_counts' bases: the strict operator is
-        # factored once and the commutant space is its border, the space
-        # keeps its own basis (no SVD of its d^2 x q stack) and the
-        # mechanism trace is a quotient trace (no orthogonal complement).
-        big = cf.supercell(kagome, (2, 2))
+    def character_row_calls(self, capsys, tmp_path, kagome, monkeypatch, cells):
+        """The factorization calls of ``symmetry --characters`` on the
+        cells x cells kagome supercell with r3 declared."""
+        big = cf.supercell(kagome, (cells, cells))
         g = kagome.symmetries[0]
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
-        path = tmp_path / "kagome_2x2.json"
+        path = tmp_path / "kagome.json"
         cf.save_framework(big, path)
-        factorizations = count_calls(monkeypatch, "factorize")
-        svds = count_calls(monkeypatch, "full_svd")
-        complements = count_calls(monkeypatch, "complement_within")
-        spans = count_calls(monkeypatch, "column_space_basis")
+        calls = {name: count_calls(monkeypatch, name)
+                 for name in ("factorize", "full_svd", "complement_within", "column_space_basis")}
         code, _, _ = run(capsys, "symmetry", str(path), "--characters")
         assert code == 0
+        # The space keeps its own basis (no SVD of its d^2 x q stack), and the
+        # mechanism trace is a quotient trace (no orthogonal complement).
         commutant = cf.commutant_basis(g.linear, big.tolerance)
-        assert factorizations == []
-        tall = [np.shape(args[0]) for args in svds if np.shape(args[0])[0] == big.edge_count]
-        assert tall == [(big.edge_count, 2 * big.vertex_count)]
-        assert complements == []
-        assert (4, commutant.dim) not in [np.shape(args[0]) for args in spans]
+        assert calls["factorize"] == []
+        assert calls["complement_within"] == []
+        assert (4, commutant.dim) not in [np.shape(args[0]) for args in calls["column_space_basis"]]
+        return big, [np.shape(args[0]) for args in calls["full_svd"]]
+
+    def test_character_rows_read_the_counts_factorization(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # character_row reads analyze_counts' bases: the commutant space is a
+        # border of the strict operator's Bloch blocks, and on the 6 x 6
+        # supercell no SVD has both sides above 2 max(|Fe|, d|Fv|) / 36 = 12.
+        big, shapes = self.character_row_calls(capsys, tmp_path, kagome, monkeypatch, 6)
+        assert self.block_bound(big, 36) == 12
+        assert [shape for shape in shapes if min(shape) > 12] == []
+
+    def test_builtin_character_rows_factor_the_strict_operator_once(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        big, shapes = self.character_row_calls(capsys, tmp_path, kagome, monkeypatch, 1)
+        assert [shape for shape in shapes if shape[0] == big.edge_count] == [(6, 6)]
 
     @pytest.mark.parametrize("argv, count", [
         (["symmetry", "--builtin", "hexahedron", "--characters"], 2),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
+import crystalflex.fileio
 from crystalflex.fileio import _display, _display_array, _json_text, mode_space
 
 
@@ -125,6 +126,52 @@ class TestParseErrors:
         with pytest.raises(cf.FrameworkParseError,
                            match=r"^symmetries\[1\]\.name: duplicate symmetry name 'r3'$"):
             cf.framework_from_dict(doc)
+
+
+class TestLongEdgeList:
+    """The edge list is read in bulk; a malformed field in the middle of a
+    long list still fails with the message and path of the per-field check."""
+
+    @staticmethod
+    def bad_edge(kagome, change):
+        doc = cf.framework_to_dict(cf.supercell(kagome, (8, 8)))
+        change(doc["edges"][300])
+        with pytest.raises(cf.FrameworkParseError) as info:
+            cf.framework_from_dict(doc)
+        return str(info.value)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda e: e["to"].update(cell=[1, True]), "edges[300].to.cell[1]: expected an integer"),
+        (lambda e: e["to"].update(cell=[1.5, 0]), "edges[300].to.cell[0]: expected an integer"),
+        (lambda e: e["to"].update(cell=[0, 2 ** 53]),
+         "edges[300].to.cell[1]: expected an integer of magnitude below 2**53"),
+        (lambda e: e["to"].update(cell=[0, 2 ** 70]),
+         "edges[300].to.cell[1]: expected an integer of magnitude below 2**53"),
+        (lambda e: e["from"].update(cell=[0]), "edges[300].from.cell: expected a list of 2 integers"),
+        (lambda e: e["from"].update(cell=None), "edges[300].from.cell: expected a list of 2 integers"),
+        (lambda e: e["from"].update(cell=(0, 0)), "edges[300].from.cell: expected a list of 2 integers"),
+        (lambda e: e["from"].update(v=3), "edges[300].from.v: expected str"),
+        (lambda e: e["from"].update(v=["a"]), "edges[300].from.v: expected str"),
+        (lambda e: e["to"].update(v="nowhere"), "edges[300].to.v: unknown vertex id 'nowhere'"),
+        (lambda e: e["from"].pop("v"), "edges[300].from.v: missing required field"),
+        (lambda e: e.pop("to"), "edges[300].to: missing required field"),
+        (lambda e: e.update(to="v0"), "edges[300].to: expected an object"),
+    ])
+    def test_malformed_field_is_named(self, kagome, change, message):
+        assert self.bad_edge(kagome, change) == message
+
+    def test_entry_that_is_not_an_object(self, kagome):
+        doc = cf.framework_to_dict(cf.supercell(kagome, (8, 8)))
+        doc["edges"][300] = ["v0", "v1"]
+        with pytest.raises(cf.FrameworkParseError, match=r"^edges\[300\]: expected an object$"):
+            cf.framework_from_dict(doc)
+
+    def test_bulk_table_is_the_per_field_table(self, kagome, monkeypatch):
+        doc = cf.framework_to_dict(cf.supercell(kagome, (4, 4)))
+        del doc["edges"][7]["from"]["cell"]         # the zero cell by default
+        bulk = cf.framework_from_dict(doc)
+        monkeypatch.setattr(crystalflex.fileio, "_edge_rows", lambda *args: None)
+        assert bulk.edges == cf.framework_from_dict(doc).edges
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 import crystalflex.frameworks
-from crystalflex.frameworks import lattice_matches
+from crystalflex.frameworks import _group_rows, lattice_matches
 from oracles import random_framework, reference_supercell, scrambled_supercell
 
 S3 = np.sqrt(3.0)
@@ -219,6 +219,19 @@ class TestWithSymmetries:
     def test_rejects_elements_of_another_motif(self, kagome, square_grid):
         with pytest.raises(ValueError, match="r4"):
             kagome.with_symmetries(square_grid.symmetries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 5, 2 ** 40]))
+def test_row_grouping_is_np_unique(d, seed, spread):
+    # Few distinct values make repeated rows common; huge ones of both signs
+    # check that the order is numeric, not by bytes.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-spread, spread + 1, size=(int(rng.integers(0, 40)), d), dtype=np.int64)
+    first, inverse = _group_rows(rows)
+    _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 def pairwise_matches(points, targets, tol):

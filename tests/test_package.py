@@ -76,3 +76,23 @@ def test_readme_framework_reproduces_the_builtin(readme_framework, capsys):
         reports.append(capsys.readouterr().out.splitlines()[1:])
     assert any(line.startswith("symmetry r3") for line in reports[0])
     assert reports[0] == reports[1]
+
+
+def test_analysis_loads_neither_scipy_nor_sympy(tmp_path):
+    # numpy is the one declared dependency; scipy and sympy may be
+    # installed, but an analysis must not pay for importing them.
+    script = f"""
+import sys
+import crystalflex as cf
+from crystalflex import cli
+path = {str(tmp_path / "kagome_8x8.json")!r}
+cf.save_framework(cf.supercell(cf.builtin_framework("kagome"), (8, 8)), path)
+assert cli.main(["analyze", path, "--json"]) == 0
+print(sorted(name for name in ("scipy", "sympy") if name in sys.modules))
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    result = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -9,7 +9,10 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 from crystalflex.linalg import border_bound
+import crystalflex.rigidity
+from crystalflex.frameworks import _bar_vectors
 from crystalflex.rigidity import _skew_generators, bordered_counts, factor_strict, unvec, vec
+from crystalflex.translations import _find_translations
 from oracles import (
     dense_counts,
     direct_row_values,
@@ -633,3 +636,143 @@ class TestBorderEdgeCases:
         strict = cf.factorize(cf.build_matrices(big).vertex_block, big.tolerance)
         assert np.array_equal(counts.flex_basis.basis, strict.kernel.basis)
         assert np.array_equal(counts.stress_basis.basis, strict.cokernel.basis)
+
+
+def translation_count(fw):
+    """|T|, the number of translations of the motif onto itself modulo its lattice."""
+    group = _find_translations(fw, _bar_vectors(fw, fw.edges.ends, fw.edges.cells))
+    return 1 if group is None else len(group.vertices)
+
+
+def character_count(strict):
+    """The characters the strict SVD is held over: one per self-conjugate
+    block and two per paired one."""
+    return sum(len(s) * (1 + (i > 0)) for i, (_, s, _) in enumerate(strict.svd.batches))
+
+
+def assert_blocks_match_dense(fw, space, rng, subspaces=True):
+    """The Bloch-block path, taken at any size, reads the dense operator's
+    counts and (with ``subspaces``) its flex and stress spaces, and its
+    lifted flexes and stresses solve the rows evaluated straight from the
+    geometry."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crystalflex.rigidity, "BLOCK_MIN_VERTEX_DOF", 0)
+        strict = factor_strict(fw)
+    assert character_count(strict) == translation_count(fw)
+    counts = bordered_counts(strict, space)
+    dense = dense_counts(fw, space)
+    assert (counts.mechanisms, counts.stresses, counts.rigid_motions) == dense[:3], space.name
+    assert counts.identity_residual == 0
+    if subspaces:
+        assert_allclose(projector(counts.flex_basis), projector(dense.flex_basis), atol=1e-9)
+        assert_allclose(projector(counts.stress_basis), projector(dense.stress_basis), atol=1e-9)
+    # A unit flex or stress leaves rows within a small multiple of the rank
+    # threshold: the dropped singular values lie below it.
+    dn = fw.dimension * fw.vertex_count
+    threshold = 10 * fw.tolerance * max(1.0, dense.sigma_max) * max(fw.edge_count, dn + space.dim)
+    for flex in counts.flex_basis.basis.T:
+        rows = direct_row_values(fw, flex[:dn].reshape(fw.vertex_count, -1),
+                                 space.matrix_from_coordinates(flex[dn:]))
+        assert np.linalg.norm(rows) <= threshold
+    for _ in range(3):
+        x = rng.normal(size=dn + space.dim)
+        x /= np.linalg.norm(x)
+        rows = direct_row_values(fw, x[:dn].reshape(fw.vertex_count, -1),
+                                 space.matrix_from_coordinates(x[dn:]))
+        assert np.max(np.abs(counts.stress_basis.basis.T @ rows), initial=0.0) <= threshold
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(cf.BUILTIN_NAMES), st.lists(st.integers(1, 3), min_size=3, max_size=3),
+       st.sampled_from([cf.DEFAULT_TOL, 1e-6]), st.integers(0, 2 ** 32 - 1))
+def test_bloch_blocks_match_the_dense_operator(name, factors, tol, seed):
+    rng = np.random.default_rng(seed)
+    d = cf.builtin_framework(name).dimension
+    factors = [min(k, 2) if name == "hexahedron" else k for k in factors[:d]]
+    fw = scrambled_supercell(name, factors, rng).with_tolerance(tol)
+    assert translation_count(fw) == int(np.prod(factors))
+    for e in all_spaces(rng, d, tol, 2):
+        assert_blocks_match_dense(fw, e, rng)
+
+
+def centred_square():
+    """The square grid rotated by 45 degrees, in its centred 2 x 2 cell:
+    the centring (1/2, 1/2) is a translation that is not a period."""
+    vertices = [cf.MotifVertex([0.0, 0.0]), cf.MotifVertex([1.0, 1.0])]
+    edges = [cf.MotifEdge(0, (0, 0), 1, cell) for cell in [(0, 0), (-1, 0), (0, -1), (-1, -1)]]
+    return cf.CrystalFramework(cf.PeriodLattice(2 * np.eye(2)), vertices, edges)
+
+
+def chain():
+    """A one-dimensional chain of two vertex classes with a second-neighbour bar."""
+    return cf.CrystalFramework(cf.PeriodLattice([[1.0]]), [cf.MotifVertex([0.0]), cf.MotifVertex([0.3])],
+                               [cf.MotifEdge(0, (0,), 1, (0,)), cf.MotifEdge(1, (0,), 0, (1,)),
+                                cf.MotifEdge(0, (0,), 0, (2,))])
+
+
+def moved_vertex(fw, distance):
+    vertices = list(fw.vertices)
+    vertices[0] = cf.MotifVertex(vertices[0].position + distance, vertices[0].name)
+    return replace(fw, vertices=tuple(vertices))
+
+
+def deleted_bar(fw):
+    return cf.CrystalFramework(fw.lattice, fw.vertices, list(fw.edges)[1:], tolerance=fw.tolerance)
+
+
+class TestTranslationDetection:
+    def test_builtins_are_primitive(self, any_builtin):
+        assert translation_count(any_builtin) == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_random_frameworks_are_primitive(self, d, seed):
+        rng = np.random.default_rng(seed)
+        fw = random_framework(rng, d=d, n_vertices=int(rng.integers(2, 5)))
+        assert translation_count(fw) == 1
+
+    @pytest.mark.parametrize("name, factors", [
+        ("square_grid", (2, 3)), ("kagome", (2, 3)), ("kagome", (3, 2)), ("hexahedron", (1, 2, 3))])
+    def test_a_supercell_has_the_factors_product(self, name, factors, rng):
+        assert translation_count(scrambled_supercell(name, factors, rng)) == 6
+
+    @pytest.mark.parametrize("change", [
+        # Refused by resolve_symmetry's 10 tol matching.
+        lambda fw: moved_vertex(fw, 100 * fw.tolerance),
+        # Matched, but a bar vector moves by more than round-off.
+        lambda fw: moved_vertex(fw, 5 * fw.tolerance),
+        deleted_bar,
+    ])
+    def test_a_broken_copy_leaves_the_smaller_group(self, kagome, change, rng):
+        # The 2 x 1 cell, broken, repeats only under the 1 x 3 supercell.
+        broken = change(cf.supercell(kagome, (2, 1)))
+        assert translation_count(broken) == 1
+        big = cf.supercell(broken, (1, 3))
+        assert translation_count(big) == 3
+        # A moved vertex leaves singular values near 100 tol, so the
+        # subspaces are only as stable as that gap: compare counts and rows.
+        for e in all_spaces(rng, 2, big.tolerance, 1):
+            assert_blocks_match_dense(big, e, rng, subspaces=False)
+
+    @pytest.mark.parametrize("make, factors, count", [
+        (centred_square, (1, 1), 2), (centred_square, (2, 3), 12), (chain, (5,), 5)])
+    def test_translations_off_the_axes(self, make, factors, count, rng):
+        # The centring and the supercell's own translations make a group
+        # whose generators are not the cell's axes; its characters are
+        # orthonormal and the blocks read the dense counts.
+        fw = cf.supercell(make(), factors)
+        group = _find_translations(fw, _bar_vectors(fw, fw.edges.ends, fw.edges.cells))
+        assert len(group.vertices) == count
+        assert_allclose(group.fourier.T @ group.fourier, np.eye(count), atol=1e-14)
+        for e in all_spaces(rng, fw.dimension, fw.tolerance, 2):
+            assert_blocks_match_dense(fw, e, rng)
+
+    def test_small_operators_keep_one_dense_block(self, kagome):
+        # Below BLOCK_MIN_VERTEX_DOF the strict SVD is R0's own.
+        big = cf.supercell(kagome, (2, 2))
+        assert 2 * big.vertex_count < crystalflex.rigidity.BLOCK_MIN_VERTEX_DOF
+        strict = factor_strict(big)
+        assert character_count(strict) == 1
+        assert strict.svd.rows is None and strict.svd.cols is None
+        u, s, vt = strict.svd.batches[0]
+        assert s.shape == (1, 2 * big.vertex_count)

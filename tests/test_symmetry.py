@@ -238,7 +238,7 @@ def supercell_element(case, n, seed):
     name, element = case
     if (name, element) in SUPERCELL_ELEMENTS:
         n = max(n, 2)
-    fw = scrambled_supercell(name, n, np.random.default_rng(seed))
+    fw = scrambled_supercell(name, n, np.random.default_rng(seed), translate=False)
     base = cf.builtin_framework(name)
     if element == "glide":      # nonseparable, with offsets in both directions
         linear, translation = np.diag([1.0, -1.0]), np.array([0.5, 0.0])
