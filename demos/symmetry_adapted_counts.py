@@ -14,8 +14,8 @@ kagome = cf.builtin_framework("kagome")
 threefold = kagome.symmetries[0]
 
 print("element:", threefold.name)
-print("vertex permutation:", threefold.vertex_map, "offsets:", threefold.vertex_offsets)
-print("edge permutation:", threefold.edge_map)
+print("vertex permutation:", threefold.vertex_map.tolist(), "offsets:", threefold.vertex_offsets.tolist())
+print("edge permutation:", threefold.edge_map.tolist())
 print("separable:", threefold.separable)
 
 # The representations intertwine the rigidity operator: the residual of the
@@ -42,7 +42,7 @@ print(f"\ntraces: vertex {row.vertex_trace:+.3f}, edge {row.edge_trace:+.3f}, "
 # representation picks up a coupling block, and the general fixed-space
 # count applies.
 glide = cf.resolve_symmetry(kagome, np.diag([1.0, -1.0]), [0.5, 0.0], "glide")
-print("\nglide separable:", glide.separable, "offsets:", glide.vertex_offsets)
+print("\nglide separable:", glide.separable, "offsets:", glide.vertex_offsets.tolist())
 print(f"glide symmetry equation residual: {cf.verify_symmetry_equation(kagome, glide):.2e}")
 gcounts = cf.symmetry_counts(kagome, glide)
 print(f"glide counts: fixed domain {gcounts.fixed_domain_dim}, e_g {gcounts.edge_orbits}, "

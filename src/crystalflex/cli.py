@@ -212,13 +212,15 @@ def _cmd_supercell(args) -> int:
 
 def _cmd_svg(args) -> int:
     fw, _ = _load_input(args)
+    if fw.dimension != 2:
+        raise CliError("SVG rendering requires a 2-dimensional framework")
     ranges = _parse_cells(args.cells, fw.dimension)
     try:
         document = render_svg(fw, ranges)
     except ValueError as exc:
         # In the plane every refusal is of the box of cells: an empty or
         # too large range.
-        raise CliError(f"--cells {args.cells!r}: {exc}" if fw.dimension == 2 else str(exc))
+        raise CliError(f"--cells {args.cells!r}: {exc}")
     _write_output(args.output, document)
     return 0
 

@@ -106,12 +106,12 @@ class SubspaceBasis:
             return 0.0
         return float(np.max(np.linalg.norm(v - self.project(v), axis=0)))
 
-    def contains(self, vectors, factor: float = 10.0) -> bool:
+    def contains(self, vectors) -> bool:
         v = np.atleast_2d(np.asarray(vectors, dtype=float))
         if v.shape[0] != self.ambient_dim:
             v = v.T
         scale = max(1.0, float(np.max(np.abs(v))) if v.size else 0.0)
-        return self.residual(v) <= factor * self.tol * scale * self.ambient_dim
+        return self.residual(v) <= 10 * self.tol * scale * self.ambient_dim
 
 
 def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:

@@ -12,32 +12,24 @@ import numpy as np
 
 from .frameworks import CrystalFramework, fragment
 
-_DEFAULTS = {
-    "scale": 80.0,          # pixels per geometry unit
-    "margin": 0.25,         # in geometry units
-    "vertex_radius": 3.0,   # pixels
-    "stroke_width": 1.5,    # pixels
-    "edge_color": "#1f3b70",
-    "dangling_color": "#8aa2c8",
-    "vertex_color": "#c03a2b",
-    "cell_color": "#b0b0b0",
-}
+SCALE = 80.0            # pixels per geometry unit
+MARGIN = 0.25           # in geometry units
+VERTEX_RADIUS = 3.0     # pixels
+STROKE_WIDTH = 1.5      # pixels
+EDGE_COLOR = "#1f3b70"
+DANGLING_COLOR = "#8aa2c8"
+VERTEX_COLOR = "#c03a2b"
+CELL_COLOR = "#b0b0b0"
 
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def render_svg(fw: CrystalFramework, cell_range, options: dict = None) -> str:
+def render_svg(fw: CrystalFramework, cell_range) -> str:
     """SVG 1.1 document showing the fragment over a box of cells (d=2 only)."""
     if fw.dimension != 2:
         raise ValueError("SVG rendering requires a 2-dimensional framework")
-    opts = dict(_DEFAULTS)
-    if options:
-        unknown = set(options) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown SVG options: {', '.join(sorted(unknown))}")
-        opts.update(options)
 
     frag = fragment(fw, cell_range)
     segments = [(e.from_point.position, e.to_point.position, e.internal)
@@ -48,15 +40,14 @@ def render_svg(fw: CrystalFramework, cell_range, options: dict = None) -> str:
     outline = [np.zeros(2), z[:, 0], z[:, 0] + z[:, 1], z[:, 1]]
 
     drawn = np.array([pt for seg in segments for pt in seg[:2]] + circles + outline)
-    lo = drawn.min(axis=0) - opts["margin"]
-    hi = drawn.max(axis=0) + opts["margin"]
-    scale = float(opts["scale"])
-    width = (hi[0] - lo[0]) * scale
-    height = (hi[1] - lo[1]) * scale
+    lo = drawn.min(axis=0) - MARGIN
+    hi = drawn.max(axis=0) + MARGIN
+    width = (hi[0] - lo[0]) * SCALE
+    height = (hi[1] - lo[1]) * SCALE
 
     def to_px(p):
         # flip the y axis: SVG y grows downward
-        return (p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale
+        return (p[0] - lo[0]) * SCALE, (hi[1] - p[1]) * SCALE
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -67,24 +58,24 @@ def render_svg(fw: CrystalFramework, cell_range, options: dict = None) -> str:
 
     corners = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(p) for p in outline))
     parts.append(
-        f'<polygon points="{corners}" fill="none" stroke="{opts["cell_color"]}" '
-        f'stroke-width="{_fmt(opts["stroke_width"])}" stroke-dasharray="4,3" class="unit-cell"/>'
+        f'<polygon points="{corners}" fill="none" stroke="{CELL_COLOR}" '
+        f'stroke-width="{_fmt(STROKE_WIDTH)}" stroke-dasharray="4,3" class="unit-cell"/>'
     )
 
     for p, q, internal in segments:
         (x1, y1), (x2, y2) = to_px(p), to_px(q)
-        color = opts["edge_color"] if internal else opts["dangling_color"]
+        color = EDGE_COLOR if internal else DANGLING_COLOR
         cls = "edge" if internal else "edge dangling"
         parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{_fmt(opts["stroke_width"])}" class="{cls}"/>'
+            f'stroke="{color}" stroke-width="{_fmt(STROKE_WIDTH)}" class="{cls}"/>'
         )
 
     for p in circles:
         x, y = to_px(p)
         parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(opts["vertex_radius"])}" '
-            f'fill="{opts["vertex_color"]}" class="vertex"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_RADIUS)}" '
+            f'fill="{VERTEX_COLOR}" class="vertex"/>'
         )
 
     parts.append("</svg>")

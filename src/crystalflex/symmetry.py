@@ -6,15 +6,15 @@ action on vertex classes (a permutation together with integer lattice
 offsets), its action on edge classes, and the integer matrix through which
 the linear part acts on the period lattice.
 
-These actions are monomial, so they are applied as index maps and never
-built as dense matrices.  On the range, row g.e of the permuted operator is
-row e.  On the domain, (u, coordinates of A in an admissible space E),
-vertex block v moves to g.v and is multiplied by B, the offset coupling
-carries A into the vertex blocks (zero exactly when the element is
-separable), and A -> B A B^-1 acts on E.  Traces are counted from fixed
-points.  Velocities transform by the linear part only; rigidity rows
-annihilate the constant translation component, so kernels, cokernels and
-subspace traces are unaffected.
+These actions are monomial, so they are held as read-only int64 index maps,
+applied by gathers and never built as dense matrices.  On the range, row
+g.e of the permuted operator is row e.  On the domain, (u, coordinates of
+A in an admissible space E), vertex block v moves to g.v and is multiplied
+by B, the offset coupling carries A into the vertex blocks (zero exactly
+when the element is separable), and A -> B A B^-1 acts on E.  Traces are
+counted from fixed points.  Velocities transform by the linear part only;
+rigidity rows annihilate the constant translation component, so kernels,
+cokernels and subspace traces are unaffected.
 """
 
 from __future__ import annotations
@@ -51,30 +51,26 @@ class SymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetryElement:
-    """Resolved isometry with its derived actions on the motif."""
+    """Resolved isometry with its derived actions on the motif, held as
+    read-only int64 index maps: vertex v goes to vertex ``vertex_map[v]`` of
+    cell ``vertex_offsets[v]``, and edge class e to ``edge_map[e]``."""
 
     name: str
     linear: np.ndarray
     translation: np.ndarray
-    vertex_map: tuple
-    vertex_offsets: tuple
-    edge_map: tuple
+    vertex_map: np.ndarray
+    vertex_offsets: np.ndarray
+    edge_map: np.ndarray
     lattice_action: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.linear, dtype=float)
-        c = np.asarray(self.translation, dtype=float).reshape(-1)
-        mb = np.asarray(self.lattice_action, dtype=int)
-        b.setflags(write=False)
-        c.setflags(write=False)
-        mb.setflags(write=False)
-        object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "translation", c)
-        object.__setattr__(self, "lattice_action", mb)
-        object.__setattr__(self, "vertex_map", tuple(map(int, self.vertex_map)))
-        object.__setattr__(self, "vertex_offsets",
-                           tuple(tuple(map(int, off)) for off in self.vertex_offsets))
-        object.__setattr__(self, "edge_map", tuple(map(int, self.edge_map)))
+        d = len(self.linear)
+        for name, dtype, shape in [("linear", float, (d, d)), ("translation", float, (d,)),
+                                   ("vertex_map", np.int64, (-1,)), ("vertex_offsets", np.int64, (-1, d)),
+                                   ("edge_map", np.int64, (-1,)), ("lattice_action", np.int64, (d, d))]:
+            value = np.asarray(getattr(self, name), dtype=dtype).reshape(shape)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -83,7 +79,7 @@ class SymmetryElement:
     @property
     def separable(self) -> bool:
         """True when every motif vertex maps to a base-cell motif vertex."""
-        return all(not any(off) for off in self.vertex_offsets)
+        return not self.vertex_offsets.any()
 
 
 def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g") -> SymmetryElement:
@@ -95,8 +91,9 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     """
     d = fw.dimension
     tol = fw.tolerance
-    b = np.asarray(linear, dtype=float)
-    c = np.asarray(translation, dtype=float).reshape(-1)
+    # Copies: the element's read-only arrays share no memory with the caller's.
+    b = np.array(linear, dtype=float)
+    c = np.array(translation, dtype=float).reshape(-1)
     if b.shape != (d, d) or c.shape != (d,):
         raise SymmetryError(f"element {name!r}: expected a {d}x{d} linear part and a {d}-vector")
     if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
@@ -143,16 +140,13 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     if len(set(edge_map.tolist())) != fw.edge_count:
         raise SymmetryError(f"element {name!r}: edge action is not a bijection")
 
-    return SymmetryElement(name=name, linear=b, translation=c,
-                           vertex_map=tuple(vertex_map.tolist()),
-                           vertex_offsets=tuple(map(tuple, shifts.tolist())),
-                           edge_map=tuple(edge_map.tolist()),
-                           lattice_action=lattice_action)
+    return SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
+                           vertex_offsets=shifts, edge_map=edge_map, lattice_action=lattice_action)
 
 
 def _fixed_points(perm) -> int:
     """Number of points a permutation fixes: the trace of its matrix."""
-    return int(np.count_nonzero(np.asarray(perm) == np.arange(len(perm))))
+    return int(np.count_nonzero(perm == np.arange(len(perm))))
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ class _DomainAction:
         # Vertex block v of R V is block g.v of R_u times B; the A columns
         # of R D are R_u C + R_c K.
         residual = self.permute_edges(operator)
-        vertex = r_u.reshape(m, n, d)[:, np.array(self.element.vertex_map)] @ self.element.linear
+        vertex = r_u.reshape(m, n, d)[:, self.element.vertex_map] @ self.element.linear
         residual[:, :n * d] -= vertex.reshape(m, n * d)
         residual[:, n * d:] -= r_u @ self.coupling + r_c @ self.conjugation
         return float(np.max(np.abs(residual, out=residual), initial=0.0))
@@ -217,13 +211,11 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement,
     # B A B^-1 Z k(v), which depends only on the integer offsets, so
     # separable elements get an exactly zero block: row (g.v, i), column
     # (j, k) of vec A holds -w[j] B[i, k] with w = -B^T Z k(v).
-    offsets = np.array(element.vertex_offsets, dtype=np.int64).reshape(n, d)
-    moved = np.flatnonzero(offsets.any(axis=1))
-    w = -(offsets[moved] @ fw.lattice.matrix.T) @ b
+    moved = np.flatnonzero(element.vertex_offsets.any(axis=1))
+    w = -(element.vertex_offsets[moved] @ fw.lattice.matrix.T) @ b
     on_vec = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :]).reshape(-1, d * d)
     coupling = np.zeros((n, d, space.dim))
-    coupling[np.array(element.vertex_map)[moved]] = \
-        (on_vec @ space.stacked).reshape(len(moved), d, space.dim)
+    coupling[element.vertex_map[moved]] = (on_vec @ space.stacked).reshape(len(moved), d, space.dim)
     return _DomainAction(element, coupling.reshape(n * d, space.dim), conjugation)
 
 
@@ -256,6 +248,7 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
 def _cycles(perm) -> np.ndarray:
     """Cycle label of each point of a permutation, numbered in the order of
     each cycle's lowest point."""
+    perm = np.asarray(perm).tolist()
     labels = [-1] * len(perm)
     count = 0
     for start in range(len(perm)):
@@ -293,9 +286,9 @@ def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
     element = action.element
     b = element.linear
     d, q = element.dimension, commutant.dim
-    perm = np.array(element.vertex_map, dtype=np.int64)
+    perm = element.vertex_map
     n = len(perm)
-    labels = _cycles(element.vertex_map)
+    labels = _cycles(perm)
     sizes = np.bincount(labels)
     # Labels are numbered in the order of each cycle's lowest point, so the
     # running maximum of the labels steps up exactly at each cycle's start.

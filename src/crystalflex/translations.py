@@ -10,7 +10,10 @@ frameworks and the rigid unit mode spectrum").
 
 ``_find_translations`` finds T: candidate translations are filtered
 cheaply and each generator is checked by ``symmetry.resolve_symmetry``
-with linear part I.  ``_bloch_blocks`` assembles the real blocks from the
+with linear part I.  T is held by its generators' index maps, composed
+only over the points read: the orbit representatives, found by folding
+the generators' cycle labels, and the refused candidates' vertices.
+``_bloch_blocks`` assembles the real blocks from the
 edge table and takes one batched SVD per block shape, returned as a
 ``linalg.BlockSVD`` with the Fourier maps of the edges and the vertices.
 ``rigidity.factor_strict`` imports this module only for operators large
@@ -25,7 +28,7 @@ import numpy as np
 
 from .frameworks import CrystalFramework, _group_rows
 from .linalg import BlockSVD, FullSVD
-from .symmetry import SymmetryError, resolve_symmetry
+from .symmetry import SymmetryError, _cycles, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
 # to within this many units of round-off of the coordinates' magnitude.
@@ -57,8 +60,9 @@ class _FourierMap(NamedTuple):
 
 class _Translations(NamedTuple):
     """The translation group T = L'/L of a motif, L' the finest lattice it
-    repeats under: its N elements, as the vertex and edge permutations of
-    each (t . x is ``vertices[t, x]``, ``edges[t, x]``), and the real
+    repeats under: its N elements, as the images of the vertex and edge
+    orbit representatives under each (t . r_i is ``vertices[t, i]`` for the
+    i-th least vertex of its orbit, likewise ``edges``), and the real
     characters as ``fourier``: first one column chi_w(t) / sqrt(N) per
     self-conjugate character (2w = 0, so chi_w is real), then per pair
     (w, -w) the columns sqrt(2/N) cos and -sqrt(2/N) sin of its phase.
@@ -84,28 +88,54 @@ def _members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 class _GroupBuilder:
     """The group of translations a / modulus (a in Z^d mod modulus)
-    generated so far, with the vertex and edge permutation of each element.
+    generated so far, held by its generators, the resolved elements.
 
     Generator k adds q_k cosets: q_k is the least q with q a_k in the group
     G_{k-1} of the ones before it, so the elements are sum_k c_k a_k with
     0 <= c_k < q_k, listed with c_1 varying fastest.
     """
 
-    def __init__(self, n: int, m: int, d: int, modulus: int):
+    def __init__(self, d: int, modulus: int):
         self.modulus = modulus
         self.elements = np.zeros((1, d), dtype=np.int64)
-        self.vertices, self.edges = np.arange(n)[np.newaxis], np.arange(m)[np.newaxis]
-        self.radices, self.relations = [], []
+        self.radices, self.relations, self.generators = [], [], []
 
-    def add(self, a, vertex_map, edge_map):
-        steps, x = [(self.elements, self.vertices, self.edges)], a
+    def add(self, a, generator):
+        steps, x = [self.elements], a
         while not (found := np.flatnonzero(np.all(self.elements == x, axis=1))).size:
-            e, v, w = steps[-1]
-            steps.append(((e + a) % self.modulus, vertex_map[v], edge_map[w]))
+            steps.append((steps[-1] + a) % self.modulus)
             x = (x + a) % self.modulus
         self.radices.append(len(steps))
         self.relations.append(int(found[0]))
-        self.elements, self.vertices, self.edges = (np.concatenate(part) for part in zip(*steps))
+        self.elements = np.concatenate(steps)
+        self.generators.append(generator)
+
+    def images(self, points, which: str) -> np.ndarray:
+        """The (elements, points) table of t . x over the elements t, in
+        their order, for x the given points of the generators' ``which``
+        map ("vertex_map" or "edge_map")."""
+        table = np.asarray(points)[np.newaxis]
+        for q, g in zip(self.radices, self.generators):
+            steps = [table]
+            for _ in range(1, q):
+                steps.append(getattr(g, which)[steps[-1]])
+            table = np.concatenate(steps)
+        return table
+
+    def orbit_table(self, which: str) -> np.ndarray:
+        """The images of the least point of each orbit of the ``which`` map.
+
+        The group is abelian, so the orbit of x under G_k is the union of the
+        G_{k-1}-orbits along the cycle of a_k through x: its least point is
+        the least of theirs over that cycle.
+        """
+        least = np.arange(len(getattr(self.generators[0], which)))
+        for g in self.generators:
+            labels = _cycles(getattr(g, which))
+            lowest = np.full(len(least), len(least))
+            np.minimum.at(lowest, labels, least)
+            least = lowest[labels]
+        return self.images(np.flatnonzero(least == np.arange(len(least))), which)
 
     def _digits(self, index, count: int) -> np.ndarray:
         """Coordinates c_1, ..., c_count of the elements at ``index``."""
@@ -178,29 +208,30 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
 
     scale = max(1.0, float(np.max(np.abs(fw.positions[ends] + fw.edges.cells @ z.T), initial=0.0)))
     roundoff = BAR_ROUNDOFF_ULPS * np.finfo(float).eps * scale
-    group, refused = _GroupBuilder(n, fw.edge_count, d, modulus), [0]
-    powers = np.arange(1, modulus + 1)[:, np.newaxis, np.newaxis]
+    group, refused = _GroupBuilder(d, modulus), [0]
+    # A candidate's order modulo G divides the modulus, so it is the least
+    # divisor whose multiple of the candidate lies in G.
+    powers = np.concatenate([[1], divisors[modulus % divisors == 0]])[:, np.newaxis, np.newaxis]
     while len(candidates):
         # The candidate of largest order modulo G grows G the most; when
         # that order is 1, every candidate left is in G.
         inside = _members((powers * candidates % modulus).reshape(-1, d), group.elements)
-        order = np.argmax(inside.reshape(modulus, -1), axis=0)
+        order = np.argmax(inside.reshape(len(powers), -1), axis=0)
         pick = int(np.argmax(order))
         if order[pick] == 0:
             break
         a, v = candidates[pick], image[pick]
         try:
             g = resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")
-            edge_map = np.array(g.edge_map, dtype=np.int64)
-            moved = vectors[edge_map]
+            moved = vectors[g.edge_map]
             if np.max(np.minimum(np.abs(vectors - moved), np.abs(vectors + moved)), initial=0.0) > roundoff:
                 raise SymmetryError("a bar vector moves by more than round-off")
-            group.add(a, np.array(g.vertex_map, dtype=np.int64), edge_map)
+            group.add(a, g)
         except SymmetryError:
             refused.append(v)
         # A candidate is in G, or in a coset a + G of a refused a, when its
         # image lies in the G-orbit of vertex 0, or of the refused one's.
-        outside = ~np.isin(image, group.vertices[:, refused])
+        outside = ~np.isin(image, group.images(refused, "vertex_map"))
         outside[pick] = False
         candidates, image = candidates[outside], image[outside]
     if not group.radices:
@@ -219,19 +250,17 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     fourier[:, :len(real)] = cos[:len(real)].T / np.sqrt(count)
     fourier[:, len(real)::2] = np.sqrt(2.0 / count) * cos[len(real):].T
     fourier[:, len(real) + 1::2] = -np.sqrt(2.0 / count) * sin[len(real):].T
-    return _Translations(group.vertices, group.edges, fourier, cos, sin, len(real))
+    return _Translations(group.orbit_table("vertex_map"), group.orbit_table("edge_map"),
+                         fourier, cos, sin, len(real))
 
 
-def _orbits(perms: np.ndarray):
-    """The orbit representatives of a free action given by its permutations
-    (one row per element), the (elements, orbits) table of their images, and
-    each point's (element, orbit)."""
-    reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(perms.shape[1]))
-    table = perms[:, reps]
-    element, orbit = np.empty(perms.shape[1], dtype=np.int64), np.empty(perms.shape[1], dtype=np.int64)
+def _orbits(table: np.ndarray):
+    """Each point's (element, orbit) in the (elements, orbits) table of a
+    free action's images of its orbit representatives."""
+    element, orbit = np.empty(table.size, dtype=np.int64), np.empty(table.size, dtype=np.int64)
     element[table] = np.arange(len(table))[:, np.newaxis]
-    orbit[table] = np.arange(len(reps))
-    return table, element, orbit
+    orbit[table] = np.arange(table.shape[1])
+    return element, orbit
 
 
 def _bloch_blocks(fw: CrystalFramework, vectors: np.ndarray, group: _Translations) -> BlockSVD:
@@ -245,11 +274,10 @@ def _bloch_blocks(fw: CrystalFramework, vectors: np.ndarray, group: _Translation
     [[Re, -Im], [Im, Re]] of Phi(w).  One batched SVD per block shape.
     """
     d = fw.dimension
-    vertex_table, element, orbit = _orbits(group.vertices)
-    edge_table, _, _ = _orbits(group.edges)
-    reps = edge_table[0]
+    element, orbit = _orbits(group.vertices)
+    reps = group.edges[0]
     ends = fw.edges.ends[reps]
-    m, n = len(reps), vertex_table.shape[1]
+    m, n = len(reps), group.vertices.shape[1]
     rows = np.arange(m)
     blocks = []
     for wave in (group.cos, group.sin):
@@ -264,5 +292,5 @@ def _bloch_blocks(fw: CrystalFramework, vectors: np.ndarray, group: _Translation
         batches.append(np.concatenate([np.concatenate([re, -im], axis=2),
                                        np.concatenate([im, re], axis=2)], axis=1))
     return BlockSVD(tuple(FullSVD(*np.linalg.svd(b, full_matrices=True)) for b in batches),
-                    rows=_FourierMap(edge_table, group.fourier, 1),
-                    cols=_FourierMap(vertex_table, group.fourier, d))
+                    rows=_FourierMap(group.edges, group.fourier, 1),
+                    cols=_FourierMap(group.vertices, group.fourier, d))

@@ -8,6 +8,9 @@ endpoints identified by fractional-coordinate matching, an entirely
 different code path from the motif assembly.  ``dense_counts`` reads the
 counts of a space off one SVD of the whole restricted operator, the path
 that the bordered factorization of the strict operator replaced.
+``translation_tables`` and ``orbit_tables`` build a translation group's
+permutation of every point by every element and read its orbits off them,
+where the package composes its generators' maps over a few points.
 """
 
 import itertools
@@ -252,3 +255,33 @@ def dense_counts(fw, space):
     sigma = np.linalg.svd(operator, compute_uv=False) if operator.size else np.zeros(0)
     return DenseCounts(flex.dim - f, stress.dim, f, flex, stress,
                        float(sigma[0]) if len(sigma) else 0.0)
+
+
+def translation_tables(modulus, generators, n, m, d):
+    """The group of translations a / modulus generated by ``generators``,
+    pairs (a, resolved element), as full tables: its elements (N, d) and the
+    vertex (N, n) and edge (N, m) permutation of each, generator k adding
+    its cosets of the group of the ones before it in turn."""
+    elements = np.zeros((1, d), dtype=np.int64)
+    vertices, edges = np.arange(n)[np.newaxis], np.arange(m)[np.newaxis]
+    for a, g in generators:
+        steps, x = [(elements, vertices, edges)], a
+        while not np.all(elements == x, axis=1).any():
+            e, v, w = steps[-1]
+            steps.append(((e + a) % modulus, g.vertex_map[v], g.edge_map[w]))
+            x = (x + a) % modulus
+        elements, vertices, edges = (np.concatenate(part) for part in zip(*steps))
+    return elements, vertices, edges
+
+
+def orbit_tables(perms):
+    """The least point of each orbit of a free action given by its
+    permutations (one row per element), as the points whose column minimum
+    is themselves; the (elements, orbits) table of their images; and each
+    point's (element, orbit)."""
+    reps = np.flatnonzero(np.min(perms, axis=0) == np.arange(perms.shape[1]))
+    table = perms[:, reps]
+    element, orbit = np.empty(perms.shape[1], dtype=np.int64), np.empty(perms.shape[1], dtype=np.int64)
+    element[table] = np.arange(len(table))[:, np.newaxis]
+    orbit[table] = np.arange(len(reps))
+    return table, element, orbit

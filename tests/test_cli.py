@@ -256,9 +256,13 @@ class TestSvgCommand:
         assert code == 0
 
     def test_three_dimensional_input_is_an_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "svg", "--builtin", "hexahedron", "--cells", "1x1x1",
-                           "-o", str(tmp_path / "x.svg"))
-        assert code == 2
+        # The dimension is refused before the cells are read, whatever their form.
+        for cells in ["1x1x1", "2x2", "0:2,0:2"]:
+            code, _, err = run(capsys, "svg", "--builtin", "hexahedron", "--cells", cells,
+                               "-o", str(tmp_path / "x.svg"))
+            assert code == 2
+            assert err == "error: SVG rendering requires a 2-dimensional framework\n"
+            assert not (tmp_path / "x.svg").exists()
 
     def test_bad_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "svg", "--builtin", "kagome", "--cells", "banana",

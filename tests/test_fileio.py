@@ -23,8 +23,8 @@ class TestRoundTrip:
         assert [e.class_key() for e in restored.edges] == [e.class_key() for e in fw.edges]
         assert [g.name for g in restored.symmetries] == [g.name for g in fw.symmetries]
         for g1, g2 in zip(restored.symmetries, fw.symmetries):
-            assert g1.vertex_map == g2.vertex_map
-            assert g1.edge_map == g2.edge_map
+            assert g1.vertex_map.tolist() == g2.vertex_map.tolist()
+            assert g1.edge_map.tolist() == g2.edge_map.tolist()
 
     def test_serialization_is_exact(self, kagome):
         restored = cf.parse_framework(cf.serialize_framework(kagome))

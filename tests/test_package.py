@@ -80,14 +80,19 @@ def test_readme_framework_reproduces_the_builtin(readme_framework, capsys):
 
 def test_analysis_loads_neither_scipy_nor_sympy(tmp_path):
     # numpy is the one declared dependency; scipy and sympy may be
-    # installed, but an analysis must not pay for importing them.
+    # installed, but an analysis must not pay for importing them.  The
+    # translation module is imported only by an operator large enough for
+    # Bloch blocks, so a small request does not pay for compiling it.
     script = f"""
 import sys
 import crystalflex as cf
 from crystalflex import cli
+assert cli.main(["analyze", "--builtin", "kagome"]) == 0
+assert "crystalflex.translations" not in sys.modules
 path = {str(tmp_path / "kagome_8x8.json")!r}
 cf.save_framework(cf.supercell(cf.builtin_framework("kagome"), (8, 8)), path)
 assert cli.main(["analyze", path, "--json"]) == 0
+assert "crystalflex.translations" in sys.modules
 print(sorted(name for name in ("scipy", "sympy") if name in sys.modules))
 """
     path = os.environ.get("PYTHONPATH")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,17 +11,20 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 from crystalflex.linalg import border_bound
 import crystalflex.rigidity
+import crystalflex.translations
 from crystalflex.frameworks import _bar_vectors
 from crystalflex.rigidity import _skew_generators, bordered_counts, factor_strict, unvec, vec
-from crystalflex.translations import _find_translations
+from crystalflex.translations import _find_translations, _orbits
 from oracles import (
     dense_counts,
     direct_row_values,
     exact_rank_profile,
     match_rows_up_to_sign,
+    orbit_tables,
     random_framework,
     scrambled_supercell,
     torus_rigidity_matrix,
+    translation_tables,
 )
 
 
@@ -776,3 +780,97 @@ class TestTranslationDetection:
         assert strict.svd.rows is None and strict.svd.cols is None
         u, s, vt = strict.svd.batches[0]
         assert s.shape == (1, 2 * big.vertex_count)
+
+
+def detect(fw):
+    """``_find_translations`` of a framework, with the generators its group
+    builder accepted, in order, as pairs (a, element), and the builder."""
+    accepted, builders = [], []
+
+    class Recording(crystalflex.translations._GroupBuilder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builders.append(self)
+
+        def add(self, a, generator):
+            accepted.append((a, generator))
+            super().add(a, generator)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crystalflex.translations, "_GroupBuilder", Recording)
+        group = _find_translations(fw, _bar_vectors(fw, fw.edges.ends, fw.edges.cells))
+    return group, accepted, builders[0]
+
+
+# T is cyclic for the factors (2, 3) and (1, 2, 3) and the chain, and has
+# two generators for (2, 4), (1, 2, 4) and the centred cell's 2 x 2.
+TABLE_CASES = [lambda rng, name=name, k=k:
+               scrambled_supercell(name, (1, 2, k) if name == "hexahedron" else (2, k), rng)
+               for name in cf.BUILTIN_NAMES for k in (3, 4)] + [
+    lambda rng: centred_square(),
+    lambda rng: cf.supercell(centred_square(), (2, 3)),
+    lambda rng: cf.supercell(centred_square(), (2, 2)),
+    lambda rng: cf.supercell(chain(), (6,)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(TABLE_CASES), st.integers(0, 2 ** 32 - 1))
+def test_generator_tables_match_the_full_tables(make, seed):
+    # The orbit tables composed from the generators' maps, and each point's
+    # element and orbit, are those read off every element's permutation.
+    fw = make(np.random.default_rng(seed))
+    group, accepted, builder = detect(fw)
+    assert len(group.vertices) == len(builder.elements) > 1
+    elements, vertices, edges = translation_tables(
+        builder.modulus, accepted, fw.vertex_count, fw.edge_count, fw.dimension)
+    assert np.array_equal(builder.elements, elements)
+    assert np.array_equal(builder.images(np.arange(fw.vertex_count), "vertex_map"), vertices)
+    assert np.array_equal(builder.images(np.arange(fw.edge_count), "edge_map"), edges)
+    for table, perms in [(group.vertices, vertices), (group.edges, edges)]:
+        expected, element, orbit = orbit_tables(perms)
+        assert np.array_equal(table, expected)
+        assert all(np.array_equal(x, y) for x, y in zip(_orbits(table), (element, orbit)))
+
+
+class TestDetectionWork:
+    def test_order_search_reads_only_the_divisors(self):
+        # On a chain of 360 cells T is cyclic of order 360, which has 24
+        # divisors; each of the 359 candidates is tested at those powers only.
+        fw = cf.supercell(chain(), (360,))
+        sizes = []
+        members = crystalflex.translations._members
+
+        def counting(rows, elements):
+            sizes.append(len(rows))
+            return members(rows, elements)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crystalflex.translations, "_members", counting)
+            group, accepted, _ = detect(fw)
+        assert max(sizes) <= 24 * 359
+        assert len(accepted) == 1 and len(group.vertices) == 360
+        # Element t is the t-th power of the generator; the characters are
+        # the real one, the one of order two, then the pairs (w, -w).
+        count, t, w = 360, np.arange(360)[:, np.newaxis], np.arange(1, 180)
+        angle = 2 * np.pi * (w * t % count) / count
+        expected = np.empty((count, count))
+        expected[:, 0] = 1 / np.sqrt(count)
+        expected[:, 1] = np.cos(np.pi * t[:, 0]) / np.sqrt(count)
+        expected[:, 2::2] = np.sqrt(2 / count) * np.cos(angle)
+        expected[:, 3::2] = -np.sqrt(2 / count) * np.sin(angle)
+        assert_allclose(group.fourier, expected, rtol=0, atol=1e-14)
+
+    def test_detection_builds_no_full_permutation_table(self, kagome):
+        # The full vertex and edge tables of T on kagome 16 x 16 take
+        # 256 * (768 + 1536) * 8 bytes = 4.7 MB.
+        fw = cf.supercell(kagome, (16, 16))
+        vectors = _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+        tracemalloc.start()
+        try:
+            group = _find_translations(fw, vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.vertices.shape == (256, 3) and group.edges.shape == (256, 6)
+        assert peak < 4e6

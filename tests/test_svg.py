@@ -30,11 +30,6 @@ def test_output_is_deterministic(kagome):
     assert a == b
 
 
-def test_unknown_option_rejected(kagome):
-    with pytest.raises(ValueError, match="unknown SVG option"):
-        cf.render_svg(kagome, [(0, 1), (0, 1)], {"thickness": 3})
-
-
 def test_empty_range_rejected(kagome):
     with pytest.raises(ValueError, match="empty"):
         cf.render_svg(kagome, [(0, 0), (0, 1)])

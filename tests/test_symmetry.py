@@ -83,14 +83,14 @@ def kagome_glide(kagome):
 class TestResolve:
     def test_identity(self, kagome):
         g = identity_element(kagome)
-        assert g.vertex_map == (0, 1, 2)
-        assert g.vertex_offsets == ((0, 0), (0, 0), (0, 0))
-        assert g.edge_map == (0, 1, 2, 3, 4, 5)
+        assert g.vertex_map.tolist() == [0, 1, 2]
+        assert g.vertex_offsets.tolist() == [[0, 0], [0, 0], [0, 0]]
+        assert g.edge_map.tolist() == [0, 1, 2, 3, 4, 5]
         assert g.separable
 
     def test_kagome_threefold(self, kagome_r3):
         assert sorted(kagome_r3.vertex_map) == [0, 1, 2]
-        assert kagome_r3.vertex_map != (0, 1, 2)
+        assert kagome_r3.vertex_map.tolist() != [0, 1, 2]
         assert kagome_r3.separable
         assert cf.edge_orbit_count(kagome_r3) == 2
 
@@ -116,8 +116,8 @@ class TestResolve:
             cf.resolve_symmetry(kagome, np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2), "shear")
 
     def test_glide_actions(self, kagome_glide):
-        assert kagome_glide.vertex_map == (1, 0, 2)
-        assert kagome_glide.vertex_offsets == ((0, 0), (1, 0), (1, -1))
+        assert kagome_glide.vertex_map.tolist() == [1, 0, 2]
+        assert kagome_glide.vertex_offsets.tolist() == [[0, 0], [1, 0], [1, -1]]
         assert not kagome_glide.separable
 
     @pytest.mark.parametrize("order, expected", [((0, 1), (0, 1)), ((1, 0), None)])
@@ -142,8 +142,8 @@ class TestResolve:
                 cf.resolve_symmetry(fw, np.eye(2), shift, "t")
         else:
             g = cf.resolve_symmetry(fw, np.eye(2), shift, "t")
-            assert g.vertex_map == expected
-            assert g.vertex_offsets == ((0, 0), (0, 0))
+            assert g.vertex_map.tolist() == list(expected)
+            assert g.vertex_offsets.tolist() == [[0, 0], [0, 0]]
 
     def test_image_beyond_the_cell_limit(self, square_grid):
         with pytest.raises(cf.SymmetryError,
@@ -153,9 +153,37 @@ class TestResolve:
     def test_hexahedron_rotation_is_nonseparable(self, hexahedron):
         g = hexahedron.symmetries[0]
         assert not g.separable
-        assert g.vertex_map == (0, 1)
-        assert g.vertex_offsets[0] != (0, 0, 0)
-        assert g.vertex_offsets[1] == (0, 0, 0)
+        assert g.vertex_map.tolist() == [0, 1]
+        assert g.vertex_offsets[0].tolist() != [0, 0, 0]
+        assert g.vertex_offsets[1].tolist() == [0, 0, 0]
+
+
+    def test_maps_are_read_only_int64_arrays(self, any_builtin):
+        # Builtin, parsed and supercell-resolved elements hold one form.
+        big = cf.supercell(any_builtin, (2,) * any_builtin.dimension)
+        parsed = cf.parse_framework(cf.serialize_framework(any_builtin))
+        cases = [(any_builtin, any_builtin.symmetries), (parsed, parsed.symmetries),
+                 (big, [cf.resolve_symmetry(big, g.linear, g.translation, g.name)
+                        for g in any_builtin.symmetries])]
+        for fw, elements in cases:
+            assert elements
+            n, m, d = fw.vertex_count, fw.edge_count, fw.dimension
+            for g in elements:
+                for name, shape in [("vertex_map", (n,)), ("vertex_offsets", (n, d)), ("edge_map", (m,))]:
+                    value = getattr(g, name)
+                    assert isinstance(value, np.ndarray), name
+                    assert (value.dtype, value.shape) == (np.int64, shape), name
+                    with pytest.raises(ValueError, match="read-only"):
+                        value[0] = 0
+
+
+    def test_element_shares_no_array_with_the_caller(self, kagome, kagome_r3):
+        linear, translation = np.array(kagome_r3.linear), np.array(kagome_r3.translation)
+        g = cf.resolve_symmetry(kagome, linear, translation, "r3")
+        linear[:] = 0.0
+        translation[:] = 0.0
+        assert_allclose(g.linear, kagome_r3.linear, rtol=0, atol=0)
+        assert_allclose(g.translation, kagome_r3.translation, rtol=0, atol=0)
 
 
 class TestSeparability:
