@@ -8,6 +8,7 @@ which indicates broken rank decisions rather than bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -35,6 +36,7 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crystalflex",
@@ -100,7 +102,10 @@ def _load_input(args):
             raise CliError("--tol must be finite")
         if args.tol < MIN_TOL:
             raise CliError(f"--tol must be at least {MIN_TOL:.2g}")
-        fw = fw.with_tolerance(args.tol)
+        try:
+            fw = fw.with_tolerance(args.tol)
+        except InvalidFrameworkError as exc:
+            raise CliError(f"tolerance {args.tol:g} is too large: " + "; ".join(exc.violations))
     return fw, name
 
 
@@ -161,11 +166,12 @@ def _report(fw, as_json, **options):
     """Analyze, write the report and check that every counting identity closes."""
     try:
         report = analyze_framework(fw, **options)
+        text = emit_report(report, "json" if as_json else "text")
     except DependentBasisError as exc:
-        # Every space built during the analysis has an orthonormal basis, so
-        # only a tolerance that hides unit singular values can make it fail.
+        # Every space built for the report has an orthonormal basis, so only
+        # a tolerance that hides unit singular values can make it fail.
         raise CliError(f"tolerance {fw.tolerance:g} is too large: {exc}")
-    sys.stdout.write(emit_report(report, "json" if as_json else "text"))
+    sys.stdout.write(text)
     if report.max_identity_residual != 0:
         sys.stderr.write("error: counting identity failed to close "
                          "(internal inconsistency)\n")

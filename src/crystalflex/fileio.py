@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -456,9 +456,10 @@ def _float_block(items, level: int):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the text/JSON emitters need, in plain data."""
+    """The counts in plain data, and each mode's (space, CountReport) for ``to_dict``."""
 
     body: dict
+    modes: tuple = field(compare=False, repr=False)
 
     @property
     def max_identity_residual(self) -> float:
@@ -472,7 +473,16 @@ class AnalysisReport:
         return worst
 
     def to_dict(self) -> dict:
-        return self.body
+        """The body, with each mode's rounded flex and stress bases after its flags."""
+        entries = []
+        for entry, (space, counts) in zip(self.body["modes"], self.modes):
+            flexes, dn, d = counts.flex_basis.basis, counts.vertex_dof, space.dimension
+            velocities = _display_array(flexes[:dn].T.reshape(flexes.shape[1], dn // d, d)).tolist()
+            distortions = _display_array(space.matrix_from_coordinates(flexes[dn:].T)).tolist()
+            entries.append({**entry, "flexes": [{"vertex_velocities": u, "distortion": a}
+                                                for u, a in zip(velocities, distortions)],
+                            "stresses_basis": _display_array(counts.stress_basis.basis.T).tolist()})
+        return {**self.body, "modes": entries}
 
 
 def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "affine"),
@@ -484,14 +494,12 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     custom spaces); other labels go through mode_space().
     """
     d = fw.dimension
-    mode_entries = []
+    mode_entries, mode_counts = [], []
     strict = factor_strict(fw) if modes else None
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
         counts = bordered_counts(strict, space)
-        flexes, dn = counts.flex_basis.basis, d * fw.vertex_count
-        velocities = flexes[:dn].T.reshape(flexes.shape[1], fw.vertex_count, d)
-        distortions = space.matrix_from_coordinates(flexes[dn:].T)
+        mode_counts.append((space, counts))
         mode_entries.append({
             "mode": label,
             "space": space.name,
@@ -503,12 +511,6 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
             "f": counts.rigid_motions,
             "identity_residual": counts.identity_residual,
             "flags": list(counts.flags),
-            "flexes": [
-                {"vertex_velocities": u, "distortion": a}
-                for u, a in zip(_display_array(velocities).tolist(),
-                                _display_array(distortions).tolist())
-            ],
-            "stresses_basis": _display_array(counts.stress_basis.basis.T).tolist(),
         })
 
     symmetry_entries = []
@@ -554,7 +556,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
         "modes": mode_entries,
         "symmetries": symmetry_entries,
     }
-    return AnalysisReport(body)
+    return AnalysisReport(body, tuple(mode_counts))
 
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:
@@ -563,7 +565,7 @@ def emit_report(report: AnalysisReport, format: str = "text") -> str:
     if format != "text":
         raise ValueError(f"unknown report format {format!r}; use 'text' or 'json'")
 
-    body = report.to_dict()
+    body = report.body
     fw = body["framework"]
     lines = [
         f"framework {fw['name']}: d={fw['dimension']}, |Fv|={fw['vertex_count']}, "

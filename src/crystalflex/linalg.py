@@ -20,8 +20,9 @@ same policy puts on the stacked complement projectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,12 +144,21 @@ def full_svd(mat) -> FullSVD:
     return FullSVD(*np.linalg.svd(m, full_matrices=True))
 
 
-class Factorization(NamedTuple):
-    """Rank, kernel and cokernel of one matrix, with orthonormal bases."""
+@dataclass(frozen=True)
+class Factorization:
+    """Rank, kernel and cokernel of one matrix, with orthonormal bases; the
+    cokernel is built on first read.  Unpacks as ``rank, kernel, cokernel``."""
 
     rank: int
     kernel: SubspaceBasis
-    cokernel: SubspaceBasis
+    build_cokernel: Callable[[], SubspaceBasis] = field(repr=False, compare=False)
+
+    @cached_property
+    def cokernel(self) -> SubspaceBasis:
+        return self.build_cokernel()
+
+    def __iter__(self):
+        return iter((self.rank, self.kernel, self.cokernel))
 
 
 class BlockSVD(NamedTuple):
@@ -246,7 +256,7 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
     B = S^T C (s x q) is the part of the border A cannot reach.  Then
 
     - the rank is r + rank B;
-    - the cokernel is S times the left null space of B;
+    - the cokernel is S times the left null space of B, built on first read;
     - the kernel is (V[:, r:], 0) plus the lifts (-A^+ C z, z) for z in
       ker B, orthonormalised.  A^+ C z lies in A's row space, so the lifts
       are orthogonal to the first block.
@@ -264,25 +274,26 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
         raise ValueError(f"border has {c.shape[0]} rows, the matrix {rows}")
     shape = (rows, cols + q)
     bound = border_bound(blocks, c)
-    r, kept, null, conull = 0, [], [], []
+    r, kept, null = 0, [], []
     for u, s, vt in blocks.batches:
         keep = _kept(s, shape, tol, bound)
         kept.append(np.sum(keep, axis=1))
         r += int(np.sum(keep))
         null.append(_dropped(np.swapaxes(vt, 1, 2), kept[-1]))
-        conull.append(_dropped(u, kept[-1]))
-    null, conull = _block_diagonal(null), _block_diagonal(conull)
+    null = _block_diagonal(null)
 
     def kernel_back(basis):
         if blocks.cols is None:
             return basis
         return np.vstack([blocks.cols.from_blocks(basis[:cols]), basis[cols:]])
 
-    def cokernel_back(basis):
-        return basis if blocks.rows is None else blocks.rows.from_blocks(basis)
+    def cokernel(left_null=None):
+        conull = _block_diagonal([_dropped(u, k) for (u, _, _), k in zip(blocks.batches, kept)])
+        basis = conull if left_null is None else conull @ left_null
+        return _span(basis if blocks.rows is None else blocks.rows.from_blocks(basis), tol)
 
     if q == 0:
-        return Factorization(r, _span(kernel_back(null), tol), _span(cokernel_back(conull), tol))
+        return Factorization(r, _span(kernel_back(null), tol), cokernel)
 
     hat = c if blocks.rows is None else blocks.rows.to_blocks(c)
     # U^T C block by block; the rows past each block's kept ones stack into B.
@@ -293,7 +304,6 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
     k = min(r_b.shape)
     top_u, top_s, top_vt = full_svd(r_b[:k])
     rank_b = _rank(top_s, shape, tol, bound)
-    left_null = np.hstack([q_b[:, :k] @ top_u[:, rank_b:], q_b[:, k:]])
     kernel_b = top_vt[rank_b:].T
 
     lifted = []
@@ -307,7 +317,7 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
     lifts, _ = np.linalg.qr(np.vstack([-np.vstack(lifted), kernel_b]))
     kernel = np.hstack([np.vstack([null, np.zeros((q, cols - r))]), lifts])
     return Factorization(r + rank_b, _span(kernel_back(kernel), tol),
-                         _span(cokernel_back(conull @ left_null), tol))
+                         lambda: cokernel(np.hstack([q_b[:, :k] @ top_u[:, rank_b:], q_b[:, k:]])))
 
 
 def factorize(mat, tol: float = DEFAULT_TOL) -> Factorization:

@@ -17,9 +17,9 @@ one domain system, (u, coordinates of A in E's basis).
 The operator of E is the strict operator R0 (the vertex block) bordered by
 the dim E <= d^2 lattice-velocity columns C_E, so one full SVD of R0
 (``factor_strict``) serves every admissible space: ``bordered_counts``
-reads each space's counts and bases off it and a small factorization of
-S0^T C_E, S0 the strict stresses.  ``analyze_counts`` is the two in one
-call.
+reads each space's counts, and the bases read, off it and a small
+factorization of S0^T C_E, S0 the strict stresses.  ``analyze_counts``
+is the two in one call.
 
 A motif that repeats under a finer lattice, as a supercell does, has
 translations T = L'/L that permute its vertices and bars; in the real
@@ -46,6 +46,7 @@ from .frameworks import AffineVelocity, CrystalFramework, _bar_vectors
 from .linalg import (
     DEFAULT_TOL,
     BlockSVD,
+    Factorization,
     SubspaceBasis,
     column_space_basis,
     factorize_bordered,
@@ -267,7 +268,8 @@ class CountReport:
     identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f)
     and must be zero for consistent rank decisions.  flex_basis, stress_basis
     and rigid_basis are the kernel, cokernel and rigid motions the counts were
-    read from, in restricted (u, coords-in-space) coordinates.
+    read from, in restricted (u, coords-in-space) coordinates.  s is |Fe|
+    minus the rank, and stress_basis the cokernel, built on first read.
     """
 
     space_name: str
@@ -279,9 +281,13 @@ class CountReport:
     rigid_motions: int
     identity_residual: int
     flex_basis: SubspaceBasis = field(compare=False, repr=False)
-    stress_basis: SubspaceBasis = field(compare=False, repr=False)
+    factorization: Factorization = field(compare=False, repr=False)
     rigid_basis: SubspaceBasis = field(compare=False, repr=False)
     flags: tuple = ()
+
+    @property
+    def stress_basis(self) -> SubspaceBasis:
+        return self.factorization.cokernel
 
 
 # Below this many vertex coordinates d|Fv| the dense SVD of R0 costs less
@@ -319,14 +325,14 @@ def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountRep
     """Counts and bases in ``space``, from R0's SVD bordered by C_E."""
     fw = strict.fw
     border = _lattice_columns(fw, strict.affine_block, space)
-    _, flex, stress = factorize_bordered(strict.svd, border, fw.tolerance)
-    rigid = rigid_motion_space(fw, space)
+    factorization = factorize_bordered(strict.svd, border, fw.tolerance)
+    flex, rigid = factorization.kernel, rigid_motion_space(fw, space)
     f = rigid.dim
     if f > flex.dim:
         raise DependentBasisError(
             f"the rigid motions span {f} dimensions, more than the {flex.dim} flexes")
     m = flex.dim - f
-    s = stress.dim
+    s = fw.edge_count - factorization.rank
     d, n = fw.dimension, fw.vertex_count
     residual = (m - s) - (d * n + space.dim - fw.edge_count - f)
     flags = []
@@ -343,7 +349,7 @@ def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountRep
         rigid_motions=f,
         identity_residual=residual,
         flex_basis=flex,
-        stress_basis=stress,
+        factorization=factorization,
         rigid_basis=rigid,
         flags=tuple(flags),
     )

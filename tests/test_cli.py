@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import crystalflex as cf
+import crystalflex.cli as cli
 import crystalflex.frameworks
 import crystalflex.rigidity
 import crystalflex.symmetry
@@ -126,6 +127,17 @@ class TestAnalyze:
         assert code == 0
         code, _, err = run(capsys, "analyze", "--builtin", "kagome", "--tol", "-1")
         assert code == 2
+
+    def test_rigid_motions_outside_the_flexes_print_a_warning(self, capsys, tmp_path, kagome):
+        # At --tol 1e-4 the affine split of the kagome 6x6 supercell keeps
+        # flexes that miss part of the rigid span, so the check can fire.
+        path = tmp_path / "kagome_6x6.json"
+        cf.save_framework(cf.supercell(kagome, (6, 6)), path)
+        code, out, _ = run(capsys, "analyze", str(path), "--tol", "1e-4", "--mode", "affine")
+        assert code == 0
+        assert "mode affine: m=27 s=26 f=3\n" in out
+        assert ("  warning: rigid motions are not contained in the flex space; "
+                "the framework geometry is inconsistent\n") in out
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -282,6 +294,17 @@ class TestExitCodes:
                 code, _, err = run(capsys, "analyze", "--builtin", name, "--mode", *mode)
                 assert code == 0, f"{name} {mode}: {err}"
 
+    def test_parser_is_built_once_and_reused(self, capsys):
+        # A usage error after a successful call still exits 2, and a repeated
+        # call prints the same bytes as the first.
+        assert cli._build_parser() is cli._build_parser()
+        first = run(capsys, "analyze", "--builtin", "kagome")
+        assert first[0] == 0
+        code, out, err = run(capsys, "analyze", "--builtin", "kagome", "--bogus")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+        assert run(capsys, "analyze", "--builtin", "kagome") == first
+
     def test_reports_identical_across_runs(self, capsys):
         outputs = []
         for _ in range(2):
@@ -413,6 +436,15 @@ class TestBadNumbers:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tolerance 0.3 is too large")
+
+    @pytest.mark.parametrize("name, tol, violation", [
+        ("kagome", "1", "period lattice is singular (determinant below tolerance)"),
+        ("hexahedron", "0.5", "vertices 0 and 1 coincide modulo the lattice")])
+    def test_tolerance_that_fails_validation_is_blamed(self, capsys, name, tol, violation):
+        # The builtins are valid; the tolerance is what makes them fail.
+        code, out, err = run(capsys, "analyze", "--builtin", name, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance {tol} is too large: {violation}\n"
 
     @pytest.mark.parametrize("name, tol, dimension", [
         ("kagome", "0.2", 2), ("square_grid", "0.2", 2), ("kagome", "0.1", 2), ("hexahedron", "0.1", 3)])
@@ -784,6 +816,25 @@ class TestWorkPerRequest:
             assert code == 0
             assert len(validations) == 1
             assert built == []
+
+    def test_text_analyze_builds_no_stress_basis_and_rounds_no_array(
+            self, capsys, tmp_path, monkeypatch):
+        # s is read from the rank: a text report never lifts the stress basis
+        # out of the Bloch blocks or rounds a basis, and --json does both once
+        # per mode. The 3x3x3 hexahedron has |Fe| = 243, unlike d|Fv| + dim E
+        # and d^2, so only a stress basis has |Fe| rows.
+        big = cf.supercell(cf.builtin_framework("hexahedron"), (3, 3, 3))
+        path = tmp_path / "hexahedron_3x3x3.json"
+        cf.save_framework(big, path)
+        spans = count_calls(monkeypatch, "_span")
+        displays = count_calls(monkeypatch, "_display_array")
+        for json_flag, modes in (([], 0), (["--json"], 2)):
+            spans.clear()
+            displays.clear()
+            code, _, _ = run(capsys, "analyze", str(path), *json_flag)
+            assert code == 0
+            assert [np.shape(args[0])[0] for args in spans].count(big.edge_count) == modes
+            assert len(displays) == 3 * modes     # velocities, distortions, stresses
 
     def test_analyze_rounds_bases_in_bulk(self, capsys, tmp_path, kagome, monkeypatch):
         # The per-element _display is left for the scalar fields; the flex

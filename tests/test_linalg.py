@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,18 @@ def test_border_threshold_reads_the_bordered_shape_and_bound(small, border, rank
     assert factorize(a, 1e-3).rank == 2
     bordered = factorize_bordered(full_svd(a), np.array(border), 1e-3)
     assert bordered.rank == factorize(np.hstack([a, border]), 1e-3).rank == rank
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_cokernel_is_built_on_first_read_and_cached(rng, q):
+    a = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 4))
+    built = []
+    f = factorize_bordered(full_svd(a), rng.normal(size=(6, q)))
+    f = replace(f, build_cokernel=lambda build=f.build_cokernel: built.append(1) or build())
+    assert f.rank == 2 + q and built == []
+    rank, kernel, cokernel = f
+    assert rank == f.rank and kernel is f.kernel
+    assert cokernel is f.cokernel
+    assert cokernel.dim == 6 - f.rank
+    assert len(built) == 1
+    assert_allclose(cokernel.basis.T @ a, 0, atol=1e-12)
