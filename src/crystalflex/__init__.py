@@ -75,7 +75,6 @@ from .symmetry import (
     SymmetryError,
     character_row,
     commutant_basis,
-    edge_orbit_count,
     resolve_symmetry,
     symmetry_counts,
     verify_symmetry_equation,
@@ -102,6 +101,6 @@ __all__ = [
     "velocity_from_mode_coordinates",
     "render_svg",
     "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
-    "character_row", "commutant_basis", "edge_orbit_count", "resolve_symmetry",
-    "symmetry_counts", "verify_symmetry_equation",
+    "character_row", "commutant_basis", "resolve_symmetry", "symmetry_counts",
+    "verify_symmetry_equation",
 ]

@@ -193,7 +193,7 @@ def _cmd_symmetry(args) -> int:
             declared = ", ".join(g.name for g in fw.symmetries) or "none"
             raise CliError(f"no declared symmetry named {args.element!r} (declared: {declared})")
         fw = fw.with_symmetries(matching)
-    if not fw.symmetries:
+    if not fw.symmetries and not args.json:
         sys.stdout.write(f"framework {name}: no declared symmetries\n")
         return 0
     return _report(fw, args.json, modes=(), name=name, characters=args.characters)

@@ -222,8 +222,15 @@ def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: Matr
     return affine_block @ lift
 
 
+def _edge_rows(fw: CrystalFramework, space: MatrixSpace) -> tuple:
+    """The operator on (u, coords-in-space) as edge rows (ends, bar vectors v, C_E): row e
+    is v_e at vertex block from_e, -v_e at to_e (none if equal) and C_E[e] on the A columns."""
+    ends, vectors = fw.edges.ends, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+    return ends, vectors, _lattice_columns(fw, _affine_block(fw, vectors), space)
+
+
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
-    """Operator on (u, coords-in-space); columns [vertex block | X L].
+    """Dense operator on (u, coords-in-space), for inspection and tests: [vertex block | X L].
 
     L maps the j-th basis matrix A_j to vec(A_j Z), so kernel vectors carry
     velocity-matrix coordinates directly in the given basis.

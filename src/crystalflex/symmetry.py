@@ -14,7 +14,8 @@ by B, the offset coupling carries A into the vertex blocks (zero exactly
 when the element is separable), and A -> B A B^-1 acts on E.  Traces are
 counted from fixed points.  Velocities transform by the linear part only;
 rigidity rows annihilate the constant translation component, so kernels,
-cokernels and subspace traces are unaffected.
+cokernels and subspace traces are unaffected.  R itself is read as its
+edge rows (``rigidity._edge_rows``), never built as a dense matrix.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .linalg import (
 from .rigidity import (
     DependentBasisError,
     MatrixSpace,
+    _edge_rows,
     analyze_counts,
     matrix_space,
-    restricted_operator,
     right_multiplication_operator,
     rigid_motion_space,
     unvec,
@@ -178,17 +179,20 @@ class _DomainAction:
         fixed = _fixed_points(self.element.vertex_map)
         return fixed * float(np.trace(self.element.linear)) + float(np.trace(self.conjugation))
 
-    def equation_residual(self, operator) -> float:
-        """Max-norm residual of (edge action) . R - R . D, with R = [R_u | R_c]."""
-        m, n, d = len(operator), len(self.element.vertex_map), self.element.dimension
-        r_u, r_c = operator[:, :n * d], operator[:, n * d:]
-        # Vertex block v of R V is block g.v of R_u times B; the A columns
-        # of R D are R_u C + R_c K.
-        residual = self.permute_edges(operator)
-        vertex = r_u.reshape(m, n, d)[:, self.element.vertex_map] @ self.element.linear
-        residual[:, :n * d] -= vertex.reshape(m, n * d)
-        residual[:, n * d:] -= r_u @ self.coupling + r_c @ self.conjugation
-        return float(np.max(np.abs(residual, out=residual), initial=0.0))
+    def equation_residual(self, ends, vectors, lattice) -> float:
+        """Max-norm residual of (edge action) . R - R . D, R given by its edge rows
+        (``rigidity._edge_rows``): row i of R D is v_i^T B at vertex block g^-1.from_i,
+        -v_i^T B at g^-1.to_i and v_i . (C[from_i] - C[to_i]) + C_E[i] K on the A columns."""
+        n, d = len(self.element.vertex_map), self.element.dimension
+        source, moved = np.argsort(self.element.edge_map), vectors @ self.element.linear
+        # Each row's entries summed over its block in this order: a loop bar's vertex row is 0.
+        blocks = np.hstack([ends[source], np.argsort(self.element.vertex_map)[ends]])
+        entries = np.stack([vectors[source], -vectors[source], -moved, moved], axis=1)
+        vertex = np.einsum("eab,ebk->eak", blocks[:, :, np.newaxis] == blocks[:, np.newaxis], entries)
+        coupling = self.coupling.reshape(n, d, -1)
+        lattice_part = lattice[source] - lattice @ self.conjugation - np.einsum(
+            "ek,ekq->eq", vectors, coupling[ends[:, 0]] - coupling[ends[:, 1]])
+        return float(max(np.max(np.abs(vertex), initial=0.0), np.max(np.abs(lattice_part), initial=0.0)))
 
 
 def _domain_action(fw: CrystalFramework, element: SymmetryElement,
@@ -230,7 +234,7 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
     if space is None:
         space = matrix_space("full", fw.dimension, fw.tolerance)
     action = _domain_action(fw, element, space)
-    return action.equation_residual(restricted_operator(fw, space))
+    return action.equation_residual(*_edge_rows(fw, space))
 
 
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
@@ -260,11 +264,6 @@ def _cycles(perm) -> np.ndarray:
             current = perm[current]
         count += 1
     return np.array(labels, dtype=np.int64)
-
-
-def edge_orbit_count(element: SymmetryElement) -> int:
-    """Number of orbits of the cyclic group of the element on edge classes."""
-    return len(np.bincount(_cycles(element.edge_map)))
 
 
 def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
@@ -379,8 +378,8 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
 
     commutant = commutant_basis(element.linear, tol)
     fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
-    operator = restricted_operator(fw, full)
-    equation = action.equation_residual(operator)
+    ends, vectors, lattice = _edge_rows(fw, full)
+    equation = action.equation_residual(ends, vectors, lattice)
     rigid = rigid_motion_space(fw, full)
 
     # g maps rigid motions to rigid motions, so f_g is also the fixed
@@ -393,7 +392,10 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
             f"the rigid motions fixed by element {element.name!r} span {acting} "
             f"dimensions, but {f} lie in its fixed domain")
 
-    image = operator @ fixed_domain.basis
+    # R F_dom gathered row by row: <v_e, u_from - u_to> + C_E[e] A.
+    velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, -1)
+    image = (np.einsum("ek,ekj->ej", vectors, velocities[ends[:, 0]] - velocities[ends[:, 1]])
+             + lattice @ fixed_domain.basis[-d * d:])
     fixed_flexes = fixed_domain.dim - numeric_rank(image, tol)
     if f > fixed_flexes:
         raise DependentBasisError(
@@ -401,12 +403,12 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
             f"more than the {fixed_flexes} fixed flexes")
     m = fixed_flexes - f
 
+    # F_e^T R F_dom: the rows of each edge orbit summed, over sqrt(orbit size).
     labels = _cycles(element.edge_map)
     sizes = np.bincount(labels)
     orbits = len(sizes)
-    fixed_edge = np.zeros((fw.edge_count, orbits))
-    fixed_edge[np.arange(fw.edge_count), labels] = 1.0 / np.sqrt(sizes[labels])
-    s = orbits - numeric_rank(fixed_edge.T @ image, tol)
+    sums = np.add.reduceat(image[np.argsort(labels, kind="stable")], np.cumsum(sizes) - sizes, axis=0)
+    s = orbits - numeric_rank(sums / np.sqrt(sizes)[:, np.newaxis], tol)
 
     residual = (m - s) - (fixed_domain.dim - orbits - f)
     predicted = orbits < fixed_domain.dim - f

@@ -187,6 +187,11 @@ class TestSymmetryCommand:
         code, out, _ = run(capsys, "symmetry", str(path))
         assert code == 0
         assert "no declared symmetries" in out
+        code, out, _ = run(capsys, "symmetry", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["modes"], report["symmetries"]) == ([], [])
+        assert report["framework"]["edge_count"] == kagome.edge_count
 
 
 class TestSupercell:
@@ -780,8 +785,10 @@ class TestWorkPerRequest:
 
     def test_symmetry_builds_each_operator_and_representation_once_per_use(
             self, capsys, tmp_path, kagome, monkeypatch):
-        # symmetry_counts and character_row each need one representation and
-        # one operator; the equation residual reuses those of the counts.
+        # symmetry_counts and character_row each need one domain action. The
+        # counts and the equation residual read the operator's edge rows, so
+        # no request builds the dense operator, and the one assembly is
+        # factor_strict's dense path for the character row.
         big = cf.supercell(kagome, (2, 2))
         g = kagome.symmetries[0]
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
@@ -794,9 +801,14 @@ class TestWorkPerRequest:
         code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
         assert code == 0
         assert len(actions) <= 2
-        assert [space.name for _, space in operators].count("full") == 1
-        assert len(builds) <= 2
+        assert operators == []
+        assert len(builds) <= 1
         assert equations == []
+        builds.clear()
+        code, _, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert operators == []
+        assert len(builds) <= 1
 
     def test_requests_build_no_motif_edge_and_validate_once(
             self, capsys, tmp_path, kagome, counters, monkeypatch):

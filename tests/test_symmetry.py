@@ -4,12 +4,12 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import unvec
+from crystalflex.rigidity import _edge_rows, unvec
 from crystalflex.symmetry import (
     _cycles,
     _domain_action,
@@ -92,7 +92,7 @@ class TestResolve:
         assert sorted(kagome_r3.vertex_map) == [0, 1, 2]
         assert kagome_r3.vertex_map.tolist() != [0, 1, 2]
         assert kagome_r3.separable
-        assert cf.edge_orbit_count(kagome_r3) == 2
+        assert len(np.bincount(_cycles(kagome_r3.edge_map))) == 2
 
     def test_fourfold_incompatible_with_hexagonal_lattice(self, kagome):
         with pytest.raises(cf.SymmetryError, match="lattice-incompatible"):
@@ -295,9 +295,40 @@ def test_array_representations_match_the_per_vertex_loop(case, n, seed):
     assert_allclose(dense(action), domain, rtol=0, atol=1e-12)
     assert action.trace() == pytest.approx(np.trace(domain), abs=1e-12)
     assert _fixed_points(g.edge_map) == np.trace(edge_perm)
-    operator = cf.restricted_operator(fw, cf.matrix_space("full", fw.dimension, fw.tolerance))
-    assert action.equation_residual(operator) == pytest.approx(
-        dense_equation_residual(operator, edge_perm, domain), abs=1e-12)
+    full = cf.matrix_space("full", fw.dimension, fw.tolerance)
+    assert action.equation_residual(*_edge_rows(fw, full)) == pytest.approx(
+        dense_equation_residual(cf.restricted_operator(fw, full), edge_perm, domain), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ELEMENTS + SUPERCELL_ELEMENTS), st.integers(2, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["edge_map", "vertex_offsets"]), st.data())
+def test_gathered_equation_residual_of_a_broken_element_matches_the_dense_one(
+        case, n, seed, broken, data):
+    # Two edge images from different orbits swapped, or one vertex offset
+    # row moved by a period, break the symmetry equation by O(1): the
+    # gathered residual must reproduce the dense one, not just be small.
+    fw, g = supercell_element(case, 2 if case[0] == "hexahedron" else n, seed)
+    if broken == "edge_map":
+        labels = _cycles(g.edge_map)
+        first = data.draw(st.integers(0, fw.edge_count - 1))
+        others = np.flatnonzero(labels != labels[first])
+        assume(len(others))
+        second = others[data.draw(st.integers(0, len(others) - 1))]
+        edge_map = g.edge_map.copy()
+        edge_map[[first, second]] = edge_map[[second, first]]
+        bad = replace(g, edge_map=edge_map)
+    else:
+        offsets = g.vertex_offsets.copy()
+        offsets[data.draw(st.integers(0, fw.vertex_count - 1)),
+                data.draw(st.integers(0, fw.dimension - 1))] += data.draw(st.sampled_from([-1, 1]))
+        bad = replace(g, vertex_offsets=offsets)
+    full = cf.matrix_space("full", fw.dimension, fw.tolerance)
+    _, edge_perm, _, domain = reference_representation(fw, bad)
+    expected = dense_equation_residual(cf.restricted_operator(fw, full), edge_perm, domain)
+    assert expected > 0.1
+    assert full_action(fw, bad).equation_residual(*_edge_rows(fw, full)) == pytest.approx(
+        expected, rel=1e-12, abs=0)
 
 
 def reference_cycle_lengths(perm):
@@ -490,6 +521,12 @@ class TestSymmetryEquation:
         strict = cf.matrix_space("zero", 2, kagome.tolerance)
         assert cf.verify_symmetry_equation(kagome, kagome_r3, strict) < 1e-12
 
+    def test_framework_without_bars(self):
+        fw = cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), [cf.MotifVertex([0.0, 0.0])], [])
+        g = cf.resolve_symmetry(fw, rotation(np.pi / 2), np.zeros(2), "r4")
+        assert cf.verify_symmetry_equation(fw, g) == 0.0
+        assert cf.symmetry_counts(fw, g).equation_residual == 0.0
+
     def test_noninvariant_space_rejected(self, kagome, kagome_r3):
         diagonal = cf.matrix_space("diagonal", 2, kagome.tolerance)
         with pytest.raises(cf.SymmetryError, match="not invariant"):
@@ -532,7 +569,7 @@ class TestFixedSpace:
     def test_permutation_fixed_space_counts_orbits(self, any_builtin):
         for g in any_builtin.symmetries:
             fixed = fixed_space(edge_matrix(full_action(any_builtin, g)), any_builtin.tolerance)
-            assert fixed.dim == cf.edge_orbit_count(g)
+            assert fixed.dim == len(np.bincount(_cycles(g.edge_map)))
 
 
 class TestSymmetryCounts:
@@ -608,7 +645,7 @@ class TestSymmetryCounts:
             for _ in range(order):
                 total += sum(1 for i, x in enumerate(current) if i == x)
                 current = [perm[x] for x in current]
-            assert cf.edge_orbit_count(g) * order == total
+            assert len(np.bincount(_cycles(g.edge_map))) * order == total
 
     def test_symmetric_counts_bounded_by_commutant_mode(self, any_builtin):
         for g in any_builtin.symmetries:
