@@ -49,8 +49,7 @@ from .frameworks import (
 from .linalg import MIN_TOL
 from .rigidity import (
     MatrixSpace,
-    bordered_counts,
-    factor_strict,
+    analyze_counts,
     matrix_space,
 )
 from .symmetry import (
@@ -495,10 +494,9 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
     """
     d = fw.dimension
     mode_entries, mode_counts = [], []
-    strict = factor_strict(fw) if modes else None
     for label in modes:
         space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
-        counts = bordered_counts(strict, space)
+        counts = analyze_counts(fw, space)
         mode_counts.append((space, counts))
         mode_entries.append({
             "mode": label,

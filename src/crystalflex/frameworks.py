@@ -281,6 +281,13 @@ class CrystalFramework:
         positions.setflags(write=False)
         return positions
 
+    @cached_property
+    def _strict_svd(self):
+        """The SVD of the strict operator R0, ``rigidity.factor_strict``'s
+        BlockSVD, computed on first read and held for the framework's life."""
+        from . import rigidity     # rigidity imports this module
+        return rigidity.factor_strict(self)
+
     def vertex_label(self, index: int) -> str:
         name = self.vertices[index].name
         return name if name else f"v{index}"

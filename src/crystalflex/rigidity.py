@@ -16,18 +16,18 @@ one domain system, (u, coordinates of A in E's basis).
 
 The operator of E is the strict operator R0 (the vertex block) bordered by
 the dim E <= d^2 lattice-velocity columns C_E, so one full SVD of R0
-(``factor_strict``) serves every admissible space: ``bordered_counts``
-reads each space's counts, and the bases read, off it and a small
-factorization of S0^T C_E, S0 the strict stresses.  ``analyze_counts``
-is the two in one call.
+(``factor_strict``) serves every admissible space.  The framework holds
+that SVD once computed, and ``analyze_counts`` reads each space's counts,
+and the bases read, off it and a small factorization of S0^T C_E, S0 the
+strict stresses.
 
 A motif that repeats under a finer lattice, as a supercell does, has
 translations T = L'/L that permute its vertices and bars; in the real
 Fourier basis of their orbits R0 is block-diagonal, one Bloch block Phi(w)
 per character of T, each the size of the finer lattice's motif.
 ``factor_strict`` finds T above BLOCK_MIN_VERTEX_DOF vertex coordinates
-and holds R0's SVD as those blocks' SVDs (see ``translations``);
-otherwise, and when T is trivial, it holds R0's own SVD as one block.
+and returns R0's SVD as those blocks' SVDs (see ``translations``);
+otherwise, and when T is trivial, R0's own SVD as one block.
 Either way ``linalg.factorize_bordered`` reads it.
 
 Sign conventions: the velocity of the copy of vertex ``v`` in cell k is
@@ -212,12 +212,16 @@ def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     return RigidityMatrices(vertex_block, _affine_block(fw, vectors))
 
 
-def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: MatrixSpace) -> np.ndarray:
-    """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z)."""
+def _check_dimension(fw: CrystalFramework, space: MatrixSpace) -> None:
     if space.dimension != fw.dimension:
         raise ValueError(
             f"matrix space dimension {space.dimension} != framework dimension {fw.dimension}"
         )
+
+
+def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: MatrixSpace) -> np.ndarray:
+    """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z)."""
+    _check_dimension(fw, space)
     lift = right_multiplication_operator(fw.lattice.matrix) @ space.stacked
     return affine_block @ lift
 
@@ -275,8 +279,9 @@ class CountReport:
     identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f)
     and must be zero for consistent rank decisions.  flex_basis, stress_basis
     and rigid_basis are the kernel, cokernel and rigid motions the counts were
-    read from, in restricted (u, coords-in-space) coordinates.  s is |Fe|
-    minus the rank, and stress_basis the cokernel, built on first read.
+    read from, in restricted (u, coords-in-space) coordinates; the first two
+    are the factorization's.  s is |Fe| minus the rank, and stress_basis the
+    cokernel, built on first read.
     """
 
     space_name: str
@@ -287,10 +292,13 @@ class CountReport:
     stresses: int
     rigid_motions: int
     identity_residual: int
-    flex_basis: SubspaceBasis = field(compare=False, repr=False)
     factorization: Factorization = field(compare=False, repr=False)
     rigid_basis: SubspaceBasis = field(compare=False, repr=False)
     flags: tuple = ()
+
+    @property
+    def flex_basis(self) -> SubspaceBasis:
+        return self.factorization.kernel
 
     @property
     def stress_basis(self) -> SubspaceBasis:
@@ -302,20 +310,10 @@ class CountReport:
 BLOCK_MIN_VERTEX_DOF = 150
 
 
-@dataclass(frozen=True)
-class StrictFactorization:
-    """A framework's lattice-frame block X and the one full SVD of its strict
-    operator R0 (the vertex block) that every admissible space reads, held
-    as one block per character of the motif's translation group."""
-
-    fw: CrystalFramework
-    affine_block: np.ndarray
-    svd: BlockSVD
-
-
-def factor_strict(fw: CrystalFramework) -> StrictFactorization:
+def factor_strict(fw: CrystalFramework) -> BlockSVD:
     """R0's SVD, as Bloch blocks when d|Fv| is at least BLOCK_MIN_VERTEX_DOF
-    and the motif repeats under a finer lattice; otherwise one dense block."""
+    and the motif repeats under a finer lattice; otherwise one dense block.
+    Read it as ``fw._strict_svd``, which computes it once per framework."""
     if fw.dimension * fw.vertex_count >= BLOCK_MIN_VERTEX_DOF and fw.edge_count:
         # Smaller operators never need the module; it imports symmetry,
         # which imports this one.
@@ -323,16 +321,14 @@ def factor_strict(fw: CrystalFramework) -> StrictFactorization:
         vectors = _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
         group = _find_translations(fw, vectors)
         if group is not None:
-            return StrictFactorization(fw, _affine_block(fw, vectors), _bloch_blocks(fw, vectors, group))
-    mats = build_matrices(fw)
-    return StrictFactorization(fw, mats.affine_block, BlockSVD.of(full_svd(mats.vertex_block)))
+            return _bloch_blocks(fw, vectors, group)
+    return BlockSVD.of(full_svd(build_matrices(fw).vertex_block))
 
 
-def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountReport:
+def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
     """Counts and bases in ``space``, from R0's SVD bordered by C_E."""
-    fw = strict.fw
-    border = _lattice_columns(fw, strict.affine_block, space)
-    factorization = factorize_bordered(strict.svd, border, fw.tolerance)
+    _, _, border = _edge_rows(fw, space)
+    factorization = factorize_bordered(fw._strict_svd, border, fw.tolerance)
     flex, rigid = factorization.kernel, rigid_motion_space(fw, space)
     f = rigid.dim
     if f > flex.dim:
@@ -355,15 +351,10 @@ def bordered_counts(strict: StrictFactorization, space: MatrixSpace) -> CountRep
         stresses=s,
         rigid_motions=f,
         identity_residual=residual,
-        flex_basis=flex,
         factorization=factorization,
         rigid_basis=rigid,
         flags=tuple(flags),
     )
-
-
-def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
-    return bordered_counts(factor_strict(fw), space)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .linalg import (
 from .rigidity import (
     DependentBasisError,
     MatrixSpace,
+    _check_dimension,
     _edge_rows,
     analyze_counts,
     matrix_space,
@@ -199,6 +200,7 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement,
                    space: MatrixSpace) -> _DomainAction:
     """The element's action on (u, coords-in-space).  Requires the space to
     be invariant under A -> B A B^-1; raises SymmetryError otherwise."""
+    _check_dimension(fw, space)
     d, n = fw.dimension, fw.vertex_count
     b = element.linear
     # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.

@@ -16,8 +16,8 @@ the generators' cycle labels, and the refused candidates' vertices.
 ``_bloch_blocks`` assembles the real blocks from the
 edge table and takes one batched SVD per block shape, returned as a
 ``linalg.BlockSVD`` with the Fourier maps of the edges and the vertices.
-``rigidity.factor_strict`` imports this module only for operators large
-enough to gain from it.
+``rigidity.factor_strict``, run once per framework for its held SVD of R0,
+imports this module only for operators large enough to gain from it.
 """
 
 from __future__ import annotations

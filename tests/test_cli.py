@@ -858,3 +858,28 @@ class TestWorkPerRequest:
         assert code == 0
         assert len(displays) <= 20
         assert sum(len(mode["stresses_basis"]) for mode in json.loads(out)["modes"]) > 0
+
+    def test_symmetry_characters_factor_the_strict_operator_once(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # Both elements' character rows read the SVD the framework holds.
+        big = cf.supercell(kagome, (2, 2))
+        r3 = kagome.symmetries[0]
+        elements = (cf.resolve_symmetry(big, r3.linear, r3.translation, r3.name),
+                    cf.resolve_symmetry(big, np.diag([1.0, -1.0]), [0.5, 0.0], "glide"))
+        path = tmp_path / "kagome_2x2.json"
+        cf.save_framework(big.with_symmetries(elements), path)
+        factorizations = count_calls(monkeypatch, "factor_strict")
+        code, out, _ = run(capsys, "symmetry", str(path), "--characters")
+        assert code == 0
+        assert out.count("tr_str=") == 2
+        assert len(factorizations) == 1
+
+    def test_analyze_with_characters_factors_the_strict_operator_once(self, kagome, monkeypatch):
+        # Two modes and two character rows, one SVD of R0.
+        glide = cf.resolve_symmetry(kagome, np.diag([1.0, -1.0]), [0.5, 0.0], "glide")
+        fw = kagome.with_symmetries(kagome.symmetries + (glide,))
+        factorizations = count_calls(monkeypatch, "factor_strict")
+        report = cf.analyze_framework(fw, characters=True)
+        assert [mode["mode"] for mode in report.body["modes"]] == ["strict", "affine"]
+        assert [len(sym["characters"]) > 0 for sym in report.body["symmetries"]] == [True, True]
+        assert len(factorizations) == 1

@@ -13,7 +13,7 @@ from crystalflex.linalg import border_bound
 import crystalflex.rigidity
 import crystalflex.translations
 from crystalflex.frameworks import _bar_vectors
-from crystalflex.rigidity import _skew_generators, bordered_counts, factor_strict, unvec, vec
+from crystalflex.rigidity import _skew_generators, unvec, vec
 from crystalflex.translations import _find_translations, _orbits
 from oracles import (
     dense_counts,
@@ -351,6 +351,42 @@ class TestAffineRigidity:
         assert check.is_rigid == (check.rank == 2 * fw.vertex_count + 1)
 
 
+def count_factorizations(monkeypatch):
+    """The frameworks ``rigidity.factor_strict`` is called on, in order."""
+    calls, factor = [], crystalflex.rigidity.factor_strict
+    monkeypatch.setattr(crystalflex.rigidity, "factor_strict", lambda fw: calls.append(fw) or factor(fw))
+    return calls
+
+
+class TestHeldStrictSVD:
+    """A framework factors R0 once, on first read, and every count reads it."""
+
+    def test_quick_start_factors_once(self, kagome, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        strict, affine = cf.matrix_space("zero", 2), cf.matrix_space("full", 2)
+        cf.analyze_counts(kagome, strict)
+        report = cf.analyze_counts(kagome, affine)
+        mechanisms = cf.complement_within(report.flex_basis, report.rigid_basis)
+        velocity = cf.velocity_from_mode_coordinates(kagome, affine, mechanisms.basis[:, 0])
+        cf.edge_deviation(kagome, velocity, 1e-3)
+        g = kagome.symmetries[0]
+        cf.verify_symmetry_equation(kagome, g)
+        cf.symmetry_counts(kagome, g)
+        cf.character_row(kagome, g, cf.commutant_basis(g.linear, kagome.tolerance))
+        assert not cf.is_affinely_rigid(kagome).is_rigid
+        assert len(calls) == 1 and calls[0] is kagome
+
+    def test_a_new_tolerance_factors_again_and_new_symmetries_do_not(self, kagome, monkeypatch):
+        # Translation detection reads the tolerance; the symmetries change
+        # neither the geometry nor the tolerance.
+        calls = count_factorizations(monkeypatch)
+        svd = kagome._strict_svd
+        assert kagome.with_symmetries(())._strict_svd is svd
+        loose = kagome.with_tolerance(1e-6)
+        assert loose._strict_svd is not svd
+        assert len(calls) == 2 and calls[1] is loose
+
+
 class TestTorusOracle:
     def test_strict_matrix_matches_one_cell_identification(self, any_builtin):
         fw = any_builtin
@@ -579,8 +615,7 @@ def random_spaces(rng, d, tol, count):
 def assert_border_matches_dense(fw, space):
     """The counts and subspaces of the bordered strict SVD are the dense
     operator's, and the threshold's bound is at least its sigma_max."""
-    strict = factor_strict(fw)
-    counts = bordered_counts(strict, space)
+    counts = cf.analyze_counts(fw, space)
     dense = dense_counts(fw, space)
     assert (counts.mechanisms, counts.stresses, counts.rigid_motions) == dense[:3], space.name
     assert counts.identity_residual == 0
@@ -588,7 +623,7 @@ def assert_border_matches_dense(fw, space):
     assert_allclose(projector(counts.stress_basis), projector(dense.stress_basis), atol=1e-9)
     border = cf.restricted_operator(fw, space)[:, fw.dimension * fw.vertex_count:]
     # Up to the round-off of the two ways of computing it.
-    assert border_bound(strict.svd, border) >= dense.sigma_max * (1 - 1e-12)
+    assert border_bound(fw._strict_svd, border) >= dense.sigma_max * (1 - 1e-12)
 
 
 def all_spaces(rng, d, tol, custom):
@@ -648,10 +683,10 @@ def translation_count(fw):
     return 1 if group is None else len(group.vertices)
 
 
-def character_count(strict):
+def character_count(svd):
     """The characters the strict SVD is held over: one per self-conjugate
     block and two per paired one."""
-    return sum(len(s) * (1 + (i > 0)) for i, (_, s, _) in enumerate(strict.svd.batches))
+    return sum(len(s) * (1 + (i > 0)) for i, (_, s, _) in enumerate(svd.batches))
 
 
 def assert_blocks_match_dense(fw, space, rng, subspaces=True):
@@ -661,9 +696,12 @@ def assert_blocks_match_dense(fw, space, rng, subspaces=True):
     geometry."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crystalflex.rigidity, "BLOCK_MIN_VERTEX_DOF", 0)
-        strict = factor_strict(fw)
-    assert character_count(strict) == translation_count(fw)
-    counts = bordered_counts(strict, space)
+        # A copy built inside the patch, so no SVD held from an earlier read
+        # stands in for the block path.
+        fw = replace(fw)
+        svd = fw._strict_svd
+    assert character_count(svd) == translation_count(fw)
+    counts = cf.analyze_counts(fw, space)
     dense = dense_counts(fw, space)
     assert (counts.mechanisms, counts.stresses, counts.rigid_motions) == dense[:3], space.name
     assert counts.identity_residual == 0
@@ -775,10 +813,10 @@ class TestTranslationDetection:
         # Below BLOCK_MIN_VERTEX_DOF the strict SVD is R0's own.
         big = cf.supercell(kagome, (2, 2))
         assert 2 * big.vertex_count < crystalflex.rigidity.BLOCK_MIN_VERTEX_DOF
-        strict = factor_strict(big)
-        assert character_count(strict) == 1
-        assert strict.svd.rows is None and strict.svd.cols is None
-        u, s, vt = strict.svd.batches[0]
+        svd = big._strict_svd
+        assert character_count(svd) == 1
+        assert svd.rows is None and svd.cols is None
+        u, s, vt = svd.batches[0]
         assert s.shape == (1, 2 * big.vertex_count)
 
 

@@ -532,6 +532,18 @@ class TestSymmetryEquation:
         with pytest.raises(cf.SymmetryError, match="not invariant"):
             cf.verify_symmetry_equation(kagome, kagome_r3, diagonal)
 
+    @pytest.mark.parametrize("name", ["full", "zero"])
+    @pytest.mark.parametrize("call", [
+        lambda fw, g, e: cf.verify_symmetry_equation(fw, g, e),
+        lambda fw, g, e: cf.character_row(fw, g, e),
+        lambda fw, g, e: cf.analyze_counts(fw, e),
+    ], ids=["verify_symmetry_equation", "character_row", "analyze_counts"])
+    def test_space_of_another_dimension_is_refused_as_such(self, kagome, kagome_r3, call, name):
+        # The dimension is checked before any invariance test.
+        with pytest.raises(ValueError, match="matrix space dimension 3 != framework dimension 2") as info:
+            call(kagome, kagome_r3, cf.matrix_space(name, 3))
+        assert not isinstance(info.value, cf.SymmetryError)
+
 
 class TestCommutant:
     def test_identity_commutant_is_everything(self):
