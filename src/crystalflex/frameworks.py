@@ -43,11 +43,13 @@ def _as_point(x, d=None) -> np.ndarray:
     return p
 
 
-def _as_cell(x) -> tuple:
-    cell = np.asarray(x, dtype=object).reshape(-1).tolist()
-    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in cell):
-        raise ValueError(f"edge cell indices must be integers, got {tuple(cell)!r}")
-    return tuple(map(int, cell))
+def _as_integers(x, what: str) -> tuple:
+    """Python ints from Python or numpy integers; floats, bools and strings
+    are refused rather than truncated."""
+    values = np.asarray(x, dtype=object).reshape(-1).tolist()
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in values):
+        raise ValueError(f"{what} must be integers, got {tuple(values)!r}")
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ class MotifEdge:
     to_cell: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "from_cell", _as_cell(self.from_cell))
-        object.__setattr__(self, "to_cell", _as_cell(self.to_cell))
+        object.__setattr__(self, "from_cell", _as_integers(self.from_cell, "edge cell indices"))
+        object.__setattr__(self, "to_cell", _as_integers(self.to_cell, "edge cell indices"))
         if len(self.from_cell) != len(self.to_cell):
             raise ValueError("edge endpoints have different cell dimensions")
 
@@ -480,7 +482,7 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
     may be incompatible with a non-uniform supercell); re-resolve if needed.
     """
     try:
-        n = np.asarray(factors, dtype=int).reshape(-1)
+        n = np.asarray(_as_integers(factors, "supercell multiplicities"), dtype=int)
     except OverflowError:
         raise ValueError("supercell multiplicities must fit in a machine integer") from None
     if n.shape != (fw.dimension,):
@@ -542,7 +544,7 @@ def fragment(fw: CrystalFramework, cell_range) -> Fragment:
     cell).  Copies with both endpoints inside the box are internal; the
     rest are reported as dangling, with their true endpoints placed.
     """
-    ranges = [(int(a), int(b)) for a, b in cell_range]
+    ranges = [_as_integers((a, b), "cell range bounds") for a, b in cell_range]
     if len(ranges) != fw.dimension:
         raise ValueError(f"need {fw.dimension} cell ranges, got {len(ranges)}")
     if any(b <= a for a, b in ranges):

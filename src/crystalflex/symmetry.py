@@ -168,7 +168,7 @@ class _DomainAction:
         # Block g.v of the image is B times block v.
         source = np.argsort(self.element.vertex_map)
         moved = self.element.linear @ vertex.reshape(n, d, columns.shape[1])[source]
-        return np.vstack([moved.reshape(n * d, -1) + self.coupling @ coords,
+        return np.vstack([moved.reshape(n * d, columns.shape[1]) + self.coupling @ coords,
                           self.conjugation @ coords])
 
     def permute_edges(self, rows) -> np.ndarray:
@@ -190,7 +190,7 @@ class _DomainAction:
         blocks = np.hstack([ends[source], np.argsort(self.element.vertex_map)[ends]])
         entries = np.stack([vectors[source], -vectors[source], -moved, moved], axis=1)
         vertex = np.einsum("eab,ebk->eak", blocks[:, :, np.newaxis] == blocks[:, np.newaxis], entries)
-        coupling = self.coupling.reshape(n, d, -1)
+        coupling = self.coupling.reshape(n, d, self.coupling.shape[1])
         lattice_part = lattice[source] - lattice @ self.conjugation - np.einsum(
             "ek,ekq->eq", vectors, coupling[ends[:, 0]] - coupling[ends[:, 1]])
         return float(max(np.max(np.abs(vertex), initial=0.0), np.max(np.abs(lattice_part), initial=0.0)))
@@ -268,6 +268,12 @@ def _cycles(perm) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
+def _cycle_starts(labels) -> np.ndarray:
+    """Lowest point of each cycle: ``_cycles`` numbers the cycles in that
+    order, so the running maximum of its labels steps up exactly there."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+
+
 def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
                   tol: float) -> tuple[SubspaceBasis, int]:
     """Fixed space of the domain action on (u, vec A), built from the vertex
@@ -291,9 +297,7 @@ def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
     n = len(perm)
     labels = _cycles(perm)
     sizes = np.bincount(labels)
-    # Labels are numbered in the order of each cycle's lowest point, so the
-    # running maximum of the labels steps up exactly at each cycle's start.
-    starts = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    starts = _cycle_starts(labels)
     coupling = (action.coupling @ commutant.stacked).reshape(n, d, q)
 
     velocities = np.zeros((n, d, q))      # particular solutions, per commutant coordinate
@@ -346,9 +350,10 @@ class SymmetryCountReport:
     commutant matrices whose offset coupling closes round every cycle.  For
     separable elements the coupling is zero, so fixed_domain_dim splits as
     fixed_vertex_dim + commutant_dim; for nonseparable ones it can be less.
-    identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f),
-    which reduces to rank(F_e^T R F_dom) - rank(R F_dom) for the fixed
-    domain basis F_dom and the fixed edge basis F_e.
+    identity_residual is (m - s) - (fixed_domain_dim - edge_orbits - f):
+    for the fixed domain and edge bases F_dom and F_e, the number of
+    singular values of F_e^T R F_dom between the threshold of its shape and
+    that of the (|Fe|, fixed) shape of R F_dom, which has the same ones.
     equation_residual is the residual of the symmetry equation on the full
     space (see ``verify_symmetry_equation``).
     """
@@ -394,23 +399,24 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
             f"the rigid motions fixed by element {element.name!r} span {acting} "
             f"dimensions, but {f} lie in its fixed domain")
 
-    # R F_dom gathered row by row: <v_e, u_from - u_to> + C_E[e] A.
-    velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, -1)
-    image = (np.einsum("ek,ekj->ej", vectors, velocities[ends[:, 0]] - velocities[ends[:, 1]])
-             + lattice @ fixed_domain.basis[-d * d:])
-    fixed_flexes = fixed_domain.dim - numeric_rank(image, tol)
+    # R F_dom maps into the fixed edge space, so its rows repeat along each edge
+    # orbit and it has the singular values of F_e^T R F_dom: sqrt(orbit size)
+    # times <v_e, u_from - u_to> + C_E[e] A at each orbit's first edge e.
+    labels = _cycles(element.edge_map)
+    sizes = np.bincount(labels)
+    orbits, first = len(sizes), _cycle_starts(labels)
+    velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, fixed_domain.dim)
+    rows = np.sqrt(sizes)[:, np.newaxis] * (
+        np.einsum("ek,ekj->ej", vectors[first], velocities[ends[first, 0]] - velocities[ends[first, 1]])
+        + lattice[first] @ fixed_domain.basis[-d * d:])
+    sigma = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+    fixed_flexes = fixed_domain.dim - _rank(sigma, (fw.edge_count, fixed_domain.dim), tol)
     if f > fixed_flexes:
         raise DependentBasisError(
             f"the rigid motions fixed by element {element.name!r} span {f} dimensions, "
             f"more than the {fixed_flexes} fixed flexes")
     m = fixed_flexes - f
-
-    # F_e^T R F_dom: the rows of each edge orbit summed, over sqrt(orbit size).
-    labels = _cycles(element.edge_map)
-    sizes = np.bincount(labels)
-    orbits = len(sizes)
-    sums = np.add.reduceat(image[np.argsort(labels, kind="stable")], np.cumsum(sizes) - sizes, axis=0)
-    s = orbits - numeric_rank(sums / np.sqrt(sizes)[:, np.newaxis], tol)
+    s = orbits - _rank(sigma, (orbits, fixed_domain.dim), tol)
 
     residual = (m - s) - (fixed_domain.dim - orbits - f)
     predicted = orbits < fixed_domain.dim - f

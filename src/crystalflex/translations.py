@@ -213,13 +213,11 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     # divisor whose multiple of the candidate lies in G.
     powers = np.concatenate([[1], divisors[modulus % divisors == 0]])[:, np.newaxis, np.newaxis]
     while len(candidates):
-        # The candidate of largest order modulo G grows G the most; when
-        # that order is 1, every candidate left is in G.
+        # The candidate of largest order modulo G grows G the most. None left
+        # is in G: its image would lie in the G-orbit of vertex 0, which
+        # ``refused`` starts with, so every order is at least 2.
         inside = _members((powers * candidates % modulus).reshape(-1, d), group.elements)
-        order = np.argmax(inside.reshape(len(powers), -1), axis=0)
-        pick = int(np.argmax(order))
-        if order[pick] == 0:
-            break
+        pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
         a, v = candidates[pick], image[pick]
         try:
             g = resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")

@@ -160,6 +160,26 @@ class TestSymmetryCommand:
         assert code == 0
         assert "symmetry r4 (separable): m_g=1 s_g=0, dimF=0 dimE=2 fixed=2 e_g=0 f_g=1 " in out
 
+    @pytest.mark.parametrize("argv", [["symmetry"], ["symmetry", "--characters"],
+                                      ["analyze"], ["analyze", "--json"]])
+    def test_framework_without_vertices(self, capsys, tmp_path, argv):
+        # The fixed domain is the commutant alone: m_g=3 s_g=0 f_g=1, as the
+        # affine mode reads m=3 s=0 f=1.
+        doc = {"dimension": 2, "period_vectors": [[1, 0], [0, 1]], "vertices": [], "edges": [],
+               "symmetries": [{"name": "id", "linear": [[1, 0], [0, 1]], "translation": [0, 0]}]}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, err) == (0, "")
+        if argv[-1] == "--json":
+            report = json.loads(out)
+            [affine] = [mode for mode in report["modes"] if mode["mode"] == "affine"]
+            assert (affine["m"], affine["s"], affine["f"]) == (3, 0, 1)
+            [element] = report["symmetries"]
+            assert (element["m"], element["s"], element["f"]) == (3, 0, 1)
+        else:
+            assert "symmetry id (separable): m_g=3 s_g=0, dimF=0 dimE=4 fixed=4 e_g=0 f_g=1 " in out
+
     def test_kagome_symmetry_report(self, capsys):
         code, out, _ = run(capsys, "symmetry", "--builtin", "kagome")
         assert code == 0
@@ -738,6 +758,26 @@ class TestWorkPerRequest:
         for shape in [(m, m), (dn, dn), (m, dn + 4)]:
             assert shape not in svd_shapes
         assert svd_shapes.count((dn + 4, dn + 4)) == 0
+
+    def test_symmetry_counts_factor_the_orbit_rows_once(
+            self, capsys, tmp_path, hexahedron, counters):
+        # R F_dom repeats its rows along each edge orbit, so m_g and s_g are
+        # read off one SVD of the e_g x fixed orbit matrix, and no SVD has
+        # |Fe| rows. On the 2x2x2 hexahedron |Fe| = 72 is neither
+        # d|Fv| = 48 nor d|Fv| + d^2 = 57.
+        big = cf.supercell(hexahedron, (2, 2, 2))
+        g = hexahedron.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "hexahedron_2x2x2.json"
+        cf.save_framework(big, path)
+        orbits = len(np.bincount(crystalflex.symmetry._cycles(big.symmetries[0].edge_map)))
+        assert (big.edge_count, orbits) == (72, 24)
+        _, svd_shapes = counters
+        svd_shapes.clear()
+        code, _, _ = run(capsys, "symmetry", str(path))
+        assert code == 0
+        assert [shape for shape in svd_shapes if shape[0] == big.edge_count] == []
+        assert [shape[0] for shape in svd_shapes].count(orbits) == 1
 
     def character_row_calls(self, capsys, tmp_path, kagome, monkeypatch, cells):
         """The factorization calls of ``symmetry --characters`` on the

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -376,6 +377,29 @@ class TestSupercell:
     def test_rejects_multiplicity_beyond_a_machine_integer(self, kagome):
         with pytest.raises(ValueError, match="machine integer"):
             cf.supercell(kagome, (10 ** 20, 1))
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda fw: cf.supercell(fw, (2.5, 2)), "(2.5, 2)"),
+    (lambda fw: cf.supercell(fw, (2, 2.9999)), "(2, 2.9999)"),
+    (lambda fw: cf.supercell(fw, (True, 2)), "(True, 2)"),
+    (lambda fw: cf.supercell(fw, ("2", 2)), "('2', 2)"),
+    (lambda fw: cf.supercell(fw, np.array([2.0, 2.0])), "(2.0, 2.0)"),
+    (lambda fw: cf.fragment(fw, [(0, 2.7), (0, 2)]), "(0, 2.7)"),
+    (lambda fw: cf.fragment(fw, [(False, True), (0, 1)]), "(False, True)"),
+    (lambda fw: cf.fragment(fw, [(0, 1), (np.float64(0), 1)]), repr((np.float64(0), 1)))])
+def test_sizes_that_are_not_integers_are_refused(kagome, build, value):
+    # int() used to truncate these: (2.5, 2) built a 2 x 2 supercell and
+    # (0, 2.7) a box of 2 x 2 cells.
+    with pytest.raises(ValueError, match=r"must be integers, got " + re.escape(value)):
+        build(kagome)
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (np.int64(2), np.int8(3)), np.array([2, 3]), [2, 3]])
+def test_sizes_accept_python_and_numpy_integers(kagome, factors):
+    assert cf.supercell(kagome, factors).vertex_count == 6 * kagome.vertex_count
+    box = [(np.int64(0), factors[0]), (0, factors[1])]
+    assert len(cf.fragment(kagome, box).points) == 6 * kagome.vertex_count
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 from crystalflex.rigidity import _edge_rows, unvec
 from crystalflex.symmetry import (
+    _cycle_starts,
     _cycles,
     _domain_action,
     _fixed_domain,
@@ -404,6 +405,34 @@ def test_orbit_built_fixed_domain_matches_the_dense_fixed_space(case, n, seed):
     assert free == fixed_space(vertex_rep, tol).dim
 
 
+def assert_rows_repeat_along_edge_orbits(fw, element):
+    """R maps the fixed domain into the fixed edge space, the invariant
+    symmetry_counts rests on: the rows of R F_dom agree within each edge
+    orbit, and the orbit rigidity matrix F_e^T R F_dom has the singular
+    values of R F_dom; all from the dense operator and fixed spaces."""
+    tol = fw.tolerance
+    _, edge_perm, _, domain = reference_representation(fw, element)
+    operator = cf.restricted_operator(fw, cf.matrix_space("full", fw.dimension, tol))
+    image = operator @ fixed_space(domain, tol).basis
+    labels = _cycles(element.edge_map)
+    spread = np.max(np.abs(image - image[_cycle_starts(labels)[labels]]), initial=0.0)
+    assert spread <= 10 * tol * max(1.0, np.max(np.abs(image), initial=0.0))
+    orbit = fixed_space(edge_perm, tol).basis.T @ image
+    assert orbit.shape[0] == len(np.bincount(labels))
+    if min(image.shape):
+        sigma = np.linalg.svd(image, compute_uv=False)
+        orbit_sigma = np.linalg.svd(orbit, compute_uv=False) if min(orbit.shape) else np.zeros(0)
+        padded = np.concatenate([orbit_sigma, np.zeros(len(sigma) - len(orbit_sigma))])
+        assert_allclose(padded, sigma, rtol=0, atol=1e-12 * sigma[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTS + SUPERCELL_ELEMENTS), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_rows_of_the_restricted_operator_repeat_along_edge_orbits(case, n, seed):
+    assert_rows_repeat_along_edge_orbits(*supercell_element(case, n, seed))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
 def test_cycle_labels_match_the_walk(perm):
@@ -411,6 +440,7 @@ def test_cycle_labels_match_the_walk(perm):
     lengths = reference_cycle_lengths(perm)
     assert np.bincount(labels).tolist() == lengths
     assert all(labels[perm[x]] == labels[x] for x in range(len(perm)))
+    assert _cycle_starts(labels).tolist() == [x for x in range(len(perm)) if labels[x] not in labels[:x]]
 
 
 def reference_character_row(fw, element, space):
@@ -683,16 +713,8 @@ class TestSymmetryCounts:
         assert peak < 6 * operator.nbytes
 
     def test_fixed_domain_maps_into_fixed_edge_space(self, any_builtin):
-        fw = any_builtin
-        full = cf.matrix_space("full", fw.dimension, fw.tolerance)
-        for g in fw.symmetries:
-            _, edge_perm, _, domain = reference_representation(fw, g)
-            operator = cf.restricted_operator(fw, full)
-            domain_fixed = fixed_space(domain, fw.tolerance)
-            edge_fixed = fixed_space(edge_perm, fw.tolerance)
-            image = operator @ domain_fixed.basis
-            outside = image - edge_fixed.project(image)
-            assert np.max(np.abs(outside), initial=0.0) <= 10 * fw.tolerance
+        for g in any_builtin.symmetries:
+            assert_rows_repeat_along_edge_orbits(any_builtin, g)
 
 
 class TestPredictor:
