@@ -421,7 +421,7 @@ def assert_rows_repeat_along_edge_orbits(fw, element):
     assert orbit.shape[0] == len(np.bincount(labels))
     if min(image.shape):
         sigma = np.linalg.svd(image, compute_uv=False)
-        orbit_sigma = np.linalg.svd(orbit, compute_uv=False) if min(orbit.shape) else np.zeros(0)
+        orbit_sigma = np.linalg.svd(orbit, compute_uv=False)
         padded = np.concatenate([orbit_sigma, np.zeros(len(sigma) - len(orbit_sigma))])
         assert_allclose(padded, sigma, rtol=0, atol=1e-12 * sigma[0])
 
