@@ -340,13 +340,54 @@ def _display_array(values) -> np.ndarray:
 
 
 _INDENT = "  "
+_BATCH = 1 << 12        # values per numpy pass; larger passes hold more temporaries at once
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, with lists of floats written in bulk."""
-    out = []
-    _write_json(obj, 0, out)
+    """``json.dumps(obj, indent=2)``, with lists of floats written in bulk.
+
+    ``obj`` may also hold float64 ndarrays, each written as its ``tolist()``
+    would be.  Their text is filled in after the walk, in runs of whole rows
+    formatted together about ``_BATCH`` values at a time.
+    """
+    out, arrays = [], []
+    _write_json(obj, 0, out, arrays)
+    pieces = []
+    for batch in _batches(_array_runs(arrays)):
+        numbers = _array_reprs(np.concatenate([values for _, values, *_ in batch]))
+        at = 0
+        for slot, values, width, level, first, last in batch:
+            pieces.append(_block_text(numbers[at:at + values.size], width, level, first, last))
+            at += values.size
+            if last:
+                out[slot] = "".join(pieces)
+                pieces = []
     return "".join(out)
+
+
+def _array_runs(arrays):
+    """(slot, values, width, level, first, last) for each run of whole rows,
+    about ``_BATCH`` values, of each recorded (slot, array, level); width is
+    0 for a 1-D array."""
+    for slot, a, level in arrays:
+        width = a.shape[1] if a.ndim == 2 else 0
+        step = max(_BATCH // width, 1) * width if width else _BATCH
+        flat = a.reshape(-1)
+        for start in range(0, flat.size, step):
+            yield slot, flat[start:start + step], width, level, start == 0, start + step >= flat.size
+
+
+def _batches(runs):
+    """Consecutive runs grouped until each group holds ``_BATCH`` values."""
+    batch, size = [], 0
+    for run in runs:
+        batch.append(run)
+        size += run[1].size
+        if size >= _BATCH:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
 
 
 def _json_float(x: float) -> str:
@@ -371,12 +412,14 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write_json(o, level: int, out: list) -> None:
+def _write_json(o, level: int, out: list, arrays: list) -> None:
     """Append the JSON of ``o``, nested ``level`` deep, to ``out``.
 
     Follows the encoder behind ``json.dumps(..., indent=2)``: the same type
     tests in the same order, two spaces per level, ',' between items and
-    ': ' after keys.
+    ': ' after keys.  A non-empty, finite 1-D or 2-D float64 ndarray takes an
+    empty slot of ``out``, recorded in ``arrays`` as (slot, array, level);
+    any other float64 ndarray is written as its ``tolist()``.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -399,7 +442,7 @@ def _write_json(o, level: int, out: list) -> None:
         separator = "[" + newline
         for item in o:
             out.append(separator)
-            _write_json(item, level + 1, out)
+            _write_json(item, level + 1, out, arrays)
             separator = "," + newline
         out.append("\n" + _INDENT * level + "]")
     elif isinstance(o, dict):
@@ -410,9 +453,15 @@ def _write_json(o, level: int, out: list) -> None:
         separator = "{" + newline
         for key, value in o.items():
             out.append(separator + _json_key(key) + ": ")
-            _write_json(value, level + 1, out)
+            _write_json(value, level + 1, out, arrays)
             separator = "," + newline
         out.append("\n" + _INDENT * level + "}")
+    elif isinstance(o, np.ndarray) and o.dtype == np.float64:
+        if o.ndim in (1, 2) and o.size and np.isfinite(o).all():
+            arrays.append((len(out), o, level))
+            out.append("")
+        else:
+            _write_json(o.tolist(), level, out, arrays)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -420,10 +469,9 @@ def _write_json(o, level: int, out: list) -> None:
 def _float_block(items, level: int):
     """JSON of a non-empty list of finite floats or an equal-width matrix of them.
 
-    All numbers go through one ``map(float.__repr__)``; a matrix's numbers
-    are interleaved with a precomputed separator list.  Returns None for any
-    other list (ints, bools, non-finite floats, empty or ragged rows), which
-    the generic path of ``_write_json`` then writes.
+    All numbers go through one ``map(float.__repr__)``.  Returns None for
+    any other list (ints, bools, non-finite floats, empty or ragged rows),
+    which the generic path of ``_write_json`` then writes.
     """
     width = 0
     if type(items[0]) is list:
@@ -438,19 +486,92 @@ def _float_block(items, level: int):
         numbers = list(map(float.__repr__, items))
     except TypeError:
         return None
+    text = _block_text(numbers, width, level)
+    return None if "n" in text else text     # nan and inf, which JSON spells NaN and Infinity
+
+
+def _block_text(numbers: list, width: int, level: int, first: bool = True, last: bool = True) -> str:
+    """JSON of a list of number strings, or of their rows of ``width`` when
+    ``width`` > 0: the numbers interleaved with a precomputed separator
+    list.  A run of rows that is not ``first`` leaves out the opening
+    bracket, and one that is not ``last`` ends in the separator to the
+    next run instead of the closing bracket."""
     row = "\n" + _INDENT * (level + 1)
     close = "\n" + _INDENT * level + "]"
     if not width:
-        text = "[" + row + ("," + row).join(numbers) + close
-    else:
-        cell = row + _INDENT
-        separators = ([f",{cell}"] * (width - 1) + [f"{row}],{row}[{cell}"]) * (len(numbers) // width)
+        return ("[" + row if first else "") + ("," + row).join(numbers) + (close if last else "," + row)
+    cell = row + _INDENT
+    separators = ([f",{cell}"] * (width - 1) + [f"{row}],{row}[{cell}"]) * (len(numbers) // width)
+    if last:
         separators[-1] = row + "]" + close
-        parts = [f"[{row}[{cell}"] * (2 * len(numbers) + 1)
-        parts[1::2] = numbers
-        parts[2::2] = separators
-        text = "".join(parts)
-    return None if "n" in text else text     # nan and inf, which JSON spells NaN and Infinity
+    parts = [f"[{row}[{cell}" if first else ""] * (2 * len(numbers) + 1)
+    parts[1::2] = numbers
+    parts[2::2] = separators
+    return "".join(parts)
+
+
+_TRIPLES = np.indices((10, 10, 10)).reshape(3, -1).T      # the three digits of each k < 1000
+
+
+def _digit_words(left: str, right: str) -> np.ndarray:
+    """uint32 words, for k < 1000, of the bytes ``left``, the three digits of
+    k and ``right``."""
+    pads = [np.full((1000, len(text)), [ord(c) for c in text]) for text in (left, right)]
+    return np.hstack([pads[0], _TRIPLES + ord("0"), pads[1]]).astype(np.uint8).view(np.uint32).reshape(-1)
+
+
+# A number on the 1e-9 grid is written from k = |x| * 10**9, split into five
+# 3-digit groups g0..g4, as five words (20 bytes): a sign and g0; g1 and the
+# point; g2, g3 and g4, each followed by a byte to drop, the last a space.
+_SIGNED, _POINTED, _SPACED = _digit_words("-", ""), _digit_words("", "."), _digit_words("", " ")
+_DIGITS = ((_TRIPLES > 0) * [3, 2, 1]).max(axis=1)                # of k, 0 for 0
+_INT_DIGITS = np.maximum(_DIGITS, 1)
+_FRACTION_DIGITS = ((_TRIPLES > 0) * [1, 2, 3]).max(axis=1)       # of k without its trailing zeros
+# The bytes kept (0xff) for each (negative, integer digits 1-6, fraction
+# digits 1-9): those digits, the point, the space and the sign.  The ranks
+# number each byte's integer digit leftwards from the point and its fraction
+# digit rightwards, 0 for none.
+_NEGATIVE, _INTS, _FRACTIONS = np.indices((2, 6, 9)).reshape(3, -1, 1)
+_INTS, _FRACTIONS = _INTS + 1, _FRACTIONS + 1
+_INT_RANK = np.array([0, 6, 5, 4, 3, 2, 1] + [0] * 13)
+_FRACTION_RANK = np.array([0] * 8 + [1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0])
+_BYTE = np.arange(20)
+_KEEP = ((0 < _INT_RANK) & (_INT_RANK <= _INTS) | (0 < _FRACTION_RANK) & (_FRACTION_RANK <= _FRACTIONS)
+         | (_BYTE == 7) | (_BYTE == 19) | (_BYTE == 0) & (_NEGATIVE == 1))
+_KEEP = (_KEEP * 0xff).astype(np.uint8).view(np.uint32)
+
+
+def _array_reprs(x: np.ndarray) -> list:
+    """``float.__repr__`` of each finite float64 in the 1-D array ``x``.
+
+    Where n = |rint(x * 1e9)| gives n / 1e9 == |x| and 1e-4 <= |x| < 1e6 (or
+    x == 0), x is the double nearest to ±n * 10**-9, a decimal of at most 15
+    significant digits, so no shorter decimal rounds to x and repr writes
+    that decimal in fixed notation: the digits of n with a point before the
+    last nine, leading zeros of the integer part and trailing zeros of the
+    fraction dropped, and a sign.  Those are read from lookup tables, the
+    dropped bytes zeroed and deleted; every other value takes repr.
+    """
+    n = np.abs(np.rint(np.where(np.abs(x) < 1e6, x, 0.0) * 1e9)).astype(np.int64)
+    whole = n // 10 ** 9
+    fraction = n - whole * 10 ** 9
+    g0 = whole // 1000
+    g1 = whole - g0 * 1000
+    g2 = fraction // 10 ** 6
+    rest = fraction - g2 * 10 ** 6
+    g3 = rest // 1000
+    g4 = rest - g3 * 1000
+    ints = np.where(g0 > 0, 3 + _DIGITS.take(g0), _INT_DIGITS.take(g1))
+    fractions = np.where(g4 > 0, 6 + _FRACTION_DIGITS.take(g4),
+                         np.where(g3 > 0, 3 + _FRACTION_DIGITS.take(g3), np.maximum(_FRACTION_DIGITS.take(g2), 1)))
+    keep = _KEEP.take((np.signbit(x) * 6 + ints - 1) * 9 + fractions - 1, axis=0)
+    words = np.stack([_SIGNED.take(g0), _POINTED.take(g1), _SPACED.take(g2), _SPACED.take(g3),
+                      _SPACED.take(g4)], axis=1)
+    numbers = (words & keep).tobytes().translate(None, b"\0").decode("ascii").split()
+    off = np.flatnonzero((n / 1e9 != np.abs(x)) | ((0 < n) & (n < 100000)))
+    for i, text in zip(off.tolist(), map(float.__repr__, x[off].tolist())):
+        numbers[i] = text
+    return numbers
 
 
 @dataclass(frozen=True)
@@ -472,15 +593,25 @@ class AnalysisReport:
         return worst
 
     def to_dict(self) -> dict:
-        """The body, with each mode's rounded flex and stress bases after its flags."""
+        """The body, with each mode's rounded flex and stress bases after its
+        flags, as plain lists."""
+        body = self._json_body()
+        for entry in body["modes"]:
+            entry["flexes"] = [{key: a.tolist() for key, a in flex.items()} for flex in entry["flexes"]]
+            entry["stresses_basis"] = entry["stresses_basis"].tolist()
+        return body
+
+    def _json_body(self) -> dict:
+        """``to_dict()`` with each basis the float64 array ``_display_array``
+        returns, which the JSON writer reads."""
         entries = []
         for entry, (space, counts) in zip(self.body["modes"], self.modes):
             flexes, dn, d = counts.flex_basis.basis, counts.vertex_dof, space.dimension
-            velocities = _display_array(flexes[:dn].T.reshape(flexes.shape[1], dn // d, d)).tolist()
-            distortions = _display_array(space.matrix_from_coordinates(flexes[dn:].T)).tolist()
+            velocities = _display_array(flexes[:dn].T.reshape(flexes.shape[1], dn // d, d))
+            distortions = _display_array(space.matrix_from_coordinates(flexes[dn:].T))
             entries.append({**entry, "flexes": [{"vertex_velocities": u, "distortion": a}
                                                 for u, a in zip(velocities, distortions)],
-                            "stresses_basis": _display_array(counts.stress_basis.basis.T).tolist()})
+                            "stresses_basis": _display_array(counts.stress_basis.basis.T)})
         return {**self.body, "modes": entries}
 
 
@@ -559,7 +690,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "a
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:
     if format == "json":
-        return _json_text(report.to_dict()) + "\n"
+        return _json_text(report._json_body()) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}; use 'text' or 'json'")
 

@@ -888,6 +888,19 @@ class TestWorkPerRequest:
             assert [np.shape(args[0])[0] for args in spans].count(big.edge_count) == modes
             assert len(displays) == 3 * modes     # velocities, distortions, stresses
 
+    def test_json_report_reads_the_arrays_not_their_lists(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # The writer formats the rounded bases as arrays; the list view that
+        # to_dict() returns is never built for a report.
+        path = tmp_path / "kagome_4x4.json"
+        cf.save_framework(cf.supercell(kagome, (4, 4)), path)
+        listed = []
+        monkeypatch.setattr(cf.AnalysisReport, "to_dict", lambda report: listed.append(report))
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 0
+        assert listed == []
+        assert sum(len(mode["stresses_basis"]) for mode in json.loads(out)["modes"]) > 0
+
     def test_analyze_rounds_bases_in_bulk(self, capsys, tmp_path, kagome, monkeypatch):
         # The per-element _display is left for the scalar fields; the flex
         # and stress bases are rounded as arrays.

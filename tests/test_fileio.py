@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.fileio
 from crystalflex.fileio import _display, _display_array, _json_text, mode_space
+from oracles import random_framework, scrambled_supercell
 
 
 class TestRoundTrip:
@@ -30,6 +32,33 @@ class TestRoundTrip:
         restored = cf.parse_framework(cf.serialize_framework(kagome))
         assert (restored.positions == kagome.positions).all()
         assert (restored.lattice.matrix == kagome.lattice.matrix).all()
+
+    @staticmethod
+    def assert_round_trip(fw):
+        text = cf.serialize_framework(fw)
+        restored = cf.parse_framework(text)
+        assert restored.positions.tobytes() == fw.positions.tobytes()
+        assert restored.lattice.matrix.tobytes() == fw.lattice.matrix.tobytes()
+        assert restored.edges == fw.edges
+        assert [g.name for g in restored.symmetries] == [g.name for g in fw.symmetries]
+        assert cf.serialize_framework(restored) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 4), st.integers(1, 7))
+    def test_generated_frameworks_round_trip(self, seed, d, n_vertices, n_edges):
+        rng = np.random.default_rng(seed)
+        self.assert_round_trip(random_framework(rng, d, n_vertices, n_edges))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(cf.BUILTIN_NAMES), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_scrambled_supercells_round_trip(self, name, factor, seed, translate):
+        # Unmoved supercells keep the builtin's symmetries, re-declared.
+        fw = scrambled_supercell(name, factor, np.random.default_rng(seed), translate)
+        if not translate:
+            fw = fw.with_symmetries([cf.resolve_symmetry(fw, g.linear, g.translation, g.name)
+                                     for g in cf.builtin_framework(name).symmetries])
+        self.assert_round_trip(fw)
 
 
 def valid_doc():
@@ -318,6 +347,17 @@ class TestReports:
         report = cf.analyze_framework(any_builtin, modes=(mode,), name="x", characters=True)
         assert cf.emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
 
+    @pytest.mark.parametrize("mode", ["strict", "affine", "symmetric"])
+    @pytest.mark.parametrize("name, factors", [("kagome", (4, 4)), ("hexahedron", (2, 2, 2))])
+    def test_supercell_json_report_is_json_dumps_of_the_body(self, name, factors, mode):
+        # Bases read off the Bloch blocks, wide stress rows and character rows.
+        base = cf.builtin_framework(name)
+        fw = cf.supercell(base, factors)
+        fw = fw.with_symmetries([cf.resolve_symmetry(fw, g.linear, g.translation, g.name)
+                                 for g in base.symmetries])
+        report = cf.analyze_framework(fw, modes=(mode,), name=name, characters=True)
+        assert cf.emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+
     @pytest.mark.parametrize("mode", ["strict", "affine", *cf.MATRIX_SPACE_NAMES])
     def test_bases_match_the_per_element_decoding(self, any_builtin, mode, monkeypatch):
         # Reference: decode each flex column on its own and round each entry.
@@ -396,6 +436,41 @@ json_bodies = st.recursive(
 )
 
 
+# Values of x on the 1e-9 grid and the edges of the range written from their digits.
+FIXED_EDGES = [0.0, -0.0, 1e-4, -1e-4, 9.9999e-05, -9.9999e-05, 999999.999999999,
+               -999999.999999999, 1e6, -1e6, 5e-324, 2.0 ** 52 / 1e9]
+array_values = st.one_of(
+    rounding_inputs,
+    st.integers(-(2 ** 53) + 1, 2 ** 53 - 1).map(lambda k: k / 1e9),
+    st.sampled_from(FIXED_EDGES),
+)
+array_shapes = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+)
+float_arrays = array_shapes.flatmap(
+    lambda shape: st.lists(array_values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+    .map(lambda values: np.array(values, dtype=float).reshape(shape)))
+array_bodies = st.recursive(
+    st.one_of(json_scalars, float_lists, float_arrays),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def listed(body):
+    """``body`` with every ndarray ``tolist()``ed."""
+    if isinstance(body, np.ndarray):
+        return body.tolist()
+    if isinstance(body, (list, tuple)):
+        return type(body)(map(listed, body))
+    if isinstance(body, dict):
+        return {key: listed(value) for key, value in body.items()}
+    return body
+
+
 class TestJsonText:
     """The report and framework writer is ``json.dumps(obj, indent=2)``."""
 
@@ -403,6 +478,28 @@ class TestJsonText:
     @given(json_bodies)
     def test_matches_json_dumps(self, body):
         assert _json_text(body) == json.dumps(body, indent=2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(array_bodies, st.sampled_from([1, 2, 5, crystalflex.fileio._BATCH]))
+    def test_arrays_are_written_as_their_lists(self, body, batch):
+        # Small batches split the arrays into runs of rows and batch runs of
+        # several arrays together.
+        with mock.patch.object(crystalflex.fileio, "_BATCH", batch):
+            assert _json_text(body) == json.dumps(listed(body), indent=2)
+
+    def test_fixed_notation_edges(self):
+        values = np.array(FIXED_EDGES + [-x for x in FIXED_EDGES])
+        body = [values, values.reshape(2, -1), values.reshape(-1, 2)]
+        assert _json_text(body) == json.dumps(listed(body), indent=2)
+        assert "-0.0" in _json_text(values) and "9.9999e-05" in _json_text(values)
+
+    @pytest.mark.parametrize("shape", [(3, 20000), (5000, 7), (40000,)])
+    def test_arrays_longer_than_a_batch(self, shape, rng):
+        # Grid values, as a report holds, and a few off the grid.
+        values = _display_array(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape))
+        values.reshape(-1)[::97] = rng.standard_normal(values.size)[::97]
+        body = {"a": values, "b": [values[:2], values[-1:]]}
+        assert _json_text(body) == json.dumps(listed(body), indent=2)
 
     @pytest.mark.parametrize("body", [
         [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], [[1.0]],
