@@ -45,7 +45,6 @@ from .linalg import (
     SubspaceBasis,
     column_space_basis,
     complement_within,
-    factorize,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -63,7 +62,6 @@ from .rigidity import (
     is_affinely_rigid,
     matrix_space,
     restricted_operator,
-    right_multiplication_operator,
     rigid_motion_space,
     velocity_from_mode_coordinates,
 )
@@ -92,13 +90,12 @@ __all__ = [
     "PlacedPoint", "edge_geometry", "fragment", "point_of", "supercell",
     "validate_framework",
     "DEFAULT_TOL", "Factorization", "SubspaceBasis", "column_space_basis",
-    "complement_within", "factorize", "kernel_basis", "numeric_rank",
+    "complement_within", "kernel_basis", "numeric_rank",
     "subspace_intersection",
     "AffineRigidityCheck", "CountReport", "DependentBasisError", "MATRIX_SPACE_NAMES",
     "MatrixSpace", "RigidityMatrices", "analyze_counts", "build_matrices",
     "edge_deviation", "is_affinely_rigid", "matrix_space", "restricted_operator",
-    "right_multiplication_operator", "rigid_motion_space",
-    "velocity_from_mode_coordinates",
+    "rigid_motion_space", "velocity_from_mode_coordinates",
     "render_svg",
     "CharacterRow", "SymmetryCountReport", "SymmetryElement", "SymmetryError",
     "character_row", "commutant_basis", "resolve_symmetry", "symmetry_counts",

@@ -110,11 +110,12 @@ def _load_input(args):
 
 
 def _resolve_modes(args, fw):
+    """The modes of ``analyze``: labels, or the MatrixSpace of a custom file."""
     if not args.mode:
-        return ["strict", "affine"], {}
+        return ["strict", "affine"]
     tokens = list(args.mode)
     if tokens == ["strict"] or tokens == ["affine"]:
-        return tokens, {}
+        return tokens
     if tokens[0] == "space" and len(tokens) == 2:
         spec = tokens[1]
         if spec.startswith("custom:"):
@@ -124,11 +125,11 @@ def _resolve_modes(args, fw):
                     space = parse_matrix_space(handle.read(), fw.dimension, fw.tolerance)
             except OSError as exc:
                 raise CliError(f"cannot read {path}: {exc.strerror or exc}")
-            return ["custom"], {"custom": space}
+            return [space]
         if spec not in MATRIX_SPACE_NAMES:
             raise CliError(
                 f"unknown space {spec!r}; known: {', '.join(MATRIX_SPACE_NAMES)} or custom:FILE")
-        return [spec], {}
+        return [spec]
     raise CliError("--mode expects 'strict', 'affine', or 'space SPEC'")
 
 
@@ -181,8 +182,7 @@ def _report(fw, as_json, **options):
 
 def _cmd_analyze(args) -> int:
     fw, name = _load_input(args)
-    modes, spaces = _resolve_modes(args, fw)
-    return _report(fw, args.json, modes=modes, name=name, spaces=spaces)
+    return _report(fw, args.json, modes=_resolve_modes(args, fw), name=name)
 
 
 def _cmd_symmetry(args) -> int:

@@ -615,18 +615,20 @@ class AnalysisReport:
         return {**self.body, "modes": entries}
 
 
-def analyze_framework(fw: CrystalFramework, modes: Sequence[str] = ("strict", "affine"),
-                      name: Optional[str] = None, characters: bool = False,
-                      spaces: Optional[dict] = None) -> AnalysisReport:
+def analyze_framework(fw: CrystalFramework, modes: Sequence = ("strict", "affine"),
+                      name: Optional[str] = None, characters: bool = False) -> AnalysisReport:
     """Run counts (and symmetry counts for declared elements) over the modes.
 
-    ``spaces`` may map a mode label to an explicit MatrixSpace (used for
-    custom spaces); other labels go through mode_space().
+    A mode is a label, whose space mode_space() gives, or a MatrixSpace,
+    reported under its name.
     """
     d = fw.dimension
     mode_entries, mode_counts = [], []
-    for label in modes:
-        space = (spaces or {}).get(label) or mode_space(label, d, fw.tolerance)
+    for mode in modes:
+        if isinstance(mode, MatrixSpace):
+            space, label = mode, mode.name
+        else:
+            space, label = mode_space(mode, d, fw.tolerance), mode
         counts = analyze_counts(fw, space)
         mode_counts.append((space, counts))
         mode_entries.append({

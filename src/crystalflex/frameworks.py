@@ -407,6 +407,11 @@ def validate_framework(fw: CrystalFramework) -> list:
 
     if any(v.position.shape != (d,) for v in fw.vertices):
         return report
+    # No geometry test is meaningful past a nan or infinite coordinate.
+    for i in np.flatnonzero(~np.isfinite(fw.positions).all(axis=1)).tolist():
+        report.append(f"vertex {i} has a non-finite position")
+    if report:
+        return report
 
     frac = fw.lattice.fractional(fw.positions) if fw.vertices else np.zeros((0, d))
     for i, j in zip(*(x.tolist() for x in lattice_matches(frac, frac, tol))):

@@ -5,15 +5,15 @@ value sigma of a matrix counts as nonzero when
 
     sigma > tol * max(1, sigma_max) * max(n_rows, n_cols).
 
-Kernels and cokernels are read off full SVDs with orthonormal columns.
-``factorize`` reads them off the full SVD of the matrix itself;
+Kernels and cokernels are read off SVDs with orthonormal columns.
 ``factorize_bordered`` reads those of a bordered matrix [A | C], with C a
-few columns wide, off the full SVD of A and one small factorization of
-the border, so one SVD of A serves every border.  Its threshold puts the
-bound hypot(sigma_max(A), ||C||_2) >= sigma_max([A | C]) in place of
-sigma_max.  A's SVD may be given block by block (``BlockSVD``), for A
-orthogonally equivalent to a block-diagonal matrix; the singular values of
-all blocks are pooled under the one threshold of the whole matrix.
+few columns wide (or none), off the full SVD of A and one small
+factorization of the border, so one SVD of A serves every border.  Its
+threshold puts the bound hypot(sigma_max(A), ||C||_2) >= sigma_max([A | C])
+in place of sigma_max.  A's SVD is given block by block (``BlockSVD``), for
+A orthogonally equivalent to a block-diagonal matrix, or as one block
+(``BlockSVD.of``); the singular values of all blocks are pooled under the
+one threshold of the whole matrix.
 Subspace intersections come from principal angles, with the threshold the
 same policy puts on the stacked complement projectors.
 """
@@ -147,7 +147,7 @@ def full_svd(mat) -> FullSVD:
 @dataclass(frozen=True)
 class Factorization:
     """Rank, kernel and cokernel of one matrix, with orthonormal bases; the
-    cokernel is built on first read.  Unpacks as ``rank, kernel, cokernel``."""
+    cokernel is built on first read."""
 
     rank: int
     kernel: SubspaceBasis
@@ -156,9 +156,6 @@ class Factorization:
     @cached_property
     def cokernel(self) -> SubspaceBasis:
         return self.build_cokernel()
-
-    def __iter__(self):
-        return iter((self.rank, self.kernel, self.cokernel))
 
 
 class BlockSVD(NamedTuple):
@@ -192,16 +189,15 @@ class BlockSVD(NamedTuple):
         return max((float(np.max(s)) for _, s, _ in self.batches if s.size), default=0.0)
 
 
-def border_bound(svd, border) -> float:
-    """hypot(sigma_max(A), ||C||_2) for the SVD of A (a FullSVD or a
-    BlockSVD) and the border C.
+def border_bound(blocks: BlockSVD, border) -> float:
+    """hypot(sigma_max(A), ||C||_2) for the SVD of A, held as ``blocks``,
+    and the border C.
 
     It bounds sigma_max([A | C]) from above: for a unit vector (x, z),
     |A x + C z| <= sigma_max(A) |x| + ||C||_2 |z| <= the bound, by
     Cauchy-Schwarz.  ||C||_2 comes from the dim C x dim C Gram matrix, so
     it is the same in any orthonormal coordinates of C's rows.
     """
-    blocks = svd if isinstance(svd, BlockSVD) else BlockSVD.of(svd)
     largest = blocks.largest
     c = _as_matrix(border)
     if c.size == 0:
@@ -245,9 +241,9 @@ def _rows_of(blocks: BlockSVD, x: np.ndarray) -> list:
     return parts
 
 
-def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
-    """Rank, kernel and cokernel of [A | C] from the full SVD of A, given as
-    a FullSVD or, block by block, as a BlockSVD.
+def factorize_bordered(blocks: BlockSVD, border, tol: float = DEFAULT_TOL) -> Factorization:
+    """Rank, kernel and cokernel of [A | C] from the full SVD of A, held
+    block by block as ``blocks``.
 
     With the threshold of the shared rule for the shape of [A | C] and the
     bound ``border_bound`` in place of its sigma_max, r singular values of
@@ -263,11 +259,10 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
 
     B is factored as a QR and the SVD of its q x q (at most) triangle, so no
     SVD as tall as A is taken.  An empty border gives A's own factorization.
-    A BlockSVD's formulas run in the blocks' coordinates, C moved into them
-    by P^T and the bases moved back by P and Q; for a single block and
-    identity maps they are the FullSVD's, operation for operation.
+    The formulas run in the blocks' coordinates, C moved into them by P^T
+    and the bases moved back by P and Q; for a single block and identity
+    maps they are the dense formulas, operation for operation.
     """
-    blocks = svd if isinstance(svd, BlockSVD) else BlockSVD.of(svd)
     c = _as_matrix(border)
     (rows, cols), q = blocks.shape, c.shape[1]
     if c.shape[0] != rows:
@@ -320,16 +315,13 @@ def factorize_bordered(svd, border, tol: float = DEFAULT_TOL) -> Factorization:
                          lambda: cokernel(np.hstack([q_b[:, :k] @ top_u[:, rank_b:], q_b[:, k:]])))
 
 
-def factorize(mat, tol: float = DEFAULT_TOL) -> Factorization:
-    """Rank, kernel and cokernel of ``mat``, read off its own full SVD."""
-    m = _as_matrix(mat)
-    return factorize_bordered(full_svd(m), np.zeros((m.shape[0], 0)), tol)
-
-
 def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the (numerical) null space of ``mat``."""
+    """Orthonormal basis of the (numerical) null space of ``mat``.  Only V is
+    read, so a matrix with at least as many rows as columns (and one or more
+    columns) takes the thin SVD, whose V is already square."""
     m = _as_matrix(mat)
-    _, s, vt = full_svd(m)
+    rows, cols = m.shape
+    _, s, vt = np.linalg.svd(m, full_matrices=False) if rows >= cols > 0 else full_svd(m)
     return _span(vt[_rank(s, m.shape, tol):].T, tol)
 
 

@@ -67,12 +67,6 @@ def unvec(v, d: int) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape((d, d), order="F")
 
 
-def right_multiplication_operator(mat) -> np.ndarray:
-    """Matrix of A -> A @ mat on column-stacked coordinates."""
-    m = np.asarray(mat, dtype=float)
-    return np.kron(m.T, np.eye(m.shape[0]))
-
-
 class DependentBasisError(ValueError):
     """A MatrixSpace basis is linearly dependent at the space's tolerance."""
 
@@ -100,6 +94,8 @@ class MatrixSpace:
                     f"basis matrix has shape {m.shape}, expected "
                     f"({self.dimension}, {self.dimension})"
                 )
+            if not np.isfinite(m).all():
+                raise ValueError("basis matrix has a non-finite entry")
             m.setflags(write=False)
             mats.append(m)
         object.__setattr__(self, "basis", tuple(mats))
@@ -135,15 +131,6 @@ class MatrixSpace:
         if np.any(residual > 100 * self.tol * np.maximum(1.0, np.max(np.abs(columns), axis=0))):
             raise ValueError("matrix is not in the space spanned by the basis")
         return coords
-
-    def coordinates_of(self, mat) -> np.ndarray:
-        """Coordinates of a member matrix in this basis; raises if outside."""
-        target = vec(mat)
-        if self.dim == 0:
-            if np.max(np.abs(target), initial=0.0) > 10 * self.tol:
-                raise ValueError("matrix is not in the zero space")
-            return np.zeros(0)
-        return self._column_coordinates(target[:, np.newaxis])[:, 0]
 
 
 def _skew_generators(d: int) -> list:
@@ -220,9 +207,10 @@ def _check_dimension(fw: CrystalFramework, space: MatrixSpace) -> None:
 
 
 def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: MatrixSpace) -> np.ndarray:
-    """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z)."""
+    """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z),
+    and vec(A Z) = (Z^T kron I) vec A."""
     _check_dimension(fw, space)
-    lift = right_multiplication_operator(fw.lattice.matrix) @ space.stacked
+    lift = np.kron(fw.lattice.matrix.T, np.eye(fw.dimension)) @ space.stacked
     return affine_block @ lift
 
 

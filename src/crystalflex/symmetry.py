@@ -41,7 +41,6 @@ from .rigidity import (
     _edge_rows,
     analyze_counts,
     matrix_space,
-    right_multiplication_operator,
     rigid_motion_space,
     unvec,
 )
@@ -98,6 +97,9 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     c = np.array(translation, dtype=float).reshape(-1)
     if b.shape != (d, d) or c.shape != (d,):
         raise SymmetryError(f"element {name!r}: expected a {d}x{d} linear part and a {d}-vector")
+    for part, value in (("linear part", b), ("translation", c)):
+        if not np.isfinite(value).all():
+            raise SymmetryError(f"element {name!r}: {part} is not finite")
     if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
         raise SymmetryError(f"element {name!r}: linear part is not orthogonal")
 
@@ -245,7 +247,8 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     d = b.shape[0]
     if b.shape != (d, d):
         raise ValueError("linear part must be square")
-    bracket = right_multiplication_operator(b) - np.kron(np.eye(d), b)
+    # vec(A B - B A) = (B^T kron I - I kron B) vec A.
+    bracket = np.kron(b.T, np.eye(d)) - np.kron(np.eye(d), b)
     kernel = kernel_basis(bracket, tol)
     mats = tuple(unvec(col, d) for col in kernel.basis.T)
     return MatrixSpace(d, mats, name="commutant", tol=tol)

@@ -5,9 +5,11 @@ in sympy (no floats, no shared code with the package), so the numeric rank
 decisions are checked against symbolic ground truth.  The torus oracle
 rebuilds the strict rigidity matrix from placed one-cell geometry with
 endpoints identified by fractional-coordinate matching, an entirely
-different code path from the motif assembly.  ``dense_counts`` reads the
-counts of a space off one SVD of the whole restricted operator, the path
-that the bordered factorization of the strict operator replaced.
+different code path from the motif assembly.  ``dense_factorization``
+reads a matrix's rank, kernel and cokernel off its own full SVD, and
+``dense_counts`` the counts of a space off that of the whole restricted
+operator, the path that the bordered factorization of the strict operator
+replaced.
 ``translation_tables`` and ``orbit_tables`` build a translation group's
 permutation of every point by every element and read its orbits off them,
 where the package composes its generators' maps over a few points.
@@ -20,6 +22,7 @@ import numpy as np
 import sympy as sp
 
 import crystalflex as cf
+from crystalflex.linalg import BlockSVD, factorize_bordered, full_svd
 
 
 def _exact_matrices(positions, period_columns, edges, d):
@@ -237,6 +240,13 @@ def reference_supercell(fw, factors):
     return fw.lattice.matrix * n[np.newaxis, :], vertices, edges
 
 
+def dense_factorization(mat, tol=cf.DEFAULT_TOL):
+    """Rank, kernel and cokernel of ``mat`` read off its own full SVD: the
+    matrix as the one block of a factorization with an empty border."""
+    m = np.asarray(mat, dtype=float)
+    return factorize_bordered(BlockSVD.of(full_svd(m)), np.zeros((m.shape[0], 0)), tol)
+
+
 class DenseCounts(NamedTuple):
     mechanisms: int
     stresses: int
@@ -250,7 +260,8 @@ def dense_counts(fw, space):
     """Counts and bases of ``space`` from the SVD of the whole restricted
     operator [R0 | C_E], with its own sigma_max in the threshold."""
     operator = cf.restricted_operator(fw, space)
-    _, flex, stress = cf.factorize(operator, fw.tolerance)
+    factorization = dense_factorization(operator, fw.tolerance)
+    flex, stress = factorization.kernel, factorization.cokernel
     f = cf.rigid_motion_space(fw, space).dim
     sigma = np.linalg.svd(operator, compute_uv=False) if operator.size else np.zeros(0)
     return DenseCounts(flex.dim - f, stress.dim, f, flex, stress,

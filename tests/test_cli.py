@@ -11,7 +11,7 @@ import crystalflex.frameworks
 import crystalflex.rigidity
 import crystalflex.symmetry
 from crystalflex.cli import main
-from oracles import scrambled_supercell
+from oracles import dense_factorization, scrambled_supercell
 
 
 def run(capsys, *argv):
@@ -515,7 +515,7 @@ class TestBadNumbers:
     def test_rigid_motions_beyond_the_flexes(self, capsys, monkeypatch):
         # More rigid motions than flexes would print m < 0: exit 2 instead.
         def one_too_many(fw, space):
-            cols = cf.factorize(cf.restricted_operator(fw, space), fw.tolerance).kernel.dim + 1
+            cols = dense_factorization(cf.restricted_operator(fw, space), fw.tolerance).kernel.dim + 1
             return cf.SubspaceBasis(2 * fw.vertex_count + space.dim,
                                     np.eye(2 * fw.vertex_count + space.dim)[:, :cols])
 
@@ -779,6 +779,28 @@ class TestWorkPerRequest:
         assert [shape for shape in svd_shapes if shape[0] == big.edge_count] == []
         assert [shape[0] for shape in svd_shapes].count(orbits) == 1
 
+    def test_closure_constraints_take_no_full_u(self, capsys, tmp_path, kagome, monkeypatch):
+        # kernel_basis reads only V. On the 4 x 4 supercell r3 has 16 vertex
+        # 3-cycles, two closure rows each, and no SVD computes a square U as
+        # tall as that 32 x 2 constraint stack.
+        big = cf.supercell(kagome, (4, 4))
+        g = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+        path = tmp_path / "kagome_4x4.json"
+        cf.save_framework(big, path)
+        kernels, full_u, svd = count_calls(monkeypatch, "kernel_basis"), [], np.linalg.svd
+
+        def recording_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+            if full_matrices and compute_uv:
+                full_u.append(np.shape(a))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        code, _, _ = run(capsys, "symmetry", str(path))
+        assert code == 0
+        assert (32, 2) in [np.shape(args[0]) for args in kernels]
+        assert [shape for shape in full_u if shape[0] == 32] == []
+
     def character_row_calls(self, capsys, tmp_path, kagome, monkeypatch, cells):
         """The factorization calls of ``symmetry --characters`` on the
         cells x cells kagome supercell with r3 declared."""
@@ -788,13 +810,12 @@ class TestWorkPerRequest:
         path = tmp_path / "kagome.json"
         cf.save_framework(big, path)
         calls = {name: count_calls(monkeypatch, name)
-                 for name in ("factorize", "full_svd", "complement_within", "column_space_basis")}
+                 for name in ("full_svd", "complement_within", "column_space_basis")}
         code, _, _ = run(capsys, "symmetry", str(path), "--characters")
         assert code == 0
         # The space keeps its own basis (no SVD of its d^2 x q stack), and the
         # mechanism trace is a quotient trace (no orthogonal complement).
         commutant = cf.commutant_basis(g.linear, big.tolerance)
-        assert calls["factorize"] == []
         assert calls["complement_within"] == []
         assert (4, commutant.dim) not in [np.shape(args[0]) for args in calls["column_space_basis"]]
         return big, [np.shape(args[0]) for args in calls["full_svd"]]

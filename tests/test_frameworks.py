@@ -85,6 +85,13 @@ class TestValidation:
         report = violations_of([(0.0, 0.0)], [], lattice=lattice)
         assert report == ["period lattice is numerically singular"]
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, -np.inf)])
+    def test_non_finite_vertex(self, point):
+        # Validation refuses it, before the strict SVD, which does not
+        # converge on a nan.
+        report = violations_of([(0.0, 0.0), point], [cf.MotifEdge(0, (0, 0), 1, (0, 0))])
+        assert report == ["vertex 1 has a non-finite position"]
+
     def test_badly_conditioned_lattice_still_accepted(self):
         fw = make([(0.0, 0.0)], [], lattice=[[1.0, 1e3], [0.0, 1.0]])
         assert cf.validate_framework(fw) == []

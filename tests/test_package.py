@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -14,6 +15,7 @@ from crystalflex import cli
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = ROOT / "README.md"
+SOURCES = sorted(p for p in (ROOT / "src" / "crystalflex").glob("*.py") if p.name != "__init__.py")
 
 
 def test_all_names_resolve_to_public_api():
@@ -21,6 +23,29 @@ def test_all_names_resolve_to_public_api():
     for name in cf.__all__:
         value = getattr(cf, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def names_read(path):
+    """Every name a module reads: loaded names and attributes, so neither a
+    definition nor a mention in a docstring or a comment counts."""
+    tree = ast.parse(path.read_text())
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)} | \
+        {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unread(names):
+    """The names that no package module but ``__init__`` reads, no demo
+    reads and README's code never shows."""
+    read = set().union(*map(names_read, SOURCES + DEMOS))
+    code = "\n".join(re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), re.S))
+    return [name for name in names
+            if name not in read and not re.search(rf"\b{re.escape(name)}\b", code)]
+
+
+def test_every_public_name_is_read():
+    # A public helper that nothing reads only re-spells another one.
+    assert unread(cf.__all__) == []
 
 
 def test_demos_found():

@@ -17,6 +17,7 @@ from crystalflex.rigidity import _skew_generators, unvec, vec
 from crystalflex.translations import _find_translations, _orbits
 from oracles import (
     dense_counts,
+    dense_factorization,
     direct_row_values,
     exact_rank_profile,
     match_rows_up_to_sign,
@@ -55,6 +56,12 @@ class TestMatrixSpaces:
         with pytest.raises(ValueError, match="unknown matrix space"):
             cf.matrix_space("sheared", 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, value):
+        # Refused before the rank test, whose SVD would not converge.
+        with pytest.raises(ValueError, match="non-finite"):
+            cf.MatrixSpace(2, ([[value, 0.0], [0.0, 1.0]],))
+
     def test_dependent_basis_rejected(self):
         a = np.eye(2)
         with pytest.raises(ValueError, match="dependent"):
@@ -63,18 +70,24 @@ class TestMatrixSpaces:
     def test_coordinates_round_trip(self):
         sym = cf.matrix_space("symmetric", 2)
         mat = np.array([[1.0, 2.0], [2.0, -3.0]])
-        coords = sym.coordinates_of(mat)
+        coords = sym._column_coordinates(vec(mat)[:, np.newaxis])[:, 0]
         assert_allclose(sym.matrix_from_coordinates(coords), mat, atol=1e-12)
+        skew = vec(np.array([[0.0, 1.0], [-1.0, 0.0]]))[:, np.newaxis]
         with pytest.raises(ValueError):
-            sym.coordinates_of(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            sym._column_coordinates(skew)
+        # The zero space holds the zero matrix alone.
+        zero = cf.matrix_space("zero", 2)
+        assert zero._column_coordinates(np.zeros((4, 1))).shape == (0, 1)
+        with pytest.raises(ValueError):
+            zero._column_coordinates(skew)
 
     def test_one_column_outside_the_space_fails_the_solve(self):
         sym = cf.matrix_space("symmetric", 2)
         members = [np.array([[1.0, 2.0], [2.0, -3.0]]), np.eye(2), np.diag([0.0, 5.0])]
         columns = np.column_stack([vec(m) for m in members])
         coords = sym._column_coordinates(columns)
-        assert_allclose(coords, np.column_stack([sym.coordinates_of(m) for m in members]),
-                        atol=1e-12)
+        assert_allclose(coords, np.hstack([sym._column_coordinates(vec(m)[:, np.newaxis])
+                                           for m in members]), atol=1e-12)
         columns[:, 1] += vec(np.array([[0.0, 1e-3], [-1e-3, 0.0]]))     # a skew part
         with pytest.raises(ValueError, match="not in the space spanned by the basis"):
             sym._column_coordinates(columns)
@@ -545,7 +558,8 @@ def reference_rigid_generators(fw, space):
 def reference_rigid_space(fw, space):
     """The rigid space in (u, coords-in-space) from the reference generators."""
     pairs = reference_rigid_generators(fw, space)
-    columns = np.column_stack([np.concatenate([u, space.coordinates_of(a)]) for u, a in pairs])
+    coords = space._column_coordinates(np.column_stack([vec(a) for _, a in pairs]))
+    columns = np.vstack([np.column_stack([u for u, _ in pairs]), coords])
     return cf.column_space_basis(columns, fw.tolerance)
 
 
@@ -600,6 +614,38 @@ def test_rigid_motions_lie_in_the_flex_space(d, seed):
         e = cf.matrix_space(name, d, fw.tolerance)
         rigid = cf.rigid_motion_space(fw, e)
         assert cf.analyze_counts(fw, e).flex_basis.contains(rigid.basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_rank_nullity_in_every_named_space(d, seed):
+    rng = np.random.default_rng(seed)
+    fw = random_framework(rng, d=d, n_vertices=int(rng.integers(1, 4)),
+                          n_edges=int(rng.integers(0, 8)))
+    for name in cf.MATRIX_SPACE_NAMES:
+        e = cf.matrix_space(name, d, fw.tolerance)
+        counts = cf.analyze_counts(fw, e)
+        rank = counts.factorization.rank
+        assert counts.flex_basis.dim == d * fw.vertex_count + e.dim - rank, name
+        assert counts.stresses == counts.stress_basis.dim == fw.edge_count - rank, name
+        assert counts.mechanisms == counts.flex_basis.dim - counts.rigid_motions, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_strict_flexes_of_the_base_lift_to_supercells(seed):
+    # The copy of vertex v in residue cell r is vertex v R + r of the
+    # supercell, R the number of residues; it moves as v does.
+    rng = np.random.default_rng(seed)
+    fw = random_framework(rng, d=2, n_vertices=int(rng.integers(1, 4)),
+                          n_edges=int(rng.integers(0, 6)))
+    flexes = cf.analyze_counts(fw, cf.matrix_space("zero", 2, fw.tolerance)).flex_basis.basis
+    for factors in [(2, 1), (2, 2)]:
+        big = cf.supercell(fw, factors)
+        residues = int(np.prod(factors))
+        lifted = np.repeat(flexes.reshape(fw.vertex_count, 1, 2, -1), residues, axis=1)
+        big_flexes = cf.analyze_counts(big, cf.matrix_space("zero", 2, big.tolerance)).flex_basis
+        assert big_flexes.contains(lifted.reshape(2 * big.vertex_count, -1)), factors
 
 
 def projector(space):
@@ -672,7 +718,7 @@ class TestBorderEdgeCases:
         big = cf.supercell(kagome, (2, 2))
         assert_border_matches_dense(big, e)
         counts = cf.analyze_counts(big, e)
-        strict = cf.factorize(cf.build_matrices(big).vertex_block, big.tolerance)
+        strict = dense_factorization(cf.build_matrices(big).vertex_block, big.tolerance)
         assert np.array_equal(counts.flex_basis.basis, strict.kernel.basis)
         assert np.array_equal(counts.stress_basis.basis, strict.cokernel.basis)
 

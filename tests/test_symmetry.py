@@ -17,7 +17,7 @@ from crystalflex.symmetry import (
     _fixed_domain,
     _fixed_points,
 )
-from oracles import scrambled_supercell
+from oracles import dense_factorization, scrambled_supercell
 
 S3 = np.sqrt(3.0)
 
@@ -115,6 +115,16 @@ class TestResolve:
     def test_nonorthogonal_rejected(self, kagome):
         with pytest.raises(cf.SymmetryError, match="not orthogonal"):
             cf.resolve_symmetry(kagome, np.array([[1.0, 0.1], [0.0, 1.0]]), np.zeros(2), "shear")
+
+    @pytest.mark.parametrize("linear, translation, part", [
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0], "linear part"),
+        ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], "linear part"),
+        (np.eye(2), [0.0, np.nan], "translation")])
+    def test_non_finite_element_rejected(self, kagome, linear, translation, part):
+        # nan compares false, so the orthogonality test alone passes a nan
+        # linear part, and its vertex images would match no class.
+        with pytest.raises(cf.SymmetryError, match=rf"^element 'g': {part} is not finite$"):
+            cf.resolve_symmetry(kagome, linear, translation, "g")
 
     def test_glide_actions(self, kagome_glide):
         assert kagome_glide.vertex_map.tolist() == [1, 0, 2]
@@ -457,7 +467,8 @@ def reference_character_row(fw, element, space):
     embed = np.block([[np.eye(dn), np.zeros((dn, space.dim))],
                       [np.zeros((d * d, dn)), ortho.basis]])
     domain = embed.T @ full_domain @ embed
-    _, flexes, stresses = cf.factorize(cf.restricted_operator(fw, space), tol)
+    factorization = dense_factorization(cf.restricted_operator(fw, space), tol)
+    flexes, stresses = factorization.kernel, factorization.cokernel
     rigid = cf.rigid_motion_space(fw, space)
     mech = cf.complement_within(flexes, rigid)
 
