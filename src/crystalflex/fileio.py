@@ -114,6 +114,39 @@ def _matrix(value, d, path):
     return np.array([_number_list(row, d, f"{path}[{i}]") for i, row in enumerate(value)])
 
 
+def _vertex_rows(raw_vertices: list, dimension: int):
+    """The ids, (n, d) float positions and "frac" flags of a vertex list,
+    checked in bulk, or None when some field fails a check, so that the
+    per-field path names it.
+
+    Accepts exactly what the per-field path accepts: each vertex a dict with
+    a distinct str id, a position that is a list of ``dimension`` finite
+    numbers, not bools, and an optional bool "frac".
+    """
+    if not all(type(entry) is dict for entry in raw_vertices):
+        return None
+    try:
+        ids = [entry["id"] for entry in raw_vertices]
+        positions = [entry["position"] for entry in raw_vertices]
+    except KeyError:
+        return None
+    frac = [entry.get("frac", False) for entry in raw_vertices]
+    if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids) and set(map(type, frac)) <= {bool}):
+        return None
+    if not (set(map(type, positions)) <= {list} and set(map(len, positions)) <= {dimension}):
+        return None
+    flat = list(chain.from_iterable(positions))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        table = np.array(flat, dtype=float).reshape(len(positions), dimension)
+    except OverflowError:     # an int too big for a float
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return ids, table, frac
+
+
 def _edge_rows(raw_edges: list, ids: dict, dimension: int):
     """The (m, 2 + 2 d) int64 rows of an edge list, checked in bulk, or None
     when some field fails a check, so that the per-field path names it.
@@ -172,20 +205,26 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
         _fail("tolerance", f"expected a number of at least {MIN_TOL:.2g}")
 
     raw_vertices = _require(doc, "vertices", "", list)
-    vertices, ids = [], {}
-    for i, entry in enumerate(raw_vertices):
-        path = f"vertices[{i}]"
-        vid = _require(entry, "id", path, str)
-        if vid in ids:
-            _fail(f"{path}.id", f"duplicate vertex id {vid!r}")
-        ids[vid] = i
-        pos = np.array(_number_list(_require(entry, "position", path), dimension, f"{path}.position"))
-        frac = entry.get("frac", False)
-        if not isinstance(frac, bool):
-            _fail(f"{path}.frac", "expected a boolean")
-        if frac:
-            pos = lattice.matrix @ pos
-        vertices.append(MotifVertex(pos, vid))
+    rows = _vertex_rows(raw_vertices, dimension)
+    if rows is None:
+        ids, positions, flags = {}, [], []
+        for i, entry in enumerate(raw_vertices):
+            path = f"vertices[{i}]"
+            vid = _require(entry, "id", path, str)
+            if vid in ids:
+                _fail(f"{path}.id", f"duplicate vertex id {vid!r}")
+            ids[vid] = i
+            positions.append(_number_list(_require(entry, "position", path), dimension, f"{path}.position"))
+            frac = entry.get("frac", False)
+            if not isinstance(frac, bool):
+                _fail(f"{path}.frac", "expected a boolean")
+            flags.append(frac)
+        rows = list(ids), np.array(positions, dtype=float).reshape(-1, dimension), flags
+    names, positions, flags = rows
+    ids = {vid: i for i, vid in enumerate(names)}
+    # A fractional position is converted alone, by its own matrix-vector product.
+    vertices = [MotifVertex(lattice.matrix @ pos if frac else pos, vid)
+                for vid, pos, frac in zip(names, positions, flags)]
 
     raw_edges = _require(doc, "edges", "", list)
     rows = _edge_rows(raw_edges, ids, dimension)

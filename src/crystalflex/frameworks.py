@@ -6,7 +6,8 @@ finite set of representative edges.  Every edge endpoint carries an integer
 cell index, so edges whose endpoints both sit outside the base cell are
 representable.  The edges are one read-only int64 table, built once with the
 framework.  All positions are Cartesian; fractional coordinates only appear
-at file-parsing time.
+at file-parsing time and in the motif index (``_MotifIndex``), which
+validation builds and every later vertex or edge match reads.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class _EdgeTable(Sequence):
     """The motif's bars as one read-only int64 table; its items are MotifEdges.
 
     Each row is (from-vertex, *from-cell, to-vertex, *to-cell); ``ends``
-    (m, 2) and ``cells`` (m, 2, d) are views of it.  Only the parser and
+    (m, 2) and ``cells`` (m, 2, d) are views of it, and ``offsets`` (m, d)
+    holds each to-cell minus from-cell.  Only the parser and
     ``supercell`` build a table from rows, and both keep every vertex and
     cell in range; any other edge sequence goes through ``of``, whose
     ``problems`` lists each edge no row can hold as (edge index, rank
@@ -161,6 +163,8 @@ class _EdgeTable(Sequence):
         table = np.array(rows, dtype=np.int64).reshape(-1, 2, 1 + d)
         table.setflags(write=False)
         self.ends, self.cells, self.problems = table[..., 0], table[..., 1:], problems
+        self.offsets = self.cells[:, 1] - self.cells[:, 0]     # as in ``MotifEdge.offset``
+        self.offsets.setflags(write=False)
 
     @classmethod
     def of(cls, edges, d: int, n: int) -> "_EdgeTable":
@@ -185,11 +189,6 @@ class _EdgeTable(Sequence):
             rows.append((e.from_vertex, *e.from_cell, e.to_vertex, *e.to_cell) if len(problems) == start
                         else (0,) * (2 + 2 * d))
         return cls(rows, d, tuple(problems))
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """(m, d) to-cell minus from-cell, as in ``MotifEdge.offset``."""
-        return self.cells[:, 1] - self.cells[:, 0]
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -284,6 +283,12 @@ class CrystalFramework:
         return positions
 
     @cached_property
+    def _motif_index(self) -> "_MotifIndex":
+        """The motif's ``_MotifIndex``, built on first read (by validation)
+        and held for the framework's life; a ``with_symmetries`` copy shares it."""
+        return _MotifIndex(self)
+
+    @cached_property
     def _strict_svd(self):
         """The SVD of the strict operator R0, ``rigidity.factor_strict``'s
         BlockSVD, computed on first read and held for the framework's life."""
@@ -328,54 +333,188 @@ def _group_rows(rows):
     return order[starts], inverse
 
 
+def _scale(points) -> float:
+    """max(1, largest finite |coordinate|): the magnitude that sets round-off."""
+    finite = np.where(np.isfinite(points), points, 0.0)
+    return max(1.0, float(np.max(np.abs(finite), initial=0.0)))
+
+
+def _reach(tol: float, scale: float) -> float:
+    """How far apart, per axis, two coordinates of magnitude up to ``scale``
+    can lie and still match to ``tol``: tol plus the round-off of their
+    difference."""
+    return tol + 8.0 * np.finfo(float).eps * scale
+
+
+class _PointIndex:
+    """Fractional points held for matching modulo the lattice, to any
+    tolerance whose reach (``_reach``) is at most ``reach``.
+
+    Each point's coordinates, wrapped onto the unit torus, fall into one of
+    k buckets per axis, and its d bucket numbers pack row-major into one
+    int64 key (k^d <= 2**62).  Buckets are at least 2 reach wide, and 16
+    reach wide where the points are spread thinly enough.  A point within
+    reach of a bucket face is also listed in the bucket across it (and,
+    near a corner, in every bucket round it), so a query reads only its
+    own bucket.  The keys of the listings are held sorted, each bucket's in
+    point order.  Non-finite coordinates are hashed as 0; the match test on
+    the coordinates as given refuses them.
+    """
+
+    def __init__(self, points, reach: float):
+        self.points = np.asarray(points, dtype=float)
+        self.reach = reach
+        n, d = self.points.shape
+        self.scale = _scale(self.points)
+        cap = int(2 ** (62 / d))
+        while cap ** d > 2 ** 62:
+            cap -= 1
+        spread = max(int(1.0 / (16.0 * reach)), math.ceil(n ** (1.0 / d)))
+        k = max(1, min(cap, int(1.0 / (2.0 * reach)), spread))
+        self.k = k = k if k >= 3 else 1      # below 3, a bucket's two neighbours coincide
+        self.powers = k ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        finite = np.where(np.isfinite(self.points), self.points, 0.0)
+        u = (finite - np.floor(finite)) * k
+        base = np.floor(u)
+        below, above = u - base <= reach * k, u - base >= 1 - reach * k
+        base = base.astype(np.int64)
+        point = np.arange(n)
+        if k > 1 and (below | above).any():
+            # List each point in its own bucket, then in each bucket across
+            # the faces it is near, one per combination of axes.
+            count = 1 + below + above
+            total = np.prod(count, axis=1)
+            point = np.repeat(point, total)
+            rank = np.arange(len(point)) - np.repeat(np.cumsum(total) - total, total)
+            digit = rank[:, np.newaxis] // (np.cumprod(count, axis=1) // count)[point] % count[point]
+            base = base[point] + np.where(digit == 0, 0, np.where((digit == 1) & below[point], -1, 1))
+        keys = (base % k) @ self.powers
+        order = np.argsort(keys, kind="stable")
+        # Two last keys no bucket has, so a search and the key after it stay in range.
+        self.keys, self.listed = np.append(keys[order], [2 ** 63 - 1] * 2), point[order]
+
+    def matches(self, points, tol: float):
+        """Index pairs (i, j) where ``points[i]`` equals held point j modulo the
+        lattice, as ``lattice_matches`` gives them."""
+        a = np.asarray(points, dtype=float)
+        none = np.zeros(0, dtype=np.int64)
+        if len(a) == 0 or len(self.points) == 0:
+            return none, none
+        finite = a if np.isfinite(a).all() else np.where(np.isfinite(a), a, 0.0)
+        reach = _reach(tol, max(self.scale, float(np.max(np.abs(finite)))))
+        if reach > self.reach:
+            # Listed for a shorter reach: match against an index built for this one.
+            return _PointIndex(self.points, reach).matches(a, tol)
+        k = self.k
+        keys = (np.floor((finite - np.floor(finite)) * k).astype(np.int64) % k) @ self.powers
+        start = np.searchsorted(self.keys, keys)
+        if np.all((self.keys[start] == keys) & (self.keys[start + 1] != keys)):
+            # Each point's bucket lists one point, as it does for spread-out points.
+            i, j = np.arange(len(a)), self.listed[start]
+            diff = a - self.points[j]
+        else:
+            size = np.searchsorted(self.keys, keys, "right") - start
+            i = np.repeat(np.arange(len(a)), size)
+            j = self.listed[np.arange(len(i)) + np.repeat(start - (np.cumsum(size) - size), size)]
+            diff = a[i] - self.points[j]
+        hit = np.max(np.abs(diff - np.round(diff)), axis=1) <= tol
+        return (i, j) if hit.all() else (i[hit], j[hit])
+
+
 def lattice_matches(points, targets, tol: float):
     """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
 
     Both arguments are fractional coordinates, of shapes (n, d) and (m, d).
     A pair matches when ``max |delta - round(delta)| <= tol`` for
-    ``delta = points[i] - targets[j]``; that test alone decides.  Candidates
-    come from hashing the coordinates, wrapped onto the unit torus, into
-    buckets at least 2 tol wide (wider for huge coordinates, whose
-    differences lose precision) and pairing each point with the targets in
-    its own and the neighbouring buckets, so the cost is near-linear in
-    n + m for spread-out points.  Returns two int arrays sorted by i, then j.
+    ``delta = points[i] - targets[j]``; that test alone decides.  This is the
+    one-shot form of the matcher a framework holds for its own vertices: the
+    targets go into a ``_PointIndex`` built for the reach of ``tol`` at the
+    magnitude of both sets, and each point reads the one bucket where every
+    target it can match is listed, so the cost is near-linear in n + m for
+    spread-out points.  Returns two int arrays sorted by i, then j.
     """
     a = np.asarray(points, dtype=float)
     b = np.asarray(targets, dtype=float)
-    none = np.zeros(0, dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
+        none = np.zeros(0, dtype=np.int64)
         return none, none
-    d = a.shape[1]
-    # Non-finite entries match nothing; they are hashed as 0 to keep the buckets finite.
-    fa, fb = (np.where(np.isfinite(x), x, 0.0) for x in (a, b))
-    scale = max(1.0, float(np.max(np.abs(fa))), float(np.max(np.abs(fb))))
-    width = 2.0 * tol + 16.0 * np.finfo(float).eps * scale
-    k = max(1, int(1.0 / width))     # buckets per axis, each at least width wide
+    return _PointIndex(b, _reach(tol, max(_scale(a), _scale(b)))).matches(a, tol)
 
-    def bucket(x):
-        return np.floor((x - np.floor(x)) * k).astype(np.int64) % k
 
-    steps = sorted({s % k for s in (-1, 0, 1)})
-    shifts = np.array(list(itertools.product(steps, repeat=d)), dtype=np.int64)
-    queries = ((bucket(fa)[:, np.newaxis, :] + shifts) % k).reshape(-1, d)
-    _, group = _group_rows(np.concatenate([bucket(fb), queries]))
-    target_group, query_group = group[:len(b)], group[len(b):]
+def _row_search(table, rows) -> np.ndarray:
+    """For each row, the first index at which the lexicographically sorted
+    int ``table`` holds a row not less than it: one bisection over all rows."""
+    lo = np.zeros(len(rows), dtype=np.int64)
+    hi = np.full(len(rows), len(table), dtype=np.int64)
+    every = np.arange(len(rows))
+    for _ in range(len(table).bit_length()):
+        mid = (lo + hi) // 2
+        probe = table[np.minimum(mid, len(table) - 1)]
+        column = np.argmax(probe != rows, axis=1)      # first differing column; 0 when equal
+        less = probe[every, column] < rows[every, column]
+        active = lo < hi
+        lo = np.where(active & less, mid + 1, lo)
+        hi = np.where(active & ~less, mid, hi)
+    return lo
 
-    # Expand every query into the targets of its bucket.
-    members = np.argsort(target_group, kind="stable")
-    size = np.bincount(target_group, minlength=group.max() + 1)
-    first = np.cumsum(size) - size
-    per_query = size[query_group]
-    query = np.repeat(np.arange(len(query_group)), per_query)
-    rank = np.arange(len(query)) - np.repeat(np.cumsum(per_query) - per_query, per_query)
-    i = query // len(shifts)
-    j = members[first[query_group[query]] + rank]
 
-    diff = a[i] - b[j]
-    hit = np.max(np.abs(diff - np.round(diff)), axis=1) <= tol
-    i, j = i[hit], j[hit]
-    order = np.lexsort((j, i))
-    return i[order], j[order]
+class _MotifIndex:
+    """Everything a framework's vertex and edge matches read, built once.
+
+    ``frac`` holds the vertices' fractional coordinates, and ``vertices``
+    the same points in a ``_PointIndex`` built for 10 tol matches.  The
+    canonical edge-class rows (``_edge_class_keys``) are held in
+    lexicographic order as ``edge_rows``, with ``edge_order`` the edge of
+    each.  Where the columns' ranges over both orientations of every bar
+    pack into one int64, the packed rows of both orientations are held
+    sorted too, so an edge in either orientation finds its class by one
+    ``np.searchsorted``; otherwise its canonical row is bisected for.
+    """
+
+    def __init__(self, fw: CrystalFramework):
+        d = fw.dimension
+        self.frac = fw.lattice.fractional(fw.positions) if fw.vertices else np.zeros((0, d))
+        # Twice the reach of a 10 tol match among the vertices, so images
+        # moved further out than the vertices are matched here too.
+        self.vertices = _PointIndex(self.frac, 2 * _reach(10 * fw.tolerance, _scale(self.frac)))
+        ends, offsets = fw.edges.ends, fw.edges.offsets
+        rows = _edge_class_keys(ends, offsets)
+        self.edge_order = np.lexsort(rows.T[::-1])
+        self.edge_rows = rows[self.edge_order]
+        self.places = None
+        if len(rows):
+            both = np.concatenate([np.concatenate([ends, offsets], axis=1),
+                                   np.concatenate([ends[:, ::-1], -offsets], axis=1)])
+            self.low, self.high = both.min(axis=0), both.max(axis=0)
+            spans = [int(h) - int(l) + 1 for h, l in zip(self.high, self.low)]
+            if math.prod(spans) < 2 ** 63 - 1:
+                self.places = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=np.int64)
+                keys = (both - self.low) @ self.places
+                order = np.argsort(keys, kind="stable")
+                # A last key no row packs to, so every search lands on a key.
+                self.edge_keys = np.append(keys[order], 2 ** 63 - 1)
+                self.edge_owner = order % len(rows)
+
+    def edge_classes(self, ends, offsets) -> np.ndarray:
+        """The edge whose class each given edge (int ends (m, 2), offsets
+        (m, d)) belongs to, or -1 where none does."""
+        found = np.full(len(ends), -1, dtype=np.int64)
+        if not len(self.edge_rows) or not len(ends):
+            return found
+        if self.places is not None:
+            rows = np.concatenate([ends, offsets], axis=1)
+            # A row outside the columns' ranges is no class's, and would not pack.
+            inside = np.flatnonzero(np.all((rows >= self.low) & (rows <= self.high), axis=1))
+            keys = (rows[inside] - self.low) @ self.places
+            at = np.searchsorted(self.edge_keys, keys)
+            hit = self.edge_keys[at] == keys
+            found[inside[hit]] = self.edge_owner[at[hit]]
+        else:
+            rows = _edge_class_keys(ends, offsets)
+            at = np.minimum(_row_search(self.edge_rows, rows), len(self.edge_rows) - 1)
+            hit = np.all(self.edge_rows[at] == rows, axis=1)
+            found[hit] = self.edge_order[at[hit]]
+        return found
 
 
 def validate_framework(fw: CrystalFramework) -> list:
@@ -383,7 +522,8 @@ def validate_framework(fw: CrystalFramework) -> list:
 
     An empty list means the framework is valid.  CrystalFramework calls this
     on construction and raises InvalidFrameworkError when the list is not
-    empty.
+    empty.  Coincident vertices and repeated edge classes are read off the
+    framework's motif index, which is then held for every later match.
     """
     report = []
     d = fw.dimension
@@ -413,22 +553,29 @@ def validate_framework(fw: CrystalFramework) -> list:
     if report:
         return report
 
-    frac = fw.lattice.fractional(fw.positions) if fw.vertices else np.zeros((0, d))
-    for i, j in zip(*(x.tolist() for x in lattice_matches(frac, frac, tol))):
+    index = fw._motif_index
+    for i, j in zip(*(x.tolist() for x in index.vertices.matches(index.frac, tol))):
         if i < j:
             report.append(f"vertices {i} and {j} coincide modulo the lattice")
 
     found = list(fw.edges.problems)     # (edge index, rank within the edge, violation)
-    index = np.setdiff1d(np.arange(fw.edge_count), np.array([idx for idx, *_ in found], dtype=np.int64))
-    ends, cells, offsets = fw.edges.ends[index], fw.edges.cells[index], fw.edges.offsets[index]
+    valid = np.ones(fw.edge_count, dtype=bool)
+    valid[[idx for idx, *_ in found]] = False
+    checked = np.flatnonzero(valid)
+    ends, cells, offsets = fw.edges.ends[checked], fw.edges.cells[checked], fw.edges.offsets[checked]
     loop = (ends[:, 0] == ends[:, 1]) & ~offsets.any(axis=1)
-    found += [(idx, 0, f"edge {idx} is a self-loop within one cell") for idx in index[loop].tolist()]
+    found += [(idx, 0, f"edge {idx} is a self-loop within one cell") for idx in checked[loop].tolist()]
     short = ~loop & (np.linalg.norm(_bar_vectors(fw, ends, cells), axis=1) <= tol)
-    found += [(idx, 0, f"edge {idx} has zero length") for idx in index[short].tolist()]
+    found += [(idx, 0, f"edge {idx} has zero length") for idx in checked[short].tolist()]
 
-    bars = index[~loop]
-    first, group = _group_rows(_edge_class_keys(ends[~loop], offsets[~loop]))
-    owner = bars[first[group]]
+    # Among the bars, equal rows sit together in the held order, each run in edge order.
+    bar = np.zeros(fw.edge_count, dtype=bool)
+    bar[checked[~loop]] = True
+    keep = bar[index.edge_order]
+    bars, rows = index.edge_order[keep], index.edge_rows[keep]
+    starts = np.ones(len(bars), dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    owner = bars[np.maximum.accumulate(np.where(starts, np.arange(len(bars)), 0))]
     repeat = owner != bars
     found += [(idx, 1, f"edges {prior} and {idx} are translates of the same edge class")
               for prior, idx in zip(owner[repeat].tolist(), bars[repeat].tolist())]

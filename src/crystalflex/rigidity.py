@@ -86,6 +86,8 @@ class MatrixSpace:
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         mats = []
         for b in self.basis:
             m = np.asarray(b, dtype=float)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework, _edge_class_keys, _group_rows, lattice_matches
+from .frameworks import CELL_LIMIT, CrystalFramework
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -86,9 +86,12 @@ class SymmetryElement:
 def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g") -> SymmetryElement:
     """Match an isometry against the motif classes of a framework.
 
-    Raises SymmetryError if the linear part is not orthogonal, is
-    incompatible with the period lattice, or if some vertex or edge image
-    does not land on a framework vertex or edge class.
+    Only the images are matched: the vertex images against the framework's
+    held motif index (``CrystalFramework._motif_index``) to 10 tol, and the
+    image edges exactly against its sorted edge-class rows.  Raises
+    SymmetryError if the linear part is not orthogonal, is incompatible with
+    the period lattice, or if some vertex or edge image does not land on a
+    framework vertex or edge class.
     """
     d = fw.dimension
     tol = fw.tolerance
@@ -108,10 +111,13 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
         raise SymmetryError(f"element {name!r}: lattice-incompatible linear part")
     lattice_action = np.round(lattice_action).astype(int)
 
-    frac = fw.lattice.fractional(fw.positions)
+    index = fw._motif_index
     images = fw.lattice.fractional(fw.positions @ b.T + c)
-    image, target = lattice_matches(images, frac, 10 * tol)
-    image, first = np.unique(image, return_index=True)     # lowest matching class
+    image, target = index.vertices.matches(images, 10 * tol)
+    # The pairs come sorted: each image's first is its lowest matching class.
+    first = np.ones(len(image), dtype=bool)
+    first[1:] = image[1:] != image[:-1]
+    image, vertex_map = image[first], target[first]
     if len(image) != fw.vertex_count:
         matched = np.zeros(fw.vertex_count, dtype=bool)
         matched[image] = True
@@ -119,29 +125,23 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
         raise SymmetryError(
             f"element {name!r} is not a symmetry: image of vertex "
             f"{fw.vertex_label(unmatched)} matches no vertex class")
-    vertex_map = target[first]
-    shifts = np.round(images - frac[vertex_map])
+    shifts = np.round(images - index.frac[vertex_map])
     beyond = np.flatnonzero(np.any(np.abs(shifts) >= CELL_LIMIT, axis=1))
     if len(beyond):
         raise SymmetryError(f"element {name!r}: image of vertex "
                             f"{fw.vertex_label(beyond[0])} lies 2**53 or more cells away")
     shifts = shifts.astype(np.int64)
-    if len(set(vertex_map.tolist())) != fw.vertex_count:
+    if np.count_nonzero(np.bincount(vertex_map, minlength=fw.vertex_count)) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
     ends, offsets = fw.edges.ends, fw.edges.offsets
     image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
-    keys = np.concatenate([_edge_class_keys(ends, offsets),
-                           _edge_class_keys(vertex_map[ends], image_offsets)])
-    _, group = _group_rows(keys)
-    owner = np.full(len(keys), -1)
-    owner[group[:fw.edge_count]] = np.arange(fw.edge_count)
-    edge_map = owner[group[fw.edge_count:]]
+    edge_map = index.edge_classes(vertex_map[ends], image_offsets)
     unmatched = np.flatnonzero(edge_map < 0)
     if len(unmatched):
         raise SymmetryError(
             f"element {name!r} is not a symmetry: image of edge {unmatched[0]} matches no edge class")
-    if len(set(edge_map.tolist())) != fw.edge_count:
+    if np.count_nonzero(np.bincount(edge_map, minlength=fw.edge_count)) != fw.edge_count:
         raise SymmetryError(f"element {name!r}: edge action is not a bijection")
 
     return SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
@@ -247,6 +247,8 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     d = b.shape[0]
     if b.shape != (d, d):
         raise ValueError("linear part must be square")
+    if not np.isfinite(b).all():
+        raise ValueError("linear part is not finite")
     # vec(A B - B A) = (B^T kron I - I kron B) vec A.
     bracket = np.kron(b.T, np.eye(d)) - np.kron(np.eye(d), b)
     kernel = kernel_basis(bracket, tol)

@@ -10,9 +10,10 @@ frameworks and the rigid unit mode spectrum").
 
 ``_find_translations`` finds T: candidate translations are filtered
 cheaply and each generator is checked by ``symmetry.resolve_symmetry``
-with linear part I.  T is held by its generators' index maps, composed
-only over the points read: the orbit representatives, found by folding
-the generators' cycle labels, and the refused candidates' vertices.
+with linear part I, against the framework's held motif index.  T is held
+by its generators' index maps, composed only over the points read: the
+orbit representatives, found by folding the generators' cycles, and the
+refused candidates' vertices.
 ``_bloch_blocks`` assembles the real blocks from the
 edge table and takes one batched SVD per block shape, returned as a
 ``linalg.BlockSVD`` with the Fourier maps of the edges and the vertices.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .frameworks import CrystalFramework, _group_rows
 from .linalg import BlockSVD, FullSVD
-from .symmetry import SymmetryError, _cycles, resolve_symmetry
+from .symmetry import SymmetryError, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
 # to within this many units of round-off of the coordinates' magnitude.
@@ -78,8 +79,14 @@ class _Translations(NamedTuple):
     self_conjugate: int
 
 
-def _members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Which of the integer rows are rows of ``members``."""
+def _members(rows: np.ndarray, members: np.ndarray, modulus: int) -> np.ndarray:
+    """Which of the rows, of integers in [0, modulus), are rows of ``members``:
+    by one search for their packed keys where those fit an int64."""
+    d = rows.shape[1]
+    if modulus ** d < 2 ** 63:
+        places = modulus ** np.arange(d, dtype=np.int64)
+        keys, packed = np.sort(members @ places), rows @ places
+        return keys[np.minimum(np.searchsorted(keys, packed), len(keys) - 1)] == packed
     _, group = _group_rows(np.concatenate([members, rows]))
     found = np.zeros(len(members) + len(rows), dtype=bool)
     found[group[:len(members)]] = True
@@ -97,17 +104,20 @@ class _GroupBuilder:
 
     def __init__(self, d: int, modulus: int):
         self.modulus = modulus
+        self.divisors = 1 + np.flatnonzero(modulus % np.arange(1, modulus + 1) == 0)
         self.elements = np.zeros((1, d), dtype=np.int64)
         self.radices, self.relations, self.generators = [], [], []
 
     def add(self, a, generator):
-        steps, x = [self.elements], a
-        while not (found := np.flatnonzero(np.all(self.elements == x, axis=1))).size:
-            steps.append((steps[-1] + a) % self.modulus)
-            x = (x + a) % self.modulus
-        self.radices.append(len(steps))
-        self.relations.append(int(found[0]))
-        self.elements = np.concatenate(steps)
+        # q a is the least multiple of a in the group so far, and q divides
+        # the modulus; the elements gain the q cosets c a + G, 0 <= c < q, in that order.
+        multiples = self.divisors[:, np.newaxis] * a % self.modulus
+        least = int(np.argmax(_members(multiples, self.elements, self.modulus)))
+        q = int(self.divisors[least])
+        self.radices.append(q)
+        self.relations.append(int(np.flatnonzero(np.all(self.elements == multiples[least], axis=1))[0]))
+        cosets = np.arange(q)[:, np.newaxis, np.newaxis] * a + self.elements
+        self.elements = (cosets % self.modulus).reshape(-1, len(a))
         self.generators.append(generator)
 
     def images(self, points, which: str) -> np.ndarray:
@@ -127,14 +137,16 @@ class _GroupBuilder:
 
         The group is abelian, so the orbit of x under G_k is the union of the
         G_{k-1}-orbits along the cycle of a_k through x: its least point is
-        the least of theirs over that cycle.
+        the least of theirs over that cycle, found by pointer doubling.
         """
         least = np.arange(len(getattr(self.generators[0], which)))
         for g in self.generators:
-            labels = _cycles(getattr(g, which))
-            lowest = np.full(len(least), len(least))
-            np.minimum.at(lowest, labels, least)
-            least = lowest[labels]
+            # After j rounds each point holds the least over the 2**j points
+            # of its cycle that start at it; a cycle has at most len(least).
+            step = getattr(g, which)
+            for _ in range((len(least) - 1).bit_length()):
+                least = np.minimum(least, least[step])
+                step = step[step]
         return self.images(np.flatnonzero(least == np.arange(len(least))), which)
 
     def _digits(self, index, count: int) -> np.ndarray:
@@ -143,9 +155,8 @@ class _GroupBuilder:
         places = np.cumprod(np.concatenate([[1], radices]))[:-1]
         return np.asarray(index)[..., np.newaxis] // places % radices
 
-    def phases(self) -> tuple:
-        """Each character's phases at the generators and its (characters,
-        elements) phase matrix, in units of 1 / modulus.
+    def characters(self) -> np.ndarray:
+        """Each character's phases at the generators, in units of 1 / modulus.
 
         A character is fixed by its phases theta_k at the generators, which
         solve q_k theta_k = sum_j c_kj theta_j (mod modulus) where q_k a_k =
@@ -156,8 +167,17 @@ class _GroupBuilder:
             base = (theta @ self._digits(relation, k)) % self.modulus // q
             roots = (base[:, np.newaxis] + np.arange(q) * (self.modulus // q)) % self.modulus
             theta = np.column_stack([np.repeat(theta, q, axis=0), roots.reshape(-1)])
+        return theta
+
+    def phases(self, theta) -> np.ndarray:
+        """The (characters, elements) phase matrix of the characters with
+        phases ``theta`` at the generators, in units of 1 / modulus."""
         coords = self._digits(np.arange(len(self.elements)), len(self.radices))
-        return theta, (theta @ coords.T) % self.modulus
+        # One outer product per generator: an int64 matmul would not use BLAS.
+        phases = np.zeros((len(theta), len(coords)), dtype=np.int64)
+        for phase, coord in zip(theta.T, coords.T):
+            phases = (phases + np.multiply.outer(phase, coord)) % self.modulus
+        return phases
 
 
 def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_Translations]:
@@ -183,16 +203,19 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     # A translation maps the bars at vertex 0 onto those at its image with
     # equal bar vectors, so both have the same degree and sum of v v^T, up
     # to what the 10 tol matching lets the positions move.
-    star = np.zeros((n, d, d))
-    outer = vectors[:, :, np.newaxis] * vectors[:, np.newaxis]
-    np.add.at(star, ends.reshape(-1), np.repeat(outer, 2, axis=0))
+    # One weighted bincount sums the stars: each bin (vertex, entry) adds
+    # its bars in edge order, as np.add.at would.
+    outer = (vectors[:, :, np.newaxis] * vectors[:, np.newaxis]).reshape(-1, d * d)
+    bins = ends.reshape(-1, 1) * (d * d) + np.arange(d * d)
+    star = np.bincount(bins.reshape(-1), weights=np.repeat(outer, 2, axis=0).reshape(-1),
+                       minlength=n * d * d).reshape(n, d, d)
     degree = np.bincount(ends.reshape(-1), minlength=n)
     move = 20 * tol * float(np.max(np.sum(np.abs(z), axis=1)))
     slack = degree[0] * (4 * move * float(np.max(np.abs(vectors), initial=0.0)) + 4 * move ** 2)
     image = 1 + np.flatnonzero((degree[1:] == degree[0])
                                & (np.max(np.abs(star[1:] - star[0]), axis=(1, 2)) <= slack))
 
-    frac = fw.lattice.fractional(fw.positions)
+    frac = fw._motif_index.frac
     shifts = (frac[image] - frac[0]) % 1.0
     divisors = np.arange(2, n + 1)
     divisors = divisors[n % divisors == 0]
@@ -211,12 +234,12 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     group, refused = _GroupBuilder(d, modulus), [0]
     # A candidate's order modulo G divides the modulus, so it is the least
     # divisor whose multiple of the candidate lies in G.
-    powers = np.concatenate([[1], divisors[modulus % divisors == 0]])[:, np.newaxis, np.newaxis]
+    powers = group.divisors[:, np.newaxis, np.newaxis]
     while len(candidates):
         # The candidate of largest order modulo G grows G the most. None left
         # is in G: its image would lie in the G-orbit of vertex 0, which
         # ``refused`` starts with, so every order is at least 2.
-        inside = _members((powers * candidates % modulus).reshape(-1, d), group.elements)
+        inside = _members((powers * candidates % modulus).reshape(-1, d), group.elements, modulus)
         pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
         a, v = candidates[pick], image[pick]
         try:
@@ -235,15 +258,17 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     if not group.radices:
         return None
 
-    theta, phases = group.phases()
-    count = len(phases)
+    theta = group.characters()
+    count = len(theta)
     first, same = _group_rows(np.concatenate([theta, -theta % modulus]))
     partner = first[same[count:]]       # the conjugate of each character
     real = np.flatnonzero(partner == np.arange(count))
     paired = np.flatnonzero(partner > np.arange(count))
-    chosen = np.concatenate([real, paired])
-    angle = 2 * np.pi * phases[chosen] / modulus
-    cos, sin = np.cos(angle), np.sin(angle)
+    # Phases are multiples of 1 / modulus, so cos and sin are read from one
+    # table of the modulus angles, and only for the characters kept.
+    phases = group.phases(theta[np.concatenate([real, paired])])
+    angle = 2 * np.pi * np.arange(modulus) / modulus
+    cos, sin = np.cos(angle)[phases], np.sin(angle)[phases]
     fourier = np.empty((count, count))
     fourier[:, :len(real)] = cos[:len(real)].T / np.sqrt(count)
     fourier[:, len(real)::2] = np.sqrt(2.0 / count) * cos[len(real):].T

@@ -13,16 +13,25 @@ replaced.
 ``translation_tables`` and ``orbit_tables`` build a translation group's
 permutation of every point by every element and read its orbits off them,
 where the package composes its generators' maps over a few points.
+``pairwise_matches`` is the direct O(n m) matching loop.
+``reference_lattice_matches``, ``reference_resolve_symmetry`` and
+``reference_find_translations`` are the matcher that re-bucketed every
+target and regrouped every edge class on each call, kept unchanged so that
+the held motif index can be compared with it bit for bit.
 """
 
 import itertools
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
 
 import crystalflex as cf
+from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys, _group_rows
 from crystalflex.linalg import BlockSVD, factorize_bordered, full_svd
+from crystalflex.symmetry import SymmetryElement, SymmetryError
+from crystalflex.translations import BAR_ROUNDOFF_ULPS, _GroupBuilder, _Translations
 
 
 def _exact_matrices(positions, period_columns, edges, d):
@@ -209,6 +218,33 @@ def scrambled_supercell(name, factors, rng, translate=True):
     return cf.CrystalFramework(big.lattice, vertices, edges, tolerance=big.tolerance)
 
 
+def centred_square():
+    """The square grid rotated by 45 degrees, in its centred 2 x 2 cell:
+    the centring (1/2, 1/2) is a translation that is not a period."""
+    vertices = [cf.MotifVertex([0.0, 0.0]), cf.MotifVertex([1.0, 1.0])]
+    edges = [cf.MotifEdge(0, (0, 0), 1, cell) for cell in [(0, 0), (-1, 0), (0, -1), (-1, -1)]]
+    return cf.CrystalFramework(cf.PeriodLattice(2 * np.eye(2)), vertices, edges)
+
+
+def chain():
+    """A one-dimensional chain of two vertex classes with a second-neighbour bar."""
+    return cf.CrystalFramework(cf.PeriodLattice([[1.0]]), [cf.MotifVertex([0.0]), cf.MotifVertex([0.3])],
+                               [cf.MotifEdge(0, (0,), 1, (0,)), cf.MotifEdge(1, (0,), 0, (1,)),
+                                cf.MotifEdge(0, (0,), 0, (2,))])
+
+
+def moved_vertex(fw, distance):
+    """``fw`` with its vertex 0 moved by ``distance`` along every axis."""
+    vertices = list(fw.vertices)
+    vertices[0] = cf.MotifVertex(vertices[0].position + distance, vertices[0].name)
+    return replace(fw, vertices=tuple(vertices))
+
+
+def deleted_bar(fw):
+    """``fw`` without its bar 0."""
+    return cf.CrystalFramework(fw.lattice, fw.vertices, list(fw.edges)[1:], tolerance=fw.tolerance)
+
+
 def reference_supercell(fw, factors):
     """The per-copy loop that the array ``supercell`` replaced: (period
     matrix, vertices, edges) of the supercell, with one MotifEdge built per
@@ -296,3 +332,246 @@ def orbit_tables(perms):
     element[table] = np.arange(len(table))[:, np.newaxis]
     orbit[table] = np.arange(len(reps))
     return table, element, orbit
+
+
+def pairwise_matches(points, targets, tol):
+    """The direct O(n m) loop that lattice_matches replaces (reference)."""
+    pairs = []
+    for i in range(len(points)):
+        for j in range(len(targets)):
+            diff = points[i] - targets[j]
+            if np.max(np.abs(diff - np.round(diff))) <= tol:
+                pairs.append((i, j))
+    return pairs
+
+
+def reference_lattice_matches(points, targets, tol: float):
+    """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
+
+    Both arguments are fractional coordinates, of shapes (n, d) and (m, d).
+    A pair matches when ``max |delta - round(delta)| <= tol`` for
+    ``delta = points[i] - targets[j]``; that test alone decides.  Candidates
+    come from hashing the coordinates, wrapped onto the unit torus, into
+    buckets at least 2 tol wide (wider for huge coordinates, whose
+    differences lose precision) and pairing each point with the targets in
+    its own and the neighbouring buckets, so the cost is near-linear in
+    n + m for spread-out points.  Returns two int arrays sorted by i, then j.
+    """
+    a = np.asarray(points, dtype=float)
+    b = np.asarray(targets, dtype=float)
+    none = np.zeros(0, dtype=np.int64)
+    if len(a) == 0 or len(b) == 0:
+        return none, none
+    d = a.shape[1]
+    # Non-finite entries match nothing; they are hashed as 0 to keep the buckets finite.
+    fa, fb = (np.where(np.isfinite(x), x, 0.0) for x in (a, b))
+    scale = max(1.0, float(np.max(np.abs(fa))), float(np.max(np.abs(fb))))
+    width = 2.0 * tol + 16.0 * np.finfo(float).eps * scale
+    k = max(1, int(1.0 / width))     # buckets per axis, each at least width wide
+
+    def bucket(x):
+        return np.floor((x - np.floor(x)) * k).astype(np.int64) % k
+
+    steps = sorted({s % k for s in (-1, 0, 1)})
+    shifts = np.array(list(itertools.product(steps, repeat=d)), dtype=np.int64)
+    queries = ((bucket(fa)[:, np.newaxis, :] + shifts) % k).reshape(-1, d)
+    _, group = _group_rows(np.concatenate([bucket(fb), queries]))
+    target_group, query_group = group[:len(b)], group[len(b):]
+
+    # Expand every query into the targets of its bucket.
+    members = np.argsort(target_group, kind="stable")
+    size = np.bincount(target_group, minlength=group.max() + 1)
+    first = np.cumsum(size) - size
+    per_query = size[query_group]
+    query = np.repeat(np.arange(len(query_group)), per_query)
+    rank = np.arange(len(query)) - np.repeat(np.cumsum(per_query) - per_query, per_query)
+    i = query // len(shifts)
+    j = members[first[query_group[query]] + rank]
+
+    diff = a[i] - b[j]
+    hit = np.max(np.abs(diff - np.round(diff)), axis=1) <= tol
+    i, j = i[hit], j[hit]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def reference_resolve_symmetry(fw, linear, translation, name: str = "g") -> SymmetryElement:
+    """Match an isometry against the motif classes of a framework.
+
+    Raises SymmetryError if the linear part is not orthogonal, is
+    incompatible with the period lattice, or if some vertex or edge image
+    does not land on a framework vertex or edge class.
+    """
+    d = fw.dimension
+    tol = fw.tolerance
+    # Copies: the element's read-only arrays share no memory with the caller's.
+    b = np.array(linear, dtype=float)
+    c = np.array(translation, dtype=float).reshape(-1)
+    if b.shape != (d, d) or c.shape != (d,):
+        raise SymmetryError(f"element {name!r}: expected a {d}x{d} linear part and a {d}-vector")
+    for part, value in (("linear part", b), ("translation", c)):
+        if not np.isfinite(value).all():
+            raise SymmetryError(f"element {name!r}: {part} is not finite")
+    if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
+        raise SymmetryError(f"element {name!r}: linear part is not orthogonal")
+
+    lattice_action = np.linalg.solve(fw.lattice.matrix, b @ fw.lattice.matrix)
+    if np.max(np.abs(lattice_action - np.round(lattice_action))) > 10 * tol:
+        raise SymmetryError(f"element {name!r}: lattice-incompatible linear part")
+    lattice_action = np.round(lattice_action).astype(int)
+
+    frac = fw.lattice.fractional(fw.positions)
+    images = fw.lattice.fractional(fw.positions @ b.T + c)
+    image, target = reference_lattice_matches(images, frac, 10 * tol)
+    image, first = np.unique(image, return_index=True)     # lowest matching class
+    if len(image) != fw.vertex_count:
+        matched = np.zeros(fw.vertex_count, dtype=bool)
+        matched[image] = True
+        unmatched = int(np.argmin(matched))
+        raise SymmetryError(
+            f"element {name!r} is not a symmetry: image of vertex "
+            f"{fw.vertex_label(unmatched)} matches no vertex class")
+    vertex_map = target[first]
+    shifts = np.round(images - frac[vertex_map])
+    beyond = np.flatnonzero(np.any(np.abs(shifts) >= CELL_LIMIT, axis=1))
+    if len(beyond):
+        raise SymmetryError(f"element {name!r}: image of vertex "
+                            f"{fw.vertex_label(beyond[0])} lies 2**53 or more cells away")
+    shifts = shifts.astype(np.int64)
+    if len(set(vertex_map.tolist())) != fw.vertex_count:
+        raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
+
+    ends, offsets = fw.edges.ends, fw.edges.offsets
+    image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
+    keys = np.concatenate([_edge_class_keys(ends, offsets),
+                           _edge_class_keys(vertex_map[ends], image_offsets)])
+    _, group = _group_rows(keys)
+    owner = np.full(len(keys), -1)
+    owner[group[:fw.edge_count]] = np.arange(fw.edge_count)
+    edge_map = owner[group[fw.edge_count:]]
+    unmatched = np.flatnonzero(edge_map < 0)
+    if len(unmatched):
+        raise SymmetryError(
+            f"element {name!r} is not a symmetry: image of edge {unmatched[0]} matches no edge class")
+    if len(set(edge_map.tolist())) != fw.edge_count:
+        raise SymmetryError(f"element {name!r}: edge action is not a bijection")
+
+    return SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
+                           vertex_offsets=shifts, edge_map=edge_map, lattice_action=lattice_action)
+
+
+def _reference_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Which of the integer rows are rows of ``members``."""
+    _, group = _group_rows(np.concatenate([members, rows]))
+    found = np.zeros(len(members) + len(rows), dtype=bool)
+    found[group[:len(members)]] = True
+    return found[group[len(members):]]
+
+
+def _reference_phases(group):
+    """Each character's phases at the generators and its (characters,
+    elements) phase matrix, in units of 1 / modulus.
+
+    A character is fixed by its phases theta_k at the generators, which
+    solve q_k theta_k = sum_j c_kj theta_j (mod modulus) where q_k a_k =
+    sum_j c_kj a_j; that has q_k solutions, modulus / q_k apart.
+    """
+    theta = np.zeros((1, 0), dtype=np.int64)
+    for k, (q, relation) in enumerate(zip(group.radices, group.relations)):
+        base = (theta @ group._digits(relation, k)) % group.modulus // q
+        roots = (base[:, np.newaxis] + np.arange(q) * (group.modulus // q)) % group.modulus
+        theta = np.column_stack([np.repeat(theta, q, axis=0), roots.reshape(-1)])
+    coords = group._digits(np.arange(len(group.elements)), len(group.radices))
+    return theta, (theta @ coords.T) % group.modulus
+
+
+def reference_find_translations(fw, vectors: np.ndarray):
+    """The translations of a motif onto itself that are not periods, or None
+    when there are none.
+
+    Every translation moves vertex 0 onto some vertex v, so the candidates
+    are the fractional differences t = f_v - f_0.  A candidate is kept when
+    v has the degree of vertex 0 and the same sum of v v^T over its bars,
+    and t has a finite order k dividing |Fv| (k t integral to 10 tol k); it
+    is then a / M, M the least common multiple of the kept orders.  Of the
+    candidates outside the group G found so far and outside the cosets
+    a + G of the refused ones, the one of largest order modulo G is checked
+    next, by ``resolve_symmetry`` with linear part I: it must match, and
+    map each bar vector onto its image's to within BAR_ROUNDOFF_ULPS units
+    of round-off of the largest endpoint coordinate.  The accepted ones
+    generate T.
+    """
+    n, d, tol = fw.vertex_count, fw.dimension, fw.tolerance
+    if n < 2:
+        return None
+    z, ends = fw.lattice.matrix, fw.edges.ends
+    # A translation maps the bars at vertex 0 onto those at its image with
+    # equal bar vectors, so both have the same degree and sum of v v^T, up
+    # to what the 10 tol matching lets the positions move.
+    star = np.zeros((n, d, d))
+    outer = vectors[:, :, np.newaxis] * vectors[:, np.newaxis]
+    np.add.at(star, ends.reshape(-1), np.repeat(outer, 2, axis=0))
+    degree = np.bincount(ends.reshape(-1), minlength=n)
+    move = 20 * tol * float(np.max(np.sum(np.abs(z), axis=1)))
+    slack = degree[0] * (4 * move * float(np.max(np.abs(vectors), initial=0.0)) + 4 * move ** 2)
+    image = 1 + np.flatnonzero((degree[1:] == degree[0])
+                               & (np.max(np.abs(star[1:] - star[0]), axis=(1, 2)) <= slack))
+
+    frac = fw.lattice.fractional(fw.positions)
+    shifts = (frac[image] - frac[0]) % 1.0
+    divisors = np.arange(2, n + 1)
+    divisors = divisors[n % divisors == 0]
+    multiples = divisors[:, np.newaxis, np.newaxis] * shifts
+    integral = np.max(np.abs(multiples - np.round(multiples)), axis=2) <= 10 * tol * divisors[:, np.newaxis]
+    finite = integral.any(axis=0)
+    if not finite.any():
+        return None
+    modulus = int(np.lcm.reduce(divisors[np.argmax(integral, axis=0)][finite]))
+    # Candidate a / modulus moves vertex 0 onto vertex ``image``.
+    candidates = np.round(shifts[finite] * modulus).astype(np.int64) % modulus
+    image = image[finite]
+
+    scale = max(1.0, float(np.max(np.abs(fw.positions[ends] + fw.edges.cells @ z.T), initial=0.0)))
+    roundoff = BAR_ROUNDOFF_ULPS * np.finfo(float).eps * scale
+    group, refused = _GroupBuilder(d, modulus), [0]
+    # A candidate's order modulo G divides the modulus, so it is the least
+    # divisor whose multiple of the candidate lies in G.
+    powers = np.concatenate([[1], divisors[modulus % divisors == 0]])[:, np.newaxis, np.newaxis]
+    while len(candidates):
+        # The candidate of largest order modulo G grows G the most. None left
+        # is in G: its image would lie in the G-orbit of vertex 0, which
+        # ``refused`` starts with, so every order is at least 2.
+        inside = _reference_members((powers * candidates % modulus).reshape(-1, d), group.elements)
+        pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
+        a, v = candidates[pick], image[pick]
+        try:
+            g = reference_resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")
+            moved = vectors[g.edge_map]
+            if np.max(np.minimum(np.abs(vectors - moved), np.abs(vectors + moved)), initial=0.0) > roundoff:
+                raise SymmetryError("a bar vector moves by more than round-off")
+            group.add(a, g)
+        except SymmetryError:
+            refused.append(v)
+        # A candidate is in G, or in a coset a + G of a refused a, when its
+        # image lies in the G-orbit of vertex 0, or of the refused one's.
+        outside = ~np.isin(image, group.images(refused, "vertex_map"))
+        outside[pick] = False
+        candidates, image = candidates[outside], image[outside]
+    if not group.radices:
+        return None
+
+    theta, phases = _reference_phases(group)
+    count = len(phases)
+    first, same = _group_rows(np.concatenate([theta, -theta % modulus]))
+    partner = first[same[count:]]       # the conjugate of each character
+    real = np.flatnonzero(partner == np.arange(count))
+    paired = np.flatnonzero(partner > np.arange(count))
+    chosen = np.concatenate([real, paired])
+    angle = 2 * np.pi * phases[chosen] / modulus
+    cos, sin = np.cos(angle), np.sin(angle)
+    fourier = np.empty((count, count))
+    fourier[:, :len(real)] = cos[:len(real)].T / np.sqrt(count)
+    fourier[:, len(real)::2] = np.sqrt(2.0 / count) * cos[len(real):].T
+    fourier[:, len(real) + 1::2] = -np.sqrt(2.0 / count) * sin[len(real):].T
+    return _Translations(group.orbit_table("vertex_map"), group.orbit_table("edge_map"),
+                         fourier, cos, sin, len(real))

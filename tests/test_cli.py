@@ -1,15 +1,19 @@
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crystalflex as cf
+import crystalflex.catalog
 import crystalflex.cli as cli
+import crystalflex.fileio
 import crystalflex.frameworks
 import crystalflex.rigidity
 import crystalflex.symmetry
+import crystalflex.translations
 from crystalflex.cli import main
 from oracles import dense_factorization, scrambled_supercell
 
@@ -695,6 +699,54 @@ class TestWorkPerRequest:
         assert code == 0
         assert [shape for shape in svd_shapes if big.edge_count in shape[-2:-1]] == []
         assert [shape for shape in svd_shapes if min(shape[-2:]) > self.block_bound(big, 27)] == []
+
+    def test_symmetry_matches_against_one_held_motif_index(self, capsys, monkeypatch):
+        # The kagome 6 x 6 file is on the Bloch path, so its request resolves
+        # r3 and the two generators of its translations. The motif index is
+        # built once, by validation, and no sort inside resolve_symmetry
+        # reads more than the |Fe| = 216 edge rows: once every target vertex
+        # was re-bucketed with 3^d + 1 rows each and 2 |Fe| edge rows grouped.
+        path = Path(__file__).resolve().parent / "golden" / "kagome_6x6_r3.json"
+        builds, resolved, sorted_rows, depth = [], [], [], [0]
+        build = crystalflex.frameworks._MotifIndex.__init__
+
+        def counting_build(index, fw):
+            builds.append(fw)
+            build(index, fw)
+
+        resolve = crystalflex.symmetry.resolve_symmetry
+
+        def tracking_resolve(*args, **kwargs):
+            resolved.append(args[0])
+            depth[0] += 1
+            try:
+                return resolve(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        lexsort, group_rows = np.lexsort, crystalflex.frameworks._group_rows
+
+        def counting_lexsort(keys, *args, **kwargs):
+            if depth[0]:
+                sorted_rows.append(np.shape(keys)[-1])
+            return lexsort(keys, *args, **kwargs)
+
+        def counting_group_rows(rows):
+            if depth[0]:
+                sorted_rows.append(len(rows))
+            return group_rows(rows)
+
+        monkeypatch.setattr(crystalflex.frameworks._MotifIndex, "__init__", counting_build)
+        for module in (crystalflex.symmetry, crystalflex.fileio, crystalflex.translations, crystalflex.catalog):
+            monkeypatch.setattr(module, "resolve_symmetry", tracking_resolve)
+        for module in (crystalflex.frameworks, crystalflex.translations):
+            monkeypatch.setattr(module, "_group_rows", counting_group_rows)
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters")
+        assert code == 0
+        assert len(builds) == 1 and builds[0].edge_count == 216
+        assert len(resolved) == 3
+        assert max(sorted_rows, default=0) <= 216
 
     def test_rigid_motions_take_one_kernel_and_one_span(
             self, kagome, counters, solves, monkeypatch):

@@ -203,6 +203,69 @@ class TestLongEdgeList:
         assert bulk.edges == cf.framework_from_dict(doc).edges
 
 
+class TestLongVertexList:
+    """The vertex list is read in bulk too; a malformed field in the middle of
+    a long list fails with the message and path of the per-field check."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda v: v.update(position=[0.5, True]), "vertices[100].position[1]: expected a number"),
+        (lambda v: v.update(position=[0.5, "0"]), "vertices[100].position[1]: expected a number"),
+        (lambda v: v.update(position=[float("nan"), 0.0]), "vertices[100].position[0]: expected a finite number"),
+        (lambda v: v.update(position=[10 ** 400, 0.0]), "vertices[100].position[0]: expected a finite number"),
+        (lambda v: v.update(position=[0.5]), "vertices[100].position: expected a list of 2 numbers"),
+        (lambda v: v.update(position=(0.5, 0.5)), "vertices[100].position: expected a list of 2 numbers"),
+        (lambda v: v.pop("position"), "vertices[100].position: missing required field"),
+        (lambda v: v.update(id=7), "vertices[100].id: expected str"),
+        (lambda v: v.update(id="p1[0,3]"), "vertices[100].id: duplicate vertex id 'p1[0,3]'"),
+        (lambda v: v.pop("id"), "vertices[100].id: missing required field"),
+        (lambda v: v.update(frac=1), "vertices[100].frac: expected a boolean"),
+    ])
+    def test_malformed_field_is_named(self, kagome, change, message):
+        doc = cf.framework_to_dict(cf.supercell(kagome, (8, 8)))
+        change(doc["vertices"][100])
+        with pytest.raises(cf.FrameworkParseError) as info:
+            cf.framework_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_entry_that_is_not_an_object(self, kagome):
+        doc = cf.framework_to_dict(cf.supercell(kagome, (8, 8)))
+        doc["vertices"][100] = [0.5, 0.5]
+        with pytest.raises(cf.FrameworkParseError, match=r"^vertices\[100\]: expected an object$"):
+            cf.framework_from_dict(doc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(cf.BUILTIN_NAMES))
+    def test_bulk_vertices_are_the_per_field_vertices(self, seed, name):
+        # Fractional positions, default and explicit flags, and integer
+        # coordinates give bitwise the same vertices on both paths.
+        rng = np.random.default_rng(seed)
+        doc = cf.framework_to_dict(scrambled_supercell(name, 2, rng))
+        for vertex in doc["vertices"]:
+            flag = int(rng.integers(3))
+            if flag == 1:
+                vertex["frac"] = True
+                vertex["position"] = rng.uniform(-1, 2, len(vertex["position"])).tolist()
+            elif flag == 2:
+                vertex["frac"] = False
+                vertex["position"] = [int(x) for x in rng.integers(-5, 6, len(vertex["position"]))]
+        try:
+            bulk = cf.framework_from_dict(doc)
+        except cf.FrameworkParseError as exc:     # a moved vertex may now coincide or sit on a bar
+            bulk = str(exc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crystalflex.fileio, "_vertex_rows", lambda *args: None)
+            try:
+                each = cf.framework_from_dict(doc)
+            except cf.FrameworkParseError as exc:
+                each = str(exc)
+        if isinstance(bulk, str):
+            assert bulk == each
+            return
+        assert [v.name for v in bulk.vertices] == [v.name for v in each.vertices]
+        assert bulk.positions.tobytes() == each.positions.tobytes()
+        assert bulk.edges == each.edges
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
 
 

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.frameworks
 from crystalflex.frameworks import _group_rows, lattice_matches
-from oracles import random_framework, reference_supercell, scrambled_supercell
+from oracles import pairwise_matches, random_framework, reference_supercell, scrambled_supercell
 
 S3 = np.sqrt(3.0)
 
@@ -240,17 +240,6 @@ def test_row_grouping_is_np_unique(d, seed, spread):
     _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     assert np.array_equal(first, want_first)
     assert np.array_equal(inverse, want_inverse.reshape(-1))
-
-
-def pairwise_matches(points, targets, tol):
-    """The direct O(n m) loop that lattice_matches replaces (reference)."""
-    pairs = []
-    for i in range(len(points)):
-        for j in range(len(targets)):
-            diff = points[i] - targets[j]
-            if np.max(np.abs(diff - np.round(diff))) <= tol:
-                pairs.append((i, j))
-    return pairs
 
 
 @st.composite

@@ -3,9 +3,11 @@
 Each case runs ``crystalflex`` in-process from ``tests/golden`` (so the
 kagome 2x2 file is named by its relative path in the report) and compares
 stdout with ``tests/golden/<case>.txt``; stderr must be empty and the exit
-code 0.  Text reports for every command; JSON only where it carries no
-flex or stress bases (``symmetry`` and ``supercell``), because the bases of
-multi-dimensional kernels depend on the LAPACK build.
+code 0.  Text reports for every command, and for ``analyze`` and
+``symmetry --characters`` on two files whose strict operator is factored as
+Bloch blocks; JSON only where it carries no flex or stress bases
+(``symmetry`` and ``supercell``), because the bases of multi-dimensional
+kernels depend on the LAPACK build.
 
 Run ``python tests/test_golden.py`` to record the goldens again.
 """
@@ -34,8 +36,16 @@ COMMANDS = {
     "analyze_diagonal": ["analyze", "--mode", "space", "diagonal"],
     "symmetry_characters": ["symmetry", "--characters"],
 }
+# Files large enough (d |Fv| >= 150) that R0's SVD is held as Bloch blocks,
+# written by bench/motifs.generate(name, n, 1, True): text reports only.
+BLOCH_INPUTS = {
+    "kagome_6x6_r3": ["kagome_6x6_r3.json"],
+    "hexahedron_3x3x3_r3": ["hexahedron_3x3x3_r3.json"],
+}
 REPORTS = {f"{command}-{name}": COMMANDS[command][:1] + source + COMMANDS[command][1:]
            for command in COMMANDS for name, source in INPUTS.items()}
+REPORTS.update({f"{command}-{name}": COMMANDS[command][:1] + source + COMMANDS[command][1:]
+                for command in ("analyze", "symmetry_characters") for name, source in BLOCH_INPUTS.items()})
 JSON_REPORTS = {f"symmetry_characters-{name}": ["symmetry"] + source + ["--characters", "--json"]
                 for name, source in INPUTS.items()}
 JSON_REPORTS["supercell_2x2-kagome"] = ["supercell", "--builtin", "kagome", "--n", "2,2"]

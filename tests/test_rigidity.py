@@ -16,11 +16,15 @@ from crystalflex.frameworks import _bar_vectors
 from crystalflex.rigidity import _skew_generators, unvec, vec
 from crystalflex.translations import _find_translations, _orbits
 from oracles import (
+    centred_square,
+    chain,
+    deleted_bar,
     dense_counts,
     dense_factorization,
     direct_row_values,
     exact_rank_profile,
     match_rows_up_to_sign,
+    moved_vertex,
     orbit_tables,
     random_framework,
     scrambled_supercell,
@@ -66,6 +70,14 @@ class TestMatrixSpaces:
         a = np.eye(2)
         with pytest.raises(ValueError, match="dependent"):
             cf.MatrixSpace(2, (a, 2 * a))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # A nan used to fail the rank test as a dependent basis; 0 and
+        # negative values were accepted.
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$") as info:
+            cf.matrix_space("full", 2, tol=tol)
+        assert not isinstance(info.value, cf.DependentBasisError)
 
     def test_coordinates_round_trip(self):
         sym = cf.matrix_space("symmetric", 2)
@@ -783,31 +795,6 @@ def test_bloch_blocks_match_the_dense_operator(name, factors, tol, seed):
         assert_blocks_match_dense(fw, e, rng)
 
 
-def centred_square():
-    """The square grid rotated by 45 degrees, in its centred 2 x 2 cell:
-    the centring (1/2, 1/2) is a translation that is not a period."""
-    vertices = [cf.MotifVertex([0.0, 0.0]), cf.MotifVertex([1.0, 1.0])]
-    edges = [cf.MotifEdge(0, (0, 0), 1, cell) for cell in [(0, 0), (-1, 0), (0, -1), (-1, -1)]]
-    return cf.CrystalFramework(cf.PeriodLattice(2 * np.eye(2)), vertices, edges)
-
-
-def chain():
-    """A one-dimensional chain of two vertex classes with a second-neighbour bar."""
-    return cf.CrystalFramework(cf.PeriodLattice([[1.0]]), [cf.MotifVertex([0.0]), cf.MotifVertex([0.3])],
-                               [cf.MotifEdge(0, (0,), 1, (0,)), cf.MotifEdge(1, (0,), 0, (1,)),
-                                cf.MotifEdge(0, (0,), 0, (2,))])
-
-
-def moved_vertex(fw, distance):
-    vertices = list(fw.vertices)
-    vertices[0] = cf.MotifVertex(vertices[0].position + distance, vertices[0].name)
-    return replace(fw, vertices=tuple(vertices))
-
-
-def deleted_bar(fw):
-    return cf.CrystalFramework(fw.lattice, fw.vertices, list(fw.edges)[1:], tolerance=fw.tolerance)
-
-
 class TestTranslationDetection:
     def test_builtins_are_primitive(self, any_builtin):
         assert translation_count(any_builtin) == 1
@@ -925,9 +912,9 @@ class TestDetectionWork:
         sizes = []
         members = crystalflex.translations._members
 
-        def counting(rows, elements):
+        def counting(rows, *args):
             sizes.append(len(rows))
-            return members(rows, elements)
+            return members(rows, *args)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crystalflex.translations, "_members", counting)

@@ -606,6 +606,13 @@ class TestCommutant:
         for a in cf.commutant_basis(b).basis:
             assert_allclose(a @ b, b @ a, atol=1e-12)
 
+    @pytest.mark.parametrize("linear", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]]])
+    def test_non_finite_linear_part_is_refused(self, linear):
+        # Refused before any arithmetic: np.kron warned and the SVD did not converge.
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="^linear part is not finite$"):
+                cf.commutant_basis(linear)
+
 
 class TestFixedSpace:
     def test_identity_operator(self, kagome):
