@@ -30,10 +30,10 @@ the offending field path or element name.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -282,8 +282,16 @@ def parse_framework(text: str) -> CrystalFramework:
 
 
 def framework_to_dict(fw: CrystalFramework) -> dict:
+    """The file document of ``fw``.  A vertex's id is its name, even an
+    empty one, and ``v{i}`` for the i-th vertex when it has none; ids that
+    repeat raise ValueError, since no file may hold them."""
     d = fw.dimension
-    labels = [fw.vertex_label(i) for i in range(fw.vertex_count)]
+    labels = [f"v{i}" if v.name is None else v.name for i, v in enumerate(fw.vertices)]
+    if len(set(labels)) < len(labels):
+        first = {}
+        for i, label in enumerate(labels):
+            if first.setdefault(label, i) != i:
+                raise ValueError(f"vertices {first[label]} and {i} would both be written with id {label!r}")
     doc = {
         "format": FORMAT_VERSION,
         "dimension": d,
@@ -383,24 +391,44 @@ _BATCH = 1 << 12        # values per numpy pass; larger passes hold more tempora
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, with lists of floats written in bulk.
+    """``json.dumps(obj, indent=2)``, with float64 arrays written in bulk.
 
     ``obj`` may also hold float64 ndarrays, each written as its ``tolist()``
-    would be.  Their text is filled in after the walk, in runs of whole rows
+    would be.  ``json``'s own encoder writes everything else; it meets each
+    non-empty, finite 1-D or 2-D array as a string holding a token drawn for
+    this call, and the arrays' text replaces the quoted tokens afterwards,
+    each nested as deep as its line is indented, in runs of whole rows
     formatted together about ``_BATCH`` values at a time.
     """
-    out, arrays = [], []
-    _write_json(obj, 0, out, arrays)
-    pieces = []
-    for batch in _batches(_array_runs(arrays)):
+    token, arrays = os.urandom(16).hex(), []
+
+    def leaf(o):
+        if not (isinstance(o, np.ndarray) and o.dtype == np.float64):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if o.ndim in (1, 2) and o.size and np.isfinite(o).all():
+            arrays.append(o)
+            return token
+        return o.tolist()
+
+    text = json.JSONEncoder(indent=2, check_circular=False, default=leaf).encode(obj)
+    pieces = text.split(f'"{token}"')
+    if len(pieces) != len(arrays) + 1:
+        raise RuntimeError("a string in the JSON equals the placeholder of an array")
+    out = [""] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    # Array i fills out[2 i + 1], nested as deep as the line pieces[i] ends on is indented.
+    lines = (before[before.rfind("\n") + 1:] for before in pieces)
+    levels = ((len(line) - len(line.lstrip(" "))) // len(_INDENT) for line in lines)
+    blocks = []
+    for batch in _batches(_array_runs(zip(range(1, len(out), 2), arrays, levels))):
         numbers = _array_reprs(np.concatenate([values for _, values, *_ in batch]))
         at = 0
         for slot, values, width, level, first, last in batch:
-            pieces.append(_block_text(numbers[at:at + values.size], width, level, first, last))
+            blocks.append(_block_text(numbers[at:at + values.size], width, level, first, last))
             at += values.size
             if last:
-                out[slot] = "".join(pieces)
-                pieces = []
+                out[slot] = "".join(blocks)
+                blocks = []
     return "".join(out)
 
 
@@ -427,106 +455,6 @@ def _batches(runs):
             batch, size = [], 0
     if batch:
         yield batch
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return f'"{_json_float(key)}"'
-    if key is True or key is False or key is None:
-        return '"true"' if key is True else '"false"' if key is False else '"null"'
-    if isinstance(key, int):
-        return f'"{int.__repr__(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write_json(o, level: int, out: list, arrays: list) -> None:
-    """Append the JSON of ``o``, nested ``level`` deep, to ``out``.
-
-    Follows the encoder behind ``json.dumps(..., indent=2)``: the same type
-    tests in the same order, two spaces per level, ',' between items and
-    ': ' after keys.  A non-empty, finite 1-D or 2-D float64 ndarray takes an
-    empty slot of ``out``, recorded in ``arrays`` as (slot, array, level);
-    any other float64 ndarray is written as its ``tolist()``.
-    """
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    elif isinstance(o, (list, tuple)):
-        block = _float_block(o, level) if o else "[]"
-        if block is not None:
-            out.append(block)
-            return
-        newline = "\n" + _INDENT * (level + 1)
-        separator = "[" + newline
-        for item in o:
-            out.append(separator)
-            _write_json(item, level + 1, out, arrays)
-            separator = "," + newline
-        out.append("\n" + _INDENT * level + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        newline = "\n" + _INDENT * (level + 1)
-        separator = "{" + newline
-        for key, value in o.items():
-            out.append(separator + _json_key(key) + ": ")
-            _write_json(value, level + 1, out, arrays)
-            separator = "," + newline
-        out.append("\n" + _INDENT * level + "}")
-    elif isinstance(o, np.ndarray) and o.dtype == np.float64:
-        if o.ndim in (1, 2) and o.size and np.isfinite(o).all():
-            arrays.append((len(out), o, level))
-            out.append("")
-        else:
-            _write_json(o.tolist(), level, out, arrays)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _float_block(items, level: int):
-    """JSON of a non-empty list of finite floats or an equal-width matrix of them.
-
-    All numbers go through one ``map(float.__repr__)``.  Returns None for
-    any other list (ints, bools, non-finite floats, empty or ragged rows),
-    which the generic path of ``_write_json`` then writes.
-    """
-    width = 0
-    if type(items[0]) is list:
-        if set(map(type, items)) != {list}:
-            return None
-        widths = set(map(len, items))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        (width,) = widths
-        items = list(chain.from_iterable(items))
-    try:
-        numbers = list(map(float.__repr__, items))
-    except TypeError:
-        return None
-    text = _block_text(numbers, width, level)
-    return None if "n" in text else text     # nan and inf, which JSON spells NaN and Infinity
 
 
 def _block_text(numbers: list, width: int, level: int, first: bool = True, last: bool = True) -> str:

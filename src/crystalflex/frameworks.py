@@ -441,23 +441,6 @@ def lattice_matches(points, targets, tol: float):
     return _PointIndex(b, _reach(tol, max(_scale(a), _scale(b)))).matches(a, tol)
 
 
-def _row_search(table, rows) -> np.ndarray:
-    """For each row, the first index at which the lexicographically sorted
-    int ``table`` holds a row not less than it: one bisection over all rows."""
-    lo = np.zeros(len(rows), dtype=np.int64)
-    hi = np.full(len(rows), len(table), dtype=np.int64)
-    every = np.arange(len(rows))
-    for _ in range(len(table).bit_length()):
-        mid = (lo + hi) // 2
-        probe = table[np.minimum(mid, len(table) - 1)]
-        column = np.argmax(probe != rows, axis=1)      # first differing column; 0 when equal
-        less = probe[every, column] < rows[every, column]
-        active = lo < hi
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-    return lo
-
-
 class _MotifIndex:
     """Everything a framework's vertex and edge matches read, built once.
 
@@ -468,7 +451,8 @@ class _MotifIndex:
     each.  Where the columns' ranges over both orientations of every bar
     pack into one int64, the packed rows of both orientations are held
     sorted too, so an edge in either orientation finds its class by one
-    ``np.searchsorted``; otherwise its canonical row is bisected for.
+    ``np.searchsorted``; otherwise its canonical row is grouped with the
+    held ones by one ``_group_rows``.
     """
 
     def __init__(self, fw: CrystalFramework):
@@ -510,9 +494,10 @@ class _MotifIndex:
             hit = self.edge_keys[at] == keys
             found[inside[hit]] = self.edge_owner[at[hit]]
         else:
-            rows = _edge_class_keys(ends, offsets)
-            at = np.minimum(_row_search(self.edge_rows, rows), len(self.edge_rows) - 1)
-            hit = np.all(self.edge_rows[at] == rows, axis=1)
+            # The held rows come first, so a row's group starts at the held row it equals.
+            first, group = _group_rows(np.concatenate([self.edge_rows, _edge_class_keys(ends, offsets)]))
+            at = first[group[len(self.edge_rows):]]
+            hit = at < len(self.edge_rows)
             found[hit] = self.edge_order[at[hit]]
         return found
 

@@ -256,21 +256,30 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     return MatrixSpace(d, mats, name="commutant", tol=tol)
 
 
+def _orbit_minima(maps) -> np.ndarray:
+    """The least point of each point's orbit under the group that the
+    commuting index maps ``maps``, at least one, generate.
+
+    The orbit of x under the first k maps is the union of the orbits under
+    the first k - 1 along the k-th map's cycle through x, so its least point
+    is the least of theirs over that cycle, found by pointer doubling.
+    """
+    least = np.arange(len(maps[0]))
+    for step in maps:
+        step = np.asarray(step, dtype=np.int64)
+        # After j rounds each point holds the least over the 2**j points
+        # of its cycle that start at it; a cycle has at most len(least).
+        for _ in range((len(least) - 1).bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+    return least
+
+
 def _cycles(perm) -> np.ndarray:
     """Cycle label of each point of a permutation, numbered in the order of
     each cycle's lowest point."""
-    perm = np.asarray(perm).tolist()
-    labels = [-1] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if labels[start] >= 0:
-            continue
-        current = start
-        while labels[current] < 0:
-            labels[current] = count
-            current = perm[current]
-        count += 1
-    return np.array(labels, dtype=np.int64)
+    least = _orbit_minima([perm])
+    return (np.cumsum(least == np.arange(len(least))) - 1)[least]
 
 
 def _cycle_starts(labels) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .frameworks import CrystalFramework, _group_rows
 from .linalg import BlockSVD, FullSVD
-from .symmetry import SymmetryError, resolve_symmetry
+from .symmetry import SymmetryError, _orbit_minima, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
 # to within this many units of round-off of the coordinates' magnitude.
@@ -133,20 +133,9 @@ class _GroupBuilder:
         return table
 
     def orbit_table(self, which: str) -> np.ndarray:
-        """The images of the least point of each orbit of the ``which`` map.
-
-        The group is abelian, so the orbit of x under G_k is the union of the
-        G_{k-1}-orbits along the cycle of a_k through x: its least point is
-        the least of theirs over that cycle, found by pointer doubling.
-        """
-        least = np.arange(len(getattr(self.generators[0], which)))
-        for g in self.generators:
-            # After j rounds each point holds the least over the 2**j points
-            # of its cycle that start at it; a cycle has at most len(least).
-            step = getattr(g, which)
-            for _ in range((len(least) - 1).bit_length()):
-                least = np.minimum(least, least[step])
-                step = step[step]
+        """The images of the least point of each orbit of the ``which`` map,
+        the group being abelian (``symmetry._orbit_minima``)."""
+        least = _orbit_minima([getattr(g, which) for g in self.generators])
         return self.images(np.flatnonzero(least == np.arange(len(least))), which)
 
     def _digits(self, index, count: int) -> np.ndarray:

@@ -60,6 +60,25 @@ class TestRoundTrip:
                                      for g in cf.builtin_framework(name).symmetries])
         self.assert_round_trip(fw)
 
+    def test_an_empty_id_beside_v0_round_trips(self):
+        doc = valid_doc()
+        doc["vertices"] = [{"id": "", "position": [0.0, 0.0]}, {"id": "v0", "position": [0.5, 0.5]}]
+        doc["edges"] = [{"from": {"v": "", "cell": [0, 0]}, "to": {"v": "v0", "cell": [0, 0]}}]
+        fw = cf.parse_framework(json.dumps(doc))
+        self.assert_round_trip(fw)
+        assert [v["id"] for v in cf.framework_to_dict(fw)["vertices"]] == ["", "v0"]
+
+    @pytest.mark.parametrize("names, message", [
+        (["a", "b", "a"], "vertices 0 and 2 would both be written with id 'a'"),
+        ([None, "v0"], "vertices 0 and 1 would both be written with id 'v0'"),
+        (["v1", None], "vertices 0 and 1 would both be written with id 'v1'"),
+    ])
+    def test_ids_that_would_repeat_are_refused(self, names, message):
+        vertices = [cf.MotifVertex([i / len(names), 0.0], name) for i, name in enumerate(names)]
+        fw = cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), vertices, [cf.MotifEdge(0, (0, 0), 1, (0, 0))])
+        with pytest.raises(ValueError, match=message):
+            cf.serialize_framework(fw)
+
 
 def valid_doc():
     return {
@@ -586,3 +605,38 @@ class TestJsonText:
     def test_serialized_framework(self, any_builtin):
         text = cf.serialize_framework(cf.supercell(any_builtin, (2,) * any_builtin.dimension))
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# Strings json must escape, and one that ends like a quoted placeholder token.
+AWKWARD = ['a"b\\c\nd\0e', "\u00e9\u2603\U0001d11e", 'x"' + "0123456789abcdef" * 2]
+TOKEN = bytes(range(16)).hex()
+
+
+class TestAwkwardStrings:
+    """Names json must escape reach the report and the framework file as
+    ``json.dumps`` writes them."""
+
+    def test_report_and_framework_file(self, kagome):
+        doc = cf.framework_to_dict(kagome)
+        ids = dict(zip([v["id"] for v in doc["vertices"]], AWKWARD))
+        for v in doc["vertices"]:
+            v["id"] = ids[v["id"]]
+        for e in doc["edges"]:
+            for side in ("from", "to"):
+                e[side]["v"] = ids[e[side]["v"]]
+        doc["symmetries"][0]["name"] = "".join(AWKWARD)
+        fw = cf.parse_framework(json.dumps(doc))
+        report = cf.analyze_framework(fw, name="/".join(AWKWARD), characters=True)
+        assert cf.emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+        text = cf.serialize_framework(fw)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        written = json.loads(text)
+        assert [v["id"] for v in written["vertices"]] == AWKWARD
+        assert written["symmetries"][0]["name"] == "".join(AWKWARD)
+
+    @pytest.mark.parametrize("body", [{"a": np.array([1.0, 2.0]), "b": TOKEN},
+                                      {"a": np.array([1.0]), TOKEN: 0}, [TOKEN]])
+    def test_a_string_equal_to_the_token_is_refused(self, body):
+        with mock.patch.object(crystalflex.fileio.os, "urandom", lambda n: bytes(range(n))):
+            with pytest.raises(RuntimeError, match="placeholder"):
+                _json_text(body)

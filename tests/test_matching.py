@@ -8,7 +8,7 @@ pairwise loop with points on and near the bucket faces; and every rare path
 of the exact lookups is forced once.
 """
 
-import bisect
+import copy
 import dataclasses
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalflex as cf
-from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach, _row_search, lattice_matches
+from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach, lattice_matches
 from crystalflex.translations import _find_translations, _members
 from oracles import (
     centred_square,
@@ -25,6 +25,7 @@ from oracles import (
     deleted_bar,
     moved_vertex,
     pairwise_matches,
+    random_framework,
     reference_find_translations,
     reference_lattice_matches,
     reference_resolve_symmetry,
@@ -198,14 +199,20 @@ class TestEdgeLookup:
                                             np.zeros((1, 2), dtype=np.int64)).tolist() == [-1]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 30), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-    def test_bisection_is_the_lexicographic_search(self, m, columns, seed):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 4), st.integers(1, 7))
+    def test_lookup_with_and_without_packing(self, seed, d, n_vertices, n_edges):
         rng = np.random.default_rng(seed)
-        table = rng.integers(-3, 4, size=(m, columns))
-        table = table[np.lexsort(table.T[::-1])]
-        rows = rng.integers(-4, 5, size=(20, columns))
-        want = [bisect.bisect_left([tuple(r) for r in table.tolist()], tuple(r)) for r in rows.tolist()]
-        assert _row_search(table, rows).tolist() == want
+        fw = random_framework(rng, d, n_vertices, n_edges)
+        packed = fw._motif_index
+        grouped = copy.copy(packed)
+        grouped.places = None
+        # The bars, the bars reversed, and rows that may match no bar.
+        m = fw.edge_count
+        ends = np.concatenate([fw.edges.ends, fw.edges.ends[:, ::-1], rng.integers(0, n_vertices, (8, 2))])
+        offsets = np.concatenate([fw.edges.offsets, -fw.edges.offsets, rng.integers(-2, 3, (8, d))])
+        want = packed.edge_classes(ends, offsets)
+        assert packed.places is not None and want[:2 * m].tolist() == list(range(m)) * 2
+        assert grouped.edge_classes(ends, offsets).tolist() == want.tolist()
 
     @pytest.mark.parametrize("modulus", [7, 2 ** 40])
     def test_group_membership_with_and_without_packing(self, modulus, rng):
