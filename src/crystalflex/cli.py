@@ -106,6 +106,8 @@ def _load_input(args):
             fw = fw.with_tolerance(args.tol)
         except InvalidFrameworkError as exc:
             raise CliError(f"tolerance {args.tol:g} is too large: " + "; ".join(exc.violations))
+        except SymmetryError as exc:
+            raise CliError(f"--tol {args.tol:g}: {exc}")
     return fw, name
 
 

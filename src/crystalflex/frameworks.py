@@ -36,10 +36,13 @@ class InvalidFrameworkError(ValueError):
         super().__init__("invalid framework: " + "; ".join(self.violations))
 
 
-def _as_point(x, d=None) -> np.ndarray:
+class SymmetryError(ValueError):
+    """Raised when an isometry cannot be resolved against a framework, or a
+    held element does not act on the framework carrying it."""
+
+
+def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float).reshape(-1)
-    if d is not None and p.shape != (d,):
-        raise ValueError(f"expected a point of dimension {d}, got shape {p.shape}")
     p.setflags(write=False)
     return p
 
@@ -139,12 +142,14 @@ def _edge_class_keys(ends, offsets) -> np.ndarray:
     lexicographically smaller of the edge's two orientations, so every
     translate and reorientation of a bar gives the same row.
     """
-    forward = np.column_stack([ends, offsets])
-    backward = np.column_stack([ends[:, ::-1], -offsets])
-    diff = forward - backward
-    first = np.argmax(diff != 0, axis=1)       # first differing column; 0 when equal
-    keep = diff[np.arange(len(diff)), first] <= 0
-    return np.where(keep[:, np.newaxis], forward, backward)
+    # The reversed row is smaller when the to-vertex is, or, between copies of
+    # one vertex, when the first nonzero offset is positive.
+    lead = np.zeros(len(offsets), dtype=offsets.dtype)
+    for column in offsets.T[::-1]:
+        lead = np.where(column != 0, column, lead)
+    flip = (ends[:, 0] > ends[:, 1]) | ((ends[:, 0] == ends[:, 1]) & (lead > 0))
+    return np.where(flip[:, np.newaxis], np.column_stack([ends[:, ::-1], -offsets]),
+                    np.column_stack([ends, offsets]))
 
 
 class _EdgeTable(Sequence):
@@ -242,7 +247,9 @@ class CrystalFramework:
     Any sequence of MotifEdges is turned once into the int64 edge table,
     which reads back as equal MotifEdges.  Construction validates the
     framework (see ``validate_framework``) and raises InvalidFrameworkError
-    on any violation, so every instance is valid.
+    on any violation, so every instance is valid; it then checks the held
+    symmetry elements at its tolerance (``_check_symmetries``), so a
+    ``with_tolerance`` or ``replace`` copy keeps only elements that hold.
     """
 
     lattice: PeriodLattice
@@ -262,6 +269,7 @@ class CrystalFramework:
         violations = validate_framework(self)
         if violations:
             raise InvalidFrameworkError(violations)
+        _check_symmetries(self, self.symmetries)
 
     @property
     def dimension(self) -> int:
@@ -307,30 +315,60 @@ class CrystalFramework:
 
         Validation never reads the symmetries, so this copy is not validated
         again; it only checks that every element acts on this motif's vertex
-        and edge classes.
+        and edge classes.  Files, builtins and the CLI pass elements just
+        resolved against this framework, or held by it; their geometry is
+        checked only on construction (``_check_symmetries``).
         """
         elements = tuple(elements)
         for g in elements:
-            if len(g.vertex_map) != self.vertex_count or len(g.edge_map) != self.edge_count:
-                raise ValueError(f"symmetry element {g.name!r} was resolved against another motif")
+            _check_maps(self, g)
         out = copy.copy(self)
         object.__setattr__(out, "symmetries", elements)
         return out
 
 
-def _group_rows(rows):
-    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)[1:]``
-    for a 2-D integer array, by one ``np.lexsort``: the first index of each
-    distinct row, the rows in lexicographic order, and each row's group.
-    """
-    rows = np.asarray(rows)
-    order = np.lexsort(rows.T[::-1])      # stable; column 0 is the primary key
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
+def _check_maps(fw: CrystalFramework, element) -> None:
+    """Refuse a resolved element whose maps are of another motif's size."""
+    if (element.linear.shape != (fw.dimension, fw.dimension)
+            or len(element.vertex_map) != fw.vertex_count or len(element.edge_map) != fw.edge_count):
+        raise SymmetryError(f"symmetry element {element.name!r} was resolved against another motif")
+
+
+def _edge_images(fw: CrystalFramework, vertex_map, vertex_offsets, lattice_action) -> np.ndarray:
+    """The edge class each bar maps onto under the vertex action (vertex v to
+    vertex_map[v] in cell vertex_offsets[v]) and the lattice action, or -1."""
+    ends, offsets = fw.edges.ends, fw.edges.offsets
+    image_offsets = vertex_offsets[ends[:, 1]] - vertex_offsets[ends[:, 0]] + offsets @ lattice_action.T
+    return fw._motif_index.edge_classes(vertex_map[ends], image_offsets)
+
+
+def _check_symmetries(fw: CrystalFramework, elements) -> None:
+    """Refuse any resolved element whose held maps do not act on the motif at
+    its tolerance, by ``resolve_symmetry``'s tests without matching again:
+    the maps' sizes, the orthogonality of the linear part, its lattice action
+    to 10 tol, each vertex image to 10 tol of the class and cell its map
+    names, and each bar's image being the class its map names."""
+    d, tol, z = fw.dimension, fw.tolerance, fw.lattice.matrix
+    for g in elements:
+        _check_maps(fw, g)
+        failed = f"symmetry element {g.name!r} does not hold at tolerance {tol:g}"
+        b = g.linear
+        if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
+            raise SymmetryError(f"{failed}: linear part is not orthogonal")
+        if np.max(np.abs(np.linalg.solve(z, b @ z) - g.lattice_action)) > 10 * tol:
+            raise SymmetryError(f"{failed}: lattice-incompatible linear part")
+        # As resolve_symmetry measures them: image minus class, less the cell offset.
+        images = fw.lattice.fractional(fw.positions @ b.T + g.translation)
+        gap = images - fw._motif_index.frac[g.vertex_map] - g.vertex_offsets
+        gap = np.max(np.abs(gap), axis=1, initial=0.0)
+        far = np.flatnonzero(gap > 10 * tol)
+        if len(far):
+            raise SymmetryError(f"{failed}: image of vertex {fw.vertex_label(far[0])} "
+                                f"lies {gap[far[0]]:.2g} from its class")
+        image = _edge_images(fw, g.vertex_map, g.vertex_offsets, g.lattice_action)
+        moved = np.flatnonzero(image != g.edge_map)
+        if len(moved):
+            raise SymmetryError(f"{failed}: image of edge {moved[0]} is not the edge class its map names")
 
 
 def _scale(points) -> float:
@@ -446,13 +484,13 @@ class _MotifIndex:
 
     ``frac`` holds the vertices' fractional coordinates, and ``vertices``
     the same points in a ``_PointIndex`` built for 10 tol matches.  The
-    canonical edge-class rows (``_edge_class_keys``) are held in
-    lexicographic order as ``edge_rows``, with ``edge_order`` the edge of
-    each.  Where the columns' ranges over both orientations of every bar
-    pack into one int64, the packed rows of both orientations are held
-    sorted too, so an edge in either orientation finds its class by one
-    ``np.searchsorted``; otherwise its canonical row is grouped with the
-    held ones by one ``_group_rows``.
+    canonical edge-class rows (``_edge_class_keys``) are held once, in
+    lexicographic order, as ``edge_rows``, with ``edge_order`` the edge of
+    each.  Where the columns' ranges pack into one int64, the packed keys
+    keep that order, so one stable argsort of them sorts the rows and a
+    query's canonical row finds its class by one ``np.searchsorted`` in
+    ``edge_keys``; otherwise the rows are sorted by ``np.lexsort``, and a
+    query is grouped with them by one ``np.unique``.
     """
 
     def __init__(self, fw: CrystalFramework):
@@ -461,23 +499,20 @@ class _MotifIndex:
         # Twice the reach of a 10 tol match among the vertices, so images
         # moved further out than the vertices are matched here too.
         self.vertices = _PointIndex(self.frac, 2 * _reach(10 * fw.tolerance, _scale(self.frac)))
-        ends, offsets = fw.edges.ends, fw.edges.offsets
-        rows = _edge_class_keys(ends, offsets)
-        self.edge_order = np.lexsort(rows.T[::-1])
-        self.edge_rows = rows[self.edge_order]
+        rows = _edge_class_keys(fw.edges.ends, fw.edges.offsets)
         self.places = None
         if len(rows):
-            both = np.concatenate([np.concatenate([ends, offsets], axis=1),
-                                   np.concatenate([ends[:, ::-1], -offsets], axis=1)])
-            self.low, self.high = both.min(axis=0), both.max(axis=0)
+            self.low, self.high = rows.min(axis=0), rows.max(axis=0)
             spans = [int(h) - int(l) + 1 for h, l in zip(self.high, self.low)]
             if math.prod(spans) < 2 ** 63 - 1:
                 self.places = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=np.int64)
-                keys = (both - self.low) @ self.places
-                order = np.argsort(keys, kind="stable")
+                keys = (rows - self.low) @ self.places
+                self.edge_order = np.argsort(keys, kind="stable")
                 # A last key no row packs to, so every search lands on a key.
-                self.edge_keys = np.append(keys[order], 2 ** 63 - 1)
-                self.edge_owner = order % len(rows)
+                self.edge_keys = np.append(keys[self.edge_order], 2 ** 63 - 1)
+        if self.places is None:
+            self.edge_order = np.lexsort(rows.T[::-1])      # stable; column 0 is the primary key
+        self.edge_rows = rows[self.edge_order]
 
     def edge_classes(self, ends, offsets) -> np.ndarray:
         """The edge whose class each given edge (int ends (m, 2), offsets
@@ -485,18 +520,19 @@ class _MotifIndex:
         found = np.full(len(ends), -1, dtype=np.int64)
         if not len(self.edge_rows) or not len(ends):
             return found
+        rows = _edge_class_keys(ends, offsets)
         if self.places is not None:
-            rows = np.concatenate([ends, offsets], axis=1)
             # A row outside the columns' ranges is no class's, and would not pack.
             inside = np.flatnonzero(np.all((rows >= self.low) & (rows <= self.high), axis=1))
             keys = (rows[inside] - self.low) @ self.places
             at = np.searchsorted(self.edge_keys, keys)
             hit = self.edge_keys[at] == keys
-            found[inside[hit]] = self.edge_owner[at[hit]]
+            found[inside[hit]] = self.edge_order[at[hit]]
         else:
             # The held rows come first, so a row's group starts at the held row it equals.
-            first, group = _group_rows(np.concatenate([self.edge_rows, _edge_class_keys(ends, offsets)]))
-            at = first[group[len(self.edge_rows):]]
+            _, first, group = np.unique(np.concatenate([self.edge_rows, rows]), axis=0,
+                                        return_index=True, return_inverse=True)
+            at = first[group.reshape(-1)[len(self.edge_rows):]]
             hit = at < len(self.edge_rows)
             found[hit] = self.edge_order[at[hit]]
         return found
@@ -529,8 +565,7 @@ def validate_framework(fw: CrystalFramework) -> list:
     for i, v in enumerate(fw.vertices):
         if v.position.shape != (d,):
             report.append(f"vertex {i} has dimension {v.position.shape[0]}, lattice has {d}")
-
-    if any(v.position.shape != (d,) for v in fw.vertices):
+    if report:
         return report
     # No geometry test is meaningful past a nan or infinite coordinate.
     for i in np.flatnonzero(~np.isfinite(fw.positions).all(axis=1)).tolist():
@@ -582,7 +617,10 @@ def _check_vertex(fw: CrystalFramework, vertex: int) -> None:
 def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:
     """Position of the copy of a motif vertex in the given cell."""
     _check_vertex(fw, vertex)
-    return fw.vertices[vertex].position + fw.lattice.translation(cell)
+    shift = np.asarray(cell, dtype=float)
+    if shift.shape != (fw.dimension,):
+        raise ValueError(f"cell {cell!r} has shape {shift.shape}, lattice has dimension {fw.dimension}")
+    return fw.vertices[vertex].position + fw.lattice.matrix @ shift
 
 
 @dataclass(frozen=True)
@@ -596,6 +634,8 @@ def edge_geometry(fw: CrystalFramework, edge: MotifEdge) -> EdgeGeometry:
     """Bar vector (from-endpoint minus to-endpoint), cell offset and length."""
     for vertex in (edge.from_vertex, edge.to_vertex):
         _check_vertex(fw, vertex)     # array indexing would wrap a negative index
+    if len(edge.from_cell) != fw.dimension:     # both cells have one length
+        raise ValueError(f"edge cell indices have dimension {len(edge.from_cell)}, lattice has {fw.dimension}")
     vector = _bar_vectors(fw, np.array([(edge.from_vertex, edge.to_vertex)]),
                           np.array([(edge.from_cell, edge.to_cell)], dtype=np.int64))[0]
     return EdgeGeometry(vector=vector, offset=edge.offset, length=float(np.linalg.norm(vector)))

@@ -88,6 +88,8 @@ class MatrixSpace:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError("tolerance must be positive and finite")
+        if self.dimension < 1:
+            raise ValueError(f"matrix space dimension must be at least 1, got {self.dimension}")
         mats = []
         for b in self.basis:
             m = np.asarray(b, dtype=float)
@@ -388,8 +390,8 @@ def edge_deviation(fw: CrystalFramework, velocity: AffineVelocity, t: float) -> 
     genuine flexes the result is O(t^2); pure translations move every bar
     isometrically, so they give 0 up to round-off.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     d = fw.dimension
     if velocity.dimension != d or velocity.vertex_velocities.shape[0] != fw.vertex_count:
         raise ValueError("velocity shape does not match the framework")

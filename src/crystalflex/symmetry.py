@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework
+from .frameworks import CELL_LIMIT, CrystalFramework, SymmetryError, _check_maps, _edge_images
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -44,10 +44,6 @@ from .rigidity import (
     rigid_motion_space,
     unvec,
 )
-
-
-class SymmetryError(ValueError):
-    """Raised when an isometry cannot be resolved against a framework."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,7 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     if np.count_nonzero(np.bincount(vertex_map, minlength=fw.vertex_count)) != fw.vertex_count:
         raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
 
-    ends, offsets = fw.edges.ends, fw.edges.offsets
-    image_offsets = shifts[ends[:, 1]] - shifts[ends[:, 0]] + offsets @ lattice_action.T
-    edge_map = index.edge_classes(vertex_map[ends], image_offsets)
+    edge_map = _edge_images(fw, vertex_map, shifts, lattice_action)
     unmatched = np.flatnonzero(edge_map < 0)
     if len(unmatched):
         raise SymmetryError(
@@ -203,6 +197,7 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement,
     """The element's action on (u, coords-in-space).  Requires the space to
     be invariant under A -> B A B^-1; raises SymmetryError otherwise."""
     _check_dimension(fw, space)
+    _check_maps(fw, element)
     d, n = fw.dimension, fw.vertex_count
     b = element.linear
     # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.
@@ -244,9 +239,9 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     """All matrices commuting with the given linear part."""
     b = np.asarray(linear, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError(f"linear part must be square, got shape {b.shape}")
     d = b.shape[0]
-    if b.shape != (d, d):
-        raise ValueError("linear part must be square")
     if not np.isfinite(b).all():
         raise ValueError("linear part is not finite")
     # vec(A B - B A) = (B^T kron I - I kron B) vec A.

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, _group_rows
+from .frameworks import CrystalFramework
 from .linalg import BlockSVD, FullSVD
 from .symmetry import SymmetryError, _orbit_minima, resolve_symmetry
 
@@ -79,18 +79,21 @@ class _Translations(NamedTuple):
     self_conjugate: int
 
 
-def _members(rows: np.ndarray, members: np.ndarray, modulus: int) -> np.ndarray:
-    """Which of the rows, of integers in [0, modulus), are rows of ``members``:
-    by one search for their packed keys where those fit an int64."""
+def _member_index(rows: np.ndarray, members: np.ndarray, modulus: int) -> np.ndarray:
+    """The index of each of the rows, of integers in [0, modulus), among the
+    distinct rows ``members``, or -1 where it is none of them: by one search
+    for their packed keys where those fit an int64."""
     d = rows.shape[1]
     if modulus ** d < 2 ** 63:
         places = modulus ** np.arange(d, dtype=np.int64)
-        keys, packed = np.sort(members @ places), rows @ places
-        return keys[np.minimum(np.searchsorted(keys, packed), len(keys) - 1)] == packed
-    _, group = _group_rows(np.concatenate([members, rows]))
-    found = np.zeros(len(members) + len(rows), dtype=bool)
-    found[group[:len(members)]] = True
-    return found[group[len(members):]]
+        keys, packed = members @ places, rows @ places
+        order = np.argsort(keys)
+        at = order[np.minimum(np.searchsorted(keys, packed, sorter=order), len(keys) - 1)]
+        return np.where(keys[at] == packed, at, -1)
+    _, first, group = np.unique(np.concatenate([members, rows]), axis=0,
+                                return_index=True, return_inverse=True)
+    at = first[group.reshape(-1)[len(members):]]      # the inverse's shape changed within numpy 2.0.x
+    return np.where(at < len(members), at, -1)
 
 
 class _GroupBuilder:
@@ -112,10 +115,11 @@ class _GroupBuilder:
         # q a is the least multiple of a in the group so far, and q divides
         # the modulus; the elements gain the q cosets c a + G, 0 <= c < q, in that order.
         multiples = self.divisors[:, np.newaxis] * a % self.modulus
-        least = int(np.argmax(_members(multiples, self.elements, self.modulus)))
+        found = _member_index(multiples, self.elements, self.modulus)
+        least = int(np.argmax(found >= 0))
         q = int(self.divisors[least])
         self.radices.append(q)
-        self.relations.append(int(np.flatnonzero(np.all(self.elements == multiples[least], axis=1))[0]))
+        self.relations.append(int(found[least]))
         cosets = np.arange(q)[:, np.newaxis, np.newaxis] * a + self.elements
         self.elements = (cosets % self.modulus).reshape(-1, len(a))
         self.generators.append(generator)
@@ -228,7 +232,8 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
         # The candidate of largest order modulo G grows G the most. None left
         # is in G: its image would lie in the G-orbit of vertex 0, which
         # ``refused`` starts with, so every order is at least 2.
-        inside = _members((powers * candidates % modulus).reshape(-1, d), group.elements, modulus)
+        multiples = (powers * candidates % modulus).reshape(-1, d)
+        inside = _member_index(multiples, group.elements, modulus) >= 0
         pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
         a, v = candidates[pick], image[pick]
         try:
@@ -249,8 +254,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
 
     theta = group.characters()
     count = len(theta)
-    first, same = _group_rows(np.concatenate([theta, -theta % modulus]))
-    partner = first[same[count:]]       # the conjugate of each character
+    partner = _member_index(-theta % modulus, theta, modulus)       # the conjugate of each character
     real = np.flatnonzero(partner == np.arange(count))
     paired = np.flatnonzero(partner > np.arange(count))
     # Phases are multiples of 1 / modulus, so cos and sin are read from one

@@ -28,10 +28,16 @@ import numpy as np
 import sympy as sp
 
 import crystalflex as cf
-from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys, _group_rows
+from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys
 from crystalflex.linalg import BlockSVD, factorize_bordered, full_svd
 from crystalflex.symmetry import SymmetryElement, SymmetryError
 from crystalflex.translations import BAR_ROUNDOFF_ULPS, _GroupBuilder, _Translations
+
+
+def _group_rows(rows):
+    """The first index of each distinct row of a 2-D integer array, and each row's group."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def _exact_matrices(positions, period_columns, edges, d):

@@ -724,24 +724,23 @@ class TestWorkPerRequest:
             finally:
                 depth[0] -= 1
 
-        lexsort, group_rows = np.lexsort, crystalflex.frameworks._group_rows
+        lexsort, unique = np.lexsort, np.unique
 
         def counting_lexsort(keys, *args, **kwargs):
             if depth[0]:
                 sorted_rows.append(np.shape(keys)[-1])
             return lexsort(keys, *args, **kwargs)
 
-        def counting_group_rows(rows):
+        def counting_unique(rows, *args, **kwargs):
             if depth[0]:
                 sorted_rows.append(len(rows))
-            return group_rows(rows)
+            return unique(rows, *args, **kwargs)
 
         monkeypatch.setattr(crystalflex.frameworks._MotifIndex, "__init__", counting_build)
         for module in (crystalflex.symmetry, crystalflex.fileio, crystalflex.translations, crystalflex.catalog):
             monkeypatch.setattr(module, "resolve_symmetry", tracking_resolve)
-        for module in (crystalflex.frameworks, crystalflex.translations):
-            monkeypatch.setattr(module, "_group_rows", counting_group_rows)
         monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        monkeypatch.setattr(np, "unique", counting_unique)
         code, _, _ = run(capsys, "symmetry", str(path), "--characters")
         assert code == 0
         assert len(builds) == 1 and builds[0].edge_count == 216
@@ -1009,3 +1008,72 @@ class TestWorkPerRequest:
         assert [mode["mode"] for mode in report.body["modes"]] == ["strict", "affine"]
         assert [len(sym["characters"]) > 0 for sym in report.body["symmetries"]] == [True, True]
         assert len(factorizations) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--builtin", "kagome", "--mode", "space", "custom:{tmp}/missing.json"],
+     "error: cannot read {tmp}/missing.json: No such file or directory"),
+    (["analyze", "--builtin", "kagome", "--mode", "foo"],
+     "error: --mode expects 'strict', 'affine', or 'space SPEC'"),
+    (["svg", "--builtin", "kagome", "--cells", "0:2", "-o", "{tmp}/out.svg"],
+     "error: --cells '0:2': expected 2 ranges"),
+], ids=["missing-space-file", "unknown-mode", "too-few-ranges"])
+def test_cli_refusals(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out, err) == (2, "", message.format(tmp=tmp_path) + "\n")
+
+
+class TestHeldSymmetriesAtAnotherTolerance:
+    """A framework keeps a declared element only where its held maps hold at
+    the framework's own tolerance, so a --tol, ``with_tolerance`` or
+    ``replace`` copy never counts an element that is not a symmetry."""
+
+    @staticmethod
+    def nudged(tmp_path, fw, nudge):
+        doc = cf.framework_to_dict(fw)
+        doc["tolerance"] = 1e-5
+        for vertex in doc["vertices"]:
+            vertex["position"] = (np.array(vertex["position"]) + nudge(vertex["id"])).tolist()
+        path = tmp_path / "nudged.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_kagome_with_one_vertex_moved(self, capsys, tmp_path, kagome):
+        # r3 holds to 3e-7, so it is declared at the file's 1e-5 and not at 1e-12.
+        path = self.nudged(tmp_path, kagome, lambda vid: [3e-7, 0.0] if vid == "p3" else [0.0, 0.0])
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0 and "equation residual 3e-07" in out
+        code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err == ("error: --tol 1e-12: symmetry element 'r3' does not hold at tolerance 1e-12: "
+                       "image of vertex p2 lies 3e-07 from its class\n")
+
+    def test_supercell_with_every_coordinate_moved(self, capsys, tmp_path, kagome, rng):
+        big = cf.supercell(kagome, (4, 4))
+        r3 = kagome.symmetries[0]
+        big = big.with_symmetries([cf.resolve_symmetry(big, r3.linear, r3.translation, "r3")])
+        path = self.nudged(tmp_path, big, lambda _: 3e-7 * rng.standard_normal(2))
+        assert run(capsys, "analyze", str(path))[0] == 0
+        code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-12")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --tol 1e-12: symmetry element 'r3' does not hold at tolerance 1e-12: "
+                              "image of vertex ")
+
+    def test_replace_with_another_motif(self, kagome):
+        # r3's three-vertex maps once reached the operator as a reshape error.
+        with pytest.raises(cf.SymmetryError, match="'r3' was resolved against another motif"):
+            replace(kagome, vertices=kagome.vertices + (cf.MotifVertex([0.6, 0.3], "x"),))
+
+    def test_replace_with_the_bars_reordered(self, kagome):
+        # Swapping two bars leaves the vertex action as it was and moves the
+        # edge action, which once gave an equation residual of 0.5.
+        edges = list(kagome.edges)
+        edges[:2] = edges[1::-1]
+        with pytest.raises(cf.SymmetryError, match="image of edge 0 is not the edge class its map names"):
+            replace(kagome, edges=edges)
+
+    def test_elements_that_hold_are_kept(self, kagome):
+        (r3,) = kagome.symmetries
+        assert kagome.with_tolerance(1e-6).symmetries[0] is r3
+        with pytest.raises(cf.SymmetryError, match="r3' does not hold at tolerance 1e-09: linear part"):
+            replace(kagome, symmetries=[replace(r3, linear=2 * r3.linear)])

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 import crystalflex.fileio
+from crystalflex.cli import main
 from crystalflex.fileio import _display, _display_array, _json_text, mode_space
 from oracles import random_framework, scrambled_supercell
 
@@ -640,3 +641,22 @@ class TestAwkwardStrings:
         with mock.patch.object(crystalflex.fileio.os, "urandom", lambda n: bytes(range(n))):
             with pytest.raises(RuntimeError, match="placeholder"):
                 _json_text(body)
+
+
+@pytest.mark.parametrize("text, space, message", [
+    ("[]", None, "top level: expected an object"),
+    ('{"dimension": 0, "period_vectors": [], "vertices": [], "edges": []}', None,
+     "dimension: expected a positive integer"),
+    ('{"dimension": 2, "period_vectors": [[1, 0]], "vertices": [], "edges": []}', None,
+     "period_vectors: expected 2 period vectors"),
+    (None, "[[1, 0], [0, 1]", "invalid JSON at line 1 column 16"),
+    (None, '{"basis": []}', "top level: expected a list of matrices"),
+], ids=["top-level-list", "dimension-0", "one-period-vector", "space-not-json", "space-not-a-list"])
+def test_file_refusals(capsys, tmp_path, text, space, message):
+    # A framework file, or a custom space file read against the kagome builtin.
+    path = tmp_path / "input.json"
+    path.write_text(text or space)
+    argv = [str(path)] if text else ["--builtin", "kagome", "--mode", "space", f"custom:{path}"]
+    assert main(["analyze", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")

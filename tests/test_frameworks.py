@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 import crystalflex.frameworks
-from crystalflex.frameworks import _group_rows, lattice_matches
+from crystalflex.frameworks import lattice_matches
 from oracles import pairwise_matches, random_framework, reference_supercell, scrambled_supercell
 
 S3 = np.sqrt(3.0)
@@ -227,19 +227,6 @@ class TestWithSymmetries:
     def test_rejects_elements_of_another_motif(self, kagome, square_grid):
         with pytest.raises(ValueError, match="r4"):
             kagome.with_symmetries(square_grid.symmetries)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 5, 2 ** 40]))
-def test_row_grouping_is_np_unique(d, seed, spread):
-    # Few distinct values make repeated rows common; huge ones of both signs
-    # check that the order is numeric, not by bytes.
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(-spread, spread + 1, size=(int(rng.integers(0, 40)), d), dtype=np.int64)
-    first, inverse = _group_rows(rows)
-    _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    assert np.array_equal(first, want_first)
-    assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 @st.composite
@@ -518,3 +505,27 @@ def test_random_frameworks_pass_validation(rng):
     for _ in range(5):
         fw = random_framework(rng, d=int(rng.integers(2, 4)))
         assert cf.validate_framework(fw) == []
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: cf.PeriodLattice(np.ones((2, 3))), ValueError, "period matrix must be square, got shape (2, 3)"),
+    (lambda: cf.PeriodLattice(np.ones((0, 0))), ValueError, "period lattice needs at least one dimension"),
+    (lambda: cf.MotifEdge(0, (0, 0), 1, (0, 0, 0)), ValueError, "edge endpoints have different cell dimensions"),
+    (lambda: cf.AffineVelocity(np.zeros(2), np.zeros((2, 2))), ValueError,
+     "vertex_velocities must be a (n_vertices, d) array"),
+    (lambda: cf.AffineVelocity(np.zeros((3, 2)), np.zeros((3, 3))), ValueError, "distortion must be d x d"),
+    (lambda: cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), [], [], tolerance=float("nan")), ValueError,
+     "tolerance must be positive and finite"),
+    (lambda: cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), [cf.MotifVertex([0.0, 0.0, 0.0])], []),
+     cf.InvalidFrameworkError, "invalid framework: vertex 0 has dimension 3, lattice has 2"),
+    (lambda: cf.supercell(cf.builtin_framework("kagome"), [2]), ValueError, "need 2 multiplicities, got 1"),
+    (lambda: cf.point_of(cf.builtin_framework("kagome"), 0, (0, 0, 0)), ValueError,
+     "cell (0, 0, 0) has shape (3,), lattice has dimension 2"),
+    (lambda: cf.edge_geometry(cf.builtin_framework("kagome"), cf.MotifEdge(0, (0, 0, 0), 1, (0, 0, 0))),
+     ValueError, "edge cell indices have dimension 3, lattice has 2"),
+], ids=["lattice-not-square", "lattice-empty", "cells-of-two-lengths", "velocities-1d", "distortion-shape",
+        "nan-tolerance", "vertex-dimension", "one-factor", "point-cell-dimension", "edge-cell-dimension"])
+def test_framework_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

@@ -219,3 +219,18 @@ def test_cokernel_is_built_on_first_read_and_cached(rng, q):
     assert cokernel.dim == 6 - f.rank
     assert len(built) == 1
     assert_allclose(cokernel.basis.T @ a, 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: numeric_rank(np.ones(3)), "expected a 2-d array, got shape (3,)"),
+    (lambda: SubspaceBasis(2, np.ones((3, 1))), "basis shape (3, 1) incompatible with ambient dimension 2"),
+    (lambda: SubspaceBasis(2, np.ones((2, 3))), "more basis vectors than the ambient dimension"),
+    (lambda: subspace_intersection(SubspaceBasis(2, np.eye(2)), SubspaceBasis(3, np.eye(3))),
+     "subspaces live in different ambient spaces"),
+    (lambda: complement_within(SubspaceBasis(2, np.eye(2)), SubspaceBasis(3, np.eye(3))),
+     "subspaces live in different ambient spaces"),
+], ids=["1d-matrix", "basis-rows", "basis-columns", "intersection", "complement"])
+def test_linalg_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

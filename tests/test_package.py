@@ -126,3 +126,34 @@ print(sorted(name for name in ("scipy", "sympy") if name in sys.modules))
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_requests_load_only_numpy(tmp_path):
+    # numpy is the one declared dependency, so a request of every command,
+    # Bloch blocks included, loads no module outside the standard library
+    # but numpy and the package itself.
+    script = f"""
+import sys
+before = {{name.partition(".")[0] for name in sys.modules}}
+import contextlib, io
+import crystalflex
+from crystalflex import cli
+big = {str(tmp_path / "kagome_8x8.json")!r}
+requests = [["supercell", "--builtin", "kagome", "--n", "8,8", "-o", big],
+            ["analyze", big, "--json"],
+            ["symmetry", "--builtin", "kagome", "--characters"],
+            ["svg", "--builtin", "kagome", "--cells", "2x2", "-o", {str(tmp_path / "kagome.svg")!r}],
+            ["builtins"]]
+for argv in requests:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "crystalflex.translations" in sys.modules
+loaded = {{name.partition(".")[0] for name in sys.modules}} - before
+print(sorted(loaded - set(sys.stdlib_module_names) - {{"numpy", "crystalflex"}}))
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    result = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -910,14 +910,14 @@ class TestDetectionWork:
         # divisors; each of the 359 candidates is tested at those powers only.
         fw = cf.supercell(chain(), (360,))
         sizes = []
-        members = crystalflex.translations._members
+        member_index = crystalflex.translations._member_index
 
         def counting(rows, *args):
             sizes.append(len(rows))
-            return members(rows, *args)
+            return member_index(rows, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(crystalflex.translations, "_members", counting)
+            patch.setattr(crystalflex.translations, "_member_index", counting)
             group, accepted, _ = detect(fw)
         assert max(sizes) <= 24 * 359
         assert len(accepted) == 1 and len(group.vertices) == 360
@@ -945,3 +945,26 @@ class TestDetectionWork:
             tracemalloc.stop()
         assert group.vertices.shape == (256, 3) and group.edges.shape == (256, 6)
         assert peak < 4e6
+
+
+def still(n, d=2):
+    return cf.AffineVelocity(np.zeros((n, d)), np.zeros((d, d)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fw: cf.MatrixSpace(2, (np.eye(3),)), "basis matrix has shape (3, 3), expected (2, 2)"),
+    (lambda fw: cf.matrix_space("full", 0), "matrix space dimension must be at least 1, got 0"),
+    (lambda fw: cf.matrix_space("full", -1), "matrix space dimension must be at least 1, got -1"),
+    (lambda fw: cf.matrix_space("full", 2).matrix_from_coordinates([1.0, 2.0]), "expected 4 coordinates, got 2"),
+    (lambda fw: cf.velocity_from_mode_coordinates(fw, cf.matrix_space("full", 2), np.zeros(3)),
+     "expected a vector of length 10, got 3"),
+    (lambda fw: cf.edge_deviation(fw, still(3), -0.5), "t must be nonnegative and finite, got -0.5"),
+    (lambda fw: cf.edge_deviation(fw, still(3), float("nan")), "t must be nonnegative and finite, got nan"),
+    (lambda fw: cf.edge_deviation(fw, still(3), float("inf")), "t must be nonnegative and finite, got inf"),
+    (lambda fw: cf.edge_deviation(fw, still(1), 0.1), "velocity shape does not match the framework"),
+], ids=["basis-shape", "dimension-0", "dimension-negative", "coordinates", "mode-vector", "negative-t",
+        "nan-t", "infinite-t", "other-velocity"])
+def test_rigidity_refusals(kagome, call, message):
+    with pytest.raises(ValueError) as caught:
+        call(kagome)
+    assert str(caught.value) == message

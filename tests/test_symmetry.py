@@ -772,3 +772,21 @@ class TestCharacterRow:
             commutant = cf.commutant_basis(g.linear, any_builtin.tolerance)
             row = cf.character_row(any_builtin, g, commutant)
             assert abs(row.residual) < 1e-9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda kagome, square: cf.resolve_symmetry(kagome, np.eye(3), np.zeros(3)),
+     "element 'g': expected a 2x2 linear part and a 2-vector"),
+    (lambda kagome, square: cf.commutant_basis(5.0), "linear part must be square, got shape ()"),
+    (lambda kagome, square: cf.symmetry_counts(square, kagome.symmetries[0]),
+     "symmetry element 'r3' was resolved against another motif"),
+    (lambda kagome, square: cf.character_row(square, kagome.symmetries[0], cf.matrix_space("full", 2)),
+     "symmetry element 'r3' was resolved against another motif"),
+    (lambda kagome, square: cf.verify_symmetry_equation(square, kagome.symmetries[0]),
+     "symmetry element 'r3' was resolved against another motif"),
+], ids=["linear-part-3x3", "scalar-commutant", "counts-other-motif", "characters-other-motif",
+        "equation-other-motif"])
+def test_symmetry_refusals(kagome, square_grid, call, message):
+    with pytest.raises(ValueError) as caught:
+        call(kagome, square_grid)
+    assert str(caught.value) == message
