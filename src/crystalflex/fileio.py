@@ -42,9 +42,9 @@ from .frameworks import (
     CELL_LIMIT,
     CrystalFramework,
     InvalidFrameworkError,
-    MotifVertex,
     PeriodLattice,
     _EdgeTable,
+    _VertexTable,
 )
 from .linalg import MIN_TOL
 from .rigidity import (
@@ -55,7 +55,6 @@ from .rigidity import (
 from .symmetry import (
     SymmetryError,
     character_row,
-    commutant_basis,
     resolve_symmetry,
     symmetry_counts,
 )
@@ -223,8 +222,9 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
     names, positions, flags = rows
     ids = {vid: i for i, vid in enumerate(names)}
     # A fractional position is converted alone, by its own matrix-vector product.
-    vertices = [MotifVertex(lattice.matrix @ pos if frac else pos, vid)
-                for vid, pos, frac in zip(names, positions, flags)]
+    for i in np.flatnonzero(flags).tolist():
+        positions[i] = lattice.matrix @ positions[i]
+    vertices = _VertexTable(positions, names)
 
     raw_edges = _require(doc, "edges", "", list)
     rows = _edge_rows(raw_edges, ids, dimension)
@@ -286,7 +286,7 @@ def framework_to_dict(fw: CrystalFramework) -> dict:
     empty one, and ``v{i}`` for the i-th vertex when it has none; ids that
     repeat raise ValueError, since no file may hold them."""
     d = fw.dimension
-    labels = [f"v{i}" if v.name is None else v.name for i, v in enumerate(fw.vertices)]
+    labels = [f"v{i}" if name is None else name for i, name in enumerate(fw.vertices.names)]
     if len(set(labels)) < len(labels):
         first = {}
         for i, label in enumerate(labels):
@@ -298,8 +298,8 @@ def framework_to_dict(fw: CrystalFramework) -> dict:
         "period_vectors": [list(map(float, fw.lattice.matrix[:, j])) for j in range(d)],
         "tolerance": fw.tolerance,
         "vertices": [
-            {"id": label, "position": list(map(float, v.position))}
-            for label, v in zip(labels, fw.vertices)
+            {"id": label, "position": position}
+            for label, position in zip(labels, fw.positions.tolist())
         ],
         "edges": [
             {"from": {"v": labels[f], "cell": fc}, "to": {"v": labels[t], "cell": tc}}
@@ -629,7 +629,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence = ("strict", "affine
             "equation_residual": _display(counts.equation_residual),
         }
         if characters:
-            row = character_row(fw, g, commutant_basis(g.linear, fw.tolerance))
+            row = character_row(fw, g, counts.commutant)
             entry["characters"] = {
                 "space": row.space_name,
                 "vertex_trace": _display(row.vertex_trace),

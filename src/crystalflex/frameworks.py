@@ -4,10 +4,12 @@ A framework is stored as a finite set of representative vertices (one per
 translation class, with positions in the base cell's coordinate frame) and a
 finite set of representative edges.  Every edge endpoint carries an integer
 cell index, so edges whose endpoints both sit outside the base cell are
-representable.  The edges are one read-only int64 table, built once with the
-framework.  All positions are Cartesian; fractional coordinates only appear
-at file-parsing time and in the motif index (``_MotifIndex``), which
-validation builds and every later vertex or edge match reads.
+representable.  The vertices are one read-only float64 table of positions
+with their names, and the edges one read-only int64 table, each built once
+with the framework; the bar vectors are computed once from both.  All
+positions are Cartesian; fractional coordinates only appear at file-parsing
+time and in the motif index (``_MotifIndex``), which validation builds and
+every later vertex or edge match reads.
 """
 
 from __future__ import annotations
@@ -82,11 +84,17 @@ class PeriodLattice:
 
     def translation(self, cell) -> np.ndarray:
         """Cartesian translation vector of an integer cell index."""
-        return self.matrix @ np.asarray(cell, dtype=float)
+        indices = _as_integers(cell, "cell indices")
+        if len(indices) != self.dimension:
+            raise ValueError(f"cell {cell!r} has {len(indices)} indices, "
+                             f"lattice has dimension {self.dimension}")
+        return self.matrix @ np.asarray(indices, dtype=float)
 
     def fractional(self, points) -> np.ndarray:
-        """Coordinates of Cartesian points in the period-vector frame."""
+        """Coordinates of Cartesian points (one, or one per row) in the period-vector frame."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.dimension:
+            raise ValueError(f"points have shape {pts.shape}, lattice has dimension {self.dimension}")
         return np.linalg.solve(self.matrix, pts.T).T
 
 
@@ -150,6 +158,51 @@ def _edge_class_keys(ends, offsets) -> np.ndarray:
     flip = (ends[:, 0] > ends[:, 1]) | ((ends[:, 0] == ends[:, 1]) & (lead > 0))
     return np.where(flip[:, np.newaxis], np.column_stack([ends[:, ::-1], -offsets]),
                     np.column_stack([ends, offsets]))
+
+
+class _VertexTable(Sequence):
+    """The motif's vertices as one read-only (n, d) float64 table of
+    positions and a tuple of names; its items are MotifVertexes.
+
+    Only the parser and ``supercell`` build a table from positions, and
+    both give every position d coordinates; any other vertex sequence goes
+    through ``of``, whose ``problems`` lists each vertex of another
+    dimension.  Concatenation with a tuple gives the tuple of items.
+    """
+
+    def __init__(self, positions, names, problems=()):
+        table = np.array(positions, dtype=float)
+        table.setflags(write=False)
+        self.positions, self.names, self.problems = table, tuple(names), problems
+
+    @classmethod
+    def of(cls, vertices, d: int) -> "_VertexTable":
+        """``vertices`` if it is a table of dimension d, else its table built vertex by vertex."""
+        if isinstance(vertices, cls) and vertices.positions.shape[1] == d:
+            return vertices
+        vertices = tuple(vertices)
+        problems = tuple(f"vertex {i} has dimension {v.position.shape[0]}, lattice has {d}"
+                         for i, v in enumerate(vertices) if v.position.shape != (d,))
+        positions = (np.zeros((len(vertices), d)) if problems
+                     else np.array([v.position for v in vertices]).reshape(-1, d))
+        return cls(positions, [v.name for v in vertices], problems)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return MotifVertex(self.positions[i], self.names[i])
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other):
+        return tuple(other) + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class _EdgeTable(Sequence):
@@ -244,8 +297,9 @@ class AffineVelocity:
 class CrystalFramework:
     """Finite motif + period lattice describing an infinite periodic framework.
 
-    Any sequence of MotifEdges is turned once into the int64 edge table,
-    which reads back as equal MotifEdges.  Construction validates the
+    Any sequence of MotifVertexes is turned once into the float64 vertex
+    table, and any sequence of MotifEdges into the int64 edge table; they
+    read back as equal MotifVertexes and MotifEdges.  Construction validates the
     framework (see ``validate_framework``) and raises InvalidFrameworkError
     on any violation, so every instance is valid; it then checks the held
     symmetry elements at its tolerance (``_check_symmetries``), so a
@@ -259,7 +313,7 @@ class CrystalFramework:
     tolerance: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "vertices", _VertexTable.of(self.vertices, self.dimension))
         object.__setattr__(self, "edges", _EdgeTable.of(self.edges, self.dimension, len(self.vertices)))
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
         if not 0 < self.tolerance < np.inf:
@@ -283,12 +337,18 @@ class CrystalFramework:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def positions(self) -> np.ndarray:
-        """Read-only (n_vertices, d) array of representative positions."""
-        positions = np.array([v.position for v in self.vertices]).reshape(-1, self.dimension)
-        positions.setflags(write=False)
-        return positions
+        """Read-only (n_vertices, d) array of representative positions: the vertex table."""
+        return self.vertices.positions
+
+    @cached_property
+    def _edge_vectors(self) -> np.ndarray:
+        """Read-only (n_edges, d) bar vectors, from-endpoint minus to-endpoint,
+        computed on first read (by validation) and held for the framework's life."""
+        vectors = _bar_vectors(self, self.edges.ends, self.edges.cells)
+        vectors.setflags(write=False)
+        return vectors
 
     @cached_property
     def _motif_index(self) -> "_MotifIndex":
@@ -303,8 +363,17 @@ class CrystalFramework:
         from . import rigidity     # rigidity imports this module
         return rigidity.factor_strict(self)
 
+    @cached_property
+    def _element_actions(self) -> dict:
+        """Each held symmetry element's domain action and commutant
+        (``symmetry._element_action``), by the element's place in
+        ``symmetries``: built on first use and held for the framework's life,
+        so that one request reads each once.  A ``with_symmetries`` copy
+        starts with none."""
+        return {}
+
     def vertex_label(self, index: int) -> str:
-        name = self.vertices[index].name
+        name = self.vertices.names[index]
         return name if name else f"v{index}"
 
     def with_tolerance(self, tol: float) -> "CrystalFramework":
@@ -324,6 +393,7 @@ class CrystalFramework:
             _check_maps(self, g)
         out = copy.copy(self)
         object.__setattr__(out, "symmetries", elements)
+        out.__dict__.pop("_element_actions", None)     # held for the elements it had
         return out
 
 
@@ -555,18 +625,19 @@ def validate_framework(fw: CrystalFramework) -> list:
         report.append("period lattice is singular (determinant below tolerance)" if det <= tol
                       else "period lattice determinant is not finite")
         return report
-    if numeric_rank(fw.lattice.matrix, MIN_TOL) < d:
+    try:
+        singular = numeric_rank(fw.lattice.matrix, MIN_TOL) < d
+    except ValueError:      # a norm that overflows, next to a finite determinant
+        singular = True
+    if singular:
         # A finite determinant can still hide a condition number near
         # 1 / eps (det [[1, 0], [1e8, 1]] is 1); no operator rank is
         # meaningful on such a lattice.
         report.append("period lattice is numerically singular")
         return report
 
-    for i, v in enumerate(fw.vertices):
-        if v.position.shape != (d,):
-            report.append(f"vertex {i} has dimension {v.position.shape[0]}, lattice has {d}")
-    if report:
-        return report
+    if fw.vertices.problems:
+        return list(fw.vertices.problems)
     # No geometry test is meaningful past a nan or infinite coordinate.
     for i in np.flatnonzero(~np.isfinite(fw.positions).all(axis=1)).tolist():
         report.append(f"vertex {i} has a non-finite position")
@@ -582,10 +653,13 @@ def validate_framework(fw: CrystalFramework) -> list:
     valid = np.ones(fw.edge_count, dtype=bool)
     valid[[idx for idx, *_ in found]] = False
     checked = np.flatnonzero(valid)
-    ends, cells, offsets = fw.edges.ends[checked], fw.edges.cells[checked], fw.edges.offsets[checked]
+    ends, offsets = fw.edges.ends[checked], fw.edges.offsets[checked]
     loop = (ends[:, 0] == ends[:, 1]) & ~offsets.any(axis=1)
     found += [(idx, 0, f"edge {idx} is a self-loop within one cell") for idx in checked[loop].tolist()]
-    short = ~loop & (np.linalg.norm(_bar_vectors(fw, ends, cells), axis=1) <= tol)
+    # With every edge checked, the framework's held bar vectors are the ones measured.
+    vectors = (fw._edge_vectors if len(checked) == fw.edge_count
+               else _bar_vectors(fw, ends, fw.edges.cells[checked]))
+    short = ~loop & (np.linalg.norm(vectors, axis=1) <= tol)
     found += [(idx, 0, f"edge {idx} has zero length") for idx in checked[short].tolist()]
 
     # Among the bars, equal rows sit together in the held order, each run in edge order.
@@ -620,7 +694,7 @@ def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:
     shift = np.asarray(cell, dtype=float)
     if shift.shape != (fw.dimension,):
         raise ValueError(f"cell {cell!r} has shape {shift.shape}, lattice has dimension {fw.dimension}")
-    return fw.vertices[vertex].position + fw.lattice.matrix @ shift
+    return fw.positions[vertex] + fw.lattice.matrix @ shift
 
 
 @dataclass(frozen=True)
@@ -670,9 +744,13 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
 
     lattice = PeriodLattice(fw.lattice.matrix * n[np.newaxis, :])
     residues = list(itertools.product(*(range(k) for k in n)))
-    shifts = [fw.lattice.translation(r) for r in residues]
-    vertices = [MotifVertex(v.position + shift, f"{v.name}[{','.join(map(str, r))}]" if v.name else None)
-                for v in fw.vertices for r, shift in zip(residues, shifts)]
+    # Copy r of vertex v is row v R + r; each shift is its own matrix-vector product.
+    z = fw.lattice.matrix
+    shifts = np.array([z @ np.asarray(r, dtype=float) for r in residues])
+    suffixes = [",".join(map(str, r)) for r in residues]
+    vertices = _VertexTable((fw.positions[:, np.newaxis] + shifts).reshape(-1, fw.dimension),
+                            [f"{name}[{suffix}]" if name else None
+                             for name in fw.vertices.names for suffix in suffixes])
 
     # Copy r of edge e is row e R + r; each endpoint cell splits into a
     # residue, which picks the vertex copy, and a supercell index.

@@ -20,6 +20,7 @@ same policy puts on the stacked complement projectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -115,11 +116,26 @@ class SubspaceBasis:
         return self.residual(v) <= 10 * self.tol * scale * self.ambient_dim
 
 
+def _svd(m: np.ndarray, what: str, full_matrices: bool = True, compute_uv: bool = True):
+    """``np.linalg.svd`` of ``m``, refusing by a ValueError naming ``what`` a
+    matrix with a non-finite entry or norm: LAPACK then fails to converge,
+    or returns a largest singular value that is not finite, which is the one
+    value tested."""
+    try:
+        out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = None
+    sigma = () if out is None else out[1] if compute_uv else out
+    if out is None or (len(sigma) and not math.isfinite(sigma[0])):
+        raise ValueError(f"{what}: an entry or the norm is not finite")
+    return out
+
+
 def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:
     m = _as_matrix(mat)
     if min(m.shape) == 0:
         return 0
-    return _rank(np.linalg.svd(m, compute_uv=False), m.shape, tol)
+    return _rank(_svd(m, "mat", compute_uv=False), m.shape, tol)
 
 
 def _span(columns: np.ndarray, tol: float) -> SubspaceBasis:
@@ -141,7 +157,7 @@ def full_svd(mat) -> FullSVD:
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         return FullSVD(np.eye(rows), np.zeros(0), np.eye(cols))
-    return FullSVD(*np.linalg.svd(m, full_matrices=True))
+    return FullSVD(*_svd(m, "mat"))
 
 
 @dataclass(frozen=True)
@@ -321,7 +337,7 @@ def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     columns) takes the thin SVD, whose V is already square."""
     m = _as_matrix(mat)
     rows, cols = m.shape
-    _, s, vt = np.linalg.svd(m, full_matrices=False) if rows >= cols > 0 else full_svd(m)
+    _, s, vt = _svd(m, "mat", full_matrices=False) if rows >= cols > 0 else full_svd(m)
     return _span(vt[_rank(s, m.shape, tol):].T, tol)
 
 
@@ -331,7 +347,7 @@ def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     rows = m.shape[0]
     if m.shape[1] == 0 or rows == 0:
         return SubspaceBasis(rows, np.zeros((rows, 0)), tol)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s, _ = _svd(m, "vectors", full_matrices=False)
     return _span(u[:, :_rank(s, m.shape, tol)], tol)
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frameworks import AffineVelocity, CrystalFramework, _bar_vectors
+from .frameworks import AffineVelocity, CrystalFramework
 from .linalg import (
     DEFAULT_TOL,
     BlockSVD,
@@ -192,7 +192,7 @@ def _affine_block(fw: CrystalFramework, vectors: np.ndarray) -> np.ndarray:
 def build_matrices(fw: CrystalFramework) -> RigidityMatrices:
     """Assemble the rigidity blocks of a framework."""
     d, n, m = fw.dimension, fw.vertex_count, fw.edge_count
-    ends, vectors = fw.edges.ends, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+    ends, vectors = fw.edges.ends, fw._edge_vectors
     # Bars joining two copies of one vertex class keep a zero vertex row.
     bars = np.flatnonzero(ends[:, 0] != ends[:, 1])
     vertex_block = np.zeros((m, n, d))
@@ -221,7 +221,7 @@ def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: Matr
 def _edge_rows(fw: CrystalFramework, space: MatrixSpace) -> tuple:
     """The operator on (u, coords-in-space) as edge rows (ends, bar vectors v, C_E): row e
     is v_e at vertex block from_e, -v_e at to_e (none if equal) and C_E[e] on the A columns."""
-    ends, vectors = fw.edges.ends, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+    ends, vectors = fw.edges.ends, fw._edge_vectors
     return ends, vectors, _lattice_columns(fw, _affine_block(fw, vectors), space)
 
 
@@ -310,7 +310,7 @@ def factor_strict(fw: CrystalFramework) -> BlockSVD:
         # Smaller operators never need the module; it imports symmetry,
         # which imports this one.
         from .translations import _bloch_blocks, _find_translations
-        vectors = _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+        vectors = fw._edge_vectors
         group = _find_translations(fw, vectors)
         if group is not None:
             return _bloch_blocks(fw, vectors, group)
@@ -375,6 +375,8 @@ def velocity_from_mode_coordinates(fw: CrystalFramework, space: MatrixSpace, vec
     x = np.asarray(vector, dtype=float).reshape(-1)
     if x.shape != (d * n + space.dim,):
         raise ValueError(f"expected a vector of length {d * n + space.dim}, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise ValueError("vector has a non-finite entry")
     u = x[:d * n].reshape((n, d))
     return AffineVelocity(u, space.matrix_from_coordinates(x[d * n:]))
 
@@ -402,7 +404,7 @@ def edge_deviation(fw: CrystalFramework, velocity: AffineVelocity, t: float) -> 
 
     # The bar vector grows by t (u_from - u_to) and by (frame - Z) applied
     # to the from-cell minus the to-cell, which is -offset.
-    ends, offsets, vectors = fw.edges.ends, fw.edges.offsets, _bar_vectors(fw, fw.edges.ends, fw.edges.cells)
+    ends, offsets, vectors = fw.edges.ends, fw.edges.offsets, fw._edge_vectors
     u = velocity.vertex_velocities
     moved = vectors + t * (u[ends[:, 0]] - u[ends[:, 1]]) - offsets @ (frame - fw.lattice.matrix).T
     change = np.linalg.norm(vectors, axis=1) - np.linalg.norm(moved, axis=1)

@@ -11,7 +11,11 @@ applied by gathers and never built as dense matrices.  On the range, row
 g.e of the permuted operator is row e.  On the domain, (u, coordinates of
 A in an admissible space E), vertex block v moves to g.v and is multiplied
 by B, the offset coupling carries A into the vertex blocks (zero exactly
-when the element is separable), and A -> B A B^-1 acts on E.  Traces are
+when the element is separable), and A -> B A B^-1 acts on E.  The domain
+action is built once per element on (u, vec A), the full space's
+coordinates, and a space's action is its restriction; a framework holds
+each of its elements' actions and commutants once built, so the counts,
+the equation residual and the character row read the same ones.  Traces are
 counted from fixed points.  Velocities transform by the linear part only;
 rigidity rows annihilate the constant translation component, so kernels,
 cokernels and subspace traces are unaffected.  R itself is read as its
@@ -20,7 +24,7 @@ edge rows (``rigidity._edge_rows``), never built as a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -151,11 +155,27 @@ def _fixed_points(perm) -> int:
 class _DomainAction:
     """Domain action [[V, C], [0, K]] of one element, kept as its parts: V is
     the element's vertex map and B, C (dn x q) the offset coupling and K
-    (q x q) the conjugation, both in E's coordinates."""
+    (q x q) the conjugation.  ``_domain_action`` builds it on (u, vec A),
+    where K is B kron B, and ``on`` restricts that to a space's coordinates."""
 
     element: SymmetryElement
     coupling: np.ndarray
     conjugation: np.ndarray
+
+    def on(self, space: MatrixSpace) -> "_DomainAction":
+        """This action on (u, vec A) restricted to (u, coordinates in ``space``):
+        C times the space's stacked basis, and K the coordinates of the
+        conjugated basis matrices, from one solve.  Raises SymmetryError
+        unless the space is invariant under A -> B A B^-1."""
+        conjugation = np.zeros((0, 0))
+        if space.dim:
+            try:
+                conjugation = space._column_coordinates(self.conjugation @ space.stacked)
+            except ValueError:
+                raise SymmetryError(
+                    f"matrix space {space.name!r} is not invariant under conjugation by "
+                    f"element {self.element.name!r}") from None
+        return _DomainAction(self.element, self.coupling @ space.stacked, conjugation)
 
     def apply(self, columns) -> np.ndarray:
         """D times a stack of domain columns, by a gather and one d x d multiply."""
@@ -192,34 +212,35 @@ class _DomainAction:
         return float(max(np.max(np.abs(vertex), initial=0.0), np.max(np.abs(lattice_part), initial=0.0)))
 
 
-def _domain_action(fw: CrystalFramework, element: SymmetryElement,
-                   space: MatrixSpace) -> _DomainAction:
-    """The element's action on (u, coords-in-space).  Requires the space to
-    be invariant under A -> B A B^-1; raises SymmetryError otherwise."""
-    _check_dimension(fw, space)
+def _domain_action(fw: CrystalFramework, element: SymmetryElement) -> _DomainAction:
+    """The element's action on (u, vec A), the coordinates of the full space."""
     _check_maps(fw, element)
     d, n = fw.dimension, fw.vertex_count
     b = element.linear
-    # One solve for all conjugated basis matrices, vec(B A B^T) = (B kron B) vec A.
-    conjugation = np.zeros((0, 0))
-    if space.dim:
-        try:
-            conjugation = space._column_coordinates(np.kron(b, b) @ space.stacked)
-        except ValueError:
-            raise SymmetryError(
-                f"matrix space {space.name!r} is not invariant under conjugation by "
-                f"element {element.name!r}") from None
-
     # Coupling of A into the vertex blocks. The image block at g.v is
     # B A B^-1 Z k(v), which depends only on the integer offsets, so
     # separable elements get an exactly zero block: row (g.v, i), column
     # (j, k) of vec A holds -w[j] B[i, k] with w = -B^T Z k(v).
     moved = np.flatnonzero(element.vertex_offsets.any(axis=1))
     w = -(element.vertex_offsets[moved] @ fw.lattice.matrix.T) @ b
-    on_vec = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :]).reshape(-1, d * d)
-    coupling = np.zeros((n, d, space.dim))
-    coupling[element.vertex_map[moved]] = (on_vec @ space.stacked).reshape(len(moved), d, space.dim)
-    return _DomainAction(element, coupling.reshape(n * d, space.dim), conjugation)
+    coupling = np.zeros((n, d, d * d))
+    coupling[element.vertex_map[moved]] = -(w[:, np.newaxis, :, np.newaxis]
+                                            * b[:, np.newaxis, :]).reshape(len(moved), d, d * d)
+    # vec(B A B^T) = (B kron B) vec A.
+    return _DomainAction(element, coupling.reshape(n * d, d * d), np.kron(b, b))
+
+
+def _element_action(fw: CrystalFramework, element: SymmetryElement) -> tuple:
+    """The element's domain action on (u, vec A) and its commutant at the
+    framework's tolerance.  For an element the framework holds, both are
+    built on first use and then read from ``fw._element_actions``."""
+    held = next((i for i, g in enumerate(fw.symmetries) if g is element), None)
+    if held in fw._element_actions:
+        return fw._element_actions[held]
+    setup = _domain_action(fw, element), commutant_basis(element.linear, fw.tolerance)
+    if held is not None:
+        fw._element_actions[held] = setup
+    return setup
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
@@ -231,8 +252,10 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
     the space must be invariant under conjugation by the element.
     """
     if space is None:
-        space = matrix_space("full", fw.dimension, fw.tolerance)
-    action = _domain_action(fw, element, space)
+        action, space = _element_action(fw, element)[0], matrix_space("full", fw.dimension, fw.tolerance)
+    else:
+        _check_dimension(fw, space)
+        action = _element_action(fw, element)[0].on(space)
     return action.equation_residual(*_edge_rows(fw, space))
 
 
@@ -364,7 +387,9 @@ class SymmetryCountReport:
     singular values of F_e^T R F_dom between the threshold of its shape and
     that of the (|Fe|, fixed) shape of R F_dom, which has the same ones.
     equation_residual is the residual of the symmetry equation on the full
-    space (see ``verify_symmetry_equation``).
+    space (see ``verify_symmetry_equation``).  commutant is the space of
+    velocity matrices commuting with the linear part that the counts read,
+    for the element's character row (None on a report built by hand).
     """
 
     element_name: str
@@ -379,6 +404,7 @@ class SymmetryCountReport:
     identity_residual: int
     flexible_predicted: bool
     equation_residual: float
+    commutant: Optional[MatrixSpace] = field(default=None, compare=False, repr=False)
 
 
 def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryCountReport:
@@ -389,10 +415,9 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     """
     tol = fw.tolerance
     d = fw.dimension
+    # The full space's coordinates are vec A, so the action on (u, vec A) is its action.
     full = matrix_space("full", d, tol)
-    action = _domain_action(fw, element, full)
-
-    commutant = commutant_basis(element.linear, tol)
+    action, commutant = _element_action(fw, element)
     fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
     ends, vectors, lattice = _edge_rows(fw, full)
     equation = action.equation_residual(ends, vectors, lattice)
@@ -443,6 +468,7 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
         identity_residual=residual,
         flexible_predicted=predicted,
         equation_residual=equation,
+        commutant=commutant,
     )
 
 
@@ -472,7 +498,8 @@ def character_row(fw: CrystalFramework, element: SymmetryElement,
     a matrix product.  Rigid motions are flexes, so the mechanism trace,
     the trace on the quotient flex / rigid, is tr(flex) - tr(rigid).
     """
-    action = _domain_action(fw, element, space)
+    _check_dimension(fw, space)
+    action = _element_action(fw, element)[0].on(space)
     counts = analyze_counts(fw, space)
 
     def subspace_trace(basis: SubspaceBasis) -> float:

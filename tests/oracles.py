@@ -18,6 +18,11 @@ where the package composes its generators' maps over a few points.
 ``reference_find_translations`` are the matcher that re-bucketed every
 target and regrouped every edge class on each call, kept unchanged so that
 the held motif index can be compared with it bit for bit.
+``per_use_symmetry_counts``, ``per_use_character_row`` and
+``per_use_equation_residual`` build an element's domain action for each
+use, on each space by its own solve, and its commutant for each use, as the
+package did before a framework held one action on (u, vec A) and one
+commutant per element.
 """
 
 import itertools
@@ -29,8 +34,17 @@ import sympy as sp
 
 import crystalflex as cf
 from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys
-from crystalflex.linalg import BlockSVD, factorize_bordered, full_svd
-from crystalflex.symmetry import SymmetryElement, SymmetryError
+from crystalflex.linalg import BlockSVD, _rank, factorize_bordered, full_svd
+from crystalflex.rigidity import DependentBasisError, _edge_rows
+from crystalflex.symmetry import (
+    SymmetryElement,
+    SymmetryError,
+    _cycle_starts,
+    _cycles,
+    _DomainAction,
+    _fixed_domain,
+    _fixed_points,
+)
 from crystalflex.translations import BAR_ROUNDOFF_ULPS, _GroupBuilder, _Translations
 
 
@@ -581,3 +595,83 @@ def reference_find_translations(fw, vectors: np.ndarray):
     fourier[:, len(real) + 1::2] = -np.sqrt(2.0 / count) * sin[len(real):].T
     return _Translations(group.orbit_table("vertex_map"), group.orbit_table("edge_map"),
                          fourier, cos, sin, len(real))
+
+
+def per_use_domain_action(fw, element, space):
+    """The element's action on (u, coordinates in ``space``), built for one
+    use: the conjugation's coordinates from one solve, and the coupling of
+    the moved vertices times the space's basis."""
+    d, n = fw.dimension, fw.vertex_count
+    b = element.linear
+    conjugation = np.zeros((0, 0))
+    if space.dim:
+        try:
+            conjugation = space._column_coordinates(np.kron(b, b) @ space.stacked)
+        except ValueError:
+            raise SymmetryError(f"matrix space {space.name!r} is not invariant") from None
+    moved = np.flatnonzero(element.vertex_offsets.any(axis=1))
+    w = -(element.vertex_offsets[moved] @ fw.lattice.matrix.T) @ b
+    on_vec = -(w[:, np.newaxis, :, np.newaxis] * b[:, np.newaxis, :]).reshape(-1, d * d)
+    coupling = np.zeros((n, d, space.dim))
+    coupling[element.vertex_map[moved]] = (on_vec @ space.stacked).reshape(len(moved), d, space.dim)
+    return _DomainAction(element, coupling.reshape(n * d, space.dim), conjugation)
+
+
+def per_use_equation_residual(fw, element, space):
+    """``verify_symmetry_equation`` with the action built for this use."""
+    return per_use_domain_action(fw, element, space).equation_residual(*_edge_rows(fw, space))
+
+
+def per_use_symmetry_counts(fw, element):
+    """``symmetry_counts`` with the action on the full space, by its solve,
+    and the commutant built for this use."""
+    tol, d = fw.tolerance, fw.dimension
+    full = cf.matrix_space("full", d, tol)
+    action = per_use_domain_action(fw, element, full)
+    commutant = cf.commutant_basis(element.linear, tol)
+    fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
+    ends, vectors, lattice = _edge_rows(fw, full)
+    equation = action.equation_residual(ends, vectors, lattice)
+    rigid = cf.rigid_motion_space(fw, full)
+    f = cf.subspace_intersection(rigid, fixed_domain).dim
+    on_rigid = rigid.basis.T @ action.apply(rigid.basis)
+    if rigid.dim - cf.numeric_rank(on_rigid - np.eye(rigid.dim), tol) != f:
+        raise DependentBasisError("the fixed rigid motions disagree")
+    labels = _cycles(element.edge_map)
+    sizes = np.bincount(labels)
+    orbits, first = len(sizes), _cycle_starts(labels)
+    velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, fixed_domain.dim)
+    rows = np.sqrt(sizes)[:, np.newaxis] * (
+        np.einsum("ek,ekj->ej", vectors[first], velocities[ends[first, 0]] - velocities[ends[first, 1]])
+        + lattice[first] @ fixed_domain.basis[-d * d:])
+    sigma = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+    fixed_flexes = fixed_domain.dim - _rank(sigma, (fw.edge_count, fixed_domain.dim), tol)
+    if f > fixed_flexes:
+        raise DependentBasisError("more fixed rigid motions than fixed flexes")
+    m, s = fixed_flexes - f, orbits - _rank(sigma, (orbits, fixed_domain.dim), tol)
+    return cf.SymmetryCountReport(
+        element_name=element.name, separable=element.separable, fixed_vertex_dim=fixed_vertex,
+        commutant_dim=commutant.dim, fixed_domain_dim=fixed_domain.dim, edge_orbits=orbits,
+        fixed_rigid_dim=f, mechanisms=m, stresses=s,
+        identity_residual=(m - s) - (fixed_domain.dim - orbits - f),
+        flexible_predicted=orbits < fixed_domain.dim - f, equation_residual=equation)
+
+
+def per_use_character_row(fw, element, space):
+    """``character_row`` with the action on ``space`` built for this use."""
+    action = per_use_domain_action(fw, element, space)
+    counts = cf.analyze_counts(fw, space)
+
+    def subspace_trace(basis):
+        return float(np.vdot(basis.basis, action.apply(basis.basis)))
+
+    vertex_trace, edge_trace = action.trace(), float(_fixed_points(element.edge_map))
+    rigid_trace = subspace_trace(counts.rigid_basis)
+    mech_trace = subspace_trace(counts.flex_basis) - rigid_trace
+    stresses = counts.stress_basis.basis
+    stress_trace = float(np.vdot(stresses, action.permute_edges(stresses)))
+    return cf.CharacterRow(
+        element_name=element.name, space_name=space.name, vertex_trace=vertex_trace,
+        edge_trace=edge_trace, rigid_trace=rigid_trace, mechanism_trace=mech_trace,
+        stress_trace=stress_trace,
+        residual=(mech_trace - stress_trace) - (vertex_trace - edge_trace - rigid_trace))

@@ -886,46 +886,56 @@ class TestWorkPerRequest:
         assert [shape for shape in shapes if shape[0] == big.edge_count] == [(6, 6)]
 
     @pytest.mark.parametrize("argv, count", [
-        (["symmetry", "--builtin", "hexahedron", "--characters"], 2),
-        (["analyze", "--builtin", "kagome"], 1)])
+        (["symmetry", "--builtin", "hexahedron", "--characters"], 1),
+        (["analyze", "--builtin", "kagome"], 0)])
     def test_one_solve_per_domain_representation(self, capsys, solves, argv, count):
         # The conjugation action's coordinates come from one solve against
-        # all conjugated basis matrices, not one per basis matrix.
+        # all conjugated basis matrices, not one per basis matrix, and only
+        # for the character row's commutant: the counts read the action on
+        # (u, vec A), the full space's own coordinates, where it is B kron B.
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(solves) == count
 
+    @pytest.mark.parametrize("cells", [2, 8])
     def test_symmetry_builds_each_operator_and_representation_once_per_use(
-            self, capsys, tmp_path, kagome, monkeypatch):
-        # symmetry_counts and character_row each need one domain action. The
-        # counts and the equation residual read the operator's edge rows, so
-        # no request builds the dense operator, and the one assembly is
-        # factor_strict's dense path for the character row.
-        big = cf.supercell(kagome, (2, 2))
-        g = kagome.symmetries[0]
-        big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
-        path = tmp_path / "kagome_2x2.json"
+            self, capsys, tmp_path, kagome, monkeypatch, cells):
+        # Each declared element's domain action on (u, vec A) and its
+        # commutant are built once per request, and the counts, the equation
+        # residual and the character row read them. The counts and the
+        # equation residual read the operator's edge rows, so no request
+        # builds the dense operator; the one assembly is factor_strict's
+        # dense path for the character row, and the 8 x 8 file, on the Bloch
+        # path, has none.
+        big = scrambled_supercell("kagome", cells, np.random.default_rng(1), translate=False)
+        r3 = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, r3.linear, r3.translation, r3.name),
+                                   cf.resolve_symmetry(big, np.diag([1.0, -1.0]), [0.5, 0.0], "glide")))
+        path = tmp_path / "kagome.json"
         cf.save_framework(big, path)
         actions = count_calls(monkeypatch, "_domain_action")
+        commutants = count_calls(monkeypatch, "commutant_basis")
         operators = count_calls(monkeypatch, "restricted_operator")
         builds = count_calls(monkeypatch, "build_matrices")
         equations = count_calls(monkeypatch, "verify_symmetry_equation")
-        code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
-        assert code == 0
-        assert len(actions) <= 2
-        assert operators == []
-        assert len(builds) <= 1
-        assert equations == []
-        builds.clear()
-        code, _, _ = run(capsys, "analyze", str(path))
-        assert code == 0
-        assert operators == []
-        assert len(builds) <= 1
+        for argv in (["symmetry", str(path), "--characters", "--json"], ["analyze", str(path)]):
+            actions.clear()
+            commutants.clear()
+            builds.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            assert [args[1].name for args in actions] == ["r3", "glide"]
+            assert [args[0].tolist() for args in commutants] == [g.linear.tolist() for g in big.symmetries]
+            assert operators == []
+            assert len(builds) == (cells == 2)
+            assert equations == []
 
     def test_requests_build_no_motif_edge_and_validate_once(
             self, capsys, tmp_path, kagome, counters, monkeypatch):
-        # The parser hands its int64 edge table to the framework, and every
-        # consumer reads that table: no MotifEdge is built on either request.
+        # The parser hands its int64 edge table and float64 vertex table to
+        # the framework, and every consumer reads those tables: no MotifEdge
+        # or MotifVertex is built on any request, supercell's included, and
+        # the bar vectors are computed once per framework.
         big = cf.supercell(kagome, (4, 4))
         g = kagome.symmetries[0]
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
@@ -934,12 +944,23 @@ class TestWorkPerRequest:
         validations, _ = counters
         built, post_init = [], cf.MotifEdge.__post_init__
         monkeypatch.setattr(cf.MotifEdge, "__post_init__", lambda e: built.append(e) or post_init(e))
-        for argv in (["analyze", str(path), "--json"], ["symmetry", str(path), "--characters"]):
+        vertices, vertex_init = [], cf.MotifVertex.__post_init__
+        monkeypatch.setattr(cf.MotifVertex, "__post_init__", lambda v: vertices.append(v) or vertex_init(v))
+        vectors = count_calls(monkeypatch, "_bar_vectors")
+        out = str(tmp_path / "out.json")
+        for argv, frameworks in ((["analyze", str(path), "--json"], 1),
+                                 (["symmetry", str(path), "--characters"], 1),
+                                 (["supercell", str(path), "--n", "2,2", "-o", out], 2)):
             validations.clear()
+            vectors.clear()
             code, _, _ = run(capsys, *argv)
             assert code == 0
-            assert len(validations) == 1
+            assert len(validations) == frameworks
+            assert len(vectors) == frameworks
             assert built == []
+            assert vertices == []
+        assert cf.supercell(big, (2, 1)).vertex_count == 2 * big.vertex_count
+        assert built == [] and vertices == []
 
     def test_text_analyze_builds_no_stress_basis_and_rounds_no_array(
             self, capsys, tmp_path, monkeypatch):

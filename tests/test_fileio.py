@@ -284,6 +284,13 @@ class TestLongVertexList:
         assert [v.name for v in bulk.vertices] == [v.name for v in each.vertices]
         assert bulk.positions.tobytes() == each.positions.tobytes()
         assert bulk.edges == each.edges
+        # Each vertex reads back as the MotifVertex the file describes, a
+        # fractional position converted by its own matrix-vector product.
+        z = np.array(doc["period_vectors"], dtype=float).T
+        expected = [cf.MotifVertex(z @ np.array(v["position"], dtype=float) if v.get("frac")
+                                   else v["position"], v["id"]) for v in doc["vertices"]]
+        assert [v.name for v in bulk.vertices] == [v.name for v in expected]
+        assert [v.position.tobytes() for v in bulk.vertices] == [v.position.tobytes() for v in expected]
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]

@@ -206,8 +206,40 @@ class TestEdgeTable:
         for derived in (replace(kagome, tolerance=1e-8), kagome.with_tolerance(1e-8),
                         kagome.with_symmetries(())):
             assert derived.edges is kagome.edges
-        assert kagome.positions is kagome.positions
+            assert derived.vertices is kagome.vertices
+        assert kagome.positions is kagome.positions is kagome.vertices.positions
         assert not kagome.positions.flags.writeable
+        assert kagome._edge_vectors is kagome._edge_vectors
+        assert not kagome._edge_vectors.flags.writeable
+
+    def test_vertices_read_back_as_the_tuple_they_replace(self, kagome):
+        # The vertex table behaves as the tuple of MotifVertexes it replaced.
+        items = tuple(kagome.vertices)
+        assert len(kagome.vertices) == len(items) == 3
+        assert [v.name for v in items] == ["p1", "p2", "p3"]
+        assert [v.position.tobytes() for v in items] == [p.tobytes() for p in kagome.positions]
+        assert [v.name for v in kagome.vertices[1:]] == ["p2", "p3"]
+        assert kagome.vertices[-1].name == "p3" and kagome.vertices[::2][1].name == "p3"
+        extra = cf.MotifVertex([0.6, 0.3], "x")
+        assert [v.name for v in kagome.vertices + (extra,)] == ["p1", "p2", "p3", "x"]
+        assert [v.name for v in (extra,) + kagome.vertices] == ["x", "p1", "p2", "p3"]
+        assert isinstance(kagome.vertices + (extra,), tuple)
+        assert repr(kagome.vertices) == repr(items)
+        with pytest.raises(IndexError):
+            kagome.vertices[3]
+
+    @pytest.mark.parametrize("name, names", [("square_grid", ["p1"]), ("kagome", ["p1", "p2", "p3"]),
+                                             ("hexahedron", ["equator", "pole"])])
+    def test_builtin_vertices_read_back_their_motif(self, name, names):
+        # Each item is the MotifVertex the builtin was given: its position a
+        # read-only row of the table, bit for bit.
+        fw = cf.builtin_framework(name)
+        assert [v.name for v in fw.vertices] == names
+        for v, row in zip(fw.vertices, fw.positions):
+            assert v.position.tobytes() == row.tobytes() and not v.position.flags.writeable
+        rebuilt = cf.CrystalFramework(
+            fw.lattice, [cf.MotifVertex(p.tolist(), n) for p, n in zip(fw.positions, names)], fw.edges)
+        assert rebuilt.positions.tobytes() == fw.positions.tobytes()
 
 
 class TestWithSymmetries:
@@ -403,6 +435,7 @@ def test_supercell_matches_the_per_copy_loop(name, n, factors, seed):
     assert np.array_equal(big.lattice.matrix, matrix)
     assert [v.name for v in big.vertices] == [v.name for v in vertices]
     assert np.array_equal(big.positions, np.array([v.position for v in vertices]).reshape(-1, fw.dimension))
+    assert [v.position.tobytes() for v in big.vertices] == [v.position.tobytes() for v in vertices]
     assert big.edges == tuple(edges)
 
 
@@ -523,8 +556,26 @@ def test_random_frameworks_pass_validation(rng):
      "cell (0, 0, 0) has shape (3,), lattice has dimension 2"),
     (lambda: cf.edge_geometry(cf.builtin_framework("kagome"), cf.MotifEdge(0, (0, 0, 0), 1, (0, 0, 0))),
      ValueError, "edge cell indices have dimension 3, lattice has 2"),
+    # Once numpy's matmul and solve core-dimension errors, and a nan translation.
+    (lambda: cf.builtin_framework("kagome").lattice.translation((0, 0, 0)), ValueError,
+     "cell (0, 0, 0) has 3 indices, lattice has dimension 2"),
+    (lambda: cf.builtin_framework("kagome").lattice.translation((np.nan, 0)), ValueError,
+     "cell indices must be integers, got (nan, 0)"),
+    (lambda: cf.builtin_framework("kagome").lattice.translation((0.5, 0)), ValueError,
+     "cell indices must be integers, got (0.5, 0)"),
+    (lambda: cf.builtin_framework("kagome").lattice.fractional([[0.0, 0.0, 0.0]]), ValueError,
+     "points have shape (1, 3), lattice has dimension 2"),
+    # A replaced vertex sequence goes through the same validation.
+    (lambda: replace(cf.builtin_framework("kagome"), symmetries=(),
+                     vertices=cf.builtin_framework("kagome").vertices[:2] + (cf.MotifVertex([0, 0, 0]),)),
+     cf.InvalidFrameworkError, "invalid framework: vertex 2 has dimension 3, lattice has 2"),
+    (lambda: replace(cf.builtin_framework("kagome"), symmetries=(),
+                     vertices=(cf.MotifVertex([1.5, 0.0]),) + cf.builtin_framework("kagome").vertices[1:]),
+     cf.InvalidFrameworkError, "invalid framework: vertices 0 and 1 coincide modulo the lattice"),
 ], ids=["lattice-not-square", "lattice-empty", "cells-of-two-lengths", "velocities-1d", "distortion-shape",
-        "nan-tolerance", "vertex-dimension", "one-factor", "point-cell-dimension", "edge-cell-dimension"])
+        "nan-tolerance", "vertex-dimension", "one-factor", "point-cell-dimension", "edge-cell-dimension",
+        "translation-cell-dimension", "nan-translation", "fractional-translation", "fractional-dimension",
+        "replaced-vertex-dimension", "replaced-coincident-vertex"])
 def test_framework_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()

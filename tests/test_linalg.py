@@ -229,7 +229,16 @@ def test_cokernel_is_built_on_first_read_and_cached(rng, q):
      "subspaces live in different ambient spaces"),
     (lambda: complement_within(SubspaceBasis(2, np.eye(2)), SubspaceBasis(3, np.eye(3))),
      "subspaces live in different ambient spaces"),
-], ids=["1d-matrix", "basis-rows", "basis-columns", "intersection", "complement"])
+    # Once a rank of 0, a wrong kernel, or numpy's "SVD did not converge".
+    (lambda: numeric_rank([[np.inf, 1.0]]), "mat: an entry or the norm is not finite"),
+    (lambda: kernel_basis([[np.nan, 1.0]]), "mat: an entry or the norm is not finite"),
+    (lambda: kernel_basis([[np.inf, 1.0]]), "mat: an entry or the norm is not finite"),
+    (lambda: kernel_basis([[np.nan], [1.0]]), "mat: an entry or the norm is not finite"),
+    (lambda: column_space_basis([[np.nan], [1.0]]), "vectors: an entry or the norm is not finite"),
+    (lambda: column_space_basis([[np.inf], [1.0]]), "vectors: an entry or the norm is not finite"),
+    (lambda: full_svd([[1.5e308, 1.5e308]]), "mat: an entry or the norm is not finite"),
+], ids=["1d-matrix", "basis-rows", "basis-columns", "intersection", "complement", "infinite-rank",
+        "nan-kernel", "infinite-kernel", "nan-tall-kernel", "nan-span", "infinite-span", "overflowing-norm"])
 def test_linalg_refusals(call, message):
     with pytest.raises(ValueError) as caught:
         call()

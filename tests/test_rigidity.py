@@ -958,12 +958,14 @@ def still(n, d=2):
     (lambda fw: cf.matrix_space("full", 2).matrix_from_coordinates([1.0, 2.0]), "expected 4 coordinates, got 2"),
     (lambda fw: cf.velocity_from_mode_coordinates(fw, cf.matrix_space("full", 2), np.zeros(3)),
      "expected a vector of length 10, got 3"),
+    (lambda fw: cf.velocity_from_mode_coordinates(fw, cf.matrix_space("zero", 2), [np.nan] * 6),
+     "vector has a non-finite entry"),
     (lambda fw: cf.edge_deviation(fw, still(3), -0.5), "t must be nonnegative and finite, got -0.5"),
     (lambda fw: cf.edge_deviation(fw, still(3), float("nan")), "t must be nonnegative and finite, got nan"),
     (lambda fw: cf.edge_deviation(fw, still(3), float("inf")), "t must be nonnegative and finite, got inf"),
     (lambda fw: cf.edge_deviation(fw, still(1), 0.1), "velocity shape does not match the framework"),
-], ids=["basis-shape", "dimension-0", "dimension-negative", "coordinates", "mode-vector", "negative-t",
-        "nan-t", "infinite-t", "other-velocity"])
+], ids=["basis-shape", "dimension-0", "dimension-negative", "coordinates", "mode-vector", "nan-mode-vector",
+        "negative-t", "nan-t", "infinite-t", "other-velocity"])
 def test_rigidity_refusals(kagome, call, message):
     with pytest.raises(ValueError) as caught:
         call(kagome)

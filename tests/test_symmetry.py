@@ -17,7 +17,13 @@ from crystalflex.symmetry import (
     _fixed_domain,
     _fixed_points,
 )
-from oracles import dense_factorization, scrambled_supercell
+from oracles import (
+    dense_factorization,
+    per_use_character_row,
+    per_use_equation_residual,
+    per_use_symmetry_counts,
+    scrambled_supercell,
+)
 
 S3 = np.sqrt(3.0)
 
@@ -34,7 +40,7 @@ def identity_element(fw, name="id"):
 
 def full_action(fw, element):
     """Gathered domain action on (u, vec A), the coordinates of the full space."""
-    return _domain_action(fw, element, cf.matrix_space("full", fw.dimension, fw.tolerance))
+    return _domain_action(fw, element)
 
 
 def dense(action):
@@ -451,6 +457,31 @@ def test_cycle_labels_match_the_walk(perm):
     assert np.bincount(labels).tolist() == lengths
     assert all(labels[perm[x]] == labels[x] for x in range(len(perm)))
     assert _cycle_starts(labels).tolist() == [x for x in range(len(perm)) if labels[x] not in labels[:x]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTS + [("kagome", "inversion")]), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_action_per_element_matches_the_per_use_construction(case, n, seed):
+    # The counts, their equation residual and the character row read the one
+    # action on (u, vec A) and the one commutant the framework holds for its
+    # element; each once built its own action, on its own space, and its own
+    # commutant.
+    fw, g = supercell_element(case, min(n, 2) if case[0] == "hexahedron" else n, seed)
+    fw = fw.with_symmetries((g,))
+    counts = cf.symmetry_counts(fw, g)
+    row = cf.character_row(fw, g, counts.commutant)
+    assert list(fw._element_actions) == [0]
+    expected = per_use_symmetry_counts(fw, g)
+    assert counts.equation_residual == pytest.approx(expected.equation_residual, abs=1e-12)
+    assert replace(counts, equation_residual=expected.equation_residual) == expected
+    expected_row = per_use_character_row(fw, g, cf.commutant_basis(g.linear, fw.tolerance))
+    assert (row.element_name, row.space_name) == (expected_row.element_name, expected_row.space_name)
+    for key in ["vertex_trace", "edge_trace", "rigid_trace", "mechanism_trace", "stress_trace", "residual"]:
+        assert getattr(row, key) == pytest.approx(getattr(expected_row, key), abs=1e-12), key
+    for space in (counts.commutant, cf.matrix_space("full", fw.dimension, fw.tolerance)):
+        assert cf.verify_symmetry_equation(fw, g, space) == pytest.approx(
+            per_use_equation_residual(fw, g, space), abs=1e-12)
 
 
 def reference_character_row(fw, element, space):
