@@ -49,6 +49,7 @@ from .frameworks import (
 from .linalg import MIN_TOL
 from .rigidity import (
     MatrixSpace,
+    _held_space,
     analyze_counts,
     matrix_space,
 )
@@ -355,11 +356,6 @@ def parse_matrix_space(text: str, dimension: int, tol: float) -> MatrixSpace:
 MODE_LABELS = {"strict": "zero", "affine": "full"}
 
 
-def mode_space(label: str, dimension: int, tol: float) -> MatrixSpace:
-    """Admissible space for a mode label ('strict', 'affine', or a space name)."""
-    return matrix_space(MODE_LABELS.get(label, label), dimension, tol)
-
-
 def _display(x: float) -> float:
     r = round(float(x), 9)
     return 0.0 if r == 0 else r
@@ -586,7 +582,8 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence = ("strict", "affine
                       name: Optional[str] = None, characters: bool = False) -> AnalysisReport:
     """Run counts (and symmetry counts for declared elements) over the modes.
 
-    A mode is a label, whose space mode_space() gives, or a MatrixSpace,
+    A mode is a label ('strict', 'affine' or a space name), whose space is
+    the framework's held one (``rigidity._held_space``), or a MatrixSpace,
     reported under its name.
     """
     d = fw.dimension
@@ -595,7 +592,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence = ("strict", "affine
         if isinstance(mode, MatrixSpace):
             space, label = mode, mode.name
         else:
-            space, label = mode_space(mode, d, fw.tolerance), mode
+            space, label = _held_space(fw, MODE_LABELS.get(mode, mode)), mode
         counts = analyze_counts(fw, space)
         mode_counts.append((space, counts))
         mode_entries.append({

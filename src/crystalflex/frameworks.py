@@ -18,7 +18,7 @@ import copy
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -58,8 +58,30 @@ def _as_integers(x, what: str) -> tuple:
     return tuple(map(int, values))
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
+def _same(a, b) -> bool:
+    """``a == b``, with arrays, and tuples of them, compared by ``np.array_equal``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class _ArrayFields:
+    """Base of the dataclasses with array fields: ``==`` compares every
+    compared field by ``_same``, so it never asks numpy for an array's truth
+    value, and the values are unhashable, as their arrays are."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodLattice(_ArrayFields):
     """Full-rank translation lattice; columns of ``matrix`` are the periods."""
 
     matrix: np.ndarray
@@ -98,8 +120,8 @@ class PeriodLattice:
         return np.linalg.solve(self.matrix, pts.T).T
 
 
-@dataclass(frozen=True)
-class MotifVertex:
+@dataclass(frozen=True, eq=False)
+class MotifVertex(_ArrayFields):
     """Representative vertex of one translation class."""
 
     position: np.ndarray
@@ -107,6 +129,7 @@ class MotifVertex:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _as_point(self.position))
+
 
 
 @dataclass(frozen=True)
@@ -195,6 +218,11 @@ class _VertexTable(Sequence):
             return tuple(self)[i]
         return MotifVertex(self.positions[i], self.names[i])
 
+    def __eq__(self, other):
+        if isinstance(other, _VertexTable):
+            return np.array_equal(self.positions, other.positions) and self.names == other.names
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
     def __add__(self, other):
         return tuple(self) + tuple(other)
 
@@ -258,14 +286,16 @@ class _EdgeTable(Sequence):
         return MotifEdge(f, fc, t, tc)
 
     def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, _EdgeTable)) else NotImplemented
+        if isinstance(other, _EdgeTable):
+            return np.array_equal(self.ends, other.ends) and np.array_equal(self.cells, other.cells)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
     def __repr__(self) -> str:
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class AffineVelocity:
+@dataclass(frozen=True, eq=False)
+class AffineVelocity(_ArrayFields):
     """Vertex-class velocities plus the velocity matrix of the lattice frame.
 
     ``vertex_velocities`` has one row per motif vertex.  ``distortion`` is
@@ -293,8 +323,8 @@ class AffineVelocity:
         return self.vertex_velocities.shape[1]
 
 
-@dataclass(frozen=True)
-class CrystalFramework:
+@dataclass(frozen=True, eq=False)
+class CrystalFramework(_ArrayFields):
     """Finite motif + period lattice describing an infinite periodic framework.
 
     Any sequence of MotifVertexes is turned once into the float64 vertex
@@ -372,6 +402,14 @@ class CrystalFramework:
         starts with none."""
         return {}
 
+    @cached_property
+    def _space_setups(self) -> dict:
+        """The spaces' set-ups (``rigidity._held_space`` and ``rigidity._held``),
+        each built on first use and held for the framework's life.  A
+        ``with_tolerance`` copy starts with none; a ``with_symmetries`` copy
+        shares them."""
+        return {}
+
     def vertex_label(self, index: int) -> str:
         name = self.vertices.names[index]
         return name if name else f"v{index}"
@@ -394,6 +432,7 @@ class CrystalFramework:
         out = copy.copy(self)
         object.__setattr__(out, "symmetries", elements)
         out.__dict__.pop("_element_actions", None)     # held for the elements it had
+        out.__dict__["_space_setups"] = self._space_setups
         return out
 
 
@@ -689,19 +728,19 @@ def _check_vertex(fw: CrystalFramework, vertex: int) -> None:
 
 
 def point_of(fw: CrystalFramework, vertex: int, cell) -> np.ndarray:
-    """Position of the copy of a motif vertex in the given cell."""
+    """Position of the copy of a motif vertex in the given integer cell."""
     _check_vertex(fw, vertex)
-    shift = np.asarray(cell, dtype=float)
-    if shift.shape != (fw.dimension,):
-        raise ValueError(f"cell {cell!r} has shape {shift.shape}, lattice has dimension {fw.dimension}")
-    return fw.positions[vertex] + fw.lattice.matrix @ shift
+    if np.shape(cell) != (fw.dimension,):
+        raise ValueError(f"cell {cell!r} has shape {np.shape(cell)}, lattice has dimension {fw.dimension}")
+    return fw.positions[vertex] + fw.lattice.translation(cell)
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
+@dataclass(frozen=True, eq=False)
+class EdgeGeometry(_ArrayFields):
     vector: np.ndarray
     offset: np.ndarray
     length: float
+
 
 
 def edge_geometry(fw: CrystalFramework, edge: MotifEdge) -> EdgeGeometry:
@@ -762,11 +801,12 @@ def supercell(fw: CrystalFramework, factors) -> CrystalFramework:
                             tolerance=fw.tolerance)
 
 
-@dataclass(frozen=True)
-class PlacedPoint:
+@dataclass(frozen=True, eq=False)
+class PlacedPoint(_ArrayFields):
     vertex: int
     cell: tuple
     position: np.ndarray
+
 
 
 @dataclass(frozen=True)
@@ -807,20 +847,28 @@ def fragment(fw: CrystalFramework, cell_range) -> Fragment:
     _check_copies(fw, math.prod(b - a for a, b in ranges), "the box")
 
     cells = list(itertools.product(*(range(a, b) for a, b in ranges)))
-    inside = set(cells)
+    box = np.array(cells, dtype=np.int64).reshape(-1, fw.dimension)
+    # Each point's and each endpoint's cell; every distinct one is translated
+    # by its own matrix-vector product, as ``point_of`` does, so every
+    # placed position is point_of's to the bit.
+    ends = box[:, np.newaxis, np.newaxis] + fw.edges.cells           # (cells, edges, 2, d)
+    distinct, at = np.unique(np.concatenate([box, ends.reshape(-1, fw.dimension)]), axis=0,
+                             return_inverse=True)
+    shifts = np.array([fw.lattice.matrix @ c for c in distinct.astype(float)]).reshape(-1, fw.dimension)
+    shifts = shifts[at.reshape(-1)]
+    at_points = fw.positions + shifts[:len(box), np.newaxis]
+    at_ends = fw.positions[fw.edges.ends] + shifts[len(box):].reshape(ends.shape)
+    inside = np.all((ends >= [a for a, _ in ranges]) & (ends < [b for _, b in ranges]), axis=-1)
+    for placed in (at_points, at_ends):
+        placed.setflags(write=False)
 
-    def placed(vertex, cell):
-        return PlacedPoint(vertex, tuple(cell), point_of(fw, vertex, cell))
-
-    points = tuple(placed(v, cell) for cell in cells for v in range(fw.vertex_count))
-
-    internal, dangling, edges = [], [], tuple(fw.edges)
-    for shift in cells:
-        for idx, e in enumerate(edges):
-            fcell = tuple(np.add(e.from_cell, shift))
-            tcell = tuple(np.add(e.to_cell, shift))
-            edge = PlacedEdge(idx, shift, placed(e.from_vertex, fcell),
-                              placed(e.to_vertex, tcell),
-                              fcell in inside, tcell in inside)
+    points = tuple(PlacedPoint(v, cell, position) for cell, row in zip(cells, at_points)
+                   for v, position in enumerate(row))
+    internal, dangling = [], []
+    vertices, end_cells, inside = fw.edges.ends.tolist(), ends.tolist(), inside.tolist()
+    for c, shift in enumerate(cells):
+        for idx, ((f, t), (fcell, tcell), (fin, tin)) in enumerate(zip(vertices, end_cells[c], inside[c])):
+            edge = PlacedEdge(idx, shift, PlacedPoint(f, tuple(fcell), at_ends[c, idx, 0]),
+                              PlacedPoint(t, tuple(tcell), at_ends[c, idx, 1]), fin, tin)
             (internal if edge.internal else dangling).append(edge)
     return Fragment(points=points, edges=tuple(internal), dangling=tuple(dangling))

@@ -57,6 +57,13 @@ def _rank(singular_values: np.ndarray, shape, tol: float, largest=None) -> int:
     return int(np.sum(_kept(singular_values, shape, tol, largest)))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two square matrices as one broadcast product:
+    the products numpy's ``kron`` takes, without its general-shape set-up."""
+    (p, _), (q, _) = a.shape, b.shape
+    return (a[:, np.newaxis, :, np.newaxis] * b[np.newaxis, :, np.newaxis, :]).reshape(p * q, p * q)
+
+
 def _canonical_signs(basis: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry is positive.
 

@@ -19,7 +19,10 @@ the dim E <= d^2 lattice-velocity columns C_E, so one full SVD of R0
 (``factor_strict``) serves every admissible space.  The framework holds
 that SVD once computed, and ``analyze_counts`` reads each space's counts,
 and the bases read, off it and a small factorization of S0^T C_E, S0 the
-strict stresses.
+strict stresses.  It also holds each space's set-up once built: a named
+space by its name (``_held_space``), and a space's edge rows and rigid
+span by its stacked basis (``_held``), so the affine mode, the symmetry
+counts and ``is_affinely_rigid`` of one framework share one full space.
 
 A motif that repeats under a finer lattice, as a supercell does, has
 translations T = L'/L that permute its vertices and bars; in the real
@@ -42,12 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frameworks import AffineVelocity, CrystalFramework
+from .frameworks import AffineVelocity, CrystalFramework, _ArrayFields
 from .linalg import (
     DEFAULT_TOL,
     BlockSVD,
     Factorization,
     SubspaceBasis,
+    _kron,
     column_space_basis,
     factorize_bordered,
     full_svd,
@@ -71,8 +75,8 @@ class DependentBasisError(ValueError):
     """A MatrixSpace basis is linearly dependent at the space's tolerance."""
 
 
-@dataclass(frozen=True)
-class MatrixSpace:
+@dataclass(frozen=True, eq=False)
+class MatrixSpace(_ArrayFields):
     """Linear space of admissible d x d velocity matrices.
 
     ``stacked`` is the (d^2, dim) matrix whose columns are the column-stacked
@@ -214,8 +218,9 @@ def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: Matr
     """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z),
     and vec(A Z) = (Z^T kron I) vec A."""
     _check_dimension(fw, space)
-    lift = np.kron(fw.lattice.matrix.T, np.eye(fw.dimension)) @ space.stacked
-    return affine_block @ lift
+    columns = affine_block @ (_kron(fw.lattice.matrix.T, np.eye(fw.dimension)) @ space.stacked)
+    columns.setflags(write=False)
+    return columns
 
 
 def _edge_rows(fw: CrystalFramework, space: MatrixSpace) -> tuple:
@@ -223,6 +228,27 @@ def _edge_rows(fw: CrystalFramework, space: MatrixSpace) -> tuple:
     is v_e at vertex block from_e, -v_e at to_e (none if equal) and C_E[e] on the A columns."""
     ends, vectors = fw.edges.ends, fw._edge_vectors
     return ends, vectors, _lattice_columns(fw, _affine_block(fw, vectors), space)
+
+
+def _held_space(fw: CrystalFramework, name: str) -> MatrixSpace:
+    """``matrix_space(name)`` at the framework's dimension and tolerance,
+    built on first use and then read from ``fw._space_setups``."""
+    held = fw._space_setups
+    if name not in held:
+        held[name] = matrix_space(name, fw.dimension, fw.tolerance)
+    return held[name]
+
+
+def _held(fw: CrystalFramework, space: MatrixSpace, part: str):
+    """The space's "edge rows" (``_edge_rows``) or its "rigid span"
+    (``rigid_motion_space``), built on first use and then read from
+    ``fw._space_setups`` under the space's stacked basis, so every space
+    with that basis, named or not, reads the same ones."""
+    key = (part, space.stacked.shape, space.stacked.tobytes())
+    held = fw._space_setups
+    if key not in held:
+        held[key] = (_edge_rows if part == "edge rows" else rigid_motion_space)(fw, space)
+    return held[key]
 
 
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
@@ -318,10 +344,11 @@ def factor_strict(fw: CrystalFramework) -> BlockSVD:
 
 
 def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
-    """Counts and bases in ``space``, from R0's SVD bordered by C_E."""
-    _, _, border = _edge_rows(fw, space)
+    """Counts and bases in ``space``, from R0's SVD bordered by C_E; the
+    border and the rigid span are the framework's held ones (``_held``)."""
+    _, _, border = _held(fw, space, "edge rows")
     factorization = factorize_bordered(fw._strict_svd, border, fw.tolerance)
-    flex, rigid = factorization.kernel, rigid_motion_space(fw, space)
+    flex, rigid = factorization.kernel, _held(fw, space, "rigid span")
     f = rigid.dim
     if f > flex.dim:
         raise DependentBasisError(
@@ -363,7 +390,7 @@ def is_affinely_rigid(fw: CrystalFramework) -> AffineRigidityCheck:
     reports print: vertex dof + d^2 - (m + f).
     """
     d = fw.dimension
-    counts = analyze_counts(fw, matrix_space("full", d, fw.tolerance))
+    counts = analyze_counts(fw, _held_space(fw, "full"))
     rank = counts.vertex_dof + counts.space_dim - counts.flex_basis.dim
     required = d * fw.vertex_count + d * (d - 1) // 2
     return AffineRigidityCheck(is_rigid=(rank == required), rank=rank, required_rank=required)

@@ -19,7 +19,10 @@ the equation residual and the character row read the same ones.  Traces are
 counted from fixed points.  Velocities transform by the linear part only;
 rigidity rows annihilate the constant translation component, so kernels,
 cokernels and subspace traces are unaffected.  R itself is read as its
-edge rows (``rigidity._edge_rows``), never built as a dense matrix.
+edge rows (``rigidity._edge_rows``), never built as a dense matrix; the
+counts and the equation residual read the full space, its edge rows and
+its rigid span that the framework holds (``rigidity._held``), so they
+share them with the affine mode.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework, SymmetryError, _check_maps, _edge_images
+from .frameworks import CELL_LIMIT, CrystalFramework, SymmetryError, _ArrayFields, _check_maps, _edge_images
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
+    _kron,
     _rank,
     kernel_basis,
     numeric_rank,
@@ -42,16 +46,15 @@ from .rigidity import (
     DependentBasisError,
     MatrixSpace,
     _check_dimension,
-    _edge_rows,
+    _held,
+    _held_space,
     analyze_counts,
-    matrix_space,
-    rigid_motion_space,
     unvec,
 )
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
+@dataclass(frozen=True, eq=False)
+class SymmetryElement(_ArrayFields):
     """Resolved isometry with its derived actions on the motif, held as
     read-only int64 index maps: vertex v goes to vertex ``vertex_map[v]`` of
     cell ``vertex_offsets[v]``, and edge class e to ``edge_map[e]``."""
@@ -227,7 +230,7 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement) -> _DomainAct
     coupling[element.vertex_map[moved]] = -(w[:, np.newaxis, :, np.newaxis]
                                             * b[:, np.newaxis, :]).reshape(len(moved), d, d * d)
     # vec(B A B^T) = (B kron B) vec A.
-    return _DomainAction(element, coupling.reshape(n * d, d * d), np.kron(b, b))
+    return _DomainAction(element, coupling.reshape(n * d, d * d), _kron(b, b))
 
 
 def _element_action(fw: CrystalFramework, element: SymmetryElement) -> tuple:
@@ -252,11 +255,11 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
     the space must be invariant under conjugation by the element.
     """
     if space is None:
-        action, space = _element_action(fw, element)[0], matrix_space("full", fw.dimension, fw.tolerance)
+        action, space = _element_action(fw, element)[0], _held_space(fw, "full")
     else:
         _check_dimension(fw, space)
         action = _element_action(fw, element)[0].on(space)
-    return action.equation_residual(*_edge_rows(fw, space))
+    return action.equation_residual(*_held(fw, space, "edge rows"))
 
 
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
@@ -268,7 +271,7 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     if not np.isfinite(b).all():
         raise ValueError("linear part is not finite")
     # vec(A B - B A) = (B^T kron I - I kron B) vec A.
-    bracket = np.kron(b.T, np.eye(d)) - np.kron(np.eye(d), b)
+    bracket = _kron(b.T, np.eye(d)) - _kron(np.eye(d), b)
     kernel = kernel_basis(bracket, tol)
     mats = tuple(unvec(col, d) for col in kernel.basis.T)
     return MatrixSpace(d, mats, name="commutant", tol=tol)
@@ -416,12 +419,12 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     tol = fw.tolerance
     d = fw.dimension
     # The full space's coordinates are vec A, so the action on (u, vec A) is its action.
-    full = matrix_space("full", d, tol)
+    full = _held_space(fw, "full")
     action, commutant = _element_action(fw, element)
     fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
-    ends, vectors, lattice = _edge_rows(fw, full)
+    ends, vectors, lattice = _held(fw, full, "edge rows")
     equation = action.equation_residual(ends, vectors, lattice)
-    rigid = rigid_motion_space(fw, full)
+    rigid = _held(fw, full, "rigid span")
 
     # g maps rigid motions to rigid motions, so f_g is also the fixed
     # dimension of its action on them.

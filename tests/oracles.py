@@ -22,7 +22,9 @@ the held motif index can be compared with it bit for bit.
 ``per_use_equation_residual`` build an element's domain action for each
 use, on each space by its own solve, and its commutant for each use, as the
 package did before a framework held one action on (u, vec A) and one
-commutant per element.
+commutant per element; and each builds its own full space, border and
+rigid span (``per_use_counts`` for the character row's space), as the
+package did before a framework held one set-up per space.
 """
 
 import itertools
@@ -657,18 +659,26 @@ def per_use_symmetry_counts(fw, element):
         flexible_predicted=orbits < fixed_domain.dim - f, equation_residual=equation)
 
 
+def per_use_counts(fw, space):
+    """``analyze_counts``' factorization and rigid span of ``space``, with the
+    border and the rigid span built for this use."""
+    return (factorize_bordered(fw._strict_svd, _edge_rows(fw, space)[2], fw.tolerance),
+            cf.rigid_motion_space(fw, space))
+
+
 def per_use_character_row(fw, element, space):
-    """``character_row`` with the action on ``space`` built for this use."""
+    """``character_row`` with the action on ``space`` and the space's counts
+    built for this use."""
     action = per_use_domain_action(fw, element, space)
-    counts = cf.analyze_counts(fw, space)
+    factorization, rigid = per_use_counts(fw, space)
 
     def subspace_trace(basis):
         return float(np.vdot(basis.basis, action.apply(basis.basis)))
 
     vertex_trace, edge_trace = action.trace(), float(_fixed_points(element.edge_map))
-    rigid_trace = subspace_trace(counts.rigid_basis)
-    mech_trace = subspace_trace(counts.flex_basis) - rigid_trace
-    stresses = counts.stress_basis.basis
+    rigid_trace = subspace_trace(rigid)
+    mech_trace = subspace_trace(factorization.kernel) - rigid_trace
+    stresses = factorization.cokernel.basis
     stress_trace = float(np.vdot(stresses, action.permute_edges(stresses)))
     return cf.CharacterRow(
         element_name=element.name, space_name=space.name, vertex_trace=vertex_trace,

@@ -531,12 +531,14 @@ class TestBadNumbers:
 
     def test_fixed_rigid_motions_beyond_the_fixed_flexes(self, capsys, monkeypatch):
         # Every domain vector taken as rigid: f_g reads the same both ways,
-        # but exceeds dim ker(R F_dom), which would print m_g < 0.
+        # but exceeds dim ker(R F_dom), which would print m_g < 0. The
+        # symmetry counts read the full space's rigid span that the
+        # framework holds, built by rigidity's rigid_motion_space.
         def everything(fw, space):
             ambient = fw.dimension * fw.vertex_count + space.dim
             return cf.SubspaceBasis(ambient, np.eye(ambient))
 
-        monkeypatch.setattr(crystalflex.symmetry, "rigid_motion_space", everything)
+        monkeypatch.setattr(crystalflex.rigidity, "rigid_motion_space", everything)
         code, out, err = run(capsys, "symmetry", "--builtin", "kagome")
         assert (code, out) == (2, "")
         assert err == ("error: tolerance 1e-09 is too large: the rigid motions fixed by "
@@ -896,6 +898,64 @@ class TestWorkPerRequest:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(solves) == count
+
+    @staticmethod
+    def space_set_ups(monkeypatch):
+        """The names of the spaces that rigidity's matrix_space, _edge_rows
+        and rigid_motion_space each build, from where the held set-ups are
+        built."""
+        built = {}
+        for name in ("matrix_space", "_edge_rows", "rigid_motion_space"):
+            original, names = getattr(crystalflex.rigidity, name), built.setdefault(name, [])
+
+            def counting(*args, original=original, names=names):
+                names.append(args[0] if isinstance(args[0], str) else args[1].name)
+                return original(*args)
+
+            monkeypatch.setattr(crystalflex.rigidity, name, counting)
+        return built
+
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_analyze_sets_up_the_full_space_once(self, capsys, tmp_path, kagome, monkeypatch, cells):
+        # The affine mode and the counts of r3 read one full space, one
+        # border and one rigid span, which the framework holds; each reader
+        # once built its own (2 of each). The strict mode sets up the zero
+        # space once.
+        source = ["--builtin", "kagome"]
+        if cells > 1:
+            big = cf.supercell(kagome, (cells, cells))
+            g = kagome.symmetries[0]
+            big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
+            source = [str(tmp_path / "kagome.json")]
+            cf.save_framework(big, source[0])
+        built = self.space_set_ups(monkeypatch)
+        code, out, _ = run(capsys, "analyze", *source)
+        assert code == 0
+        assert "symmetry r3" in out
+        assert built == {name: ["zero", "full"] for name in built}
+
+    def test_symmetry_characters_set_up_each_space_once(self, capsys, tmp_path, kagome, monkeypatch):
+        # r3 and the glide share the full space's set-up, and each character
+        # row sets up its own commutant once: no more than before the
+        # set-ups were held (then the full space's was built once per element).
+        big = cf.supercell(kagome, (2, 2))
+        r3 = kagome.symmetries[0]
+        big = big.with_symmetries((cf.resolve_symmetry(big, r3.linear, r3.translation, r3.name),
+                                   cf.resolve_symmetry(big, np.diag([1.0, -1.0]), [0.5, 0.0], "glide")))
+        path = tmp_path / "kagome.json"
+        cf.save_framework(big, path)
+        built = self.space_set_ups(monkeypatch)
+        code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
+        assert code == 0
+        assert built["matrix_space"] == ["full"]
+        assert built["_edge_rows"] == built["rigid_motion_space"] == ["full", "commutant", "commutant"]
+
+    def test_the_package_takes_no_kronecker_product(self):
+        # Every d^2 x d^2 Kronecker product is one broadcast product
+        # (linalg._kron): np.kron's general-shape set-up cost ten times as much.
+        sources = sorted(Path(crystalflex.__file__).parent.glob("*.py"))
+        assert sources
+        assert [path.name for path in sources if "np.kron" in path.read_text()] == []
 
     @pytest.mark.parametrize("cells", [2, 8])
     def test_symmetry_builds_each_operator_and_representation_once_per_use(

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.fileio
 from crystalflex.cli import main
-from crystalflex.fileio import _display, _display_array, _json_text, mode_space
+from crystalflex.fileio import MODE_LABELS, _display, _display_array, _json_text
 from oracles import random_framework, scrambled_supercell
 
 
@@ -452,7 +452,7 @@ class TestReports:
     def test_bases_match_the_per_element_decoding(self, any_builtin, mode, monkeypatch):
         # Reference: decode each flex column on its own and round each entry.
         fw = cf.supercell(any_builtin, (2,) * any_builtin.dimension)
-        space = mode_space(mode, fw.dimension, fw.tolerance)
+        space = cf.matrix_space(MODE_LABELS.get(mode, mode), fw.dimension, fw.tolerance)
         counts = cf.analyze_counts(fw, space)
         def rows(m):
             return [[_display(x) for x in row] for row in np.asarray(m)]

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -565,6 +566,11 @@ def test_random_frameworks_pass_validation(rng):
      "cell indices must be integers, got (0.5, 0)"),
     (lambda: cf.builtin_framework("kagome").lattice.fractional([[0.0, 0.0, 0.0]]), ValueError,
      "points have shape (1, 3), lattice has dimension 2"),
+    # Once a point between cells, and nan coordinates.
+    (lambda: cf.point_of(cf.builtin_framework("kagome"), 0, (0.5, 0)), ValueError,
+     "cell indices must be integers, got (0.5, 0)"),
+    (lambda: cf.point_of(cf.builtin_framework("kagome"), 0, (np.nan, 0)), ValueError,
+     "cell indices must be integers, got (nan, 0)"),
     # A replaced vertex sequence goes through the same validation.
     (lambda: replace(cf.builtin_framework("kagome"), symmetries=(),
                      vertices=cf.builtin_framework("kagome").vertices[:2] + (cf.MotifVertex([0, 0, 0]),)),
@@ -575,8 +581,80 @@ def test_random_frameworks_pass_validation(rng):
 ], ids=["lattice-not-square", "lattice-empty", "cells-of-two-lengths", "velocities-1d", "distortion-shape",
         "nan-tolerance", "vertex-dimension", "one-factor", "point-cell-dimension", "edge-cell-dimension",
         "translation-cell-dimension", "nan-translation", "fractional-translation", "fractional-dimension",
-        "replaced-vertex-dimension", "replaced-coincident-vertex"])
+        "fractional-point", "nan-point", "replaced-vertex-dimension", "replaced-coincident-vertex"])
 def test_framework_refusals(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+def reference_fragment(fw, cell_range):
+    """The per-copy placement ``fragment`` replaced: one ``point_of`` call per
+    vertex copy and per bar end, and a set lookup for each end's cell."""
+    cells = list(itertools.product(*(range(a, b) for a, b in cell_range)))
+    inside = set(cells)
+    points = [(v, cell, cf.point_of(fw, v, cell)) for cell in cells for v in range(fw.vertex_count)]
+    edges = []
+    for shift in cells:
+        for idx, e in enumerate(fw.edges):
+            ends = [(v, tuple(np.add(c, shift)))
+                    for v, c in ((e.from_vertex, e.from_cell), (e.to_vertex, e.to_cell))]
+            edges.append((idx, shift, [(v, c, cf.point_of(fw, v, c), c in inside) for v, c in ends]))
+    return points, edges
+
+
+@pytest.mark.parametrize("name, box", [
+    ("kagome", [(0, 3), (0, 3)]), ("kagome", [(-2, 1), (1, 3)]), ("square_grid", [(-1, 2), (0, 2)]),
+    ("hexahedron", [(0, 2), (-1, 1), (0, 1)]), ("scrambled kagome", [(-1, 1), (0, 2)])])
+def test_fragment_places_every_copy_as_point_of(name, box):
+    # All copies are placed by array operations; each placed position is
+    # point_of's to the bit, and every point, bar and inside flag is the
+    # per-copy loop's.
+    fw = (scrambled_supercell("kagome", 2, np.random.default_rng(5)) if name.startswith("scrambled")
+          else cf.builtin_framework(name))
+    frag = cf.fragment(fw, box)
+    points, edges = reference_fragment(fw, box)
+    assert [(p.vertex, p.cell) for p in frag.points] == [(v, cell) for v, cell, _ in points]
+    assert all(p.position.tobytes() == position.tobytes() for p, (_, _, position) in zip(frag.points, points))
+    placed = sorted(frag.edges + frag.dangling, key=lambda e: (e.shift, e.edge_index))
+    assert [(e.edge_index, e.shift) for e in placed] == [(idx, shift) for idx, shift, _ in edges]
+    for edge, (_, _, ends) in zip(placed, edges):
+        for point, inside, (v, cell, position, expected) in zip(
+                (edge.from_point, edge.to_point), (edge.from_inside, edge.to_inside), ends):
+            assert (point.vertex, point.cell, inside) == (v, cell, expected)
+            assert point.position.tobytes() == position.tobytes()
+    assert all(e.internal for e in frag.edges) and not any(e.internal for e in frag.dangling)
+
+
+def equal_values():
+    """Makers of a value whose fields hold arrays, each with a maker of a
+    value of the same type that differs."""
+    kagome = cf.builtin_framework("kagome")
+    return [
+        (lambda: cf.builtin_framework("kagome"), lambda: cf.builtin_framework("kagome").with_tolerance(1e-8)),
+        (lambda: cf.PeriodLattice(np.eye(2)), lambda: cf.PeriodLattice(2 * np.eye(2))),
+        (lambda: cf.MotifVertex([0.5, 0.0], "a"), lambda: cf.MotifVertex([0.5, 0.0], "b")),
+        (lambda: cf.builtin_framework("kagome").symmetries[0],
+         lambda: replace(kagome.symmetries[0], translation=kagome.symmetries[0].translation + 1)),
+        (lambda: cf.matrix_space("full", 2), lambda: cf.matrix_space("symmetric", 2)),
+        (lambda: cf.AffineVelocity(np.zeros((2, 2)), np.eye(2)),
+         lambda: cf.AffineVelocity(np.zeros((2, 2)), -np.eye(2))),
+        (lambda: cf.edge_geometry(kagome, kagome.edges[0]), lambda: cf.edge_geometry(kagome, kagome.edges[1])),
+        (lambda: cf.fragment(kagome, [(0, 1), (0, 1)]).points[0],
+         lambda: cf.fragment(kagome, [(0, 1), (0, 1)]).points[1]),
+    ]
+
+
+@pytest.mark.parametrize("make, other", equal_values(), ids=[
+    "CrystalFramework", "PeriodLattice", "MotifVertex", "SymmetryElement", "MatrixSpace", "AffineVelocity",
+    "EdgeGeometry", "PlacedPoint"])
+def test_equality_reads_array_fields(make, other):
+    # == once raised numpy's "truth value of an array is ambiguous" on two
+    # equal but distinct values; hashing raised TypeError and still does.
+    a, b, c = make(), make(), other()
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != "a value of another type"
+    with pytest.raises(TypeError):
+        hash(a)

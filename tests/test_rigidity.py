@@ -13,7 +13,7 @@ from crystalflex.linalg import border_bound
 import crystalflex.rigidity
 import crystalflex.translations
 from crystalflex.frameworks import _bar_vectors
-from crystalflex.rigidity import _skew_generators, unvec, vec
+from crystalflex.rigidity import _held_space, _skew_generators, unvec, vec
 from crystalflex.translations import _find_translations, _orbits
 from oracles import (
     centred_square,
@@ -410,6 +410,24 @@ class TestHeldStrictSVD:
         loose = kagome.with_tolerance(1e-6)
         assert loose._strict_svd is not svd
         assert len(calls) == 2 and calls[1] is loose
+
+    def test_space_set_ups_are_held_like_the_strict_svd(self, kagome):
+        # The full space, its border and its rigid span are built once per
+        # framework: another space with the same basis reads them, a
+        # with_symmetries copy shares them, and a with_tolerance copy, whose
+        # rigid span reads the new tolerance, starts with none.
+        affine = cf.analyze_counts(kagome, _held_space(kagome, "full"))
+        assert _held_space(kagome, "full") is kagome._space_setups["full"]
+        again = cf.analyze_counts(kagome, cf.matrix_space("full", 2, kagome.tolerance))
+        assert again.rigid_basis is affine.rigid_basis
+        assert kagome.with_symmetries(())._space_setups is kagome._space_setups
+        assert kagome.with_tolerance(1e-6)._space_setups == {}
+        assert replace(kagome)._space_setups == {}
+        held = kagome._space_setups
+        assert sorted(key if isinstance(key, str) else key[0] for key in held) == [
+            "edge rows", "full", "rigid span"]
+        border = held[next(key for key in held if key[0] == "edge rows")][2]
+        assert not border.flags.writeable
 
 
 class TestTorusOracle:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _edge_rows, unvec
+from crystalflex.rigidity import _edge_rows, _held, unvec
 from crystalflex.symmetry import (
     _cycle_starts,
     _cycles,
@@ -482,6 +482,42 @@ def test_one_action_per_element_matches_the_per_use_construction(case, n, seed):
     for space in (counts.commutant, cf.matrix_space("full", fw.dimension, fw.tolerance)):
         assert cf.verify_symmetry_equation(fw, g, space) == pytest.approx(
             per_use_equation_residual(fw, g, space), abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_held_set_ups_match_the_per_use_construction(n, seed):
+    # r3, the glide and the inversion declared together on one scrambled
+    # supercell: the affine mode and every element's counts, equation
+    # residual and character row read one full space, border and rigid span
+    # that the framework holds, and agree with the construction that builds
+    # each for its own use.
+    fw = scrambled_supercell("kagome", n, np.random.default_rng(seed), translate=False)
+    r3 = cf.builtin_framework("kagome").symmetries[0]
+    declared = [("r3", r3.linear, r3.translation), ("glide", np.diag([1.0, -1.0]), [0.5, 0.0]),
+                ("inversion", -np.eye(2), np.zeros(2))]
+    fw = fw.with_symmetries([cf.resolve_symmetry(fw, linear, shift, name) for name, linear, shift in declared])
+    report = cf.analyze_framework(fw, characters=True)
+    full, affine = report.modes[1]
+    assert full is fw._space_setups["full"]
+    assert affine.rigid_basis is _held(fw, full, "rigid span")
+    tol = fw.tolerance
+    for g, entry in zip(fw.symmetries, report.body["symmetries"]):
+        counts = cf.symmetry_counts(fw, g)
+        expected = per_use_symmetry_counts(fw, g)
+        assert counts.equation_residual == pytest.approx(expected.equation_residual, abs=1e-12)
+        assert replace(counts, equation_residual=expected.equation_residual) == expected
+        assert (entry["m"], entry["s"], entry["f"]) == (expected.mechanisms, expected.stresses,
+                                                      expected.fixed_rigid_dim)
+        row = cf.character_row(fw, g, counts.commutant)
+        expected_row = per_use_character_row(fw, g, cf.commutant_basis(g.linear, tol))
+        for key in ["vertex_trace", "edge_trace", "rigid_trace", "mechanism_trace", "stress_trace",
+                    "residual"]:
+            assert getattr(row, key) == pytest.approx(getattr(expected_row, key), abs=1e-12), key
+        assert cf.verify_symmetry_equation(fw, g) == pytest.approx(
+            per_use_equation_residual(fw, g, cf.matrix_space("full", 2, tol)), abs=1e-12)
+    # The full space's edge rows and rigid span, once for the mode and the three elements.
+    assert sum(key[2] == full.stacked.tobytes() for key in fw._space_setups if isinstance(key, tuple)) == 2
 
 
 def reference_character_row(fw, element, space):
