@@ -46,7 +46,7 @@ from .frameworks import (
     _EdgeTable,
     _VertexTable,
 )
-from .linalg import MIN_TOL
+from .linalg import DEFAULT_TOL, MIN_TOL
 from .rigidity import (
     MatrixSpace,
     _held_space,
@@ -196,7 +196,7 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
     columns = [_number_list(v, dimension, f"period_vectors[{i}]") for i, v in enumerate(periods)]
     lattice = PeriodLattice(np.array(columns).T)
 
-    tolerance = doc.get("tolerance", 1e-9)
+    tolerance = doc.get("tolerance", DEFAULT_TOL)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
         _fail("tolerance", "expected a positive number")
     if not abs(tolerance) <= sys.float_info.max:

@@ -18,7 +18,7 @@ import copy
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -341,6 +341,11 @@ class CrystalFramework(_ArrayFields):
     edges: tuple
     symmetries: tuple = ()
     tolerance: float = DEFAULT_TOL
+    # What the later layers build for this framework, each under its own key
+    # and held for the framework's life (see ``rigidity._held``).  A
+    # ``with_symmetries`` copy shares it; a constructed framework, so also a
+    # ``with_tolerance`` or ``replace`` copy, starts with it empty.
+    _setups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _VertexTable.of(self.vertices, self.dimension))
@@ -386,30 +391,6 @@ class CrystalFramework(_ArrayFields):
         and held for the framework's life; a ``with_symmetries`` copy shares it."""
         return _MotifIndex(self)
 
-    @cached_property
-    def _strict_svd(self):
-        """The SVD of the strict operator R0, ``rigidity.factor_strict``'s
-        BlockSVD, computed on first read and held for the framework's life."""
-        from . import rigidity     # rigidity imports this module
-        return rigidity.factor_strict(self)
-
-    @cached_property
-    def _element_actions(self) -> dict:
-        """Each held symmetry element's domain action and commutant
-        (``symmetry._element_action``), by the element's place in
-        ``symmetries``: built on first use and held for the framework's life,
-        so that one request reads each once.  A ``with_symmetries`` copy
-        starts with none."""
-        return {}
-
-    @cached_property
-    def _space_setups(self) -> dict:
-        """The spaces' set-ups (``rigidity._held_space`` and ``rigidity._held``),
-        each built on first use and held for the framework's life.  A
-        ``with_tolerance`` copy starts with none; a ``with_symmetries`` copy
-        shares them."""
-        return {}
-
     def vertex_label(self, index: int) -> str:
         name = self.vertices.names[index]
         return name if name else f"v{index}"
@@ -424,15 +405,14 @@ class CrystalFramework(_ArrayFields):
         again; it only checks that every element acts on this motif's vertex
         and edge classes.  Files, builtins and the CLI pass elements just
         resolved against this framework, or held by it; their geometry is
-        checked only on construction (``_check_symmetries``).
+        checked only on construction (``_check_symmetries``).  The copy
+        shares the framework's set-up store.
         """
         elements = tuple(elements)
         for g in elements:
             _check_maps(self, g)
         out = copy.copy(self)
         object.__setattr__(out, "symmetries", elements)
-        out.__dict__.pop("_element_actions", None)     # held for the elements it had
-        out.__dict__["_space_setups"] = self._space_setups
         return out
 
 
@@ -542,7 +522,7 @@ class _PointIndex:
 
     def matches(self, points, tol: float):
         """Index pairs (i, j) where ``points[i]`` equals held point j modulo the
-        lattice, as ``lattice_matches`` gives them."""
+        lattice, sorted by i, then j."""
         a = np.asarray(points, dtype=float)
         none = np.zeros(0, dtype=np.int64)
         if len(a) == 0 or len(self.points) == 0:
@@ -566,26 +546,6 @@ class _PointIndex:
             diff = a[i] - self.points[j]
         hit = np.max(np.abs(diff - np.round(diff)), axis=1) <= tol
         return (i, j) if hit.all() else (i[hit], j[hit])
-
-
-def lattice_matches(points, targets, tol: float):
-    """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
-
-    Both arguments are fractional coordinates, of shapes (n, d) and (m, d).
-    A pair matches when ``max |delta - round(delta)| <= tol`` for
-    ``delta = points[i] - targets[j]``; that test alone decides.  This is the
-    one-shot form of the matcher a framework holds for its own vertices: the
-    targets go into a ``_PointIndex`` built for the reach of ``tol`` at the
-    magnitude of both sets, and each point reads the one bucket where every
-    target it can match is listed, so the cost is near-linear in n + m for
-    spread-out points.  Returns two int arrays sorted by i, then j.
-    """
-    a = np.asarray(points, dtype=float)
-    b = np.asarray(targets, dtype=float)
-    if len(a) == 0 or len(b) == 0:
-        none = np.zeros(0, dtype=np.int64)
-        return none, none
-    return _PointIndex(b, _reach(tol, max(_scale(a), _scale(b)))).matches(a, tol)
 
 
 class _MotifIndex:

@@ -16,13 +16,16 @@ one domain system, (u, coordinates of A in E's basis).
 
 The operator of E is the strict operator R0 (the vertex block) bordered by
 the dim E <= d^2 lattice-velocity columns C_E, so one full SVD of R0
-(``factor_strict``) serves every admissible space.  The framework holds
-that SVD once computed, and ``analyze_counts`` reads each space's counts,
-and the bases read, off it and a small factorization of S0^T C_E, S0 the
-strict stresses.  It also holds each space's set-up once built: a named
-space by its name (``_held_space``), and a space's edge rows and rigid
-span by its stacked basis (``_held``), so the affine mode, the symmetry
-counts and ``is_affinely_rigid`` of one framework share one full space.
+(``factor_strict``) serves every admissible space.  ``analyze_counts``
+reads each space's counts, and the bases read, off it and a small
+factorization of S0^T C_E, S0 the strict stresses.  What it reads is built
+once per framework and held in the framework's one set-up store, through
+one memo (``_held``): that SVD (``_held_strict``), each named space
+(``_held_space``), and each space's border and rigid span under its
+stacked basis (``_held_border``, ``_held_rigid``), so the affine mode, the
+symmetry counts and ``is_affinely_rigid`` of one framework share one SVD
+and one full space.  A ``with_symmetries`` copy shares the store; every
+other copy starts with it empty.
 
 A motif that repeats under a finer lattice, as a supercell does, has
 translations T = L'/L that permute its vertices and bars; in the real
@@ -214,41 +217,48 @@ def _check_dimension(fw: CrystalFramework, space: MatrixSpace) -> None:
         )
 
 
-def _lattice_columns(fw: CrystalFramework, affine_block: np.ndarray, space: MatrixSpace) -> np.ndarray:
+def _lattice_columns(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
     """The border C_E = X L: L maps the j-th basis matrix A_j to vec(A_j Z),
     and vec(A Z) = (Z^T kron I) vec A."""
     _check_dimension(fw, space)
+    affine_block = _affine_block(fw, fw._edge_vectors)
     columns = affine_block @ (_kron(fw.lattice.matrix.T, np.eye(fw.dimension)) @ space.stacked)
     columns.setflags(write=False)
     return columns
 
 
-def _edge_rows(fw: CrystalFramework, space: MatrixSpace) -> tuple:
-    """The operator on (u, coords-in-space) as edge rows (ends, bar vectors v, C_E): row e
-    is v_e at vertex block from_e, -v_e at to_e (none if equal) and C_E[e] on the A columns."""
-    ends, vectors = fw.edges.ends, fw._edge_vectors
-    return ends, vectors, _lattice_columns(fw, _affine_block(fw, vectors), space)
+def _held(fw: CrystalFramework, key, build):
+    """``build()``, called on the first read of ``key`` and then read from the
+    framework's set-up store ``fw._setups``, which a ``with_symmetries`` copy
+    shares and every other copy starts empty."""
+    setups = fw._setups
+    if key not in setups:
+        setups[key] = build()
+    return setups[key]
+
+
+def _held_strict(fw: CrystalFramework) -> BlockSVD:
+    """R0's SVD, ``factor_strict``'s BlockSVD, held by the framework."""
+    return _held(fw, "strict SVD", lambda: factor_strict(fw))
 
 
 def _held_space(fw: CrystalFramework, name: str) -> MatrixSpace:
-    """``matrix_space(name)`` at the framework's dimension and tolerance,
-    built on first use and then read from ``fw._space_setups``."""
-    held = fw._space_setups
-    if name not in held:
-        held[name] = matrix_space(name, fw.dimension, fw.tolerance)
-    return held[name]
+    """``matrix_space(name)`` at the framework's dimension and tolerance, held by the framework."""
+    return _held(fw, ("space", name), lambda: matrix_space(name, fw.dimension, fw.tolerance))
 
 
-def _held(fw: CrystalFramework, space: MatrixSpace, part: str):
-    """The space's "edge rows" (``_edge_rows``) or its "rigid span"
-    (``rigid_motion_space``), built on first use and then read from
-    ``fw._space_setups`` under the space's stacked basis, so every space
-    with that basis, named or not, reads the same ones."""
-    key = (part, space.stacked.shape, space.stacked.tobytes())
-    held = fw._space_setups
-    if key not in held:
-        held[key] = (_edge_rows if part == "edge rows" else rigid_motion_space)(fw, space)
-    return held[key]
+def _held_border(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
+    """The space's border C_E (``_lattice_columns``), held by the framework
+    under the space's stacked basis, its shape included, so every space with
+    that basis, named or not, reads the same one."""
+    return _held(fw, ("border", space.stacked.shape, space.stacked.tobytes()),
+                 lambda: _lattice_columns(fw, space))
+
+
+def _held_rigid(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
+    """The space's rigid span (``rigid_motion_space``), held like its border."""
+    return _held(fw, ("rigid span", space.stacked.shape, space.stacked.tobytes()),
+                 lambda: rigid_motion_space(fw, space))
 
 
 def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
@@ -257,8 +267,7 @@ def restricted_operator(fw: CrystalFramework, space: MatrixSpace) -> np.ndarray:
     L maps the j-th basis matrix A_j to vec(A_j Z), so kernel vectors carry
     velocity-matrix coordinates directly in the given basis.
     """
-    mats = build_matrices(fw)
-    return np.hstack([mats.vertex_block, _lattice_columns(fw, mats.affine_block, space)])
+    return np.hstack([build_matrices(fw).vertex_block, _lattice_columns(fw, space)])
 
 
 def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasis:
@@ -331,7 +340,7 @@ BLOCK_MIN_VERTEX_DOF = 150
 def factor_strict(fw: CrystalFramework) -> BlockSVD:
     """R0's SVD, as Bloch blocks when d|Fv| is at least BLOCK_MIN_VERTEX_DOF
     and the motif repeats under a finer lattice; otherwise one dense block.
-    Read it as ``fw._strict_svd``, which computes it once per framework."""
+    Read it as ``_held_strict(fw)``, which computes it once per framework."""
     if fw.dimension * fw.vertex_count >= BLOCK_MIN_VERTEX_DOF and fw.edge_count:
         # Smaller operators never need the module; it imports symmetry,
         # which imports this one.
@@ -344,11 +353,10 @@ def factor_strict(fw: CrystalFramework) -> BlockSVD:
 
 
 def analyze_counts(fw: CrystalFramework, space: MatrixSpace) -> CountReport:
-    """Counts and bases in ``space``, from R0's SVD bordered by C_E; the
-    border and the rigid span are the framework's held ones (``_held``)."""
-    _, _, border = _held(fw, space, "edge rows")
-    factorization = factorize_bordered(fw._strict_svd, border, fw.tolerance)
-    flex, rigid = factorization.kernel, _held(fw, space, "rigid span")
+    """Counts and bases in ``space``, from R0's SVD bordered by C_E; the SVD,
+    the border and the rigid span are the framework's held ones."""
+    factorization = factorize_bordered(_held_strict(fw), _held_border(fw, space), fw.tolerance)
+    flex, rigid = factorization.kernel, _held_rigid(fw, space)
     f = rigid.dim
     if f > flex.dim:
         raise DependentBasisError(

@@ -13,16 +13,19 @@ A in an admissible space E), vertex block v moves to g.v and is multiplied
 by B, the offset coupling carries A into the vertex blocks (zero exactly
 when the element is separable), and A -> B A B^-1 acts on E.  The domain
 action is built once per element on (u, vec A), the full space's
-coordinates, and a space's action is its restriction; a framework holds
-each of its elements' actions and commutants once built, so the counts,
-the equation residual and the character row read the same ones.  Traces are
+coordinates, and a space's action is its restriction.  Each element's
+action and commutant are built once and held in the framework's one set-up
+store (``rigidity._held``) under the element's id, so the counts, the
+equation residual and the character row read the same ones, and so does a
+``with_symmetries`` copy, which shares the store.  Traces are
 counted from fixed points.  Velocities transform by the linear part only;
 rigidity rows annihilate the constant translation component, so kernels,
 cokernels and subspace traces are unaffected.  R itself is read as its
-edge rows (``rigidity._edge_rows``), never built as a dense matrix; the
-counts and the equation residual read the full space, its edge rows and
-its rigid span that the framework holds (``rigidity._held``), so they
-share them with the affine mode.
+edge rows: the bar ends and vectors and the border C_E, never built as a
+dense matrix; the counts and the equation residual read the full space,
+its border and its rigid span that the framework holds
+(``rigidity._held_border``, ``rigidity._held_rigid``), so they share them
+with the affine mode.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from .rigidity import (
     MatrixSpace,
     _check_dimension,
     _held,
+    _held_border,
+    _held_rigid,
     _held_space,
     analyze_counts,
     unvec,
@@ -201,8 +206,9 @@ class _DomainAction:
 
     def equation_residual(self, ends, vectors, lattice) -> float:
         """Max-norm residual of (edge action) . R - R . D, R given by its edge rows
-        (``rigidity._edge_rows``): row i of R D is v_i^T B at vertex block g^-1.from_i,
-        -v_i^T B at g^-1.to_i and v_i . (C[from_i] - C[to_i]) + C_E[i] K on the A columns."""
+        (the bar ends, the bar vectors v and the border C_E): row i of R D is
+        v_i^T B at vertex block g^-1.from_i, -v_i^T B at g^-1.to_i and
+        v_i . (C[from_i] - C[to_i]) + C_E[i] K on the A columns."""
         n, d = len(self.element.vertex_map), self.element.dimension
         source, moved = np.argsort(self.element.edge_map), vectors @ self.element.linear
         # Each row's entries summed over its block in this order: a loop bar's vertex row is 0.
@@ -235,15 +241,11 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement) -> _DomainAct
 
 def _element_action(fw: CrystalFramework, element: SymmetryElement) -> tuple:
     """The element's domain action on (u, vec A) and its commutant at the
-    framework's tolerance.  For an element the framework holds, both are
-    built on first use and then read from ``fw._element_actions``."""
-    held = next((i for i, g in enumerate(fw.symmetries) if g is element), None)
-    if held in fw._element_actions:
-        return fw._element_actions[held]
-    setup = _domain_action(fw, element), commutant_basis(element.linear, fw.tolerance)
-    if held is not None:
-        fw._element_actions[held] = setup
-    return setup
+    framework's tolerance, held by the framework under the element's id.
+    The action holds the element, so no other element takes that id while
+    the entry is held."""
+    return _held(fw, ("element", id(element)),
+                 lambda: (_domain_action(fw, element), commutant_basis(element.linear, fw.tolerance)))
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
@@ -259,7 +261,7 @@ def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,
     else:
         _check_dimension(fw, space)
         action = _element_action(fw, element)[0].on(space)
-    return action.equation_residual(*_held(fw, space, "edge rows"))
+    return action.equation_residual(fw.edges.ends, fw._edge_vectors, _held_border(fw, space))
 
 
 def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
@@ -422,9 +424,9 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     full = _held_space(fw, "full")
     action, commutant = _element_action(fw, element)
     fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
-    ends, vectors, lattice = _held(fw, full, "edge rows")
+    ends, vectors, lattice = fw.edges.ends, fw._edge_vectors, _held_border(fw, full)
     equation = action.equation_residual(ends, vectors, lattice)
-    rigid = _held(fw, full, "rigid span")
+    rigid = _held_rigid(fw, full)
 
     # g maps rigid motions to rigid motions, so f_g is also the fixed
     # dimension of its action on them.

@@ -13,7 +13,9 @@ replaced.
 ``translation_tables`` and ``orbit_tables`` build a translation group's
 permutation of every point by every element and read its orbits off them,
 where the package composes its generators' maps over a few points.
-``pairwise_matches`` is the direct O(n m) matching loop.
+``pairwise_matches`` is the direct O(n m) matching loop, and
+``lattice_matches`` the one-shot form of the package's matcher, an index
+of the targets built for one call.
 ``reference_lattice_matches``, ``reference_resolve_symmetry`` and
 ``reference_find_translations`` are the matcher that re-bucketed every
 target and regrouped every edge class on each call, kept unchanged so that
@@ -22,9 +24,10 @@ the held motif index can be compared with it bit for bit.
 ``per_use_equation_residual`` build an element's domain action for each
 use, on each space by its own solve, and its commutant for each use, as the
 package did before a framework held one action on (u, vec A) and one
-commutant per element; and each builds its own full space, border and
-rigid span (``per_use_counts`` for the character row's space), as the
-package did before a framework held one set-up per space.
+commutant per element; and each builds its own full space, edge rows
+(``per_use_edge_rows``) and rigid span (``per_use_counts`` for the
+character row's space), as the package did before a framework held one
+set-up per space.
 """
 
 import itertools
@@ -35,9 +38,9 @@ import numpy as np
 import sympy as sp
 
 import crystalflex as cf
-from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys
+from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys, _PointIndex, _reach, _scale
 from crystalflex.linalg import BlockSVD, _rank, factorize_bordered, full_svd
-from crystalflex.rigidity import DependentBasisError, _edge_rows
+from crystalflex.rigidity import DependentBasisError, _held_strict, _lattice_columns
 from crystalflex.symmetry import (
     SymmetryElement,
     SymmetryError,
@@ -367,6 +370,26 @@ def pairwise_matches(points, targets, tol):
     return pairs
 
 
+def lattice_matches(points, targets, tol: float):
+    """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
+
+    Both arguments are fractional coordinates, of shapes (n, d) and (m, d).
+    A pair matches when ``max |delta - round(delta)| <= tol`` for
+    ``delta = points[i] - targets[j]``; that test alone decides.  This is the
+    one-shot form of the matcher a framework holds for its own vertices: the
+    targets go into a ``_PointIndex`` built for the reach of ``tol`` at the
+    magnitude of both sets, and each point reads the one bucket where every
+    target it can match is listed, so the cost is near-linear in n + m for
+    spread-out points.  Returns two int arrays sorted by i, then j.
+    """
+    a = np.asarray(points, dtype=float)
+    b = np.asarray(targets, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    return _PointIndex(b, _reach(tol, max(_scale(a), _scale(b)))).matches(a, tol)
+
+
 def reference_lattice_matches(points, targets, tol: float):
     """Index pairs (i, j) where ``points[i]`` equals ``targets[j]`` modulo the lattice.
 
@@ -619,9 +642,15 @@ def per_use_domain_action(fw, element, space):
     return _DomainAction(element, coupling.reshape(n * d, space.dim), conjugation)
 
 
+def per_use_edge_rows(fw, space):
+    """The operator on (u, coordinates in ``space``) as edge rows, the border
+    C_E built for this use: the bar ends, the bar vectors and C_E."""
+    return fw.edges.ends, fw._edge_vectors, _lattice_columns(fw, space)
+
+
 def per_use_equation_residual(fw, element, space):
-    """``verify_symmetry_equation`` with the action built for this use."""
-    return per_use_domain_action(fw, element, space).equation_residual(*_edge_rows(fw, space))
+    """``verify_symmetry_equation`` with the action and edge rows built for this use."""
+    return per_use_domain_action(fw, element, space).equation_residual(*per_use_edge_rows(fw, space))
 
 
 def per_use_symmetry_counts(fw, element):
@@ -632,7 +661,7 @@ def per_use_symmetry_counts(fw, element):
     action = per_use_domain_action(fw, element, full)
     commutant = cf.commutant_basis(element.linear, tol)
     fixed_domain, fixed_vertex = _fixed_domain(action, commutant, tol)
-    ends, vectors, lattice = _edge_rows(fw, full)
+    ends, vectors, lattice = per_use_edge_rows(fw, full)
     equation = action.equation_residual(ends, vectors, lattice)
     rigid = cf.rigid_motion_space(fw, full)
     f = cf.subspace_intersection(rigid, fixed_domain).dim
@@ -662,7 +691,7 @@ def per_use_symmetry_counts(fw, element):
 def per_use_counts(fw, space):
     """``analyze_counts``' factorization and rigid span of ``space``, with the
     border and the rigid span built for this use."""
-    return (factorize_bordered(fw._strict_svd, _edge_rows(fw, space)[2], fw.tolerance),
+    return (factorize_bordered(_held_strict(fw), _lattice_columns(fw, space), fw.tolerance),
             cf.rigid_motion_space(fw, space))
 
 

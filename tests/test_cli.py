@@ -901,11 +901,11 @@ class TestWorkPerRequest:
 
     @staticmethod
     def space_set_ups(monkeypatch):
-        """The names of the spaces that rigidity's matrix_space, _edge_rows
-        and rigid_motion_space each build, from where the held set-ups are
-        built."""
+        """The names of the spaces that rigidity's matrix_space,
+        _lattice_columns (the border) and rigid_motion_space each build, from
+        where the held set-ups are built."""
         built = {}
-        for name in ("matrix_space", "_edge_rows", "rigid_motion_space"):
+        for name in ("matrix_space", "_lattice_columns", "rigid_motion_space"):
             original, names = getattr(crystalflex.rigidity, name), built.setdefault(name, [])
 
             def counting(*args, original=original, names=names):
@@ -948,7 +948,7 @@ class TestWorkPerRequest:
         code, _, _ = run(capsys, "symmetry", str(path), "--characters", "--json")
         assert code == 0
         assert built["matrix_space"] == ["full"]
-        assert built["_edge_rows"] == built["rigid_motion_space"] == ["full", "commutant", "commutant"]
+        assert built["_lattice_columns"] == built["rigid_motion_space"] == ["full", "commutant", "commutant"]
 
     def test_the_package_takes_no_kronecker_product(self):
         # Every d^2 x d^2 Kronecker product is one broadcast product

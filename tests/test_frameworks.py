@@ -11,8 +11,13 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 import crystalflex.frameworks
-from crystalflex.frameworks import lattice_matches
-from oracles import pairwise_matches, random_framework, reference_supercell, scrambled_supercell
+from oracles import (
+    lattice_matches,
+    pairwise_matches,
+    random_framework,
+    reference_supercell,
+    scrambled_supercell,
+)
 
 S3 = np.sqrt(3.0)
 

@@ -3,9 +3,9 @@
 ``oracles`` keeps the matcher that re-bucketed every target and regrouped
 every edge class on each call.  Translation groups, resolved elements and
 the text of refusals must come out of the held index bit for bit as they
-came out of it; the one-shot ``lattice_matches`` must find the pairs of the
-pairwise loop with points on and near the bucket faces; and every rare path
-of the exact lookups is forced once.
+came out of it; the one-shot ``oracles.lattice_matches`` must find the
+pairs of the pairwise loop with points on and near the bucket faces; and
+every rare path of the exact lookups is forced once.
 """
 
 import copy
@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalflex as cf
-from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach, lattice_matches
+from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach
 from crystalflex.translations import _find_translations, _member_index
 from oracles import (
     centred_square,
     chain,
     deleted_bar,
+    lattice_matches,
     moved_vertex,
     pairwise_matches,
     random_framework,

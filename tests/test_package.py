@@ -48,6 +48,45 @@ def test_every_public_name_is_read():
     assert unread(cf.__all__) == []
 
 
+def imports(tree):
+    """(enclosing function or None, names) for every import statement of a
+    module: the dotted parts of the modules it names and the names it takes."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in child.names for part in alias.name.split(".")}
+                if isinstance(child, ast.ImportFrom) and child.module:
+                    names |= set(child.module.split("."))
+                found.append((function, names))
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_frameworks_imports_no_later_layer():
+    # A framework holds one set-up store that the later layers fill, so the
+    # module reads none of them.
+    tree = ast.parse((ROOT / "src" / "crystalflex" / "frameworks.py").read_text())
+    layers = {"rigidity", "symmetry", "translations", "fileio"}
+    assert [names & layers for _, names in imports(tree) if names & layers] == []
+
+
+def test_the_one_function_level_import_is_the_translations_module():
+    # factor_strict imports translations only for operators large enough
+    # for Bloch blocks: small ones never need the module, and importing the
+    # package (which the benchmark's set-up times) does not compile it.
+    found = [(path.name, function, names) for path in sorted((ROOT / "src" / "crystalflex").glob("*.py"))
+             for function, names in imports(ast.parse(path.read_text())) if function is not None]
+    assert [(name, function, "translations" in names) for name, function, names in found] == [
+        ("rigidity.py", "factor_strict", True)]
+
+
 def test_demos_found():
     assert len(DEMOS) >= 4
 

@@ -13,7 +13,7 @@ from crystalflex.linalg import border_bound
 import crystalflex.rigidity
 import crystalflex.translations
 from crystalflex.frameworks import _bar_vectors
-from crystalflex.rigidity import _held_space, _skew_generators, unvec, vec
+from crystalflex.rigidity import _held_border, _held_space, _held_strict, _skew_generators, unvec, vec
 from crystalflex.translations import _find_translations, _orbits
 from oracles import (
     centred_square,
@@ -405,11 +405,19 @@ class TestHeldStrictSVD:
         # Translation detection reads the tolerance; the symmetries change
         # neither the geometry nor the tolerance.
         calls = count_factorizations(monkeypatch)
-        svd = kagome._strict_svd
-        assert kagome.with_symmetries(())._strict_svd is svd
+        svd = _held_strict(kagome)
+        assert _held_strict(kagome.with_symmetries(())) is svd
         loose = kagome.with_tolerance(1e-6)
-        assert loose._strict_svd is not svd
+        assert _held_strict(loose) is not svd
         assert len(calls) == 2 and calls[1] is loose
+
+    def test_a_copy_taken_before_the_first_read_shares_the_strict_svd(self, kagome, monkeypatch):
+        # The with_symmetries copy shares the framework's one set-up store,
+        # not the set-ups held when it was taken.
+        calls = count_factorizations(monkeypatch)
+        copy = kagome.with_symmetries(())
+        assert _held_strict(copy) is _held_strict(kagome)
+        assert len(calls) == 1 and calls[0] is copy
 
     def test_space_set_ups_are_held_like_the_strict_svd(self, kagome):
         # The full space, its border and its rigid span are built once per
@@ -417,17 +425,26 @@ class TestHeldStrictSVD:
         # with_symmetries copy shares them, and a with_tolerance copy, whose
         # rigid span reads the new tolerance, starts with none.
         affine = cf.analyze_counts(kagome, _held_space(kagome, "full"))
-        assert _held_space(kagome, "full") is kagome._space_setups["full"]
+        assert _held_space(kagome, "full") is kagome._setups[("space", "full")]
         again = cf.analyze_counts(kagome, cf.matrix_space("full", 2, kagome.tolerance))
         assert again.rigid_basis is affine.rigid_basis
-        assert kagome.with_symmetries(())._space_setups is kagome._space_setups
-        assert kagome.with_tolerance(1e-6)._space_setups == {}
-        assert replace(kagome)._space_setups == {}
-        held = kagome._space_setups
+        assert kagome.with_symmetries(())._setups is kagome._setups
+        assert kagome.with_tolerance(1e-6)._setups == {}
+        assert replace(kagome)._setups == {}
+        held = kagome._setups
         assert sorted(key if isinstance(key, str) else key[0] for key in held) == [
-            "edge rows", "full", "rigid span"]
-        border = held[next(key for key in held if key[0] == "edge rows")][2]
+            "border", "rigid span", "space", "strict SVD"]
+        border = _held_border(kagome, cf.matrix_space("full", 2, kagome.tolerance))
+        assert border is held[next(key for key in held if key[0] == "border")]
         assert not border.flags.writeable
+
+    def test_a_space_of_another_dimension_reads_no_held_set_up(self, kagome):
+        # The zero spaces of every d stack to the same (empty) bytes, so a
+        # key of bytes alone would hand the 3-D one the 2-D one's set-ups
+        # in place of the refusal of its dimension.
+        cf.analyze_counts(kagome, _held_space(kagome, "zero"))
+        with pytest.raises(ValueError, match="matrix space dimension 3 != framework dimension 2"):
+            cf.analyze_counts(kagome, cf.matrix_space("zero", 3))
 
 
 class TestTorusOracle:
@@ -699,7 +716,7 @@ def assert_border_matches_dense(fw, space):
     assert_allclose(projector(counts.stress_basis), projector(dense.stress_basis), atol=1e-9)
     border = cf.restricted_operator(fw, space)[:, fw.dimension * fw.vertex_count:]
     # Up to the round-off of the two ways of computing it.
-    assert border_bound(fw._strict_svd, border) >= dense.sigma_max * (1 - 1e-12)
+    assert border_bound(_held_strict(fw), border) >= dense.sigma_max * (1 - 1e-12)
 
 
 def all_spaces(rng, d, tol, custom):
@@ -775,7 +792,7 @@ def assert_blocks_match_dense(fw, space, rng, subspaces=True):
         # A copy built inside the patch, so no SVD held from an earlier read
         # stands in for the block path.
         fw = replace(fw)
-        svd = fw._strict_svd
+        svd = _held_strict(fw)
     assert character_count(svd) == translation_count(fw)
     counts = cf.analyze_counts(fw, space)
     dense = dense_counts(fw, space)
@@ -864,7 +881,7 @@ class TestTranslationDetection:
         # Below BLOCK_MIN_VERTEX_DOF the strict SVD is R0's own.
         big = cf.supercell(kagome, (2, 2))
         assert 2 * big.vertex_count < crystalflex.rigidity.BLOCK_MIN_VERTEX_DOF
-        svd = big._strict_svd
+        svd = _held_strict(big)
         assert character_count(svd) == 1
         assert svd.rows is None and svd.cols is None
         u, s, vt = svd.batches[0]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import crystalflex as cf
-from crystalflex.rigidity import _edge_rows, _held, unvec
+import crystalflex.symmetry
+from crystalflex.rigidity import _held_rigid, unvec
 from crystalflex.symmetry import (
     _cycle_starts,
     _cycles,
@@ -20,6 +21,7 @@ from crystalflex.symmetry import (
 from oracles import (
     dense_factorization,
     per_use_character_row,
+    per_use_edge_rows,
     per_use_equation_residual,
     per_use_symmetry_counts,
     scrambled_supercell,
@@ -313,7 +315,7 @@ def test_array_representations_match_the_per_vertex_loop(case, n, seed):
     assert action.trace() == pytest.approx(np.trace(domain), abs=1e-12)
     assert _fixed_points(g.edge_map) == np.trace(edge_perm)
     full = cf.matrix_space("full", fw.dimension, fw.tolerance)
-    assert action.equation_residual(*_edge_rows(fw, full)) == pytest.approx(
+    assert action.equation_residual(*per_use_edge_rows(fw, full)) == pytest.approx(
         dense_equation_residual(cf.restricted_operator(fw, full), edge_perm, domain), abs=1e-12)
 
 
@@ -344,7 +346,7 @@ def test_gathered_equation_residual_of_a_broken_element_matches_the_dense_one(
     _, edge_perm, _, domain = reference_representation(fw, bad)
     expected = dense_equation_residual(cf.restricted_operator(fw, full), edge_perm, domain)
     assert expected > 0.1
-    assert full_action(fw, bad).equation_residual(*_edge_rows(fw, full)) == pytest.approx(
+    assert full_action(fw, bad).equation_residual(*per_use_edge_rows(fw, full)) == pytest.approx(
         expected, rel=1e-12, abs=0)
 
 
@@ -471,7 +473,7 @@ def test_one_action_per_element_matches_the_per_use_construction(case, n, seed):
     fw = fw.with_symmetries((g,))
     counts = cf.symmetry_counts(fw, g)
     row = cf.character_row(fw, g, counts.commutant)
-    assert list(fw._element_actions) == [0]
+    assert [key for key in fw._setups if key[0] == "element"] == [("element", id(g))]
     expected = per_use_symmetry_counts(fw, g)
     assert counts.equation_residual == pytest.approx(expected.equation_residual, abs=1e-12)
     assert replace(counts, equation_residual=expected.equation_residual) == expected
@@ -499,8 +501,8 @@ def test_held_set_ups_match_the_per_use_construction(n, seed):
     fw = fw.with_symmetries([cf.resolve_symmetry(fw, linear, shift, name) for name, linear, shift in declared])
     report = cf.analyze_framework(fw, characters=True)
     full, affine = report.modes[1]
-    assert full is fw._space_setups["full"]
-    assert affine.rigid_basis is _held(fw, full, "rigid span")
+    assert full is fw._setups[("space", "full")]
+    assert affine.rigid_basis is _held_rigid(fw, full)
     tol = fw.tolerance
     for g, entry in zip(fw.symmetries, report.body["symmetries"]):
         counts = cf.symmetry_counts(fw, g)
@@ -516,8 +518,22 @@ def test_held_set_ups_match_the_per_use_construction(n, seed):
             assert getattr(row, key) == pytest.approx(getattr(expected_row, key), abs=1e-12), key
         assert cf.verify_symmetry_equation(fw, g) == pytest.approx(
             per_use_equation_residual(fw, g, cf.matrix_space("full", 2, tol)), abs=1e-12)
-    # The full space's edge rows and rigid span, once for the mode and the three elements.
-    assert sum(key[2] == full.stacked.tobytes() for key in fw._space_setups if isinstance(key, tuple)) == 2
+    # The full space's border and rigid span, once for the mode and the three elements.
+    assert sum(key[1:] == (full.stacked.shape, full.stacked.tobytes()) for key in fw._setups) == 2
+
+
+def test_a_with_symmetries_copy_reads_the_held_element_actions(kagome, monkeypatch):
+    # The copy shares the framework's set-up store, so the action and the
+    # commutant held for the element are not built again.
+    g = kagome.symmetries[0]
+    counts = cf.symmetry_counts(kagome, g)
+    built = []
+    for name in ("_domain_action", "commutant_basis"):
+        original = getattr(crystalflex.symmetry, name)
+        monkeypatch.setattr(crystalflex.symmetry, name,
+                            lambda *args, name=name, original=original: built.append(name) or original(*args))
+    assert cf.symmetry_counts(kagome.with_symmetries((g,)), g) == counts
+    assert built == []
 
 
 def reference_character_row(fw, element, space):
