@@ -29,12 +29,13 @@ the offending field path or element name.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -320,7 +321,7 @@ def framework_to_dict(fw: CrystalFramework) -> dict:
 
 
 def serialize_framework(fw: CrystalFramework) -> str:
-    return _json_text(framework_to_dict(fw)) + "\n"
+    return _json_text(framework_to_dict(fw))
 
 
 def load_framework(path) -> CrystalFramework:
@@ -384,17 +385,19 @@ def _display_array(values) -> np.ndarray:
 
 _INDENT = "  "
 _BATCH = 1 << 12        # values per numpy pass; larger passes hold more temporaries at once
+_RUN_END = "\1"         # marks the end of each run's text in a batch's records
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, with float64 arrays written in bulk.
+    """``json.dumps(obj, indent=2)`` and a final newline, with float64 arrays
+    written in bulk.
 
     ``obj`` may also hold float64 ndarrays, each written as its ``tolist()``
     would be.  ``json``'s own encoder writes everything else; it meets each
     non-empty, finite 1-D or 2-D array as a string holding a token drawn for
     this call, and the arrays' text replaces the quoted tokens afterwards,
     each nested as deep as its line is indented, in runs of whole rows
-    formatted together about ``_BATCH`` values at a time.
+    formatted together about ``_BATCH`` values at a time (``_runs_text``).
     """
     token, arrays = os.urandom(16).hex(), []
 
@@ -406,38 +409,32 @@ def _json_text(obj) -> str:
             return token
         return o.tolist()
 
-    text = json.JSONEncoder(indent=2, check_circular=False, default=leaf).encode(obj)
-    pieces = text.split(f'"{token}"')
+    pieces = json.JSONEncoder(indent=2, check_circular=False, default=leaf).encode(obj).split(f'"{token}"')
     if len(pieces) != len(arrays) + 1:
         raise RuntimeError("a string in the JSON equals the placeholder of an array")
-    out = [""] * (2 * len(pieces) - 1)
-    out[::2] = pieces
-    # Array i fills out[2 i + 1], nested as deep as the line pieces[i] ends on is indented.
+    # Array i follows pieces[i], nested as deep as the line that piece ends on is indented.
     lines = (before[before.rfind("\n") + 1:] for before in pieces)
     levels = ((len(line) - len(line.lstrip(" "))) // len(_INDENT) for line in lines)
-    blocks = []
-    for batch in _batches(_array_runs(zip(range(1, len(out), 2), arrays, levels))):
-        numbers = _array_reprs(np.concatenate([values for _, values, *_ in batch]))
-        at = 0
-        for slot, values, width, level, first, last in batch:
-            blocks.append(_block_text(numbers[at:at + values.size], width, level, first, last))
-            at += values.size
-            if last:
-                out[slot] = "".join(blocks)
-                blocks = []
-    return "".join(out)
+    parts = []
+    for batch in _batches(_array_runs(zip(range(len(arrays)), arrays, levels))):
+        for (i, _, width, level, first, _), text in zip(batch, _runs_text(batch)):
+            if first:
+                parts += (pieces[i], _layout(width, level).opening)
+            parts.append(text)
+    parts += (pieces[-1], "\n")
+    return "".join(parts)
 
 
 def _array_runs(arrays):
-    """(slot, values, width, level, first, last) for each run of whole rows,
-    about ``_BATCH`` values, of each recorded (slot, array, level); width is
+    """(index, values, width, level, first, last) for each run of whole rows,
+    about ``_BATCH`` values, of each recorded (index, array, level); width is
     0 for a 1-D array."""
-    for slot, a, level in arrays:
+    for i, a, level in arrays:
         width = a.shape[1] if a.ndim == 2 else 0
         step = max(_BATCH // width, 1) * width if width else _BATCH
         flat = a.reshape(-1)
         for start in range(0, flat.size, step):
-            yield slot, flat[start:start + step], width, level, start == 0, start + step >= flat.size
+            yield i, flat[start:start + step], width, level, start == 0, start + step >= flat.size
 
 
 def _batches(runs):
@@ -453,88 +450,138 @@ def _batches(runs):
         yield batch
 
 
-def _block_text(numbers: list, width: int, level: int, first: bool = True, last: bool = True) -> str:
-    """JSON of a list of number strings, or of their rows of ``width`` when
-    ``width`` > 0: the numbers interleaved with a precomputed separator
-    list.  A run of rows that is not ``first`` leaves out the opening
-    bracket, and one that is not ``last`` ends in the separator to the
-    next run instead of the closing bracket."""
+class _Layout(NamedTuple):
+    """The uint32 record of one row of an array of some width at some
+    nesting level: each number's four digit words, then the separator after
+    it, the last number's being the row's end.  ``pattern`` is a row with
+    the separators in place and the digit words zero; ``ends`` the two
+    endings of a run's last row, more rows to follow and the array closed,
+    each with the run-end mark."""
+
+    columns: int        # numbers in a row, 1 for a 1-D array
+    slot: int           # words from one number's first digit word to the next one's
+    pattern: np.ndarray
+    ends: np.ndarray
+    opening: str        # the text before an array's first number
+
+
+def _words(text: str, size: int) -> np.ndarray:
+    """``size`` uint32 words of the bytes of ``text``, padded with NULs."""
+    return np.frombuffer(text.encode("ascii").ljust(4 * size, b"\0"), dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=64)     # bounded: a process may write reports of many widths
+def _layout(width: int, level: int) -> _Layout:
+    """The record layout of the rows of a width-``width`` array nested
+    ``level`` deep; width 0 is a 1-D array, laid out as rows of one number."""
     row = "\n" + _INDENT * (level + 1)
     close = "\n" + _INDENT * level + "]"
-    if not width:
-        return ("[" + row if first else "") + ("," + row).join(numbers) + (close if last else "," + row)
-    cell = row + _INDENT
-    separators = ([f",{cell}"] * (width - 1) + [f"{row}],{row}[{cell}"]) * (len(numbers) // width)
-    if last:
-        separators[-1] = row + "]" + close
-    parts = [f"[{row}[{cell}" if first else ""] * (2 * len(numbers) + 1)
-    parts[1::2] = numbers
-    parts[2::2] = separators
-    return "".join(parts)
+    if width:
+        cell = row + _INDENT
+        opening, inside, more, close = f"[{row}[{cell}", "," + cell, f"{row}],{row}[{cell}", row + "]" + close
+    else:
+        opening, inside, more = "[" + row, "", "," + row
+    columns, slot = max(width, 1), 4 + -(-len(inside) // 4)
+    tail = -(-(max(len(more), len(close)) + len(_RUN_END)) // 4)
+    pattern = np.concatenate([np.tile(_words("\0" * 16 + inside, slot), columns - 1),
+                              _words("\0" * 16 + more, 4 + tail)])
+    ends = np.stack([_words(more + _RUN_END, tail), _words(close + _RUN_END, tail)])
+    pattern.setflags(write=False)
+    ends.setflags(write=False)
+    return _Layout(columns, slot, pattern, ends, opening)
 
 
-_TRIPLES = np.indices((10, 10, 10)).reshape(3, -1).T      # the three digits of each k < 1000
+def _runs_text(batch) -> list:
+    """The text of each run of ``batch``: its numbers, each followed by its
+    separator, the last one by the end of its run.
 
-
-def _digit_words(left: str, right: str) -> np.ndarray:
-    """uint32 words, for k < 1000, of the bytes ``left``, the three digits of
-    k and ``right``."""
-    pads = [np.full((1000, len(text)), [ord(c) for c in text]) for text in (left, right)]
-    return np.hstack([pads[0], _TRIPLES + ord("0"), pads[1]]).astype(np.uint8).view(np.uint32).reshape(-1)
-
-
-# A number on the 1e-9 grid is written from k = |x| * 10**9, split into five
-# 3-digit groups g0..g4, as five words (20 bytes): a sign and g0; g1 and the
-# point; g2, g3 and g4, each followed by a byte to drop, the last a space.
-_SIGNED, _POINTED, _SPACED = _digit_words("-", ""), _digit_words("", "."), _digit_words("", " ")
-_DIGITS = ((_TRIPLES > 0) * [3, 2, 1]).max(axis=1)                # of k, 0 for 0
-_INT_DIGITS = np.maximum(_DIGITS, 1)
-_FRACTION_DIGITS = ((_TRIPLES > 0) * [1, 2, 3]).max(axis=1)       # of k without its trailing zeros
-# The bytes kept (0xff) for each (negative, integer digits 1-6, fraction
-# digits 1-9): those digits, the point, the space and the sign.  The ranks
-# number each byte's integer digit leftwards from the point and its fraction
-# digit rightwards, 0 for none.
-_NEGATIVE, _INTS, _FRACTIONS = np.indices((2, 6, 9)).reshape(3, -1, 1)
-_INTS, _FRACTIONS = _INTS + 1, _FRACTIONS + 1
-_INT_RANK = np.array([0, 6, 5, 4, 3, 2, 1] + [0] * 13)
-_FRACTION_RANK = np.array([0] * 8 + [1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 0])
-_BYTE = np.arange(20)
-_KEEP = ((0 < _INT_RANK) & (_INT_RANK <= _INTS) | (0 < _FRACTION_RANK) & (_FRACTION_RANK <= _FRACTIONS)
-         | (_BYTE == 7) | (_BYTE == 19) | (_BYTE == 0) & (_NEGATIVE == 1))
-_KEEP = (_KEEP * 0xff).astype(np.uint8).view(np.uint32)
-
-
-def _array_reprs(x: np.ndarray) -> list:
-    """``float.__repr__`` of each finite float64 in the 1-D array ``x``.
-
-    Where n = |rint(x * 1e9)| gives n / 1e9 == |x| and 1e-4 <= |x| < 1e6 (or
-    x == 0), x is the double nearest to ±n * 10**-9, a decimal of at most 15
-    significant digits, so no shorter decimal rounds to x and repr writes
-    that decimal in fixed notation: the digits of n with a point before the
-    last nine, leading zeros of the integer part and trailing zeros of the
-    fraction dropped, and a sign.  Those are read from lookup tables, the
-    dropped bytes zeroed and deleted; every other value takes repr.
+    The runs of each (width, level) fill one uint32 record array with rows
+    laid out by ``_layout``, and the arrays are joined as bytes, so one
+    translate deletes every NUL of the batch and one split at the run-end
+    marks gives each run's text.  A value the digit words do not spell is
+    written "%s" and formatted in as its ``float.__repr__``.
     """
-    n = np.abs(np.rint(np.where(np.abs(x) < 1e6, x, 0.0) * 1e9)).astype(np.int64)
-    whole = n // 10 ** 9
-    fraction = n - whole * 10 ** 9
-    g0 = whole // 1000
-    g1 = whole - g0 * 1000
-    g2 = fraction // 10 ** 6
-    rest = fraction - g2 * 10 ** 6
+    groups = {}
+    for at, (_, _, width, level, _, _) in enumerate(batch):
+        groups.setdefault((width, level), []).append(at)
+    order = [at for ats in groups.values() for at in ats]
+    x = np.concatenate([batch[at][1] for at in order])
+    words, off = _number_words(x)
+    blocks, count = [], 0
+    for key, ats in groups.items():
+        columns, slot, pattern, ends, _ = _layout(*key)
+        rows = [batch[at][1].size // columns for at in ats]
+        records = np.empty((sum(rows), pattern.size), np.uint32)
+        records[:] = pattern
+        records[:, :columns * slot].reshape(-1, columns, slot)[:, :, :4] = (
+            words[:, count:count + records.shape[0] * columns].T.reshape(-1, columns, 4))
+        records[np.cumsum(rows) - 1, -ends.shape[1]:] = ends.take([batch[at][5] for at in ats], axis=0)
+        blocks.append(records)
+        count += records.shape[0] * columns
+    text = b"".join(blocks).translate(None, b"\0").decode("ascii")
+    if off.size:
+        text %= tuple(map(float.__repr__, x[off].tolist()))
+    texts = [""] * len(batch)
+    for at, run_text in zip(order, text.split(_RUN_END)):
+        texts[at] = run_text
+    return texts
+
+
+# A value on the 1e-9 grid below 1000 is written from n = |x| * 10**9 as four
+# words: the sign and the integer part w = n // 10**9, read at w + 1000 *
+# sign; the point and the first fraction triple g2, then the triples g3 and
+# g4, each read at g + 1000 when a later triple is not zero, so the
+# fraction's trailing zeros are dropped and one digit is kept.  The digits
+# a word drops are NUL.
+_DIGITS = np.indices((10, 10, 10), dtype=np.uint8).reshape(3, -1).T + ord("0")     # of each k < 1000
+_NONZERO = _DIGITS > ord("0")
+_LEADING = np.logical_or.accumulate(_NONZERO, axis=1) | [False, False, True]       # from k's first digit
+_TRAILING = np.logical_or.accumulate(_NONZERO[:, ::-1], axis=1)[:, ::-1]           # to its last nonzero one
+_TABLES = np.zeros((6, 1000, 4), np.uint8)
+_TABLES[0:2, :, 1:] = np.where(_LEADING, _DIGITS, 0)
+_TABLES[1, :, 0] = ord("-")
+_TABLES[2:4, :, 0] = ord(".")
+_TABLES[2, :, 1:] = np.where(_TRAILING | [True, False, False], _DIGITS, 0)
+_TABLES[3, :, 1:] = _DIGITS
+_TABLES[4, :, :3] = np.where(_TRAILING, _DIGITS, 0)
+_TABLES[5, :, :3] = _DIGITS
+_INTEGERS, _POINTED, _TRIPLED = _TABLES.view(np.uint32).reshape(3, 2000)
+_REPR = _words("%s", 4)[:, None]          # the words of a value that float.__repr__ writes
+# |x| is read no larger than this: n rounds down to 10**12 - 1, so w < 1000,
+# and n / 1e9 < |x|, so every larger value takes repr.
+_FAST_END = 999.9999999994
+
+
+def _number_words(x: np.ndarray):
+    """The four uint32 digit words of each finite float64 in the 1-D array
+    ``x``, a (4, x.size) array, and the indices of the values that take
+    ``float.__repr__``, whose words are "%s".
+
+    Where n = rint(|x| * 1e9) gives n / 1e9 == |x| and 1e-4 <= |x| < 1000
+    (or x == 0), x is the double nearest to +-n * 10**-9, a decimal of at
+    most 12 significant digits, so no shorter decimal rounds to x and repr
+    writes that decimal in fixed notation: the digits of n with a point
+    before the last nine, leading zeros of the integer part and trailing
+    zeros of the fraction dropped, and a sign.  The words of those are read
+    from the tables; every other value takes repr.
+    """
+    a = np.abs(x)
+    n = np.rint(np.minimum(a, _FAST_END) * 1e9)            # exact integers below 10**12
+    value = n / 1e9
+    off = np.flatnonzero((value != a) | (np.abs(n - 50000.0) < 50000.0))     # or 0 < n < 10**5
+    whole = np.floor(value)                                # exact: n / 1e9 is at least 1e-9 from w + 1
+    fraction = (n - whole * 1e9).astype(np.int32)
+    g2 = fraction // 1000000
+    rest = fraction - g2 * 1000000
     g3 = rest // 1000
     g4 = rest - g3 * 1000
-    ints = np.where(g0 > 0, 3 + _DIGITS.take(g0), _INT_DIGITS.take(g1))
-    fractions = np.where(g4 > 0, 6 + _FRACTION_DIGITS.take(g4),
-                         np.where(g3 > 0, 3 + _FRACTION_DIGITS.take(g3), np.maximum(_FRACTION_DIGITS.take(g2), 1)))
-    keep = _KEEP.take((np.signbit(x) * 6 + ints - 1) * 9 + fractions - 1, axis=0)
-    words = np.stack([_SIGNED.take(g0), _POINTED.take(g1), _SPACED.take(g2), _SPACED.take(g3),
-                      _SPACED.take(g4)], axis=1)
-    numbers = (words & keep).tobytes().translate(None, b"\0").decode("ascii").split()
-    off = np.flatnonzero((n / 1e9 != np.abs(x)) | ((0 < n) & (n < 100000)))
-    for i, text in zip(off.tolist(), map(float.__repr__, x[off].tolist())):
-        numbers[i] = text
-    return numbers
+    words = np.empty((4, x.size), np.uint32)
+    _INTEGERS.take((whole + np.signbit(x) * 1000.0).astype(np.intp), out=words[0])
+    _POINTED.take(np.minimum(rest, 1) * 1000 + g2, out=words[1])
+    _TRIPLED.take(np.minimum(g4, 1) * 1000 + g3, out=words[2])
+    _TRIPLED.take(g4, out=words[3])
+    words[:, off] = _REPR
+    return words, off
 
 
 @dataclass(frozen=True)
@@ -656,7 +703,7 @@ def analyze_framework(fw: CrystalFramework, modes: Sequence = ("strict", "affine
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:
     if format == "json":
-        return _json_text(report._json_body()) + "\n"
+        return _json_text(report._json_body())
     if format != "text":
         raise ValueError(f"unknown report format {format!r}; use 'text' or 'json'")
 

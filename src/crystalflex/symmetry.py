@@ -13,11 +13,12 @@ A in an admissible space E), vertex block v moves to g.v and is multiplied
 by B, the offset coupling carries A into the vertex blocks (zero exactly
 when the element is separable), and A -> B A B^-1 acts on E.  The domain
 action is built once per element on (u, vec A), the full space's
-coordinates, and a space's action is its restriction.  Each element's
-action and commutant are built once and held in the framework's one set-up
-store (``rigidity._held``) under the element's id, so the counts, the
-equation residual and the character row read the same ones, and so does a
-``with_symmetries`` copy, which shares the store.  Traces are
+coordinates, and a space's action is its restriction.  Each declared
+element's action and commutant are built once and held in the framework's
+one set-up store (``rigidity._held``) under the element's id, so the
+counts, the equation residual and the character row read the same ones,
+and so does a ``with_symmetries`` copy, which shares the store; any other
+element's are built for each call.  Traces are
 counted from fixed points.  Velocities transform by the linear part only;
 rigidity rows annihilate the constant translation component, so kernels,
 cokernels and subspace traces are unaffected.  R itself is read as its
@@ -241,11 +242,17 @@ def _domain_action(fw: CrystalFramework, element: SymmetryElement) -> _DomainAct
 
 def _element_action(fw: CrystalFramework, element: SymmetryElement) -> tuple:
     """The element's domain action on (u, vec A) and its commutant at the
-    framework's tolerance, held by the framework under the element's id.
+    framework's tolerance, held by the framework under the element's id
+    when the element is one the framework declares, and built afresh for
+    any other, so the store does not grow with the elements passed in.
     The action holds the element, so no other element takes that id while
     the entry is held."""
-    return _held(fw, ("element", id(element)),
-                 lambda: (_domain_action(fw, element), commutant_basis(element.linear, fw.tolerance)))
+    def build():
+        return _domain_action(fw, element), commutant_basis(element.linear, fw.tolerance)
+
+    if any(element is g for g in fw.symmetries):
+        return _held(fw, ("element", id(element)), build)
+    return build()
 
 
 def verify_symmetry_equation(fw: CrystalFramework, element: SymmetryElement,

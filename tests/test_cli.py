@@ -1065,6 +1065,17 @@ class TestWorkPerRequest:
         assert len(displays) <= 20
         assert sum(len(mode["stresses_basis"]) for mode in json.loads(out)["modes"]) > 0
 
+    def test_a_small_json_report_runs_the_digit_kernel_once(self, capsys, monkeypatch):
+        # The kagome builtin's bases hold fewer than _BATCH values: one batch,
+        # whose arrays of every width and level share one digit pass.
+        words = count_calls(monkeypatch, "_number_words")
+        code, out, _ = run(capsys, "analyze", "--builtin", "kagome", "--json")
+        assert code == 0
+        assert len(words) == 1
+        assert words[0][0].size < crystalflex.fileio._BATCH
+        strict = json.loads(out)["modes"][0]
+        assert len(strict["stresses_basis"][0]) != len(strict["flexes"][0]["vertex_velocities"][0])
+
     def test_symmetry_characters_factor_the_strict_operator_once(
             self, capsys, tmp_path, kagome, monkeypatch):
         # Both elements' character rows read the SVD the framework holds.

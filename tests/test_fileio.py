@@ -526,9 +526,13 @@ json_bodies = st.recursive(
 )
 
 
-# Values of x on the 1e-9 grid and the edges of the range written from their digits.
+# Values of x on the 1e-9 grid and the edges of the range written from their
+# digits: the largest value below 1000 on the grid, values whose digits
+# round up to 1000 and a fraction whose digits carry into the integer part.
 FIXED_EDGES = [0.0, -0.0, 1e-4, -1e-4, 9.9999e-05, -9.9999e-05, 999999.999999999,
-               -999999.999999999, 1e6, -1e6, 5e-324, 2.0 ** 52 / 1e9]
+               -999999.999999999, 1e6, -1e6, 5e-324, 2.0 ** 52 / 1e9, 999.999999999,
+               -999.999999999, 1000 - 4e-10, -(1000 - 4e-10), 999.9999999999, -999.9999999999,
+               1000.0, -1000.0, 0.9999999996, -0.9999999996]
 array_values = st.one_of(
     rounding_inputs,
     st.integers(-(2 ** 53) + 1, 2 ** 53 - 1).map(lambda k: k / 1e9),
@@ -567,7 +571,7 @@ class TestJsonText:
     @settings(max_examples=400, deadline=None)
     @given(json_bodies)
     def test_matches_json_dumps(self, body):
-        assert _json_text(body) == json.dumps(body, indent=2)
+        assert _json_text(body) == json.dumps(body, indent=2) + "\n"
 
     @settings(max_examples=400, deadline=None)
     @given(array_bodies, st.sampled_from([1, 2, 5, crystalflex.fileio._BATCH]))
@@ -575,13 +579,30 @@ class TestJsonText:
         # Small batches split the arrays into runs of rows and batch runs of
         # several arrays together.
         with mock.patch.object(crystalflex.fileio, "_BATCH", batch):
-            assert _json_text(body) == json.dumps(listed(body), indent=2)
+            assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
 
     def test_fixed_notation_edges(self):
         values = np.array(FIXED_EDGES + [-x for x in FIXED_EDGES])
         body = [values, values.reshape(2, -1), values.reshape(-1, 2)]
-        assert _json_text(body) == json.dumps(listed(body), indent=2)
+        assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
         assert "-0.0" in _json_text(values) and "9.9999e-05" in _json_text(values)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, crystalflex.fileio._BATCH])
+    def test_interleaved_widths_and_levels(self, batch, rng):
+        # Arrays of 2 and 384 columns and 1-D ones at three nesting levels
+        # share batches, each laid out with its own width and level, and
+        # every run's text goes back to its own array.
+        def grid(*shape):
+            values = _display_array(rng.standard_normal(shape))
+            values.reshape(-1)[::5] = rng.choice(FIXED_EDGES, values.reshape(-1)[::5].size)
+            return values
+
+        body = {"modes": [{"flexes": [{"v": grid(6, 2), "a": grid(2, 2), "t": grid(3)} for _ in range(3)],
+                           "stresses": grid(3, 384), "line": grid(7)},
+                          {"flexes": [{"v": grid(6, 2)}], "stresses": grid(2, 384)}],
+                "rows": grid(5, 2), "flat": grid(9), "wide": grid(1, 384)}
+        with mock.patch.object(crystalflex.fileio, "_BATCH", batch):
+            assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
 
     @pytest.mark.parametrize("shape", [(3, 20000), (5000, 7), (40000,)])
     def test_arrays_longer_than_a_batch(self, shape, rng):
@@ -589,7 +610,7 @@ class TestJsonText:
         values = _display_array(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape))
         values.reshape(-1)[::97] = rng.standard_normal(values.size)[::97]
         body = {"a": values, "b": [values[:2], values[-1:]]}
-        assert _json_text(body) == json.dumps(listed(body), indent=2)
+        assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
 
     @pytest.mark.parametrize("body", [
         [], {}, [[]], [[], []], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]], [[1.0]],
@@ -598,7 +619,7 @@ class TestJsonText:
         {1: 1.5, 2.5: None, True: [], None: {}}, ([1.0, 2.0], (3.0,)), [[[1.0, 2.0]], [[3.0, 4.0]]],
     ])
     def test_edge_cases(self, body):
-        assert _json_text(body) == json.dumps(body, indent=2)
+        assert _json_text(body) == json.dumps(body, indent=2) + "\n"
 
     @pytest.mark.parametrize("body, message", [
         ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),

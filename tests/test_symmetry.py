@@ -536,6 +536,19 @@ def test_a_with_symmetries_copy_reads_the_held_element_actions(kagome, monkeypat
     assert built == []
 
 
+
+def test_elements_the_framework_does_not_declare_are_not_held(kagome):
+    # Each resolve_symmetry call gives a new element; its action and
+    # commutant are built for the call, so the store does not grow with them.
+    g = kagome.symmetries[0]
+    sizes = []
+    for _ in range(20):
+        element = cf.resolve_symmetry(kagome, g.linear, g.translation, g.name)
+        cf.symmetry_counts(kagome, element)
+        sizes.append(len(kagome._setups))
+    assert sizes == sizes[:1] * 20
+    assert ("element", id(element)) not in kagome._setups
+
 def reference_character_row(fw, element, space):
     """The construction character_row replaced: the space re-spanned by an
     orthonormal basis, its own factorization and rigid span, the mechanisms
