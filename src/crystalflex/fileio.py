@@ -321,7 +321,7 @@ def framework_to_dict(fw: CrystalFramework) -> dict:
 
 
 def serialize_framework(fw: CrystalFramework) -> str:
-    return _json_text(framework_to_dict(fw))
+    return json.dumps(framework_to_dict(fw), indent=2) + "\n"
 
 
 def load_framework(path) -> CrystalFramework:
@@ -362,25 +362,15 @@ def _display(x: float) -> float:
     return 0.0 if r == 0 else r
 
 
-def _display_array(values) -> np.ndarray:
-    """``_display`` of every element, as array operations.
+def _canonical_signs(basis: np.ndarray) -> np.ndarray:
+    """Flip column signs so the largest-magnitude entry is positive.
 
-    ``rint(x * 1e9) / 1e9`` is the float ``round(x, 9)`` returns whenever
-    rint lands on the integer nearest to the exact x * 10**9: the division
-    is correctly rounded, as is round's conversion of its decimal result.
-    That holds unless the rounded product lies within its rounding error of
-    a half-integer, so those elements, products of 2**52 and beyond and
-    non-finite values take ``_display`` itself.
+    Makes the SVD-derived bases a report writes reproducible.
     """
-    x = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = x * 1e9
-        out = np.rint(scaled) / 1e9 + 0.0       # + 0.0 shows -0.0 as 0.0
-        tie_gap = np.abs(scaled - np.floor(scaled) - 0.5)
-        unsure = ~(np.abs(scaled) < 2.0 ** 52) | (tie_gap <= np.spacing(np.abs(scaled)))
-    if unsure.any():
-        out[unsure] = list(map(_display, x[unsure].tolist()))
-    return out
+    if basis.shape[0] == 0:
+        return basis.copy()
+    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.where(lead < 0, -basis, basis)
 
 
 _INDENT = "  "
@@ -390,14 +380,15 @@ _RUN_END = "\1"         # marks the end of each run's text in a batch's records
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)`` and a final newline, with float64 arrays
-    written in bulk.
+    rounded and written in bulk.
 
-    ``obj`` may also hold float64 ndarrays, each written as its ``tolist()``
-    would be.  ``json``'s own encoder writes everything else; it meets each
-    non-empty, finite 1-D or 2-D array as a string holding a token drawn for
-    this call, and the arrays' text replaces the quoted tokens afterwards,
-    each nested as deep as its line is indented, in runs of whole rows
-    formatted together about ``_BATCH`` values at a time (``_runs_text``).
+    ``obj`` may also hold float64 ndarrays, each written as the list of its
+    values' ``_display`` would be.  ``json``'s own encoder writes everything
+    else; it meets each non-empty, finite 1-D or 2-D array as a string
+    holding a token drawn for this call, and the arrays' text replaces the
+    quoted tokens afterwards, each nested as deep as its line is indented,
+    in runs of whole rows formatted together about ``_BATCH`` values at a
+    time (``_runs_text``).
     """
     token, arrays = os.urandom(16).hex(), []
 
@@ -407,7 +398,7 @@ def _json_text(obj) -> str:
         if o.ndim in (1, 2) and o.size and np.isfinite(o).all():
             arrays.append(o)
             return token
-        return o.tolist()
+        return np.vectorize(_display, otypes=[float])(o).tolist()
 
     pieces = json.JSONEncoder(indent=2, check_circular=False, default=leaf).encode(obj).split(f'"{token}"')
     if len(pieces) != len(arrays) + 1:
@@ -499,7 +490,7 @@ def _runs_text(batch) -> list:
     laid out by ``_layout``, and the arrays are joined as bytes, so one
     translate deletes every NUL of the batch and one split at the run-end
     marks gives each run's text.  A value the digit words do not spell is
-    written "%s" and formatted in as its ``float.__repr__``.
+    written "%s" and formatted in as the ``float.__repr__`` of its ``_display``.
     """
     groups = {}
     for at, (_, _, width, level, _, _) in enumerate(batch):
@@ -520,14 +511,14 @@ def _runs_text(batch) -> list:
         count += records.shape[0] * columns
     text = b"".join(blocks).translate(None, b"\0").decode("ascii")
     if off.size:
-        text %= tuple(map(float.__repr__, x[off].tolist()))
+        text %= tuple(repr(_display(v)) for v in x[off].tolist())
     texts = [""] * len(batch)
     for at, run_text in zip(order, text.split(_RUN_END)):
         texts[at] = run_text
     return texts
 
 
-# A value on the 1e-9 grid below 1000 is written from n = |x| * 10**9 as four
+# A value below 1000 is written from n = rint(|x| * 10**9) as four
 # words: the sign and the integer part w = n // 10**9, read at w + 1000 *
 # sign; the point and the first fraction triple g2, then the triples g3 and
 # g4, each read at g + 1000 when a later triple is not zero, so the
@@ -547,28 +538,32 @@ _TABLES[4, :, :3] = np.where(_TRAILING, _DIGITS, 0)
 _TABLES[5, :, :3] = _DIGITS
 _INTEGERS, _POINTED, _TRIPLED = _TABLES.view(np.uint32).reshape(3, 2000)
 _REPR = _words("%s", 4)[:, None]          # the words of a value that float.__repr__ writes
-# |x| is read no larger than this: n rounds down to 10**12 - 1, so w < 1000,
-# and n / 1e9 < |x|, so every larger value takes repr.
+# |x| is read no larger than this, so n is at most 10**12 - 1 and w < 1000;
+# every larger value takes repr.
 _FAST_END = 999.9999999994
 
 
 def _number_words(x: np.ndarray):
-    """The four uint32 digit words of each finite float64 in the 1-D array
-    ``x``, a (4, x.size) array, and the indices of the values that take
-    ``float.__repr__``, whose words are "%s".
+    """The four uint32 digit words of ``_display`` of each finite float64 in
+    the 1-D array ``x``, a (4, x.size) array, and the indices of the values
+    whose words are "%s", to take ``float.__repr__`` of their ``_display``.
 
-    Where n = rint(|x| * 1e9) gives n / 1e9 == |x| and 1e-4 <= |x| < 1000
-    (or x == 0), x is the double nearest to +-n * 10**-9, a decimal of at
-    most 12 significant digits, so no shorter decimal rounds to x and repr
-    writes that decimal in fixed notation: the digits of n with a point
-    before the last nine, leading zeros of the integer part and trailing
-    zeros of the fraction dropped, and a sign.  The words of those are read
-    from the tables; every other value takes repr.
+    n = rint(|x| * 1e9) is the integer nearest the exact |x| * 10**9 unless
+    the rounded product lies within its rounding error of a half-integer,
+    and then ``round(x, 9)`` is the double nearest to +-n * 10**-9.  For
+    |x| < 1000 that is a decimal of at most 12 significant digits, so no
+    shorter decimal rounds to it and, if n is 0 or at least 10**5, repr
+    writes it in fixed notation: the digits of n with a point before the
+    last nine, leading zeros of the integer part and trailing zeros of the
+    fraction dropped, and a sign unless n is 0.  The words of those are read
+    from the tables; ties, larger values and 0 < n < 10**5 take repr.
     """
     a = np.abs(x)
-    n = np.rint(np.minimum(a, _FAST_END) * 1e9)            # exact integers below 10**12
+    scaled = np.minimum(a, _FAST_END) * 1e9
+    n = np.rint(scaled)                                    # exact integers below 10**12
+    tie = np.abs(scaled - np.floor(scaled) - 0.5) <= np.spacing(scaled)
+    off = np.flatnonzero(~(a < _FAST_END) | tie | (np.abs(n - 50000.0) < 50000.0))     # or 0 < n < 10**5
     value = n / 1e9
-    off = np.flatnonzero((value != a) | (np.abs(n - 50000.0) < 50000.0))     # or 0 < n < 10**5
     whole = np.floor(value)                                # exact: n / 1e9 is at least 1e-9 from w + 1
     fraction = (n - whole * 1e9).astype(np.int32)
     g2 = fraction // 1000000
@@ -576,7 +571,7 @@ def _number_words(x: np.ndarray):
     g3 = rest // 1000
     g4 = rest - g3 * 1000
     words = np.empty((4, x.size), np.uint32)
-    _INTEGERS.take((whole + np.signbit(x) * 1000.0).astype(np.intp), out=words[0])
+    _INTEGERS.take((whole + (np.signbit(x) & (n > 0)) * 1000.0).astype(np.intp), out=words[0])
     _POINTED.take(np.minimum(rest, 1) * 1000 + g2, out=words[1])
     _TRIPLED.take(np.minimum(g4, 1) * 1000 + g3, out=words[2])
     _TRIPLED.take(g4, out=words[3])
@@ -603,25 +598,27 @@ class AnalysisReport:
         return worst
 
     def to_dict(self) -> dict:
-        """The body, with each mode's rounded flex and stress bases after its
-        flags, as plain lists."""
+        """The body, with each mode's flex and stress bases after its flags,
+        rounded by ``_display`` as plain lists."""
         body = self._json_body()
+        display = np.vectorize(_display, otypes=[float])
         for entry in body["modes"]:
-            entry["flexes"] = [{key: a.tolist() for key, a in flex.items()} for flex in entry["flexes"]]
-            entry["stresses_basis"] = entry["stresses_basis"].tolist()
+            entry["flexes"] = [{key: display(a).tolist() for key, a in flex.items()}
+                               for flex in entry["flexes"]]
+            entry["stresses_basis"] = display(entry["stresses_basis"]).tolist()
         return body
 
     def _json_body(self) -> dict:
-        """``to_dict()`` with each basis the float64 array ``_display_array``
-        returns, which the JSON writer reads."""
+        """``to_dict()`` with each basis the float64 array, its column signs
+        fixed and not yet rounded, that the JSON writer reads."""
         entries = []
         for entry, (space, counts) in zip(self.body["modes"], self.modes):
-            flexes, dn, d = counts.flex_basis.basis, counts.vertex_dof, space.dimension
-            velocities = _display_array(flexes[:dn].T.reshape(flexes.shape[1], dn // d, d))
-            distortions = _display_array(space.matrix_from_coordinates(flexes[dn:].T))
+            flexes, dn, d = _canonical_signs(counts.flex_basis.basis), counts.vertex_dof, space.dimension
+            velocities = flexes[:dn].T.reshape(flexes.shape[1], dn // d, d)
+            distortions = space.matrix_from_coordinates(flexes[dn:].T)
             entries.append({**entry, "flexes": [{"vertex_velocities": u, "distortion": a}
                                                 for u, a in zip(velocities, distortions)],
-                            "stresses_basis": _display_array(counts.stress_basis.basis.T)})
+                            "stresses_basis": _canonical_signs(counts.stress_basis.basis).T})
         return {**self.body, "modes": entries}
 
 

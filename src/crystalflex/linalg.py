@@ -20,7 +20,6 @@ same policy puts on the stacked complement projectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -62,17 +61,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the products numpy's ``kron`` takes, without its general-shape set-up."""
     (p, _), (q, _) = a.shape, b.shape
     return (a[:, np.newaxis, :, np.newaxis] * b[np.newaxis, :, np.newaxis, :]).reshape(p * q, p * q)
-
-
-def _canonical_signs(basis: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry is positive.
-
-    Makes SVD-derived bases reproducible for report output.
-    """
-    if basis.shape[0] == 0:
-        return basis.copy()
-    lead = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    return np.where(lead < 0, -basis, basis)
 
 
 @dataclass(frozen=True)
@@ -124,16 +112,16 @@ class SubspaceBasis:
 
 
 def _svd(m: np.ndarray, what: str, full_matrices: bool = True, compute_uv: bool = True):
-    """``np.linalg.svd`` of ``m``, refusing by a ValueError naming ``what`` a
-    matrix with a non-finite entry or norm: LAPACK then fails to converge,
-    or returns a largest singular value that is not finite, which is the one
-    value tested."""
+    """``np.linalg.svd`` of ``m``, a matrix or a stack of them, refusing by a
+    ValueError naming ``what`` a matrix with a non-finite entry or norm:
+    LAPACK then fails to converge, or returns a largest singular value that
+    is not finite, which is the one value tested."""
     try:
         out = np.linalg.svd(m, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         out = None
-    sigma = () if out is None else out[1] if compute_uv else out
-    if out is None or (len(sigma) and not math.isfinite(sigma[0])):
+    sigma = None if out is None else out[1] if compute_uv else out
+    if sigma is None or not np.isfinite(sigma[..., :1]).all():
         raise ValueError(f"{what}: an entry or the norm is not finite")
     return out
 
@@ -146,7 +134,7 @@ def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:
 
 
 def _span(columns: np.ndarray, tol: float) -> SubspaceBasis:
-    return SubspaceBasis(columns.shape[0], _canonical_signs(columns), tol)
+    return SubspaceBasis(columns.shape[0], columns, tol)
 
 
 class FullSVD(NamedTuple):
@@ -378,7 +366,7 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if small.dim == 0:
         return SubspaceBasis(n, np.zeros((n, 0)), tol)
     residual = small.basis - large.project(small.basis)
-    _, sines, vt = np.linalg.svd(residual, full_matrices=False)
+    _, sines, vt = _svd(residual, "residual", full_matrices=False)
     sines = np.minimum(sines, 1.0)
     cosines = np.sqrt(1.0 - sines ** 2)
     stacked = sines / np.sqrt(1.0 + cosines)

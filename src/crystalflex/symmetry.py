@@ -42,6 +42,7 @@ from .linalg import (
     SubspaceBasis,
     _kron,
     _rank,
+    _svd,
     kernel_basis,
     numeric_rank,
     subspace_intersection,
@@ -352,7 +353,7 @@ def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
         walk[:, 0] = starts[cycles]
         for i in range(1, k):
             walk[:, i] = perm[walk[:, i - 1]]
-        left, sigma, right_t = np.linalg.svd(np.eye(d) - np.linalg.matrix_power(b, k))
+        left, sigma, right_t = _svd(np.eye(d) - np.linalg.matrix_power(b, k), "cycle map")
         rank = _rank(sigma, (d, d), tol)
 
         closing = np.zeros((len(cycles), d, q))
@@ -380,7 +381,7 @@ def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
     tied = velocities.reshape(n * d, q) @ admissible
     tied = np.vstack([tied - free @ (free.T @ tied), commutant.stacked @ admissible])
     basis = np.hstack([np.vstack([free, np.zeros((d * d, free.shape[1]))]),
-                       np.linalg.svd(tied, full_matrices=False)[0]])
+                       _svd(tied, "tied", full_matrices=False)[0]])
     return SubspaceBasis(n * d + d * d, basis, tol), free.shape[1]
 
 
@@ -455,7 +456,7 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     rows = np.sqrt(sizes)[:, np.newaxis] * (
         np.einsum("ek,ekj->ej", vectors[first], velocities[ends[first, 0]] - velocities[ends[first, 1]])
         + lattice[first] @ fixed_domain.basis[-d * d:])
-    sigma = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
+    sigma = _svd(rows, "orbit rows", compute_uv=False) if rows.size else np.zeros(0)
     fixed_flexes = fixed_domain.dim - _rank(sigma, (fw.edge_count, fixed_domain.dim), tol)
     if f > fixed_flexes:
         raise DependentBasisError(

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .frameworks import CrystalFramework
-from .linalg import BlockSVD, FullSVD
+from .linalg import BlockSVD, FullSVD, _svd
 from .symmetry import SymmetryError, _orbit_minima, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
@@ -307,6 +307,6 @@ def _bloch_blocks(fw: CrystalFramework, vectors: np.ndarray, group: _Translation
         re, im = re[real:], im[real:]
         batches.append(np.concatenate([np.concatenate([re, -im], axis=2),
                                        np.concatenate([im, re], axis=2)], axis=1))
-    return BlockSVD(tuple(FullSVD(*np.linalg.svd(b, full_matrices=True)) for b in batches),
+    return BlockSVD(tuple(FullSVD(*_svd(b, "Bloch blocks")) for b in batches),
                     rows=_FourierMap(group.edges, group.fourier, 1),
                     cols=_FourierMap(group.vertices, group.fourier, d))

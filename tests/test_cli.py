@@ -1025,21 +1025,29 @@ class TestWorkPerRequest:
     def test_text_analyze_builds_no_stress_basis_and_rounds_no_array(
             self, capsys, tmp_path, monkeypatch):
         # s is read from the rank: a text report never lifts the stress basis
-        # out of the Bloch blocks or rounds a basis, and --json does both once
-        # per mode. The 3x3x3 hexahedron has |Fe| = 243, unlike d|Fv| + dim E
-        # and d^2, so only a stress basis has |Fe| rows.
+        # out of the Bloch blocks or fixes a basis's signs, and --json does
+        # both once per mode. The 3x3x3 hexahedron has |Fe| = 243, unlike
+        # d|Fv| + dim E and d^2, so only a stress basis has |Fe| rows.
         big = cf.supercell(cf.builtin_framework("hexahedron"), (3, 3, 3))
         path = tmp_path / "hexahedron_3x3x3.json"
         cf.save_framework(big, path)
         spans = count_calls(monkeypatch, "_span")
-        displays = count_calls(monkeypatch, "_display_array")
+        signs = count_calls(monkeypatch, "_canonical_signs")
         for json_flag, modes in (([], 0), (["--json"], 2)):
             spans.clear()
-            displays.clear()
+            signs.clear()
             code, _, _ = run(capsys, "analyze", str(path), *json_flag)
             assert code == 0
             assert [np.shape(args[0])[0] for args in spans].count(big.edge_count) == modes
-            assert len(displays) == 3 * modes     # velocities, distortions, stresses
+            assert len(signs) == 2 * modes     # the flex and stress bases
+
+    def test_text_analyze_fixes_no_sign_and_spells_no_number(self, capsys, monkeypatch):
+        # Signs are fixed and numbers spelled only for the bases a report
+        # writes, and a text report writes none.
+        signs = count_calls(monkeypatch, "_canonical_signs")
+        words = count_calls(monkeypatch, "_number_words")
+        code, _, _ = run(capsys, "analyze", "--builtin", "kagome")
+        assert (code, len(signs), len(words)) == (0, 0, 0)
 
     def test_json_report_reads_the_arrays_not_their_lists(
             self, capsys, tmp_path, kagome, monkeypatch):
@@ -1150,6 +1158,20 @@ class TestHeldSymmetriesAtAnotherTolerance:
         assert (code, out) == (2, "")
         assert err.startswith("error: --tol 1e-12: symmetry element 'r3' does not hold at tolerance 1e-12: "
                               "image of vertex ")
+
+    def test_kagome_with_a_sheared_lattice(self, capsys, tmp_path, kagome):
+        # r3 maps the lattice to itself to within 1e-4 only: it is declared
+        # at the file's tolerance, and at 1e-7 its lattice action fails.
+        doc = cf.framework_to_dict(kagome)
+        doc["period_vectors"][1][0] += 1e-5
+        doc["tolerance"] = 1e-4
+        path = tmp_path / "sheared.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "symmetry", str(path))[0] == 0
+        code, out, err = run(capsys, "symmetry", str(path), "--tol", "1e-7")
+        assert (code, out) == (2, "")
+        assert err == ("error: --tol 1e-07: symmetry element 'r3' does not hold at tolerance 1e-07: "
+                       "lattice-incompatible linear part\n")
 
     def test_replace_with_another_motif(self, kagome):
         # r3's three-vertex maps once reached the operator as a reshape error.

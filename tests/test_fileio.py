@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import crystalflex as cf
 import crystalflex.fileio
 from crystalflex.cli import main
-from crystalflex.fileio import MODE_LABELS, _display, _display_array, _json_text
+from crystalflex.fileio import MODE_LABELS, _canonical_signs, _display, _json_text
 from oracles import random_framework, scrambled_supercell
 
 
@@ -449,8 +449,9 @@ class TestReports:
         assert cf.emit_report(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
 
     @pytest.mark.parametrize("mode", ["strict", "affine", *cf.MATRIX_SPACE_NAMES])
-    def test_bases_match_the_per_element_decoding(self, any_builtin, mode, monkeypatch):
-        # Reference: decode each flex column on its own and round each entry.
+    def test_bases_match_the_per_element_decoding(self, any_builtin, mode):
+        # Reference: decode each sign-fixed flex column on its own and round
+        # each entry.
         fw = cf.supercell(any_builtin, (2,) * any_builtin.dimension)
         space = cf.matrix_space(MODE_LABELS.get(mode, mode), fw.dimension, fw.tolerance)
         counts = cf.analyze_counts(fw, space)
@@ -458,22 +459,19 @@ class TestReports:
             return [[_display(x) for x in row] for row in np.asarray(m)]
 
         flexes = [cf.velocity_from_mode_coordinates(fw, space, col)
-                  for col in counts.flex_basis.basis.T]
+                  for col in _canonical_signs(counts.flex_basis.basis).T]
         expected = {
             "flexes": [{"vertex_velocities": rows(v.vertex_velocities),
                         "distortion": rows(v.distortion)} for v in flexes],
-            "stresses_basis": rows(counts.stress_basis.basis.T),
+            "stresses_basis": rows(_canonical_signs(counts.stress_basis.basis).T),
         }
-        rounded = []         # the arrays the report rounds, in the order it rounds them
-        def recording(values):
-            rounded.append(np.array(values, dtype=float))
-            return _display_array(values)
-        monkeypatch.setattr(cf.fileio, "_display_array", recording)
-        body = cf.analyze_framework(fw, modes=(mode,)).to_dict()["modes"][0]
+        report = cf.analyze_framework(fw, modes=(mode,))
+        body = report.to_dict()["modes"][0]
         assert json.dumps({key: body[key] for key in expected}) == json.dumps(expected)
-        velocities, distortions = rounded[:2]
-        assert velocities.tobytes() == np.array([v.vertex_velocities for v in flexes]).tobytes()
-        assert distortions.tobytes() == np.array([v.distortion for v in flexes]).tobytes()
+        written = report._json_body()["modes"][0]["flexes"]      # the arrays the writer rounds
+        for key in ("vertex_velocities", "distortion"):
+            assert (np.array([flex[key] for flex in written]).tobytes()
+                    == np.array([getattr(v, key) for v in flexes]).tobytes())
 
 
 def hexes(values):
@@ -491,23 +489,32 @@ rounding_inputs = st.one_of(
 )
 
 
+def written(values) -> np.ndarray:
+    """The values ``_json_text`` writes for the float64 array ``values``."""
+    return np.array(json.loads(_json_text(np.array(values, dtype=float))), dtype=float)
+
+
 class TestDisplayArray:
-    """Bulk rounding equals the scalar ``_display`` loop element for element."""
+    """The writer shows each array element as the scalar ``_display`` does."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(rounding_inputs, max_size=40))
     def test_matches_the_scalar_loop(self, values):
-        got = _display_array(np.array(values, dtype=float))
-        assert hexes(got.tolist()) == hexes([_display(x) for x in values])
+        # The digit kernel takes finite arrays; json's encoder the others.
+        finite = [x for x in values if np.isfinite(x)]
+        for chosen in (values, finite):
+            assert hexes(written(chosen).tolist()) == hexes([_display(x) for x in chosen])
 
     def test_keeps_the_shape(self):
-        values = np.arange(24.0).reshape(2, 3, 4) * 1.23456789012e-3 - 0.01
-        got = _display_array(values)
-        assert got.shape == values.shape
-        assert hexes(got.reshape(-1).tolist()) == hexes(map(_display, values.reshape(-1).tolist()))
+        # A 2-D array takes the digit kernel, a 3-D one json's encoder.
+        for shape in ((4, 6), (2, 3, 4)):
+            values = np.arange(24.0).reshape(shape) * 1.23456789012e-3 - 0.01
+            got = written(values)
+            assert got.shape == values.shape
+            assert hexes(got.reshape(-1).tolist()) == hexes(map(_display, values.reshape(-1).tolist()))
 
     def test_negative_zero_shown_as_zero(self):
-        assert hexes(_display_array([-0.0, -1e-12, -4e-10]).tolist()) == hexes([0.0, 0.0, 0.0])
+        assert hexes(written([-0.0, -1e-12, -4e-10]).tolist()) == hexes([0.0, 0.0, 0.0])
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
@@ -554,10 +561,15 @@ array_bodies = st.recursive(
 )
 
 
+def displayed(values):
+    """The nested lists ``values`` with ``_display`` of each number."""
+    return [displayed(v) for v in values] if isinstance(values, list) else _display(values)
+
+
 def listed(body):
-    """``body`` with every ndarray ``tolist()``ed."""
+    """``body`` with every ndarray ``tolist()``ed and its values ``_display``ed."""
     if isinstance(body, np.ndarray):
-        return body.tolist()
+        return displayed(body.tolist())
     if isinstance(body, (list, tuple)):
         return type(body)(map(listed, body))
     if isinstance(body, dict):
@@ -566,7 +578,8 @@ def listed(body):
 
 
 class TestJsonText:
-    """The report and framework writer is ``json.dumps(obj, indent=2)``."""
+    """The report writer is ``json.dumps(obj, indent=2)`` of ``obj`` with its
+    arrays listed and their values rounded by ``_display``."""
 
     @settings(max_examples=400, deadline=None)
     @given(json_bodies)
@@ -585,7 +598,10 @@ class TestJsonText:
         values = np.array(FIXED_EDGES + [-x for x in FIXED_EDGES])
         body = [values, values.reshape(2, -1), values.reshape(-1, 2)]
         assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
-        assert "-0.0" in _json_text(values) and "9.9999e-05" in _json_text(values)
+        assert "9.9999e-05" in _json_text(values)
+        # Both -0.0 elements are written 0.0.
+        zeros = [float.hex(w) for x, w in zip(values.tolist(), written(values).tolist()) if x == 0]
+        assert zeros == [float.hex(0.0)] * 4
 
     @pytest.mark.parametrize("batch", [1, 2, 5, crystalflex.fileio._BATCH])
     def test_interleaved_widths_and_levels(self, batch, rng):
@@ -593,7 +609,7 @@ class TestJsonText:
         # share batches, each laid out with its own width and level, and
         # every run's text goes back to its own array.
         def grid(*shape):
-            values = _display_array(rng.standard_normal(shape))
+            values = rng.standard_normal(shape)
             values.reshape(-1)[::5] = rng.choice(FIXED_EDGES, values.reshape(-1)[::5].size)
             return values
 
@@ -606,9 +622,9 @@ class TestJsonText:
 
     @pytest.mark.parametrize("shape", [(3, 20000), (5000, 7), (40000,)])
     def test_arrays_longer_than_a_batch(self, shape, rng):
-        # Grid values, as a report holds, and a few off the grid.
-        values = _display_array(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape))
-        values.reshape(-1)[::97] = rng.standard_normal(values.size)[::97]
+        # Values over thirteen decades, and a few on the 1e-9 grid.
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        values.reshape(-1)[::97] = np.round(rng.standard_normal(values.size)[::97], 9)
         body = {"a": values, "b": [values[:2], values[-1:]]}
         assert _json_text(body) == json.dumps(listed(body), indent=2) + "\n"
 
@@ -679,7 +695,11 @@ class TestAwkwardStrings:
      "period_vectors: expected 2 period vectors"),
     (None, "[[1, 0], [0, 1]", "invalid JSON at line 1 column 16"),
     (None, '{"basis": []}', "top level: expected a list of matrices"),
-], ids=["top-level-list", "dimension-0", "one-period-vector", "space-not-json", "space-not-a-list"])
+    # The determinant is about 1.5, but the norm of the lattice matrix overflows.
+    ('{"dimension": 2, "period_vectors": [[1.5e308, 0.0], [1.5e308, 1e-308]], "vertices": [], "edges": []}',
+     None, "framework validation failed: period lattice is numerically singular"),
+], ids=["top-level-list", "dimension-0", "one-period-vector", "space-not-json", "space-not-a-list",
+        "lattice-norm-overflows"])
 def test_file_refusals(capsys, tmp_path, text, space, message):
     # A framework file, or a custom space file read against the kagome builtin.
     path = tmp_path / "input.json"

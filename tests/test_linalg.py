@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from crystalflex.fileio import _canonical_signs
 from crystalflex.linalg import (
     BlockSVD,
     SubspaceBasis,
-    _canonical_signs,
     border_bound,
     column_space_basis,
     complement_within,
