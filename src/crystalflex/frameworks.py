@@ -548,18 +548,62 @@ class _PointIndex:
         return (i, j) if hit.all() else (i[hit], j[hit])
 
 
+class _RowIndex:
+    """Exact lookup of int64 rows among held ones (n, c).
+
+    Where the held rows' column ranges pack into one int64 (``places`` the
+    place value of each column), the packed keys keep the lexicographic
+    order, so one stable argsort of them sorts the rows and a query finds
+    its row by one ``np.searchsorted``; otherwise (``places`` None) the rows
+    are sorted by ``np.lexsort``, and the queries are grouped with them by
+    one ``np.unique``.
+    """
+
+    def __init__(self, rows):
+        self.rows, self.places = rows, None
+        if len(rows):
+            self.low, self.high = rows.min(axis=0), rows.max(axis=0)
+            spans = [int(h) - int(l) + 1 for h, l in zip(self.high, self.low)]
+            if math.prod(spans) < 2 ** 63 - 1:
+                self.places = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=np.int64)
+                keys = (rows - self.low) @ self.places
+                self.order = np.argsort(keys, kind="stable")
+                # A last key no row packs to, so every search lands on a key.
+                self.keys = np.append(keys[self.order], 2 ** 63 - 1)
+        if self.places is None:
+            self.order = np.lexsort(rows.T[::-1])      # stable; column 0 is the primary key
+
+    def find(self, queries) -> np.ndarray:
+        """The lowest index of a held row equal to each query row, or -1."""
+        found = np.full(len(queries), -1, dtype=np.int64)
+        if not len(self.rows) or not len(queries):
+            return found
+        if self.places is not None:
+            # A row outside the columns' ranges is none of the held, and would not pack.
+            inside = np.flatnonzero(np.all((queries >= self.low) & (queries <= self.high), axis=1))
+            keys = (queries[inside] - self.low) @ self.places
+            at = np.searchsorted(self.keys, keys)
+            hit = self.keys[at] == keys
+            found[inside[hit]] = self.order[at[hit]]
+        else:
+            # The held rows come first, so a query's group starts at the held row it equals.
+            _, first, group = np.unique(np.concatenate([self.rows[self.order], queries]), axis=0,
+                                        return_index=True, return_inverse=True)
+            # reshape: the inverse's shape changed within numpy 2.0.x.
+            at = first[group.reshape(-1)[len(self.rows):]]
+            hit = at < len(self.rows)
+            found[hit] = self.order[at[hit]]
+        return found
+
+
 class _MotifIndex:
     """Everything a framework's vertex and edge matches read, built once.
 
     ``frac`` holds the vertices' fractional coordinates, and ``vertices``
     the same points in a ``_PointIndex`` built for 10 tol matches.  The
-    canonical edge-class rows (``_edge_class_keys``) are held once, in
-    lexicographic order, as ``edge_rows``, with ``edge_order`` the edge of
-    each.  Where the columns' ranges pack into one int64, the packed keys
-    keep that order, so one stable argsort of them sorts the rows and a
-    query's canonical row finds its class by one ``np.searchsorted`` in
-    ``edge_keys``; otherwise the rows are sorted by ``np.lexsort``, and a
-    query is grouped with them by one ``np.unique``.
+    canonical edge-class rows (``_edge_class_keys``) are held once, in a
+    ``_RowIndex`` as ``edges``, so an edge finds the lowest edge of its
+    class by one exact lookup of its canonical row.
     """
 
     def __init__(self, fw: CrystalFramework):
@@ -568,43 +612,12 @@ class _MotifIndex:
         # Twice the reach of a 10 tol match among the vertices, so images
         # moved further out than the vertices are matched here too.
         self.vertices = _PointIndex(self.frac, 2 * _reach(10 * fw.tolerance, _scale(self.frac)))
-        rows = _edge_class_keys(fw.edges.ends, fw.edges.offsets)
-        self.places = None
-        if len(rows):
-            self.low, self.high = rows.min(axis=0), rows.max(axis=0)
-            spans = [int(h) - int(l) + 1 for h, l in zip(self.high, self.low)]
-            if math.prod(spans) < 2 ** 63 - 1:
-                self.places = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))], dtype=np.int64)
-                keys = (rows - self.low) @ self.places
-                self.edge_order = np.argsort(keys, kind="stable")
-                # A last key no row packs to, so every search lands on a key.
-                self.edge_keys = np.append(keys[self.edge_order], 2 ** 63 - 1)
-        if self.places is None:
-            self.edge_order = np.lexsort(rows.T[::-1])      # stable; column 0 is the primary key
-        self.edge_rows = rows[self.edge_order]
+        self.edges = _RowIndex(_edge_class_keys(fw.edges.ends, fw.edges.offsets))
 
     def edge_classes(self, ends, offsets) -> np.ndarray:
-        """The edge whose class each given edge (int ends (m, 2), offsets
-        (m, d)) belongs to, or -1 where none does."""
-        found = np.full(len(ends), -1, dtype=np.int64)
-        if not len(self.edge_rows) or not len(ends):
-            return found
-        rows = _edge_class_keys(ends, offsets)
-        if self.places is not None:
-            # A row outside the columns' ranges is no class's, and would not pack.
-            inside = np.flatnonzero(np.all((rows >= self.low) & (rows <= self.high), axis=1))
-            keys = (rows[inside] - self.low) @ self.places
-            at = np.searchsorted(self.edge_keys, keys)
-            hit = self.edge_keys[at] == keys
-            found[inside[hit]] = self.edge_order[at[hit]]
-        else:
-            # The held rows come first, so a row's group starts at the held row it equals.
-            _, first, group = np.unique(np.concatenate([self.edge_rows, rows]), axis=0,
-                                        return_index=True, return_inverse=True)
-            at = first[group.reshape(-1)[len(self.edge_rows):]]
-            hit = at < len(self.edge_rows)
-            found[hit] = self.edge_order[at[hit]]
-        return found
+        """The lowest edge of the class each given edge (int ends (m, 2),
+        offsets (m, d)) belongs to, or -1 where none does."""
+        return self.edges.find(_edge_class_keys(ends, offsets))
 
 
 def validate_framework(fw: CrystalFramework) -> list:
@@ -661,14 +674,11 @@ def validate_framework(fw: CrystalFramework) -> list:
     short = ~loop & (np.linalg.norm(vectors, axis=1) <= tol)
     found += [(idx, 0, f"edge {idx} has zero length") for idx in checked[short].tolist()]
 
-    # Among the bars, equal rows sit together in the held order, each run in edge order.
-    bar = np.zeros(fw.edge_count, dtype=bool)
-    bar[checked[~loop]] = True
-    keep = bar[index.edge_order]
-    bars, rows = index.edge_order[keep], index.edge_rows[keep]
-    starts = np.ones(len(bars), dtype=bool)
-    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    owner = bars[np.maximum.accumulate(np.where(starts, np.arange(len(bars)), 0))]
+    # The held rows are the edges' canonical rows, so a bar's owner is the
+    # lowest edge with its row: never a loop or an invalid edge, whose rows
+    # (all zeros for an invalid one) are loops' rows.
+    bars = checked[~loop]
+    owner = index.edges.find(index.edges.rows[bars])
     repeat = owner != bars
     found += [(idx, 1, f"edges {prior} and {idx} are translates of the same edge class")
               for prior, idx in zip(owner[repeat].tolist(), bars[repeat].tolist())]

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework
+from .frameworks import CrystalFramework, _RowIndex
 from .linalg import BlockSVD, FullSVD, _svd
 from .symmetry import SymmetryError, _orbit_minima, resolve_symmetry
 
@@ -79,26 +79,10 @@ class _Translations(NamedTuple):
     self_conjugate: int
 
 
-def _member_index(rows: np.ndarray, members: np.ndarray, modulus: int) -> np.ndarray:
-    """The index of each of the rows, of integers in [0, modulus), among the
-    distinct rows ``members``, or -1 where it is none of them: by one search
-    for their packed keys where those fit an int64."""
-    d = rows.shape[1]
-    if modulus ** d < 2 ** 63:
-        places = modulus ** np.arange(d, dtype=np.int64)
-        keys, packed = members @ places, rows @ places
-        order = np.argsort(keys)
-        at = order[np.minimum(np.searchsorted(keys, packed, sorter=order), len(keys) - 1)]
-        return np.where(keys[at] == packed, at, -1)
-    _, first, group = np.unique(np.concatenate([members, rows]), axis=0,
-                                return_index=True, return_inverse=True)
-    at = first[group.reshape(-1)[len(members):]]      # the inverse's shape changed within numpy 2.0.x
-    return np.where(at < len(members), at, -1)
-
-
 class _GroupBuilder:
     """The group of translations a / modulus (a in Z^d mod modulus)
-    generated so far, held by its generators, the resolved elements.
+    generated so far, held by its generators, the resolved elements, with
+    ``index`` the ``_RowIndex`` of its elements.
 
     Generator k adds q_k cosets: q_k is the least q with q a_k in the group
     G_{k-1} of the ones before it, so the elements are sum_k c_k a_k with
@@ -109,19 +93,21 @@ class _GroupBuilder:
         self.modulus = modulus
         self.divisors = 1 + np.flatnonzero(modulus % np.arange(1, modulus + 1) == 0)
         self.elements = np.zeros((1, d), dtype=np.int64)
+        self.index = _RowIndex(self.elements)
         self.radices, self.relations, self.generators = [], [], []
 
     def add(self, a, generator):
         # q a is the least multiple of a in the group so far, and q divides
         # the modulus; the elements gain the q cosets c a + G, 0 <= c < q, in that order.
         multiples = self.divisors[:, np.newaxis] * a % self.modulus
-        found = _member_index(multiples, self.elements, self.modulus)
+        found = self.index.find(multiples)
         least = int(np.argmax(found >= 0))
         q = int(self.divisors[least])
         self.radices.append(q)
         self.relations.append(int(found[least]))
         cosets = np.arange(q)[:, np.newaxis, np.newaxis] * a + self.elements
         self.elements = (cosets % self.modulus).reshape(-1, len(a))
+        self.index = _RowIndex(self.elements)
         self.generators.append(generator)
 
     def images(self, points, which: str) -> np.ndarray:
@@ -233,7 +219,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
         # is in G: its image would lie in the G-orbit of vertex 0, which
         # ``refused`` starts with, so every order is at least 2.
         multiples = (powers * candidates % modulus).reshape(-1, d)
-        inside = _member_index(multiples, group.elements, modulus) >= 0
+        inside = group.index.find(multiples) >= 0
         pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
         a, v = candidates[pick], image[pick]
         try:
@@ -254,7 +240,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
 
     theta = group.characters()
     count = len(theta)
-    partner = _member_index(-theta % modulus, theta, modulus)       # the conjugate of each character
+    partner = _RowIndex(theta).find(-theta % modulus)       # the conjugate of each character
     real = np.flatnonzero(partner == np.arange(count))
     paired = np.flatnonzero(partner > np.arange(count))
     # Phases are multiples of 1 / modulus, so cos and sin are read from one

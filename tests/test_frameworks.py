@@ -193,6 +193,7 @@ class TestEdgeTable:
 
     def test_builtin_parsed_and_supercell_edges_are_the_motif_edges(self, kagome):
         assert kagome.edges == self.KAGOME
+        assert repr(kagome.edges) == repr(tuple(kagome.edges))
         assert cf.parse_framework(cf.serialize_framework(kagome)).edges == self.KAGOME
         big = cf.supercell(kagome, (2, 3))
         assert big.edges == tuple(reference_supercell(kagome, (2, 3))[2])
@@ -231,6 +232,7 @@ class TestEdgeTable:
         assert [v.name for v in (extra,) + kagome.vertices] == ["x", "p1", "p2", "p3"]
         assert isinstance(kagome.vertices + (extra,), tuple)
         assert repr(kagome.vertices) == repr(items)
+        assert kagome.vertices == items
         with pytest.raises(IndexError):
             kagome.vertices[3]
 

@@ -79,6 +79,7 @@ def test_subspace_contains_and_residual():
     assert b.contains(np.array([1.0, 2.0, 0.0]))
     assert not b.contains(np.array([0.0, 0.0, 1.0]))
     assert b.residual(np.array([[0.0], [0.0], [2.0]])) == pytest.approx(2.0)
+    assert b.residual(np.array([[0.0, 0.0, 2.0]])) == pytest.approx(2.0)
 
 
 def test_subspace_intersection():

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crystalflex as cf
-from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach
-from crystalflex.translations import _find_translations, _member_index
+from crystalflex.frameworks import _bar_vectors, _PointIndex, _reach, _RowIndex
+from crystalflex.translations import _find_translations
 from oracles import (
     centred_square,
     chain,
@@ -171,10 +171,34 @@ def huge_offsets():
     return cf.CrystalFramework(cf.PeriodLattice(np.eye(2)), vertices, edges)
 
 
+@st.composite
+def row_lookups(draw):
+    """Held int64 rows (n, c) with repeats, and queries: held rows, rows with
+    one column just outside the held range, and random rows; either table
+    may be empty."""
+    c = draw(st.integers(1, 4))
+    row = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                   min_size=c, max_size=c)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    held = draw(st.lists(st.sampled_from(pool), max_size=12))
+    queries = draw(st.lists(st.sampled_from(pool), max_size=6)) + draw(st.lists(row, max_size=4))
+    if held:
+        for k, j, above in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, c - 1), st.booleans()),
+                                         max_size=4)):
+            column = [r[j] for r in held]
+            outside = list(held[k % len(held)])
+            outside[j] = max(column) + 1 if above else min(column) - 1
+            if -2 ** 63 <= outside[j] < 2 ** 63:
+                queries.append(outside)
+    queries = draw(st.permutations(queries))
+    return (np.array(held, dtype=np.int64).reshape(-1, c),
+            np.array(queries, dtype=np.int64).reshape(-1, c))
+
+
 class TestEdgeLookup:
     def test_rows_that_do_not_pack_are_bisected(self):
         fw = huge_offsets()
-        assert fw._motif_index.places is None
+        assert fw._motif_index.edges.places is None
         assert assert_same_resolution(fw, np.eye(2), np.zeros(2)) is None
         # The half translation swaps the classes; its image bars are no classes.
         assert "image of edge" in assert_same_resolution(fw, np.eye(2), [0.5, 0.0])
@@ -186,7 +210,7 @@ class TestEdgeLookup:
         fw = cf.CrystalFramework(cf.PeriodLattice(np.eye(2)),
                                  [cf.MotifVertex([0.0, 0.0]), cf.MotifVertex([0.5, 0.0])],
                                  [cf.MotifEdge(0, (0, 0), 1, (0, 0)), cf.MotifEdge(0, (0, 0), 0, (0, 1))])
-        assert fw._motif_index.places is not None
+        assert fw._motif_index.edges.places is not None
         message = assert_same_resolution(fw, np.eye(2), [0.5, 0.0])
         assert message == "element 'g' is not a symmetry: image of edge 0 matches no edge class"
         found = fw._motif_index.edge_classes(np.array([[0, 1], [1, 0], [0, 0], [0, 1]]),
@@ -206,23 +230,41 @@ class TestEdgeLookup:
         fw = random_framework(rng, d, n_vertices, n_edges)
         packed = fw._motif_index
         grouped = copy.copy(packed)
-        grouped.places = None
+        grouped.edges = copy.copy(packed.edges)
+        grouped.edges.places = None
         # The bars, the bars reversed, and rows that may match no bar.
         m = fw.edge_count
         ends = np.concatenate([fw.edges.ends, fw.edges.ends[:, ::-1], rng.integers(0, n_vertices, (8, 2))])
         offsets = np.concatenate([fw.edges.offsets, -fw.edges.offsets, rng.integers(-2, 3, (8, d))])
         want = packed.edge_classes(ends, offsets)
-        assert packed.places is not None and want[:2 * m].tolist() == list(range(m)) * 2
+        assert packed.edges.places is not None and want[:2 * m].tolist() == list(range(m)) * 2
         assert grouped.edge_classes(ends, offsets).tolist() == want.tolist()
 
     @pytest.mark.parametrize("modulus", [7, 2 ** 40])
     def test_group_membership_with_and_without_packing(self, modulus, rng):
-        # 2**40 squared does not fit an int64, so the rows are grouped instead.
+        # Columns spread over [0, 2**40) span more than an int64 packs, so
+        # those rows are grouped instead.
         members = rng.permutation(np.unique(rng.integers(0, modulus, size=(6, 2)), axis=0))
         rows = np.concatenate([members[::2], rng.integers(0, modulus, size=(10, 2))])
         index = {row: i for i, row in enumerate(map(tuple, members.tolist()))}
         want = [index.get(tuple(r), -1) for r in rows.tolist()]
-        assert _member_index(rows, members, modulus).tolist() == want
+        held = _RowIndex(members)
+        assert (held.places is None) == (modulus > 7)
+        assert held.find(rows).tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_lookups())
+    def test_find_gives_the_lowest_equal_held_row(self, problem):
+        held, queries = problem
+        lowest = {}
+        for i, row in enumerate(map(tuple, held.tolist())):
+            lowest.setdefault(row, i)
+        want = [lowest.get(tuple(q), -1) for q in queries.tolist()]
+        index = _RowIndex(held)
+        grouped = copy.copy(index)
+        grouped.places = None
+        assert index.find(queries).tolist() == want
+        assert grouped.find(queries).tolist() == want
 
 
 @st.composite

@@ -87,6 +87,15 @@ def test_the_one_function_level_import_is_the_translations_module():
         ("rigidity.py", "factor_strict", True)]
 
 
+def test_translations_look_rows_up_only_through_the_row_index():
+    # Group elements and conjugate characters are found by frameworks._RowIndex,
+    # the package's one exact row lookup, so the module sorts and groups no rows itself.
+    tree = ast.parse((ROOT / "src" / "crystalflex" / "translations.py").read_text())
+    called = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert called & {"unique", "searchsorted", "lexsort"} == set()
+
+
 def test_demos_found():
     assert len(DEMOS) >= 4
 

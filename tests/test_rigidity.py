@@ -944,15 +944,17 @@ class TestDetectionWork:
         # On a chain of 360 cells T is cyclic of order 360, which has 24
         # divisors; each of the 359 candidates is tested at those powers only.
         fw = cf.supercell(chain(), (360,))
+        # Only the translation group's lookups are counted, not the edge-class
+        # lookups of the resolves.
         sizes = []
-        member_index = crystalflex.translations._member_index
 
-        def counting(rows, *args):
-            sizes.append(len(rows))
-            return member_index(rows, *args)
+        class Counting(crystalflex.translations._RowIndex):
+            def find(self, queries):
+                sizes.append(len(queries))
+                return super().find(queries)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(crystalflex.translations, "_member_index", counting)
+            patch.setattr(crystalflex.translations, "_RowIndex", Counting)
             group, accepted, _ = detect(fw)
         assert max(sizes) <= 24 * 359
         assert len(accepted) == 1 and len(group.vertices) == 360
