@@ -402,15 +402,13 @@ class CrystalFramework(_ArrayFields):
         """The same framework carrying the given resolved symmetry elements.
 
         Validation never reads the symmetries, so this copy is not validated
-        again; it only checks that every element acts on this motif's vertex
-        and edge classes.  Files, builtins and the CLI pass elements just
-        resolved against this framework, or held by it; their geometry is
-        checked only on construction (``_check_symmetries``).  The copy
+        again.  Files, builtins and the CLI pass elements ``resolve_symmetry``
+        matched against this framework's motif index, taken as they are; any
+        other is checked as on construction (``_check_symmetries``).  The copy
         shares the framework's set-up store.
         """
         elements = tuple(elements)
-        for g in elements:
-            _check_maps(self, g)
+        _check_symmetries(self, [g for g in elements if g._matched_index is not self._motif_index])
         out = copy.copy(self)
         object.__setattr__(out, "symmetries", elements)
         return out
@@ -431,23 +429,33 @@ def _edge_images(fw: CrystalFramework, vertex_map, vertex_offsets, lattice_actio
     return fw._motif_index.edge_classes(vertex_map[ends], image_offsets)
 
 
+def _lattice_action(fw: CrystalFramework, linear, failed: str) -> np.ndarray:
+    """Z^-1 B Z, the action of the linear part B on the period lattice, as an
+    integer matrix.  Raises SymmetryError, its text after ``failed``, unless
+    B is orthogonal and Z^-1 B Z integral, each to 10 tol."""
+    d, tol, z = fw.dimension, fw.tolerance, fw.lattice.matrix
+    if np.max(np.abs(linear.T @ linear - np.eye(d))) > 10 * tol:
+        raise SymmetryError(f"{failed}: linear part is not orthogonal")
+    action = np.linalg.solve(z, linear @ z)
+    if np.max(np.abs(action - np.round(action))) > 10 * tol:
+        raise SymmetryError(f"{failed}: lattice-incompatible linear part")
+    return np.round(action).astype(np.int64)
+
+
 def _check_symmetries(fw: CrystalFramework, elements) -> None:
     """Refuse any resolved element whose held maps do not act on the motif at
     its tolerance, by ``resolve_symmetry``'s tests without matching again:
-    the maps' sizes, the orthogonality of the linear part, its lattice action
-    to 10 tol, each vertex image to 10 tol of the class and cell its map
-    names, and each bar's image being the class its map names."""
-    d, tol, z = fw.dimension, fw.tolerance, fw.lattice.matrix
+    the maps' sizes, the linear part's ``_lattice_action`` being the one held,
+    each vertex image to 10 tol of the class and cell its map names, and
+    each bar's image being the class its map names."""
+    tol = fw.tolerance
     for g in elements:
         _check_maps(fw, g)
         failed = f"symmetry element {g.name!r} does not hold at tolerance {tol:g}"
-        b = g.linear
-        if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
-            raise SymmetryError(f"{failed}: linear part is not orthogonal")
-        if np.max(np.abs(np.linalg.solve(z, b @ z) - g.lattice_action)) > 10 * tol:
+        if not np.array_equal(_lattice_action(fw, g.linear, failed), g.lattice_action):
             raise SymmetryError(f"{failed}: lattice-incompatible linear part")
         # As resolve_symmetry measures them: image minus class, less the cell offset.
-        images = fw.lattice.fractional(fw.positions @ b.T + g.translation)
+        images = fw.lattice.fractional(fw.positions @ g.linear.T + g.translation)
         gap = images - fw._motif_index.frac[g.vertex_map] - g.vertex_offsets
         gap = np.max(np.abs(gap), axis=1, initial=0.0)
         far = np.flatnonzero(gap > 10 * tol)

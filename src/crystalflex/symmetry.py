@@ -36,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import CELL_LIMIT, CrystalFramework, SymmetryError, _ArrayFields, _check_maps, _edge_images
+from .frameworks import (CELL_LIMIT, CrystalFramework, SymmetryError, _ArrayFields, _check_maps,
+                         _edge_images, _lattice_action)
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -64,7 +65,9 @@ from .rigidity import (
 class SymmetryElement(_ArrayFields):
     """Resolved isometry with its derived actions on the motif, held as
     read-only int64 index maps: vertex v goes to vertex ``vertex_map[v]`` of
-    cell ``vertex_offsets[v]``, and edge class e to ``edge_map[e]``."""
+    cell ``vertex_offsets[v]``, and edge class e to ``edge_map[e]``.  It records
+    the motif index ``resolve_symmetry`` matched it against, for ``with_symmetries``;
+    ``==`` and ``dataclasses.replace`` leave that out."""
 
     name: str
     linear: np.ndarray
@@ -73,6 +76,7 @@ class SymmetryElement(_ArrayFields):
     vertex_offsets: np.ndarray
     edge_map: np.ndarray
     lattice_action: np.ndarray
+    _matched_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = len(self.linear)
@@ -113,13 +117,7 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     for part, value in (("linear part", b), ("translation", c)):
         if not np.isfinite(value).all():
             raise SymmetryError(f"element {name!r}: {part} is not finite")
-    if np.max(np.abs(b.T @ b - np.eye(d))) > 10 * tol:
-        raise SymmetryError(f"element {name!r}: linear part is not orthogonal")
-
-    lattice_action = np.linalg.solve(fw.lattice.matrix, b @ fw.lattice.matrix)
-    if np.max(np.abs(lattice_action - np.round(lattice_action))) > 10 * tol:
-        raise SymmetryError(f"element {name!r}: lattice-incompatible linear part")
-    lattice_action = np.round(lattice_action).astype(int)
+    lattice_action = _lattice_action(fw, b, f"element {name!r}")
 
     index = fw._motif_index
     images = fw.lattice.fractional(fw.positions @ b.T + c)
@@ -152,8 +150,10 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     if np.count_nonzero(np.bincount(edge_map, minlength=fw.edge_count)) != fw.edge_count:
         raise SymmetryError(f"element {name!r}: edge action is not a bijection")
 
-    return SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
-                           vertex_offsets=shifts, edge_map=edge_map, lattice_action=lattice_action)
+    element = SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
+                              vertex_offsets=shifts, edge_map=edge_map, lattice_action=lattice_action)
+    object.__setattr__(element, "_matched_index", index)
+    return element
 
 
 def _fixed_points(perm) -> int:
@@ -306,17 +306,12 @@ def _orbit_minima(maps) -> np.ndarray:
     return least
 
 
-def _cycles(perm) -> np.ndarray:
-    """Cycle label of each point of a permutation, numbered in the order of
-    each cycle's lowest point."""
-    least = _orbit_minima([perm])
-    return (np.cumsum(least == np.arange(len(least))) - 1)[least]
-
-
-def _cycle_starts(labels) -> np.ndarray:
-    """Lowest point of each cycle: ``_cycles`` numbers the cycles in that
-    order, so the running maximum of its labels steps up exactly there."""
-    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+def _orbit_starts(maps) -> tuple[np.ndarray, np.ndarray]:
+    """The least point of each orbit of the group that the commuting index
+    maps ``maps`` generate, ascending, and each orbit's size."""
+    least = _orbit_minima(maps)
+    starts = np.flatnonzero(least == np.arange(len(least)))
+    return starts, np.bincount(least, minlength=len(least))[starts]
 
 
 def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
@@ -340,9 +335,7 @@ def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,
     d, q = element.dimension, commutant.dim
     perm = element.vertex_map
     n = len(perm)
-    labels = _cycles(perm)
-    sizes = np.bincount(labels)
-    starts = _cycle_starts(labels)
+    starts, sizes = _orbit_starts([perm])
     coupling = (action.coupling @ commutant.stacked).reshape(n, d, q)
 
     velocities = np.zeros((n, d, q))      # particular solutions, per commutant coordinate
@@ -449,9 +442,8 @@ def symmetry_counts(fw: CrystalFramework, element: SymmetryElement) -> SymmetryC
     # R F_dom maps into the fixed edge space, so its rows repeat along each edge
     # orbit and it has the singular values of F_e^T R F_dom: sqrt(orbit size)
     # times <v_e, u_from - u_to> + C_E[e] A at each orbit's first edge e.
-    labels = _cycles(element.edge_map)
-    sizes = np.bincount(labels)
-    orbits, first = len(sizes), _cycle_starts(labels)
+    first, sizes = _orbit_starts([element.edge_map])
+    orbits = len(sizes)
     velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, fixed_domain.dim)
     rows = np.sqrt(sizes)[:, np.newaxis] * (
         np.einsum("ek,ekj->ej", vectors[first], velocities[ends[first, 0]] - velocities[ends[first, 1]])

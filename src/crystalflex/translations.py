@@ -29,7 +29,7 @@ import numpy as np
 
 from .frameworks import CrystalFramework, _RowIndex
 from .linalg import BlockSVD, FullSVD, _svd
-from .symmetry import SymmetryError, _orbit_minima, resolve_symmetry
+from .symmetry import SymmetryError, _orbit_starts, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
 # to within this many units of round-off of the coordinates' magnitude.
@@ -96,15 +96,11 @@ class _GroupBuilder:
         self.index = _RowIndex(self.elements)
         self.radices, self.relations, self.generators = [], [], []
 
-    def add(self, a, generator):
-        # q a is the least multiple of a in the group so far, and q divides
-        # the modulus; the elements gain the q cosets c a + G, 0 <= c < q, in that order.
-        multiples = self.divisors[:, np.newaxis] * a % self.modulus
-        found = self.index.find(multiples)
-        least = int(np.argmax(found >= 0))
-        q = int(self.divisors[least])
+    def add(self, a, generator, q: int, relation: int):
+        """Add generator a, of order q modulo the group G so far, q a being its
+        element ``relation``: the elements gain the cosets c a + G, 0 <= c < q, in order."""
         self.radices.append(q)
-        self.relations.append(int(found[least]))
+        self.relations.append(relation)
         cosets = np.arange(q)[:, np.newaxis, np.newaxis] * a + self.elements
         self.elements = (cosets % self.modulus).reshape(-1, len(a))
         self.index = _RowIndex(self.elements)
@@ -124,9 +120,8 @@ class _GroupBuilder:
 
     def orbit_table(self, which: str) -> np.ndarray:
         """The images of the least point of each orbit of the ``which`` map,
-        the group being abelian (``symmetry._orbit_minima``)."""
-        least = _orbit_minima([getattr(g, which) for g in self.generators])
-        return self.images(np.flatnonzero(least == np.arange(len(least))), which)
+        the group being abelian (``symmetry._orbit_starts``)."""
+        return self.images(_orbit_starts([getattr(g, which) for g in self.generators])[0], which)
 
     def _digits(self, index, count: int) -> np.ndarray:
         """Coordinates c_1, ..., c_count of the elements at ``index``."""
@@ -218,16 +213,16 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
         # The candidate of largest order modulo G grows G the most. None left
         # is in G: its image would lie in the G-orbit of vertex 0, which
         # ``refused`` starts with, so every order is at least 2.
-        multiples = (powers * candidates % modulus).reshape(-1, d)
-        inside = group.index.find(multiples) >= 0
-        pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
-        a, v = candidates[pick], image[pick]
+        found = group.index.find((powers * candidates % modulus).reshape(-1, d)).reshape(len(powers), -1)
+        order = np.argmax(found >= 0, axis=0)       # each candidate's, as an index of the divisors
+        pick = int(np.argmax(order))
+        a, v, k = candidates[pick], image[pick], order[pick]
         try:
             g = resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")
             moved = vectors[g.edge_map]
             if np.max(np.minimum(np.abs(vectors - moved), np.abs(vectors + moved)), initial=0.0) > roundoff:
                 raise SymmetryError("a bar vector moves by more than round-off")
-            group.add(a, g)
+            group.add(a, g, int(group.divisors[k]), int(found[k, pick]))
         except SymmetryError:
             refused.append(v)
         # A candidate is in G, or in a coset a + G of a refused a, when its

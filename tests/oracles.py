@@ -44,11 +44,10 @@ from crystalflex.rigidity import DependentBasisError, _held_strict, _lattice_col
 from crystalflex.symmetry import (
     SymmetryElement,
     SymmetryError,
-    _cycle_starts,
-    _cycles,
     _DomainAction,
     _fixed_domain,
     _fixed_points,
+    _orbit_starts,
 )
 from crystalflex.translations import BAR_ROUNDOFF_ULPS, _GroupBuilder, _Translations
 
@@ -506,10 +505,11 @@ def reference_resolve_symmetry(fw, linear, translation, name: str = "g") -> Symm
 
 
 def _reference_members(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Which of the integer rows are rows of ``members``."""
+    """The index of the member equal to each integer row, or -1; the
+    members are distinct."""
     _, group = _group_rows(np.concatenate([members, rows]))
-    found = np.zeros(len(members) + len(rows), dtype=bool)
-    found[group[:len(members)]] = True
+    found = np.full(len(members) + len(rows), -1)
+    found[group[:len(members)]] = np.arange(len(members))
     return found[group[len(members):]]
 
 
@@ -586,15 +586,17 @@ def reference_find_translations(fw, vectors: np.ndarray):
         # The candidate of largest order modulo G grows G the most. None left
         # is in G: its image would lie in the G-orbit of vertex 0, which
         # ``refused`` starts with, so every order is at least 2.
-        inside = _reference_members((powers * candidates % modulus).reshape(-1, d), group.elements)
-        pick = int(np.argmax(np.argmax(inside.reshape(len(powers), -1), axis=0)))
-        a, v = candidates[pick], image[pick]
+        found = _reference_members((powers * candidates % modulus).reshape(-1, d), group.elements)
+        found = found.reshape(len(powers), -1)
+        order = np.argmax(found >= 0, axis=0)
+        pick = int(np.argmax(order))
+        a, v, k = candidates[pick], image[pick], order[pick]
         try:
             g = reference_resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")
             moved = vectors[g.edge_map]
             if np.max(np.minimum(np.abs(vectors - moved), np.abs(vectors + moved)), initial=0.0) > roundoff:
                 raise SymmetryError("a bar vector moves by more than round-off")
-            group.add(a, g)
+            group.add(a, g, int(powers[k, 0, 0]), int(found[k, pick]))
         except SymmetryError:
             refused.append(v)
         # A candidate is in G, or in a coset a + G of a refused a, when its
@@ -668,9 +670,8 @@ def per_use_symmetry_counts(fw, element):
     on_rigid = rigid.basis.T @ action.apply(rigid.basis)
     if rigid.dim - cf.numeric_rank(on_rigid - np.eye(rigid.dim), tol) != f:
         raise DependentBasisError("the fixed rigid motions disagree")
-    labels = _cycles(element.edge_map)
-    sizes = np.bincount(labels)
-    orbits, first = len(sizes), _cycle_starts(labels)
+    first, sizes = _orbit_starts([element.edge_map])
+    orbits = len(sizes)
     velocities = fixed_domain.basis[:-d * d].reshape(fw.vertex_count, d, fixed_domain.dim)
     rows = np.sqrt(sizes)[:, np.newaxis] * (
         np.einsum("ek,ekj->ej", vectors[first], velocities[ends[first, 0]] - velocities[ends[first, 1]])

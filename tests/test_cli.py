@@ -627,6 +627,22 @@ class TestWorkPerRequest:
     """One validation per framework value, one SVD of the strict operator per
     analysis, and no factorization taller than the operator's domain."""
 
+    def test_elements_matched_against_the_framework_are_not_checked_again(
+            self, capsys, tmp_path, kagome, monkeypatch):
+        # Files and builtins attach the elements just matched against their
+        # own motif index. --tol checks r3 at the new tolerance, and --element
+        # once more, as r3 was matched before --tol.
+        path = tmp_path / "kagome.json"
+        cf.save_framework(kagome, path)
+        calls = count_calls(monkeypatch, "_check_symmetries")
+        assert cf.load_framework(path).symmetries and cf.builtin_framework("kagome").symmetries
+        for argv in (["analyze", "--builtin", "kagome"], ["symmetry", str(path), "--characters", "--json"],
+                     ["symmetry", str(path), "--element", "r3"]):
+            assert run(capsys, *argv)[0] == 0
+        assert sum(len(elements) for _, elements in calls) == 0
+        assert run(capsys, "symmetry", str(path), "--element", "r3", "--tol", "1e-8")[0] == 0
+        assert sum(len(elements) for _, elements in calls) == 2
+
     @pytest.fixture
     def counters(self, monkeypatch):
         validations, svd_shapes = [], []
@@ -823,7 +839,7 @@ class TestWorkPerRequest:
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
         path = tmp_path / "hexahedron_2x2x2.json"
         cf.save_framework(big, path)
-        orbits = len(np.bincount(crystalflex.symmetry._cycles(big.symmetries[0].edge_map)))
+        orbits = len(crystalflex.symmetry._orbit_starts([big.symmetries[0].edge_map])[0])
         assert (big.edge_count, orbits) == (72, 24)
         _, svd_shapes = counters
         svd_shapes.clear()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 import tracemalloc
 from dataclasses import replace
@@ -267,6 +268,25 @@ class TestWithSymmetries:
     def test_rejects_elements_of_another_motif(self, kagome, square_grid):
         with pytest.raises(ValueError, match="r4"):
             kagome.with_symmetries(square_grid.symmetries)
+
+    def test_checks_elements_matched_against_another_geometry(self, kagome):
+        # r3 was matched against the builtin's motif index, not this one's:
+        # with p3 moved it maps p2 off every vertex class.
+        vertices = [cf.MotifVertex(v.position + [1e-3, 0.0] if v.name == "p3" else v.position, v.name)
+                    for v in kagome.vertices]
+        moved = replace(kagome, vertices=vertices, symmetries=())
+        with pytest.raises(cf.SymmetryError) as info:
+            moved.with_symmetries(kagome.symmetries)
+        assert str(info.value) == ("symmetry element 'r3' does not hold at tolerance 1e-09: "
+                                   "image of vertex p2 lies 0.001 from its class")
+        # Equality and replace leave the matched index out; a pickled
+        # framework's element is matched against the copy's own index.
+        (r3,) = kagome.symmetries
+        assert r3._matched_index is kagome._motif_index
+        copied = replace(r3)
+        assert copied == r3 and copied._matched_index is None
+        restored = pickle.loads(pickle.dumps(kagome))
+        assert restored.symmetries[0]._matched_index is restored._motif_index
 
 
 @st.composite

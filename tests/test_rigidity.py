@@ -898,9 +898,9 @@ def detect(fw):
             super().__init__(*args)
             builders.append(self)
 
-        def add(self, a, generator):
+        def add(self, a, generator, q, relation):
             accepted.append((a, generator))
-            super().add(a, generator)
+            super().add(a, generator, q, relation)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crystalflex.translations, "_GroupBuilder", Recording)
@@ -956,8 +956,10 @@ class TestDetectionWork:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crystalflex.translations, "_RowIndex", Counting)
             group, accepted, _ = detect(fw)
-        assert max(sizes) <= 24 * 359
         assert len(accepted) == 1 and len(group.vertices) == 360
+        # One lookup for the one candidate round, which accepts the generator,
+        # and one for the conjugate pairing: adding the generator looks nothing up.
+        assert sizes == [24 * 359, 360]
         # Element t is the t-th power of the generator; the characters are
         # the real one, the one of order two, then the pairs (w, -w).
         count, t, w = 360, np.arange(360)[:, np.newaxis], np.arange(1, 180)

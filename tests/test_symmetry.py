@@ -4,7 +4,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,11 +12,11 @@ import crystalflex as cf
 import crystalflex.symmetry
 from crystalflex.rigidity import _held_rigid, unvec
 from crystalflex.symmetry import (
-    _cycle_starts,
-    _cycles,
     _domain_action,
     _fixed_domain,
     _fixed_points,
+    _orbit_minima,
+    _orbit_starts,
 )
 from oracles import (
     dense_factorization,
@@ -101,7 +101,7 @@ class TestResolve:
         assert sorted(kagome_r3.vertex_map) == [0, 1, 2]
         assert kagome_r3.vertex_map.tolist() != [0, 1, 2]
         assert kagome_r3.separable
-        assert len(np.bincount(_cycles(kagome_r3.edge_map))) == 2
+        assert len(_orbit_starts([kagome_r3.edge_map])[0]) == 2
 
     def test_fourfold_incompatible_with_hexagonal_lattice(self, kagome):
         with pytest.raises(cf.SymmetryError, match="lattice-incompatible"):
@@ -329,9 +329,9 @@ def test_gathered_equation_residual_of_a_broken_element_matches_the_dense_one(
     # gathered residual must reproduce the dense one, not just be small.
     fw, g = supercell_element(case, 2 if case[0] == "hexahedron" else n, seed)
     if broken == "edge_map":
-        labels = _cycles(g.edge_map)
+        least = _orbit_minima([g.edge_map])
         first = data.draw(st.integers(0, fw.edge_count - 1))
-        others = np.flatnonzero(labels != labels[first])
+        others = np.flatnonzero(least != least[first])
         assume(len(others))
         second = others[data.draw(st.integers(0, len(others) - 1))]
         edge_map = g.edge_map.copy()
@@ -351,7 +351,7 @@ def test_gathered_equation_residual_of_a_broken_element_matches_the_dense_one(
 
 
 def reference_cycle_lengths(perm):
-    """Cycle lengths by the set-based walk that _cycles replaced."""
+    """Cycle lengths, in the order of each cycle's least point, by a set-based walk."""
     seen, lengths = set(), []
     for start in range(len(perm)):
         if start in seen:
@@ -432,11 +432,11 @@ def assert_rows_repeat_along_edge_orbits(fw, element):
     _, edge_perm, _, domain = reference_representation(fw, element)
     operator = cf.restricted_operator(fw, cf.matrix_space("full", fw.dimension, tol))
     image = operator @ fixed_space(domain, tol).basis
-    labels = _cycles(element.edge_map)
-    spread = np.max(np.abs(image - image[_cycle_starts(labels)[labels]]), initial=0.0)
+    least = _orbit_minima([element.edge_map])
+    spread = np.max(np.abs(image - image[least]), initial=0.0)
     assert spread <= 10 * tol * max(1.0, np.max(np.abs(image), initial=0.0))
     orbit = fixed_space(edge_perm, tol).basis.T @ image
-    assert orbit.shape[0] == len(np.bincount(labels))
+    assert orbit.shape[0] == len(_orbit_starts([element.edge_map])[0])
     if min(image.shape):
         sigma = np.linalg.svd(image, compute_uv=False)
         orbit_sigma = np.linalg.svd(orbit, compute_uv=False)
@@ -453,12 +453,58 @@ def test_rows_of_the_restricted_operator_repeat_along_edge_orbits(case, n, seed)
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(n))))
-def test_cycle_labels_match_the_walk(perm):
-    labels = _cycles(perm)
-    lengths = reference_cycle_lengths(perm)
-    assert np.bincount(labels).tolist() == lengths
-    assert all(labels[perm[x]] == labels[x] for x in range(len(perm)))
-    assert _cycle_starts(labels).tolist() == [x for x in range(len(perm)) if labels[x] not in labels[:x]]
+def test_orbit_starts_match_the_walk(perm):
+    least = _orbit_minima([perm])
+    starts, sizes = _orbit_starts([perm])
+    assert sizes.tolist() == reference_cycle_lengths(perm)
+    assert all(least[perm[x]] == least[x] for x in range(len(perm)))
+    assert starts.tolist() == [x for x in range(len(perm)) if least[x] not in least[:x]]
+
+
+def reference_orbit_starts(maps):
+    """The least point and the size of each orbit of the group the maps
+    generate, by a set-based walk from each point not yet seen."""
+    seen, starts, sizes = set(), [], []
+    for start in range(len(maps[0])):
+        if start in seen:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for m in maps:
+                if int(m[x]) not in orbit:
+                    orbit.add(int(m[x]))
+                    frontier.append(int(m[x]))
+        seen |= orbit
+        starts.append(start)
+        sizes.append(len(orbit))
+    return starts, sizes
+
+
+# Blocks Z_a x Z_b, each translated by one step per map, so the maps commute.
+GRID_BLOCKS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3), st.integers(0, 3),
+                                 st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(GRID_BLOCKS, st.integers(0, 2 ** 32 - 1))
+@example([(3, 4, 1, 0, 0, 1)], 0)
+def test_orbit_starts_of_commuting_maps_match_the_walk(blocks, seed):
+    # Two maps that translate each block Z_a x Z_b by a step of their own,
+    # on points relabelled at random; [(3, 4, 1, 0, 0, 1)] is the product of
+    # a 3-cycle and a 4-cycle on a 12-point grid, one orbit.
+    maps, offset = [[], []], 0
+    for a, b, *steps in blocks:
+        i, j = np.divmod(np.arange(a * b), b)
+        for m, (di, dj) in zip(maps, [steps[:2], steps[2:]]):
+            m.append(offset + (i + di) % a * b + (j + dj) % b)
+        offset += a * b
+    label = np.random.default_rng(seed).permutation(offset)
+    relabelled = [np.empty(offset, dtype=np.int64) for _ in maps]
+    for out, m in zip(relabelled, maps):
+        out[label] = label[np.concatenate(m)]
+    starts, sizes = _orbit_starts(relabelled)
+    assert (starts.tolist(), sizes.tolist()) == reference_orbit_starts(relabelled)
 
 
 @settings(max_examples=40, deadline=None)
@@ -725,7 +771,7 @@ class TestFixedSpace:
     def test_permutation_fixed_space_counts_orbits(self, any_builtin):
         for g in any_builtin.symmetries:
             fixed = fixed_space(edge_matrix(full_action(any_builtin, g)), any_builtin.tolerance)
-            assert fixed.dim == len(np.bincount(_cycles(g.edge_map)))
+            assert fixed.dim == len(_orbit_starts([g.edge_map])[0])
 
 
 class TestSymmetryCounts:
@@ -801,7 +847,7 @@ class TestSymmetryCounts:
             for _ in range(order):
                 total += sum(1 for i, x in enumerate(current) if i == x)
                 current = [perm[x] for x in current]
-            assert len(np.bincount(_cycles(g.edge_map))) * order == total
+            assert len(_orbit_starts([g.edge_map])[0]) * order == total
 
     def test_symmetric_counts_bounded_by_commutant_mode(self, any_builtin):
         for g in any_builtin.symmetries:
