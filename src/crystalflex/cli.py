@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input or usage error, 3 internal inconsistency
-(a Maxwell-Calladine identity or a printed character row failed to close,
+(a symmetry-adapted counting identity or a printed character row failed to close,
 which indicates broken rank decisions rather than bad input).
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from .catalog import BUILTIN_NAMES, builtin_framework
@@ -22,7 +21,7 @@ from .fileio import (
     serialize_framework,
 )
 from .frameworks import InvalidFrameworkError, supercell
-from .linalg import MIN_TOL
+from .linalg import tolerance_refusal
 from .rigidity import MATRIX_SPACE_NAMES, DependentBasisError
 from .svg import render_svg
 from .symmetry import SymmetryError
@@ -79,36 +78,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(args):
+    """The framework and name of the file or builtin, once ``--tol`` is admitted."""
+    if args.tol is not None and (refusal := tolerance_refusal(args.tol)):
+        raise CliError(f"--tol {refusal}")
     if args.file and args.builtin:
         raise CliError("give either a framework file or --builtin, not both")
     if args.builtin:
         try:
-            fw = builtin_framework(args.builtin)
+            return builtin_framework(args.builtin), args.builtin
         except ValueError as exc:
             raise CliError(str(exc))
-        name = args.builtin
-    elif args.file:
+    if args.file:
         try:
-            fw = load_framework(args.file)
+            return load_framework(args.file), args.file
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc.strerror or exc}")
-        name = args.file
-    else:
-        raise CliError("no input: give a framework file or --builtin NAME")
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise CliError("--tol must be positive")
-        if not math.isfinite(args.tol):
-            raise CliError("--tol must be finite")
-        if args.tol < MIN_TOL:
-            raise CliError(f"--tol must be at least {MIN_TOL:.2g}")
-        try:
-            fw = fw.with_tolerance(args.tol)
-        except InvalidFrameworkError as exc:
-            raise CliError(f"tolerance {args.tol:g} is too large: " + "; ".join(exc.violations))
-        except SymmetryError as exc:
-            raise CliError(f"--tol {args.tol:g}: {exc}")
-    return fw, name
+    raise CliError("no input: give a framework file or --builtin NAME")
+
+
+def _at_tolerance(fw, tol):
+    """The framework at ``--tol``, which checks the elements it carries."""
+    try:
+        return fw if tol is None else fw.with_tolerance(tol)
+    except InvalidFrameworkError as exc:
+        raise CliError(f"tolerance {tol:g} is too large: " + "; ".join(exc.violations))
+    except SymmetryError as exc:
+        raise CliError(f"--tol {tol:g}: {exc}")
 
 
 def _resolve_modes(args, fw):
@@ -166,7 +161,7 @@ def _write_output(path, text):
 
 
 def _report(fw, as_json, **options):
-    """Analyze, write the report and check that every counting identity closes."""
+    """Analyze, write the report and check that every identity that can fail closes."""
     try:
         report = analyze_framework(fw, **options)
         text = emit_report(report, "json" if as_json else "text")
@@ -184,17 +179,19 @@ def _report(fw, as_json, **options):
 
 def _cmd_analyze(args) -> int:
     fw, name = _load_input(args)
+    fw = _at_tolerance(fw, args.tol)
     return _report(fw, args.json, modes=_resolve_modes(args, fw), name=name)
 
 
 def _cmd_symmetry(args) -> int:
-    fw, name = _load_input(args)
+    fw, name = _load_input(args)     # --tol applies after the pick, so checks it alone
     if args.element is not None:
         matching = tuple(g for g in fw.symmetries if g.name == args.element)
         if not matching:
             declared = ", ".join(g.name for g in fw.symmetries) or "none"
             raise CliError(f"no declared symmetry named {args.element!r} (declared: {declared})")
         fw = fw.with_symmetries(matching)
+    fw = _at_tolerance(fw, args.tol)
     if not fw.symmetries and not args.json:
         sys.stdout.write(f"framework {name}: no declared symmetries\n")
         return 0
@@ -202,7 +199,7 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_supercell(args) -> int:
-    fw, _ = _load_input(args)
+    fw = _at_tolerance(_load_input(args)[0], args.tol)
     try:
         factors = [int(x) for x in args.n.split(",")]
     except ValueError:
@@ -219,7 +216,7 @@ def _cmd_supercell(args) -> int:
 
 
 def _cmd_svg(args) -> int:
-    fw, _ = _load_input(args)
+    fw = _at_tolerance(_load_input(args)[0], args.tol)
     if fw.dimension != 2:
         raise CliError("SVG rendering requires a 2-dimensional framework")
     ranges = _parse_cells(args.cells, fw.dimension)

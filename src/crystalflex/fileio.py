@@ -47,7 +47,7 @@ from .frameworks import (
     _EdgeTable,
     _VertexTable,
 )
-from .linalg import DEFAULT_TOL, MIN_TOL
+from .linalg import DEFAULT_TOL, tolerance_refusal
 from .rigidity import (
     MatrixSpace,
     _held_space,
@@ -198,12 +198,10 @@ def framework_from_dict(doc: dict) -> CrystalFramework:
     lattice = PeriodLattice(np.array(columns).T)
 
     tolerance = doc.get("tolerance", DEFAULT_TOL)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        _fail("tolerance", "expected a positive number")
-    if not abs(tolerance) <= sys.float_info.max:
-        _fail("tolerance", "expected a finite number")
-    if tolerance < MIN_TOL:
-        _fail("tolerance", f"expected a number of at least {MIN_TOL:.2g}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+        _fail("tolerance", "expected a number")
+    if refusal := tolerance_refusal(tolerance):
+        _fail("tolerance", refusal)
 
     raw_vertices = _require(doc, "vertices", "", list)
     rows = _vertex_rows(raw_vertices, dimension)
@@ -588,10 +586,8 @@ class AnalysisReport:
 
     @property
     def max_identity_residual(self) -> float:
-        """Largest residual of a counting identity or a printed character row."""
+        """Largest residual that can be nonzero: a symmetry identity's or a character row's."""
         worst = 0
-        for mode in self.body["modes"]:
-            worst = max(worst, abs(mode["identity_residual"]))
         for sym in self.body.get("symmetries", []):
             residual = sym.get("characters", {}).get("residual", 0)
             worst = max(worst, abs(sym["identity_residual"]), abs(residual))

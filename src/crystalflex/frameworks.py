@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, MIN_TOL, numeric_rank
+from .linalg import DEFAULT_TOL, MIN_TOL, numeric_rank, tolerance_refusal
 
 CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
 COPY_LIMIT = 2**20    # most vertex and edge copies a supercell or fragment may hold
@@ -351,10 +351,8 @@ class CrystalFramework(_ArrayFields):
         object.__setattr__(self, "vertices", _VertexTable.of(self.vertices, self.dimension))
         object.__setattr__(self, "edges", _EdgeTable.of(self.edges, self.dimension, len(self.vertices)))
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
-        if not 0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.tolerance < MIN_TOL:
-            raise ValueError(f"tolerance must be at least {MIN_TOL:.2g}")
+        if refusal := tolerance_refusal(self.tolerance):
+            raise ValueError(f"tolerance {refusal}")
         violations = validate_framework(self)
         if violations:
             raise InvalidFrameworkError(violations)

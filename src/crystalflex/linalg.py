@@ -30,6 +30,14 @@ DEFAULT_TOL = 1e-9
 MIN_TOL = float(np.finfo(float).eps)     # smaller tolerances sit below binary64 round-off
 
 
+def tolerance_refusal(tol) -> str | None:
+    """Why ``tol`` is refused as a rank tolerance, or None: it must be positive, finite
+    as a float (an integer past the floats is not) and at least MIN_TOL."""
+    if not 0 < tol <= float(np.finfo(float).max):
+        return "must be positive and finite"
+    return f"must be at least {MIN_TOL:.2g}" if tol < MIN_TOL else None
+
+
 def _as_matrix(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
@@ -104,11 +112,8 @@ class SubspaceBasis:
         return float(np.max(np.linalg.norm(v - self.project(v), axis=0)))
 
     def contains(self, vectors) -> bool:
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if v.shape[0] != self.ambient_dim:
-            v = v.T
-        scale = max(1.0, float(np.max(np.abs(v))) if v.size else 0.0)
-        return self.residual(v) <= 10 * self.tol * scale * self.ambient_dim
+        scale = max(1.0, float(np.max(np.abs(np.asarray(vectors, dtype=float)), initial=0.0)))
+        return self.residual(vectors) <= 10 * self.tol * scale * self.ambient_dim
 
 
 def _svd(m: np.ndarray, what: str, full_matrices: bool = True, compute_uv: bool = True):

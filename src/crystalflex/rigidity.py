@@ -60,6 +60,7 @@ from .linalg import (
     full_svd,
     kernel_basis,
     numeric_rank,
+    tolerance_refusal,
 )
 
 MATRIX_SPACE_NAMES = ("zero", "full", "symmetric", "skew", "diagonal")
@@ -93,8 +94,8 @@ class MatrixSpace(_ArrayFields):
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tolerance must be positive and finite")
+        if refusal := tolerance_refusal(self.tol):
+            raise ValueError(f"tolerance {refusal}")
         if self.dimension < 1:
             raise ValueError(f"matrix space dimension must be at least 1, got {self.dimension}")
         mats = []
@@ -303,8 +304,8 @@ def rigid_motion_space(fw: CrystalFramework, space: MatrixSpace) -> SubspaceBasi
 class CountReport:
     """Mechanism/stress/rigid-motion dimensions and the counting identity.
 
-    identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f)
-    and must be zero for consistent rank decisions.  flex_basis, stress_basis
+    identity_residual is (m - s) - (vertex_dof + space_dim - edge_count - f),
+    zero by rank-nullity: m and s read one factorization.  flex_basis, stress_basis
     and rigid_basis are the kernel, cokernel and rigid motions the counts were
     read from, in restricted (u, coords-in-space) coordinates; the first two
     are the factorization's.  s is |Fe| minus the rank, and stress_basis the

@@ -47,6 +47,7 @@ from .linalg import (
     kernel_basis,
     numeric_rank,
     subspace_intersection,
+    tolerance_refusal,
 )
 from .rigidity import (
     DependentBasisError,
@@ -280,6 +281,8 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     d = b.shape[0]
     if not np.isfinite(b).all():
         raise ValueError("linear part is not finite")
+    if refusal := tolerance_refusal(tol):      # as MatrixSpace would, before the kernel reads it
+        raise ValueError(f"tolerance {refusal}")
     # vec(A B - B A) = (B^T kron I - I kron B) vec A.
     bracket = _kron(b.T, np.eye(d)) - _kron(np.eye(d), b)
     kernel = kernel_basis(bracket, tol)

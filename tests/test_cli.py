@@ -343,6 +343,13 @@ class TestExitCodes:
         assert outputs[0] == outputs[1]
 
 
+# A refused tolerance as a file or --tol spells it, and why the one rule
+# (linalg.tolerance_refusal) refuses it.
+REFUSED_TOLERANCES = [(text, "must be positive and finite") for text in
+                      ("0", "-1", "NaN", "Infinity", "1" + "0" * 400)]     # the last is 10**400
+REFUSED_TOLERANCES.append(("1e-300", "must be at least 2.2e-16"))
+
+
 class TestBadNumbers:
     """Non-finite numbers and unusable tolerances exit 2 with a message, never a traceback."""
 
@@ -366,7 +373,9 @@ class TestBadNumbers:
         code, out, err = run(capsys, command[0], str(file), *command[1:])
         assert code == 2
         assert out == ""
-        assert err == f"error: {shown}: expected a finite number\n"
+        # A tolerance is refused by the one tolerance rule, in its words.
+        reason = "must be positive and finite" if shown == "tolerance" else "expected a finite number"
+        assert err == f"error: {shown}: {reason}\n"
 
     @pytest.mark.parametrize("value", [2 ** 53, -(10 ** 30)])
     @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
@@ -394,7 +403,7 @@ class TestBadNumbers:
     def test_non_finite_tol_flag(self, capsys, command, tol):
         code, _, err = run(capsys, command, "--builtin", "kagome", "--tol", tol)
         assert code == 2
-        assert err == "error: --tol must be finite\n"
+        assert err == "error: --tol must be positive and finite\n"
 
     @pytest.mark.parametrize("tol", ["1e-20", "1e-17"])
     @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
@@ -413,7 +422,36 @@ class TestBadNumbers:
         file.write_text(json.dumps(doc))
         code, out, err = run(capsys, command[0], str(file), *command[1:])
         assert (code, out, err) == (
-            2, "", "error: tolerance: expected a number of at least 2.2e-16\n")
+            2, "", "error: tolerance: must be at least 2.2e-16\n")
+
+    @pytest.mark.parametrize("entry, text, reason", [
+        *((entry, text, reason) for entry in ("--tol", "tolerance:", "CrystalFramework", "MatrixSpace")
+          for text, reason in REFUSED_TOLERANCES),
+        ("tolerance:", "true", "expected a number"),
+    ], ids=lambda v: f"1e{len(v) - 1}" if len(v) > 100 else None)
+    def test_one_rule_at_every_entry_point(self, capsys, tmp_path, kagome, entry, text, reason):
+        # Each entry point puts its own name before the one reason, and the
+        # CLI exits 2 with no traceback; a file's true fails its own type test.
+        value = json.loads(text)
+        if entry == "--tol":
+            assert run(capsys, "analyze", "--builtin", "kagome", "--tol", text) == (
+                2, "", f"error: --tol {reason}\n")
+        elif entry == "tolerance:":
+            doc = cf.framework_to_dict(kagome)
+            doc["tolerance"] = value
+            file = tmp_path / "bad.json"
+            file.write_text(json.dumps(doc))
+            assert run(capsys, "symmetry", str(file), "--characters") == (
+                2, "", f"error: tolerance: {reason}\n")
+        else:
+            builds = [lambda: kagome.with_tolerance(value)] if entry == "CrystalFramework" else [
+                lambda: cf.matrix_space("full", 2, tol=value),
+                lambda: cf.commutant_basis(kagome.symmetries[0].linear, value)]
+            for build in builds:
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == f"tolerance {reason}"
+                assert not isinstance(info.value, (cf.DependentBasisError, cf.InvalidFrameworkError))
 
     @pytest.mark.parametrize("command", [["analyze"], ["symmetry", "--characters"]])
     def test_symmetry_image_beyond_the_cell_limit(self, capsys, tmp_path, square_grid, command):
@@ -630,8 +668,8 @@ class TestWorkPerRequest:
     def test_elements_matched_against_the_framework_are_not_checked_again(
             self, capsys, tmp_path, kagome, monkeypatch):
         # Files and builtins attach the elements just matched against their
-        # own motif index. --tol checks r3 at the new tolerance, and --element
-        # once more, as r3 was matched before --tol.
+        # own motif index, and --element picks r3 before --tol applies, so
+        # only --tol checks r3, at the new tolerance.
         path = tmp_path / "kagome.json"
         cf.save_framework(kagome, path)
         calls = count_calls(monkeypatch, "_check_symmetries")
@@ -641,7 +679,7 @@ class TestWorkPerRequest:
             assert run(capsys, *argv)[0] == 0
         assert sum(len(elements) for _, elements in calls) == 0
         assert run(capsys, "symmetry", str(path), "--element", "r3", "--tol", "1e-8")[0] == 0
-        assert sum(len(elements) for _, elements in calls) == 2
+        assert sum(len(elements) for _, elements in calls) == 1
 
     @pytest.fixture
     def counters(self, monkeypatch):

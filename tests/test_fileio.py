@@ -328,7 +328,7 @@ class TestNonFiniteNumbers:
     def test_tolerance(self, value):
         doc = valid_doc()
         doc["tolerance"] = value
-        with pytest.raises(cf.FrameworkParseError, match="tolerance: expected a finite number"):
+        with pytest.raises(cf.FrameworkParseError, match="^tolerance: must be positive and finite$"):
             cf.framework_from_dict(doc)
 
 

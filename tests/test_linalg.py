@@ -135,6 +135,19 @@ def test_intersection_matches_the_stacked_projector_kernel(pair):
     assert a.contains(meet.basis) and b.contains(meet.basis)
 
 
+@pytest.mark.parametrize("n, tol, k", [(2, 0.2, 0), (3, 0.12, 1)])
+def test_intersection_threshold_reads_the_stacks_largest_value(n, tol, k):
+    # Two lines 80 degrees apart.  The stack's value sqrt(1 - cos) for their
+    # pair lies between the thresholds that sqrt(2) and sqrt(1 + cos) put on
+    # it.  In the plane the complements do not meet, so sqrt(1 + cos) is the
+    # stack's largest value and the lines do not meet; in space the
+    # complements meet in sqrt(2), and the pair counts as met.
+    theta = np.radians(80)
+    a = SubspaceBasis(n, np.eye(n)[:, :1], tol)
+    b = SubspaceBasis(n, np.cos(theta) * np.eye(n)[:, :1] + np.sin(theta) * np.eye(n)[:, 1:2], tol)
+    assert subspace_intersection(a, b).dim == stacked_projector_intersection(a, b).dim == k
+
+
 def test_complement_within():
     whole = SubspaceBasis(3, np.eye(3))
     line = SubspaceBasis(3, np.eye(3)[:, :1])

@@ -79,6 +79,17 @@ class TestMatrixSpaces:
             cf.matrix_space("full", 2, tol=tol)
         assert not isinstance(info.value, cf.DependentBasisError)
 
+    @pytest.mark.parametrize("build", [
+        lambda tol: cf.matrix_space("full", 2, tol=tol),
+        lambda tol: cf.MatrixSpace(2, (np.eye(2),), tol=tol),
+        lambda tol: cf.commutant_basis(np.eye(2), tol),
+    ])
+    @pytest.mark.parametrize("tol", [1e-20, 1e-17])
+    def test_tolerance_below_round_off(self, build, tol):
+        # Spaces were built below binary64 round-off, which frameworks refuse.
+        with pytest.raises(ValueError, match="^tolerance must be at least 2.2e-16$"):
+            build(tol)
+
     def test_coordinates_round_trip(self):
         sym = cf.matrix_space("symmetric", 2)
         mat = np.array([[1.0, 2.0], [2.0, -3.0]])
