@@ -48,12 +48,7 @@ from .frameworks import (
     _VertexTable,
 )
 from .linalg import DEFAULT_TOL, tolerance_refusal
-from .rigidity import (
-    MatrixSpace,
-    _held_space,
-    analyze_counts,
-    matrix_space,
-)
+from .rigidity import MatrixSpace, _held_space, analyze_counts
 from .symmetry import (
     SymmetryError,
     character_row,

@@ -20,14 +20,17 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, MIN_TOL, numeric_rank, tolerance_refusal
+from .linalg import DEFAULT_TOL, MIN_TOL, _admit, numeric_rank
 
 CELL_LIMIT = 2**53    # cell indices stay below this in magnitude
 COPY_LIMIT = 2**20    # most vertex and edge copies a supercell or fragment may hold
+# The match radius in tolerances: a vertex image matches a class, and a linear
+# part is orthogonal and integral on the lattice, to within MATCH_RADIUS * tol.
+MATCH_RADIUS = 10
 
 
 class InvalidFrameworkError(ValueError):
@@ -351,8 +354,7 @@ class CrystalFramework(_ArrayFields):
         object.__setattr__(self, "vertices", _VertexTable.of(self.vertices, self.dimension))
         object.__setattr__(self, "edges", _EdgeTable.of(self.edges, self.dimension, len(self.vertices)))
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
-        if refusal := tolerance_refusal(self.tolerance):
-            raise ValueError(f"tolerance {refusal}")
+        _admit(self.tolerance)
         violations = validate_framework(self)
         if violations:
             raise InvalidFrameworkError(violations)
@@ -430,33 +432,80 @@ def _edge_images(fw: CrystalFramework, vertex_map, vertex_offsets, lattice_actio
 def _lattice_action(fw: CrystalFramework, linear, failed: str) -> np.ndarray:
     """Z^-1 B Z, the action of the linear part B on the period lattice, as an
     integer matrix.  Raises SymmetryError, its text after ``failed``, unless
-    B is orthogonal and Z^-1 B Z integral, each to 10 tol."""
-    d, tol, z = fw.dimension, fw.tolerance, fw.lattice.matrix
-    if np.max(np.abs(linear.T @ linear - np.eye(d))) > 10 * tol:
+    B is orthogonal and Z^-1 B Z integral, each to the match radius."""
+    d, radius, z = fw.dimension, MATCH_RADIUS * fw.tolerance, fw.lattice.matrix
+    if np.max(np.abs(linear.T @ linear - np.eye(d))) > radius:
         raise SymmetryError(f"{failed}: linear part is not orthogonal")
     action = np.linalg.solve(z, linear @ z)
-    if np.max(np.abs(action - np.round(action))) > 10 * tol:
+    if np.max(np.abs(action - np.round(action))) > radius:
         raise SymmetryError(f"{failed}: lattice-incompatible linear part")
     return np.round(action).astype(np.int64)
 
 
+class _Maps(NamedTuple):
+    """An isometry's action on a motif, under ``SymmetryElement``'s field names."""
+
+    vertex_map: np.ndarray
+    vertex_offsets: np.ndarray
+    edge_map: np.ndarray
+    lattice_action: np.ndarray
+
+
+def _match_isometry(fw: CrystalFramework, linear: np.ndarray, translation: np.ndarray,
+                    name: str) -> _Maps:
+    """The maps of the isometry x -> B x + c (B and c finite) on the motif
+    classes: its vertex images matched to the match radius in the held motif
+    index, its edge images exactly.  Raises SymmetryError, naming element
+    ``name``, if B is not orthogonal or not compatible with the lattice, or
+    if the images do not land one to one on the vertex or edge classes."""
+    lattice_action = _lattice_action(fw, linear, f"element {name!r}")
+    index = fw._motif_index
+    images = fw.lattice.fractional(fw.positions @ linear.T + translation)
+    image, target = index.vertices.matches(images, MATCH_RADIUS * fw.tolerance)
+    # The pairs come sorted: each image's first is its lowest matching class.
+    first = np.ones(len(image), dtype=bool)
+    first[1:] = image[1:] != image[:-1]
+    image, vertex_map = image[first], target[first]
+    if len(image) != fw.vertex_count:
+        unmatched = int(np.setdiff1d(np.arange(fw.vertex_count), image)[0])
+        raise SymmetryError(
+            f"element {name!r} is not a symmetry: image of vertex "
+            f"{fw.vertex_label(unmatched)} matches no vertex class")
+    shifts = np.round(images - index.frac[vertex_map])
+    beyond = np.flatnonzero(np.any(np.abs(shifts) >= CELL_LIMIT, axis=1))
+    if len(beyond):
+        raise SymmetryError(f"element {name!r}: image of vertex "
+                            f"{fw.vertex_label(beyond[0])} lies 2**53 or more cells away")
+    shifts = shifts.astype(np.int64)
+    if np.count_nonzero(np.bincount(vertex_map, minlength=fw.vertex_count)) != fw.vertex_count:
+        raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
+
+    edge_map = _edge_images(fw, vertex_map, shifts, lattice_action)
+    if (edge_map < 0).any():
+        raise SymmetryError(f"element {name!r} is not a symmetry: image of edge "
+                            f"{np.argmax(edge_map < 0)} matches no edge class")
+    if np.count_nonzero(np.bincount(edge_map, minlength=fw.edge_count)) != fw.edge_count:
+        raise SymmetryError(f"element {name!r}: edge action is not a bijection")
+    return _Maps(vertex_map, shifts, edge_map, lattice_action)
+
+
 def _check_symmetries(fw: CrystalFramework, elements) -> None:
     """Refuse any resolved element whose held maps do not act on the motif at
-    its tolerance, by ``resolve_symmetry``'s tests without matching again:
+    its tolerance, by ``_match_isometry``'s tests without matching again:
     the maps' sizes, the linear part's ``_lattice_action`` being the one held,
-    each vertex image to 10 tol of the class and cell its map names, and
-    each bar's image being the class its map names."""
+    each vertex image within the match radius of the class and cell its map
+    names, and each bar's image being the class its map names."""
     tol = fw.tolerance
     for g in elements:
         _check_maps(fw, g)
         failed = f"symmetry element {g.name!r} does not hold at tolerance {tol:g}"
         if not np.array_equal(_lattice_action(fw, g.linear, failed), g.lattice_action):
             raise SymmetryError(f"{failed}: lattice-incompatible linear part")
-        # As resolve_symmetry measures them: image minus class, less the cell offset.
+        # As _match_isometry measures them: image minus class, less the cell offset.
         images = fw.lattice.fractional(fw.positions @ g.linear.T + g.translation)
         gap = images - fw._motif_index.frac[g.vertex_map] - g.vertex_offsets
         gap = np.max(np.abs(gap), axis=1, initial=0.0)
-        far = np.flatnonzero(gap > 10 * tol)
+        far = np.flatnonzero(gap > MATCH_RADIUS * tol)
         if len(far):
             raise SymmetryError(f"{failed}: image of vertex {fw.vertex_label(far[0])} "
                                 f"lies {gap[far[0]]:.2g} from its class")
@@ -602,22 +651,49 @@ class _RowIndex:
         return found
 
 
+def _orbit_minima(maps) -> np.ndarray:
+    """The least point of each point's orbit under the group that the
+    commuting index maps ``maps``, at least one, generate.
+
+    The orbit of x under the first k maps is the union of the orbits under
+    the first k - 1 along the k-th map's cycle through x, so its least point
+    is the least of theirs over that cycle, found by pointer doubling.
+    """
+    least = np.arange(len(maps[0]))
+    for step in maps:
+        step = np.asarray(step, dtype=np.int64)
+        # After j rounds each point holds the least over the 2**j points
+        # of its cycle that start at it; a cycle has at most len(least).
+        for _ in range((len(least) - 1).bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+    return least
+
+
+def _orbit_starts(maps) -> tuple[np.ndarray, np.ndarray]:
+    """The least point of each orbit of the group that the commuting index
+    maps ``maps`` generate, ascending, and each orbit's size."""
+    least = _orbit_minima(maps)
+    starts = np.flatnonzero(least == np.arange(len(least)))
+    return starts, np.bincount(least, minlength=len(least))[starts]
+
+
 class _MotifIndex:
     """Everything a framework's vertex and edge matches read, built once.
 
     ``frac`` holds the vertices' fractional coordinates, and ``vertices``
-    the same points in a ``_PointIndex`` built for 10 tol matches.  The
-    canonical edge-class rows (``_edge_class_keys``) are held once, in a
-    ``_RowIndex`` as ``edges``, so an edge finds the lowest edge of its
-    class by one exact lookup of its canonical row.
+    the same points in a ``_PointIndex`` built for matches to the match
+    radius.  The canonical edge-class rows (``_edge_class_keys``) are held
+    once, in a ``_RowIndex`` as ``edges``, so an edge finds the lowest edge
+    of its class by one exact lookup of its canonical row.
     """
 
     def __init__(self, fw: CrystalFramework):
         d = fw.dimension
         self.frac = fw.lattice.fractional(fw.positions) if fw.vertices else np.zeros((0, d))
-        # Twice the reach of a 10 tol match among the vertices, so images
+        # Twice the reach of a match among the vertices, so images
         # moved further out than the vertices are matched here too.
-        self.vertices = _PointIndex(self.frac, 2 * _reach(10 * fw.tolerance, _scale(self.frac)))
+        self.vertices = _PointIndex(self.frac, 2 * _reach(MATCH_RADIUS * fw.tolerance, _scale(self.frac)))
         self.edges = _RowIndex(_edge_class_keys(fw.edges.ends, fw.edges.offsets))
 
     def edge_classes(self, ends, offsets) -> np.ndarray:

@@ -38,6 +38,12 @@ def tolerance_refusal(tol) -> str | None:
     return f"must be at least {MIN_TOL:.2g}" if tol < MIN_TOL else None
 
 
+def _admit(tol) -> None:
+    """Raise ValueError, in ``tolerance_refusal``'s words, unless ``tol`` is admitted."""
+    if refusal := tolerance_refusal(tol):
+        raise ValueError(f"tolerance {refusal}")
+
+
 def _as_matrix(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
@@ -80,6 +86,7 @@ class SubspaceBasis:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        _admit(self.tol)
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != self.ambient_dim:
             raise ValueError(
@@ -132,6 +139,7 @@ def _svd(m: np.ndarray, what: str, full_matrices: bool = True, compute_uv: bool 
 
 
 def numeric_rank(mat, tol: float = DEFAULT_TOL) -> int:
+    _admit(tol)
     m = _as_matrix(mat)
     if min(m.shape) == 0:
         return 0
@@ -335,6 +343,7 @@ def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the (numerical) null space of ``mat``.  Only V is
     read, so a matrix with at least as many rows as columns (and one or more
     columns) takes the thin SVD, whose V is already square."""
+    _admit(tol)
     m = _as_matrix(mat)
     rows, cols = m.shape
     _, s, vt = _svd(m, "mat", full_matrices=False) if rows >= cols > 0 else full_svd(m)
@@ -343,6 +352,7 @@ def kernel_basis(mat, tol: float = DEFAULT_TOL) -> SubspaceBasis:
 
 def column_space_basis(vectors, tol: float = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the span of the given column vectors."""
+    _admit(tol)
     m = _as_matrix(vectors)
     rows = m.shape[0]
     if m.shape[1] == 0 or rows == 0:
@@ -380,7 +390,7 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         top = np.sqrt(2.0)
     else:
         top = float(np.sqrt(np.max(1.0 + cosines, where=sines > 0, initial=0.0)))
-    keep = stacked <= _threshold(top, (2 * n, n), tol)
+    keep = ~_kept(stacked, (2 * n, n), tol, top)
     return _span(small.basis @ vt[keep].T, tol)
 
 

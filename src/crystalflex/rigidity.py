@@ -54,14 +54,15 @@ from .linalg import (
     BlockSVD,
     Factorization,
     SubspaceBasis,
+    _admit,
     _kron,
     column_space_basis,
     factorize_bordered,
     full_svd,
     kernel_basis,
     numeric_rank,
-    tolerance_refusal,
 )
+from .translations import _bloch_blocks, _find_translations
 
 MATRIX_SPACE_NAMES = ("zero", "full", "symmetric", "skew", "diagonal")
 
@@ -94,8 +95,7 @@ class MatrixSpace(_ArrayFields):
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if refusal := tolerance_refusal(self.tol):
-            raise ValueError(f"tolerance {refusal}")
+        _admit(self.tol)
         if self.dimension < 1:
             raise ValueError(f"matrix space dimension must be at least 1, got {self.dimension}")
         mats = []
@@ -343,9 +343,6 @@ def factor_strict(fw: CrystalFramework) -> BlockSVD:
     and the motif repeats under a finer lattice; otherwise one dense block.
     Read it as ``_held_strict(fw)``, which computes it once per framework."""
     if fw.dimension * fw.vertex_count >= BLOCK_MIN_VERTEX_DOF and fw.edge_count:
-        # Smaller operators never need the module; it imports symmetry,
-        # which imports this one.
-        from .translations import _bloch_blocks, _find_translations
         vectors = fw._edge_vectors
         group = _find_translations(fw, vectors)
         if group is not None:

@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .frameworks import (CELL_LIMIT, CrystalFramework, SymmetryError, _ArrayFields, _check_maps,
-                         _edge_images, _lattice_action)
+from .frameworks import (CrystalFramework, SymmetryError, _ArrayFields, _check_maps, _match_isometry,
+                         _orbit_starts)
 from .linalg import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -47,7 +47,6 @@ from .linalg import (
     kernel_basis,
     numeric_rank,
     subspace_intersection,
-    tolerance_refusal,
 )
 from .rigidity import (
     DependentBasisError,
@@ -99,17 +98,10 @@ class SymmetryElement(_ArrayFields):
 
 
 def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g") -> SymmetryElement:
-    """Match an isometry against the motif classes of a framework.
-
-    Only the images are matched: the vertex images against the framework's
-    held motif index (``CrystalFramework._motif_index``) to 10 tol, and the
-    image edges exactly against its sorted edge-class rows.  Raises
-    SymmetryError if the linear part is not orthogonal, is incompatible with
-    the period lattice, or if some vertex or edge image does not land on a
-    framework vertex or edge class.
-    """
+    """Match an isometry against the motif classes of a framework by
+    ``frameworks._match_isometry``, once its parts are checked to be finite
+    and of the framework's dimension; raises SymmetryError otherwise."""
     d = fw.dimension
-    tol = fw.tolerance
     # Copies: the element's read-only arrays share no memory with the caller's.
     b = np.array(linear, dtype=float)
     c = np.array(translation, dtype=float).reshape(-1)
@@ -118,42 +110,9 @@ def resolve_symmetry(fw: CrystalFramework, linear, translation, name: str = "g")
     for part, value in (("linear part", b), ("translation", c)):
         if not np.isfinite(value).all():
             raise SymmetryError(f"element {name!r}: {part} is not finite")
-    lattice_action = _lattice_action(fw, b, f"element {name!r}")
-
-    index = fw._motif_index
-    images = fw.lattice.fractional(fw.positions @ b.T + c)
-    image, target = index.vertices.matches(images, 10 * tol)
-    # The pairs come sorted: each image's first is its lowest matching class.
-    first = np.ones(len(image), dtype=bool)
-    first[1:] = image[1:] != image[:-1]
-    image, vertex_map = image[first], target[first]
-    if len(image) != fw.vertex_count:
-        matched = np.zeros(fw.vertex_count, dtype=bool)
-        matched[image] = True
-        unmatched = int(np.argmin(matched))
-        raise SymmetryError(
-            f"element {name!r} is not a symmetry: image of vertex "
-            f"{fw.vertex_label(unmatched)} matches no vertex class")
-    shifts = np.round(images - index.frac[vertex_map])
-    beyond = np.flatnonzero(np.any(np.abs(shifts) >= CELL_LIMIT, axis=1))
-    if len(beyond):
-        raise SymmetryError(f"element {name!r}: image of vertex "
-                            f"{fw.vertex_label(beyond[0])} lies 2**53 or more cells away")
-    shifts = shifts.astype(np.int64)
-    if np.count_nonzero(np.bincount(vertex_map, minlength=fw.vertex_count)) != fw.vertex_count:
-        raise SymmetryError(f"element {name!r}: vertex action is not a bijection")
-
-    edge_map = _edge_images(fw, vertex_map, shifts, lattice_action)
-    unmatched = np.flatnonzero(edge_map < 0)
-    if len(unmatched):
-        raise SymmetryError(
-            f"element {name!r} is not a symmetry: image of edge {unmatched[0]} matches no edge class")
-    if np.count_nonzero(np.bincount(edge_map, minlength=fw.edge_count)) != fw.edge_count:
-        raise SymmetryError(f"element {name!r}: edge action is not a bijection")
-
-    element = SymmetryElement(name=name, linear=b, translation=c, vertex_map=vertex_map,
-                              vertex_offsets=shifts, edge_map=edge_map, lattice_action=lattice_action)
-    object.__setattr__(element, "_matched_index", index)
+    maps = _match_isometry(fw, b, c, name)
+    element = SymmetryElement(name=name, linear=b, translation=c, **maps._asdict())
+    object.__setattr__(element, "_matched_index", fw._motif_index)
     return element
 
 
@@ -281,40 +240,11 @@ def commutant_basis(linear, tol: float = DEFAULT_TOL) -> MatrixSpace:
     d = b.shape[0]
     if not np.isfinite(b).all():
         raise ValueError("linear part is not finite")
-    if refusal := tolerance_refusal(tol):      # as MatrixSpace would, before the kernel reads it
-        raise ValueError(f"tolerance {refusal}")
     # vec(A B - B A) = (B^T kron I - I kron B) vec A.
     bracket = _kron(b.T, np.eye(d)) - _kron(np.eye(d), b)
     kernel = kernel_basis(bracket, tol)
     mats = tuple(unvec(col, d) for col in kernel.basis.T)
     return MatrixSpace(d, mats, name="commutant", tol=tol)
-
-
-def _orbit_minima(maps) -> np.ndarray:
-    """The least point of each point's orbit under the group that the
-    commuting index maps ``maps``, at least one, generate.
-
-    The orbit of x under the first k maps is the union of the orbits under
-    the first k - 1 along the k-th map's cycle through x, so its least point
-    is the least of theirs over that cycle, found by pointer doubling.
-    """
-    least = np.arange(len(maps[0]))
-    for step in maps:
-        step = np.asarray(step, dtype=np.int64)
-        # After j rounds each point holds the least over the 2**j points
-        # of its cycle that start at it; a cycle has at most len(least).
-        for _ in range((len(least) - 1).bit_length()):
-            least = np.minimum(least, least[step])
-            step = step[step]
-    return least
-
-
-def _orbit_starts(maps) -> tuple[np.ndarray, np.ndarray]:
-    """The least point of each orbit of the group that the commuting index
-    maps ``maps`` generate, ascending, and each orbit's size."""
-    least = _orbit_minima(maps)
-    starts = np.flatnonzero(least == np.arange(len(least)))
-    return starts, np.bincount(least, minlength=len(least))[starts]
 
 
 def _fixed_domain(action: _DomainAction, commutant: MatrixSpace,

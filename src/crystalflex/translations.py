@@ -9,7 +9,7 @@ of L' (the symbol matrix of S. C. Power, "Polynomials for crystal
 frameworks and the rigid unit mode spectrum").
 
 ``_find_translations`` finds T: candidate translations are filtered
-cheaply and each generator is checked by ``symmetry.resolve_symmetry``
+cheaply and each generator is matched by ``frameworks._match_isometry``
 with linear part I, against the framework's held motif index.  T is held
 by its generators' index maps, composed only over the points read: the
 orbit representatives, found by folding the generators' cycles, and the
@@ -18,7 +18,7 @@ refused candidates' vertices.
 edge table and takes one batched SVD per block shape, returned as a
 ``linalg.BlockSVD`` with the Fourier maps of the edges and the vertices.
 ``rigidity.factor_strict``, run once per framework for its held SVD of R0,
-imports this module only for operators large enough to gain from it.
+calls them only for operators large enough to gain from them.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .frameworks import CrystalFramework, _RowIndex
+from .frameworks import (MATCH_RADIUS, CrystalFramework, SymmetryError, _match_isometry, _orbit_starts,
+                         _RowIndex)
 from .linalg import BlockSVD, FullSVD, _svd
-from .symmetry import SymmetryError, _orbit_starts, resolve_symmetry
 
 # A translation is kept only when it maps every bar vector onto its image's
 # to within this many units of round-off of the coordinates' magnitude.
@@ -81,8 +81,8 @@ class _Translations(NamedTuple):
 
 class _GroupBuilder:
     """The group of translations a / modulus (a in Z^d mod modulus)
-    generated so far, held by its generators, the resolved elements, with
-    ``index`` the ``_RowIndex`` of its elements.
+    generated so far, held by its generators' maps (``frameworks._Maps``),
+    with ``index`` the ``_RowIndex`` of its elements.
 
     Generator k adds q_k cosets: q_k is the least q with q a_k in the group
     G_{k-1} of the ones before it, so the elements are sum_k c_k a_k with
@@ -120,7 +120,7 @@ class _GroupBuilder:
 
     def orbit_table(self, which: str) -> np.ndarray:
         """The images of the least point of each orbit of the ``which`` map,
-        the group being abelian (``symmetry._orbit_starts``)."""
+        the group being abelian (``frameworks._orbit_starts``)."""
         return self.images(_orbit_starts([getattr(g, which) for g in self.generators])[0], which)
 
     def _digits(self, index, count: int) -> np.ndarray:
@@ -161,14 +161,14 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     Every translation moves vertex 0 onto some vertex v, so the candidates
     are the fractional differences t = f_v - f_0.  A candidate is kept when
     v has the degree of vertex 0 and the same sum of v v^T over its bars,
-    and t has a finite order k dividing |Fv| (k t integral to 10 tol k); it
-    is then a / M, M the least common multiple of the kept orders.  Of the
-    candidates outside the group G found so far and outside the cosets
-    a + G of the refused ones, the one of largest order modulo G is checked
-    next, by ``resolve_symmetry`` with linear part I: it must match, and
-    map each bar vector onto its image's to within BAR_ROUNDOFF_ULPS units
-    of round-off of the largest endpoint coordinate.  The accepted ones
-    generate T.
+    and t has a finite order k dividing |Fv| (k t integral to k times the
+    match radius); it is then a / M, M the least common multiple of the
+    kept orders.  Of the candidates outside the group G found so far and
+    outside the cosets a + G of the refused ones, the one of largest order
+    modulo G is checked next, by ``_match_isometry`` with linear part I: it
+    must match, and map each bar vector onto its image's to within
+    BAR_ROUNDOFF_ULPS units of round-off of the largest endpoint coordinate.
+    The accepted ones generate T.
     """
     n, d, tol = fw.vertex_count, fw.dimension, fw.tolerance
     if n < 2:
@@ -176,7 +176,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     z, ends = fw.lattice.matrix, fw.edges.ends
     # A translation maps the bars at vertex 0 onto those at its image with
     # equal bar vectors, so both have the same degree and sum of v v^T, up
-    # to what the 10 tol matching lets the positions move.
+    # to what matching to the match radius lets the positions move.
     # One weighted bincount sums the stars: each bin (vertex, entry) adds
     # its bars in edge order, as np.add.at would.
     outer = (vectors[:, :, np.newaxis] * vectors[:, np.newaxis]).reshape(-1, d * d)
@@ -184,7 +184,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     star = np.bincount(bins.reshape(-1), weights=np.repeat(outer, 2, axis=0).reshape(-1),
                        minlength=n * d * d).reshape(n, d, d)
     degree = np.bincount(ends.reshape(-1), minlength=n)
-    move = 20 * tol * float(np.max(np.sum(np.abs(z), axis=1)))
+    move = 2 * MATCH_RADIUS * tol * float(np.max(np.sum(np.abs(z), axis=1)))
     slack = degree[0] * (4 * move * float(np.max(np.abs(vectors), initial=0.0)) + 4 * move ** 2)
     image = 1 + np.flatnonzero((degree[1:] == degree[0])
                                & (np.max(np.abs(star[1:] - star[0]), axis=(1, 2)) <= slack))
@@ -194,7 +194,8 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
     divisors = np.arange(2, n + 1)
     divisors = divisors[n % divisors == 0]
     multiples = divisors[:, np.newaxis, np.newaxis] * shifts
-    integral = np.max(np.abs(multiples - np.round(multiples)), axis=2) <= 10 * tol * divisors[:, np.newaxis]
+    radius = MATCH_RADIUS * tol * divisors[:, np.newaxis]
+    integral = np.max(np.abs(multiples - np.round(multiples)), axis=2) <= radius
     finite = integral.any(axis=0)
     if not finite.any():
         return None
@@ -218,7 +219,7 @@ def _find_translations(fw: CrystalFramework, vectors: np.ndarray) -> Optional[_T
         pick = int(np.argmax(order))
         a, v, k = candidates[pick], image[pick], order[pick]
         try:
-            g = resolve_symmetry(fw, np.eye(d), z @ (a / modulus), "translation")
+            g = _match_isometry(fw, np.eye(d), z @ (a / modulus), "translation")
             moved = vectors[g.edge_map]
             if np.max(np.minimum(np.abs(vectors - moved), np.abs(vectors + moved)), initial=0.0) > roundoff:
                 raise SymmetryError("a bar vector moves by more than round-off")

@@ -38,7 +38,7 @@ import numpy as np
 import sympy as sp
 
 import crystalflex as cf
-from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys, _PointIndex, _reach, _scale
+from crystalflex.frameworks import CELL_LIMIT, _edge_class_keys, _orbit_starts, _PointIndex, _reach, _scale
 from crystalflex.linalg import BlockSVD, _rank, factorize_bordered, full_svd
 from crystalflex.rigidity import DependentBasisError, _held_strict, _lattice_columns
 from crystalflex.symmetry import (
@@ -47,7 +47,6 @@ from crystalflex.symmetry import (
     _DomainAction,
     _fixed_domain,
     _fixed_points,
-    _orbit_starts,
 )
 from crystalflex.translations import BAR_ROUNDOFF_ULPS, _GroupBuilder, _Translations
 

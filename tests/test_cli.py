@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import crystalflex as cf
-import crystalflex.catalog
 import crystalflex.cli as cli
 import crystalflex.fileio
 import crystalflex.frameworks
@@ -757,26 +756,27 @@ class TestWorkPerRequest:
         assert [shape for shape in svd_shapes if min(shape[-2:]) > self.block_bound(big, 27)] == []
 
     def test_symmetry_matches_against_one_held_motif_index(self, capsys, monkeypatch):
-        # The kagome 6 x 6 file is on the Bloch path, so its request resolves
-        # r3 and the two generators of its translations. The motif index is
-        # built once, by validation, and no sort inside resolve_symmetry
-        # reads more than the |Fe| = 216 edge rows: once every target vertex
-        # was re-bucketed with 3^d + 1 rows each and 2 |Fe| edge rows grouped.
+        # The kagome 6 x 6 file is on the Bloch path, so its request matches
+        # r3 and the two generators of its translations, each by the one
+        # matcher. The motif index is built once, by validation, and no sort
+        # inside a match reads more than the |Fe| = 216 edge rows: once every
+        # target vertex was re-bucketed with 3^d + 1 rows each and 2 |Fe|
+        # edge rows grouped.
         path = Path(__file__).resolve().parent / "golden" / "kagome_6x6_r3.json"
-        builds, resolved, sorted_rows, depth = [], [], [], [0]
+        builds, matched, sorted_rows, depth = [], [], [], [0]
         build = crystalflex.frameworks._MotifIndex.__init__
 
         def counting_build(index, fw):
             builds.append(fw)
             build(index, fw)
 
-        resolve = crystalflex.symmetry.resolve_symmetry
+        match = crystalflex.frameworks._match_isometry
 
-        def tracking_resolve(*args, **kwargs):
-            resolved.append(args[0])
+        def tracking_match(*args, **kwargs):
+            matched.append(args[0])
             depth[0] += 1
             try:
-                return resolve(*args, **kwargs)
+                return match(*args, **kwargs)
             finally:
                 depth[0] -= 1
 
@@ -793,14 +793,14 @@ class TestWorkPerRequest:
             return unique(rows, *args, **kwargs)
 
         monkeypatch.setattr(crystalflex.frameworks._MotifIndex, "__init__", counting_build)
-        for module in (crystalflex.symmetry, crystalflex.fileio, crystalflex.translations, crystalflex.catalog):
-            monkeypatch.setattr(module, "resolve_symmetry", tracking_resolve)
+        for module in (crystalflex.symmetry, crystalflex.translations):
+            monkeypatch.setattr(module, "_match_isometry", tracking_match)
         monkeypatch.setattr(np, "lexsort", counting_lexsort)
         monkeypatch.setattr(np, "unique", counting_unique)
         code, _, _ = run(capsys, "symmetry", str(path), "--characters")
         assert code == 0
         assert len(builds) == 1 and builds[0].edge_count == 216
-        assert len(resolved) == 3
+        assert len(matched) == 3
         assert max(sorted_rows, default=0) <= 216
 
     def test_rigid_motions_take_one_kernel_and_one_span(
@@ -877,7 +877,7 @@ class TestWorkPerRequest:
         big = big.with_symmetries((cf.resolve_symmetry(big, g.linear, g.translation, g.name),))
         path = tmp_path / "hexahedron_2x2x2.json"
         cf.save_framework(big, path)
-        orbits = len(crystalflex.symmetry._orbit_starts([big.symmetries[0].edge_map])[0])
+        orbits = len(crystalflex.frameworks._orbit_starts([big.symmetries[0].edge_map])[0])
         assert (big.edge_count, orbits) == (72, 24)
         _, svd_shapes = counters
         svd_shapes.clear()

@@ -288,6 +288,16 @@ class TestWithSymmetries:
         restored = pickle.loads(pickle.dumps(kagome))
         assert restored.symmetries[0]._matched_index is restored._motif_index
 
+    def test_refuses_a_held_lattice_action_that_is_not_the_linear_parts(self, kagome):
+        # The linear part is orthogonal and integral on the lattice, but the
+        # held Z^-1 B Z is another integer matrix.
+        (r3,) = kagome.symmetries
+        wrong = replace(r3, lattice_action=-r3.lattice_action)
+        with pytest.raises(cf.SymmetryError) as info:
+            kagome.with_symmetries([wrong])
+        assert str(info.value) == ("symmetry element 'r3' does not hold at tolerance 1e-09: "
+                                   "lattice-incompatible linear part")
+
 
 @st.composite
 def matching_problems(draw):

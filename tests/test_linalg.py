@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from crystalflex.fileio import _canonical_signs
 from crystalflex.linalg import (
+    MIN_TOL,
     BlockSVD,
     SubspaceBasis,
     border_bound,
@@ -257,3 +258,32 @@ def test_linalg_refusals(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# The entry points that take a rank tolerance, each on a matrix whose answer
+# any admitted tolerance leaves alone.
+TOLERANCE_ENTRY_POINTS = {
+    "kernel_basis": lambda tol: kernel_basis(np.eye(2), tol),
+    "numeric_rank": lambda tol: numeric_rank(np.eye(2), tol),
+    "column_space_basis": lambda tol: column_space_basis(np.eye(2), tol),
+    "SubspaceBasis": lambda tol: SubspaceBasis(2, np.eye(2)[:, :1], tol),
+}
+
+
+@pytest.mark.parametrize("tol, reason", [
+    (0.0, "must be positive and finite"),
+    (-1.0, "must be positive and finite"),
+    (float("nan"), "must be positive and finite"),
+    (float("inf"), "must be positive and finite"),
+    (10 ** 400, "must be positive and finite"),
+    (1e-300, "must be at least 2.2e-16"),
+], ids=["zero", "negative", "nan", "inf", "integer-past-the-floats", "below-round-off"])
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRY_POINTS)
+def test_tolerance_entry_points_refuse_by_the_one_rule(entry, tol, reason):
+    # Once a nan kernel_basis found the identity's kernel 2-dimensional, a
+    # negative one gave numeric_rank 2, 10**400 overflowed in the threshold,
+    # and a nan SubspaceBasis refused its own column as a member.
+    with pytest.raises(ValueError) as caught:
+        TOLERANCE_ENTRY_POINTS[entry](tol)
+    assert str(caught.value) == f"tolerance {reason}"
+    assert TOLERANCE_ENTRY_POINTS[entry](MIN_TOL) is not None

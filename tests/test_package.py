@@ -77,14 +77,19 @@ def test_frameworks_imports_no_later_layer():
     assert [names & layers for _, names in imports(tree) if names & layers] == []
 
 
-def test_the_one_function_level_import_is_the_translations_module():
-    # factor_strict imports translations only for operators large enough
-    # for Bloch blocks: small ones never need the module, and importing the
-    # package (which the benchmark's set-up times) does not compile it.
-    found = [(path.name, function, names) for path in sorted((ROOT / "src" / "crystalflex").glob("*.py"))
-             for function, names in imports(ast.parse(path.read_text())) if function is not None]
-    assert [(name, function, "translations" in names) for name, function, names in found] == [
-        ("rigidity.py", "factor_strict", True)]
+def test_modules_import_at_top_and_translations_below_symmetry():
+    # Every module imports at its top, so the package imports in one order
+    # with no cycle: linalg <- frameworks <- translations <- rigidity <-
+    # symmetry <- fileio, catalog <- cli.  Translation detection reads the
+    # isometry matcher and the orbit helpers from frameworks, so translations
+    # imports neither later layer, and rigidity imports it at its top.
+    found = {path.stem: imports(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "crystalflex").glob("*.py"))}
+    assert [(module, function) for module, statements in found.items()
+            for function, _ in statements if function is not None] == []
+    later = {"symmetry", "rigidity"}
+    assert [names & later for _, names in found["translations"] if names & later] == []
+    assert any("translations" in names for _, names in found["rigidity"])
 
 
 def test_translations_look_rows_up_only_through_the_row_index():
@@ -153,19 +158,15 @@ def test_readme_framework_reproduces_the_builtin(readme_framework, capsys):
 
 def test_analysis_loads_neither_scipy_nor_sympy(tmp_path):
     # numpy is the one declared dependency; scipy and sympy may be
-    # installed, but an analysis must not pay for importing them.  The
-    # translation module is imported only by an operator large enough for
-    # Bloch blocks, so a small request does not pay for compiling it.
+    # installed, but an analysis must not pay for importing them.
     script = f"""
 import sys
 import crystalflex as cf
 from crystalflex import cli
 assert cli.main(["analyze", "--builtin", "kagome"]) == 0
-assert "crystalflex.translations" not in sys.modules
 path = {str(tmp_path / "kagome_8x8.json")!r}
 cf.save_framework(cf.supercell(cf.builtin_framework("kagome"), (8, 8)), path)
 assert cli.main(["analyze", path, "--json"]) == 0
-assert "crystalflex.translations" in sys.modules
 print(sorted(name for name in ("scipy", "sympy") if name in sys.modules))
 """
     path = os.environ.get("PYTHONPATH")

@@ -858,7 +858,7 @@ class TestTranslationDetection:
         assert translation_count(scrambled_supercell(name, factors, rng)) == 6
 
     @pytest.mark.parametrize("change", [
-        # Refused by resolve_symmetry's 10 tol matching.
+        # Refused by the matcher: the vertex lies beyond the match radius.
         lambda fw: moved_vertex(fw, 100 * fw.tolerance),
         # Matched, but a bar vector moves by more than round-off.
         lambda fw: moved_vertex(fw, 5 * fw.tolerance),

@@ -10,14 +10,9 @@ from numpy.testing import assert_allclose
 
 import crystalflex as cf
 import crystalflex.symmetry
+from crystalflex.frameworks import _orbit_minima, _orbit_starts
 from crystalflex.rigidity import _held_rigid, unvec
-from crystalflex.symmetry import (
-    _domain_action,
-    _fixed_domain,
-    _fixed_points,
-    _orbit_minima,
-    _orbit_starts,
-)
+from crystalflex.symmetry import _domain_action, _fixed_domain, _fixed_points
 from oracles import (
     dense_factorization,
     per_use_character_row,
